@@ -12,9 +12,7 @@
 
 Exit codes: 0 success, 2 config error, 3 a verify band failed.  Reports are
 deterministic: identical (argv, config, seed) produce byte-identical files.
-Every successful run writes exactly one artifact.  The environment variable
-INTERPK_THREADS caps worker parallelism (the current evaluators are
-vectorized single-process, so any positive value is accepted).
+Every successful run writes exactly one artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -369,15 +366,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("INTERPK_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("error: INTERPK_THREADS must be >= 1", file=sys.stderr)
-                return EXIT_CONFIG
-        except ValueError:
-            print("error: INTERPK_THREADS must be an integer", file=sys.stderr)
-            return EXIT_CONFIG
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

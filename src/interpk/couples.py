@@ -10,8 +10,9 @@ the constants relating the strategy's output to the true infimum:
 
 * ``exact_l1_linf``        closed form for the unweighted (l1, linf) pair,
   in either order via the identity K(x, t; A0, A1) = t * K(x, 1/t; A1, A0);
-* ``weighted_sup_lp``      exact K for (linf(w0), linf(w1)), computed as a
-  two-variable linear program by vertex enumeration;
+* ``weighted_sup_lp``      exact K for (linf(w0), linf(w1)), the two-variable
+  linear program solved on the vertex chain of its feasible region, built
+  once per vector in O(d log d) time and O(d) memory;
 * ``power_coordinatewise`` the coordinatewise power functional
 
       K_p(x, t) = ( sum_i inf_{a+b=x_i} (w0_i |a|)^p + t^p (w1_i |b|)^p )^{1/p}
@@ -22,7 +23,9 @@ the constants relating the strategy's output to the true infimum:
   (an upper approximation), usable with arbitrary norm handles.
 
 K-profiles sample K(x, 2^n) over a dyadic window; they are the discrete
-object every interpolation norm downstream consumes.
+object every interpolation norm downstream consumes.  ``Couple.profile_batch``
+evaluates a whole grid of t per vector in one kernel call, so the exact
+kernels sort (or build their vertex chain) once per vector, not once per t.
 """
 
 from __future__ import annotations
@@ -287,6 +290,18 @@ class Couple:
         T = np.broadcast_to(np.asarray(T, dtype=float), (X.shape[0],))
         if np.any(T <= 0):
             raise DomainError("t must be positive")
+        return self._k_matrix(X, T[:, None])[:, 0]
+
+    def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
+        """K at every row of X and every t of ``t_grid``: (m, len(t_grid))."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        grid = np.asarray(t_grid, dtype=float).reshape(1, -1)
+        if np.any(grid <= 0):
+            raise DomainError("t must be positive")
+        return self._k_matrix(X, grid)
+
+    def _k_matrix(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """K(X[i], T[i, j]) for T of shape (m, k), or (1, k) shared by rows."""
         s = self.strategy
         if s == EXACT_L1_LINF:
             if self.norm0.p == 1.0:
@@ -298,11 +313,16 @@ class Couple:
         if s == POWER_COORDINATEWISE:
             return _power_batch(X, T, self.norm0.p, self.norm0.weights,
                                 self.norm1.weights)
-        return decomposition_infimum(
-            X, T, self.norm0.dense, self.norm1.dense,
+        # descent has no t-independent work to share: one call over every
+        # (row, t) pair, rows repeated in place
+        m, k = X.shape[0], T.shape[1]
+        values = decomposition_infimum(
+            np.repeat(X, k, axis=0), np.broadcast_to(T, (m, k)).reshape(-1),
+            self.norm0.dense, self.norm1.dense,
             budget=self.oracle_budget, seed=self.oracle_seed,
             scale0=_amplitude_scale(self.norm0),
             scale1=_amplitude_scale(self.norm1))
+        return values.reshape(m, k)
 
     def k(self, x: FiniteVector, t: float) -> float:
         return float(self.k_batch(self.embed(x)[None, :], t)[0])
@@ -383,72 +403,100 @@ class KProfile:
 # batch strategy kernels
 # ---------------------------------------------------------------------------
 
-def _l1_linf_batch(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
+    """T as an (m, k) matrix, and whether it was given as one t per row.
+
+    Scalars and 1-d arrays hold one t per row (k = 1); a 2-d array holds k
+    values of t per row, or one (1, k) grid shared by every row.
+    """
+    T = np.asarray(T, dtype=float)
+    if T.ndim < 2:
+        return np.broadcast_to(T.reshape(-1, 1), (m, 1)), True
+    return np.broadcast_to(T, (m, T.shape[1])), False
+
+
+def _l1_linf_batch(X: np.ndarray, T) -> np.ndarray:
     """Exact K for the unweighted (l1, linf) couple, rowwise.
 
     K(x, t) = sum_{k<=floor(t)} x*_k + (t - floor(t)) x*_{floor(t)+1} with x*
-    the nonincreasing rearrangement of |x| (zero beyond the support).
+    the nonincreasing rearrangement of |x| (zero beyond the support).  Each
+    row is sorted and prefix-summed once and read off at all of its t.
     """
     X = np.atleast_2d(X)
     m, d = X.shape
+    T, per_row = _t_matrix(T, m)
     if d == 0:
-        return np.zeros(m)
-    T = np.broadcast_to(T, (m,))
-    star = np.sort(np.abs(X), axis=1)[:, ::-1]
-    prefix = np.zeros((m, d + 1))
-    np.cumsum(star, axis=1, out=prefix[:, 1:])
-    whole = np.minimum(np.floor(T), d).astype(int)
-    frac = np.where(np.floor(T) < d, T - np.floor(T), 0.0)
-    head = np.take_along_axis(prefix, whole[:, None], axis=1)[:, 0]
-    nxt = np.take_along_axis(star, np.minimum(whole, d - 1)[:, None], axis=1)[:, 0]
-    nxt = np.where(whole < d, nxt, 0.0)
-    return head + frac * nxt
+        out = np.zeros(T.shape)
+    else:
+        star = np.sort(np.abs(X), axis=1)[:, ::-1]
+        prefix = np.zeros((m, d + 1))
+        np.cumsum(star, axis=1, out=prefix[:, 1:])
+        floor = np.floor(T)
+        whole = np.minimum(floor, d).astype(int)
+        frac = np.where(floor < d, T - floor, 0.0)
+        head = np.take_along_axis(prefix, whole, axis=1)
+        nxt = np.take_along_axis(star, np.minimum(whole, d - 1), axis=1)
+        out = head + frac * np.where(whole < d, nxt, 0.0)
+    return out[:, 0] if per_row else out
 
 
 def _weighted_sup_batch(X, T, w0, w1) -> np.ndarray:
-    """Exact K for (linf(w0), linf(w1)) by LP vertex enumeration, rowwise.
+    """Exact K for (linf(w0), linf(w1)) on each row's vertex chain.
 
-    Solves min{l0 + t*l1 : l0/w0_i + l1/w1_i >= |x_i|, l0, l1 >= 0}; weights
-    may be shared (d,) or per-row (m, d).
+    K(x, t) = min{l0 + t*l1 : l0/w0_i + l1/w1_i >= |x_i|, l0, l1 >= 0}.  For
+    fixed l0 the least feasible l1 is g(l0) = max(0, max_i w1_i (|x_i| -
+    l0/w0_i)), the upper envelope of the zero line and d falling lines, so
+    K(x, t) = min over the envelope's vertices v on l0 >= 0 of l0_v + t g(l0_v).
+    The vertices do not depend on t: they are built once per row by sorting
+    the lines by slope and one monotone-chain pass, O(d log d) time and O(d)
+    memory, and every t of the row reads them.  Weights may be shared (d,)
+    or per-row (m, d).
     """
     X = np.atleast_2d(X)
     m, d = X.shape
-    if d == 0:
-        return np.zeros(m)
-    T = np.broadcast_to(T, (m,))
+    T, per_row = _t_matrix(T, m)
     r = np.abs(X)
     W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
     W1 = np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
-
-    # axis vertices
-    v_axis0 = np.max(W0 * r, axis=1)           # (l0, 0)
-    v_axis1 = T * np.max(W1 * r, axis=1)       # (0, l1)
-    best = np.minimum(v_axis0, v_axis1)
-    if d == 1:
-        return best
-
-    c = 1.0 / W0
-    e = 1.0 / W1
-    i_idx, j_idx = np.triu_indices(d, k=1)
-    ci, cj = c[:, i_idx], c[:, j_idx]
-    ei, ej = e[:, i_idx], e[:, j_idx]
-    ri, rj = r[:, i_idx], r[:, j_idx]
-    det = ci * ej - cj * ei
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l0 = (ri * ej - rj * ei) / det
-        l1 = (ci * rj - cj * ri) / det
-    scale = np.max(r, axis=1, keepdims=True)
-    tol = 1e-12 * np.maximum(scale, 1e-300)
-    ok = np.isfinite(l0) & np.isfinite(l1) & (l0 >= -tol) & (l1 >= -tol)
-    # feasibility against every constraint
-    l0f = np.where(ok, l0, 0.0)
-    l1f = np.where(ok, l1, 0.0)
-    lhs = (l0f[:, :, None] * c[:, None, :] + l1f[:, :, None] * e[:, None, :])
-    ok &= np.all(lhs >= r[:, None, :] - tol[:, :, None], axis=2)
-    obj = np.where(ok, np.maximum(l0, 0.0) + T[:, None] * np.maximum(l1, 0.0),
-                   np.inf)
-    best_pair = np.min(obj, axis=1)
-    return np.minimum(best, best_pair)
+    height = W1 * r           # line i at l0 = 0
+    slope = W1 / W0           # line i falls at this rate ...
+    root = W0 * r             # ... and meets zero at l0 = root
+    # steepest line first, the higher one first among equal slopes
+    order = np.lexsort((-height, -slope), axis=-1)
+    lines = np.stack([height, slope, root], axis=2)
+    lines = np.take_along_axis(lines, order[:, :, None], 1).tolist()
+    l0s, l1s, counts = [], [], []     # vertices of all rows, row after row
+    for row in lines:
+        hull = []             # (height, slope, root, start l0) of each piece
+        for b, s, a in row:
+            if b <= 0.0 or (hull and hull[-1][1] == s):
+                continue      # below the zero line, or below an equal slope
+            start = 0.0
+            while hull:
+                hb, hs, _, h0 = hull[-1]
+                # the new, shallower line overtakes the top at l0 = cross
+                cross = (hb - b) / (hs - s)
+                if cross > h0:
+                    start = cross
+                    break
+                hull.pop()
+            hull.append((b, s, a, start))
+        while len(hull) > 1 and hull[-1][2] <= hull[-1][3]:
+            hull.pop()        # meets zero before it reaches the envelope
+        for hb, hs, _, h0 in hull:
+            l0s.append(h0)
+            l1s.append(max(hb - hs * h0, 0.0))
+        l0s.append(hull[-1][2] if hull else 0.0)
+        l1s.append(0.0)
+        counts.append(len(hull) + 1)
+    n_vert = max(counts, default=1)
+    filled = np.arange(n_vert) < np.asarray(counts, dtype=int)[:, None]
+    L0 = np.full((m, n_vert), np.inf)     # padding never wins the min
+    L1 = np.zeros((m, n_vert))
+    L0[filled] = l0s
+    L1[filled] = l1s
+    out = np.min(L0[:, :, None] + T[:, None, :] * L1[:, :, None], axis=1)
+    return out[:, 0] if per_row else out
 
 
 def _power_batch(X, T, p, w0, w1) -> np.ndarray:
@@ -462,20 +510,23 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     """
     X = np.atleast_2d(X)
     m, d = X.shape
+    T, per_row = _t_matrix(T, m)
     if d == 0:
-        return np.zeros(m)
-    T = np.broadcast_to(T, (m,))
-    absx = np.abs(X)
-    u = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
-    v = T[:, None] * np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
-    if p <= 1.0:
-        amp = np.minimum(u, v) * absx
+        out = np.zeros(T.shape)
     else:
-        s = p / (p - 1.0)
-        # harmonic-type mean of the weights, evaluated in log space
-        mean = np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
-        amp = absx * mean
-    return stable_lp_sum(amp, p)
+        absx = np.abs(X)[:, None, :]
+        u = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))[:, None, :]
+        v = T[:, :, None] * np.broadcast_to(np.asarray(w1, dtype=float),
+                                            (m, d))[:, None, :]
+        if p <= 1.0:
+            amp = np.minimum(u, v) * absx
+        else:
+            s = p / (p - 1.0)
+            # harmonic-type mean of the weights, evaluated in log space
+            mean = np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
+            amp = absx * mean
+        out = stable_lp_sum(amp, p)
+    return out[:, 0] if per_row else out
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +609,9 @@ def k_profile(x: FiniteVector, couple: Couple, n_min: int, n_max: int) -> KProfi
     """Evaluate the couple's strategy at t = 2^n for n in [n_min, n_max]."""
     if n_min > n_max:
         raise DomainError("need n_min <= n_max")
-    dense = couple.embed(x)
     grid = np.arange(n_min, n_max + 1)
-    X = np.broadcast_to(dense, (len(grid), len(dense)))
-    values = couple.k_batch(X, 2.0 ** grid.astype(float))
-    prof = KProfile(n_min, n_max, values)
+    values = couple.profile_batch(couple.embed(x), 2.0 ** grid.astype(float))
+    prof = KProfile(n_min, n_max, values[0])
     if couple.strategy != ORACLE:
         prof.validate(rel_tol=1e-9)
     return prof

@@ -374,11 +374,19 @@ class DerivedSumIntCouple:
     def k(self, x: FiniteVector, t: float) -> float:
         return float(self.k_batch(self.embed(x)[None, :], t)[0])
 
+    def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
+        """Surrogate K at every row of X and every t of ``t_grid``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        tc = np.minimum(np.asarray(t_grid, dtype=float), 1.0)
+        if np.any(tc <= 0):
+            raise DomainError("t must be positive")
+        return (self.base.profile_batch(X, tc)
+                + tc * self.base.profile_batch(X, 1.0 / tc))
+
     def profile(self, x: FiniteVector, n_min: int, n_max: int) -> KProfile:
         grid = np.arange(n_min, n_max + 1)
-        dense = self.embed(x)
-        X = np.broadcast_to(dense, (len(grid), len(dense)))
-        prof = KProfile(n_min, n_max, self.k_batch(X, 2.0 ** grid.astype(float)))
+        values = self.profile_batch(self.embed(x), 2.0 ** grid.astype(float))
+        prof = KProfile(n_min, n_max, values[0])
         prof.validate(rel_tol=1e-9)
         return prof
 
@@ -432,8 +440,7 @@ class EndpointNorm:
 
     def dense(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cols = [self.couple.k_batch(X, float(2.0 ** n)) for n in self._grid]
-        prof = np.stack(cols, axis=1)
+        prof = self.couple.profile_batch(X, 2.0 ** self._grid.astype(float))
         return _lq_combine(self._weights * prof, self.params.q)
 
     def embed(self, x: FiniteVector) -> np.ndarray:

@@ -25,13 +25,14 @@ Three concrete constructions with exactly checkable certificates:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .couples import (FiniteVector, KProfile, k_weighted_sup,
-                      l1_linf_couple)
+from .couples import (FiniteVector, KProfile, l1_linf_couple,
+                      weighted_sup_couple)
 from .errors import ConstructionError, DomainError, InvariantError
 from .interp import InterpParams, interp_norm
 from .snum import MatrixOperator, diag_operator
@@ -78,29 +79,29 @@ def lift_sequence(spec: DecaySpec, N: int) -> np.ndarray:
 
     xi_n = sup_m eps_m 2^{-rho(m,n)} where rho counts how many h-steps m
     needs to reach n; m stuck at a fixed point below n contributes nothing.
+    The orbit through c reaches every n with c < n <= h(c) in one more step,
+    so the supremum satisfies the recurrence
+
+        xi_n = max(eps_n, 1/2 max{xi_c : c < n <= h(c)}).
+
+    As h is nondecreasing, the admissible c form a window sliding right with
+    n, whose maximum a monotone deque tracks: O(N) in all.
     """
     if N < 1 or N > len(spec.epsilon):
         raise DomainError("need 1 <= N <= len(epsilon)")
-    eps = spec.epsilon[:N]
-    h = spec.h
-    xi = eps.copy()
-    for m in range(1, N + 1):
-        # orbit m, h(m), h(h(m)), ...: contribution eps_m 2^{-k} on the
-        # index range (h^{k-1}(m), h^k(m)]
-        cur = m
-        k = 0
-        contrib = eps[m - 1]
-        while cur < N:
-            nxt = int(h[cur - 1]) if cur <= len(h) else cur
-            if nxt <= cur:
-                break  # fixed point: larger indices unreachable from m
-            k += 1
-            contrib = eps[m - 1] * 2.0 ** (-k)
-            lo = cur       # 0-based slice start = index cur+1 - 1
-            hi = min(nxt, N)
-            np.maximum(xi[lo:hi], contrib, out=xi[lo:hi])
-            cur = nxt
-    return xi
+    xi = spec.epsilon[:N].tolist()
+    h = spec.h[:N].tolist()
+    window = deque()      # 0-based c, xi[c] strictly decreasing front to back
+    for n in range(1, N):
+        c = n - 1
+        while window and xi[window[-1]] <= xi[c]:
+            window.pop()
+        window.append(c)
+        while window and h[window[0]] <= n:
+            window.popleft()  # 1-based h(c + 1) < n + 1: c cannot reach n
+        if window:
+            xi[n] = max(xi[n], 0.5 * xi[window[0]])
+    return np.array(xi)
 
 
 def slow_k_witness(epsilon: Sequence[float], N: int):
@@ -117,14 +118,14 @@ def slow_k_witness(epsilon: Sequence[float], N: int):
         raise InvariantError("need len(epsilon) >= N + 1 for window 0..N")
     eps = eps[:N + 1]
     x = FiniteVector(0, eps)
-    w0 = np.ones(N + 1)
-    w1 = 2.0 ** np.arange(0, N + 1, dtype=float)
-    values = np.empty(N + 1)
-    for n in range(N + 1):
-        values[n] = k_weighted_sup(x, 2.0 ** (-n), w0, w1)
-        if values[n] < eps[n] * (1.0 - 1e-12):
-            raise ConstructionError(
-                f"certificate failed at n={n}: K={values[n]} < eps={eps[n]}")
+    ns = np.arange(0, N + 1, dtype=float)
+    couple = weighted_sup_couple(np.ones(N + 1), 2.0 ** ns)
+    values = couple.profile_batch(eps, 2.0 ** (-ns))[0]
+    failed = np.flatnonzero(values < eps * (1.0 - 1e-12))
+    if len(failed):
+        n = int(failed[0])
+        raise ConstructionError(
+            f"certificate failed at n={n}: K={values[n]} < eps={eps[n]}")
     profile = KProfile(-N, 0, values[::-1].copy())
     return x, profile
 

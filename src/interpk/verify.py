@@ -251,8 +251,7 @@ def couple_family(name: str, dim: int) -> Couple:
 
 
 def _profile_matrix(couple: Couple, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    cols = [couple.k_batch(X, float(2.0 ** n)) for n in grid]
-    return np.stack(cols, axis=1)
+    return couple.profile_batch(X, 2.0 ** grid.astype(float))
 
 
 def _derived_profile(base_profile: np.ndarray, grid: np.ndarray) -> np.ndarray:

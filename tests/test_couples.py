@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from interpk import (Couple, DomainError, InvariantError, SizeError,
                      k_exact_l1_linf, k_oracle, k_power_coordinatewise,
                      k_profile, k_sphere_sup, k_weighted_sup, l1_linf_couple,
                      power_couple, quasi_norm, weighted_sup_couple)
-from interpk.couples import FiniteVector, vec
+from interpk.couples import ORACLE, FiniteVector, _weighted_sup_batch, vec
+from interpk.interp import derived_sum_int_couple
+
+DYADIC = 2.0 ** np.arange(-20, 21).astype(float)   # the default profile grid
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +53,46 @@ def breakpoint_oracle_weighted_sup(x, t, w0, w1):
                                      initial=0.0))
 
     return min(f(l0) for l0 in cands)
+
+
+def enumerator_oracle_weighted_sup(X, T, w0, w1):
+    """Exact K for (linf(w0), linf(w1)) by LP vertex enumeration, rowwise.
+
+    Solves min{l0 + t*l1 : l0/w0_i + l1/w1_i >= |x_i|, l0, l1 >= 0} by
+    intersecting every pair of constraint lines and checking each vertex
+    against every constraint: an (m, d(d-1)/2, d) tensor, so only for
+    d <= 16.  Weights may be shared (d,) or per-row (m, d); T is one t per
+    row.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    m, d = X.shape
+    assert d <= 16, "the enumerator oracle is cubic in d"
+    if d == 0:
+        return np.zeros(m)
+    T = np.broadcast_to(np.asarray(T, dtype=float), (m,))
+    r = np.abs(X)
+    W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
+    W1 = np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
+    # axis vertices (l0, 0) and (0, l1)
+    best = np.minimum(np.max(W0 * r, axis=1), T * np.max(W1 * r, axis=1))
+    if d == 1:
+        return best
+    c, e = 1.0 / W0, 1.0 / W1
+    i_idx, j_idx = np.triu_indices(d, k=1)
+    ci, cj, ei, ej = c[:, i_idx], c[:, j_idx], e[:, i_idx], e[:, j_idx]
+    ri, rj = r[:, i_idx], r[:, j_idx]
+    det = ci * ej - cj * ei
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l0 = (ri * ej - rj * ei) / det
+        l1 = (ci * rj - cj * ri) / det
+    tol = 1e-12 * np.maximum(np.max(r, axis=1, keepdims=True), 1e-300)
+    ok = np.isfinite(l0) & np.isfinite(l1) & (l0 >= -tol) & (l1 >= -tol)
+    l0f, l1f = np.where(ok, l0, 0.0), np.where(ok, l1, 0.0)
+    lhs = l0f[:, :, None] * c[:, None, :] + l1f[:, :, None] * e[:, None, :]
+    ok &= np.all(lhs >= r[:, None, :] - tol[:, :, None], axis=2)
+    obj = np.where(ok, np.maximum(l0, 0.0) + T[:, None] * np.maximum(l1, 0.0),
+                   np.inf)
+    return np.minimum(best, np.min(obj, axis=1))
 
 
 def grid_oracle_power_single(x, t, p, w0, w1):
@@ -164,6 +208,167 @@ class TestWeightedSup:
         got = k_weighted_sup(vec(entries), t, w0, w1)
         want = breakpoint_oracle_weighted_sup(entries, t, w0, w1)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def sup_cases(draw):
+    """Rows and weights for (linf(w0), linf(w1)), d <= 8, with the edge
+    cases mixed in: zero entries, repeated |x_i|, d = 1, weights shared or
+    per row, w1 proportional to w0, and small integer weights whose slopes
+    w1/w0 tie exactly."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=3))
+    # magnitudes below 1e-150 become 0: the oracles' products of weights
+    # and entries underflow there
+    entry = st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0, 2.5]),
+                      st.floats(min_value=-8, max_value=8).map(
+                          lambda v: v if abs(v) >= 1e-150 else 0.0))
+    X = np.asarray(draw(st.lists(entry, min_size=m * d, max_size=m * d)),
+                   dtype=float).reshape(m, d)
+    mode = draw(st.sampled_from(["shared", "per_row", "proportional",
+                                 "integer"]))
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    shape = (d,) if mode in ("shared", "proportional") else (m, d)
+    if mode == "integer":
+        w0 = rng.choice([1.0, 2.0, 4.0], size=shape)
+        w1 = rng.choice([1.0, 2.0, 4.0], size=shape)
+    else:
+        w0 = 2.0 ** rng.uniform(-3, 3, shape)
+        w1 = (w0 * 2.0 ** rng.uniform(-2, 2) if mode == "proportional"
+              else 2.0 ** rng.uniform(-3, 3, shape))
+    return X, w0, w1
+
+
+def enumerated_profile(X, w0, w1):
+    return np.stack([enumerator_oracle_weighted_sup(X, t, w0, w1)
+                     for t in DYADIC], axis=1)
+
+
+class TestWeightedSupEnvelope:
+    """The vertex-chain kernel against both independent oracles."""
+
+    @given(sup_cases())
+    def test_profile_matches_enumerator(self, case):
+        X, w0, w1 = case
+        want = enumerated_profile(X, w0, w1)
+        got = _weighted_sup_batch(X, DYADIC[None, :], w0, w1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        per_t = np.stack([_weighted_sup_batch(X, np.full(len(X), t), w0, w1)
+                          for t in DYADIC], axis=1)
+        np.testing.assert_allclose(per_t, want, rtol=1e-12, atol=0)
+        if w0.ndim == 1:
+            c = weighted_sup_couple(w0, w1)
+            np.testing.assert_allclose(c.profile_batch(X, DYADIC), want,
+                                       rtol=1e-12, atol=0)
+            for j in (0, 20, 40):
+                np.testing.assert_allclose(c.k_batch(X, DYADIC[j]),
+                                           want[:, j], rtol=1e-12, atol=0)
+
+    @given(sup_cases())
+    def test_profile_matches_breakpoint_oracle(self, case):
+        X, w0, w1 = case
+        W0 = np.broadcast_to(w0, X.shape)
+        W1 = np.broadcast_to(w1, X.shape)
+        got = _weighted_sup_batch(X, DYADIC[None, :], w0, w1)
+        want = np.array([[breakpoint_oracle_weighted_sup(x, t, a, b)
+                          for t in DYADIC] for x, a, b in zip(X, W0, W1)])
+        # the oracle rounds |x_i| - l0/w0_i to an ulp of |x_i|, which its
+        # factor t*w1_i magnifies: its own relative error grows like t*w1/w0
+        ratio = np.max(W1 / W0, axis=1, keepdims=True)
+        slack = 1e-12 + 4 * np.finfo(float).eps * DYADIC * ratio
+        assert np.all(np.abs(got - want) <= slack * want)
+
+    def test_zero_rows_give_zero(self):
+        X = np.zeros((3, 5))
+        X[1, 2] = 4.0
+        got = _weighted_sup_batch(X, DYADIC[None, :], np.ones(5),
+                                  np.full(5, 2.0))
+        assert np.all(got[[0, 2]] == 0.0)
+        np.testing.assert_allclose(got[1], np.minimum(4.0, 8.0 * DYADIC))
+
+    def test_proportional_weights_reduce_to_one_coordinate(self):
+        # w1 = 3 w0: every constraint line has the same slope, so the
+        # largest w0_i |x_i| alone sets K = min(1, 3t) max_i w0_i |x_i|
+        w0 = np.array([1.0, 0.5, 2.0, 0.25])
+        x = np.array([1.0, -4.0, 0.5, 3.0])
+        got = weighted_sup_couple(w0, 3.0 * w0).profile_batch(x, DYADIC)[0]
+        np.testing.assert_allclose(got, np.minimum(1.0, 3.0 * DYADIC) * 2.0,
+                                   rtol=1e-15)
+
+    def test_empty_rows_and_window(self):
+        assert _weighted_sup_batch(np.zeros((0, 3)), 1.0, np.ones(3),
+                                   np.ones(3)).shape == (0,)
+        got = _weighted_sup_batch(np.zeros((2, 0)), DYADIC[None, :],
+                                  np.ones(0), np.ones(0))
+        assert got.shape == (2, len(DYADIC)) and np.all(got == 0.0)
+
+    def test_d1024_profile_fits_in_memory(self):
+        rng = np.random.default_rng(1024)
+        d = 1024
+        w0, w1 = 2.0 ** rng.uniform(-2, 2, d), 2.0 ** rng.uniform(-2, 2, d)
+        x = random_vector(rng, d)
+        tracemalloc.start()
+        try:
+            prof = k_profile(x, weighted_sup_couple(w0, w1), -20, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        prof.validate(rel_tol=1e-9)
+        assert peak < 100 * 2 ** 20
+        bound = np.minimum(np.max(w0 * np.abs(x.entries)),
+                           DYADIC * np.max(w1 * np.abs(x.entries)))
+        assert np.all(prof.values <= bound * (1 + 1e-12))
+
+
+class TestProfileBatch:
+    """One profile call per vector gives what one k_batch call per t gave."""
+
+    @staticmethod
+    def exact_couples(rng, d):
+        w = lambda: 2.0 ** rng.uniform(-2, 2, d)
+        return {
+            "l1_linf": l1_linf_couple(d),
+            "l1_linf.reversed": l1_linf_couple(d).reversed(),
+            "weighted_sup": weighted_sup_couple(w(), w()),
+            **{f"power.p{p}": power_couple(p, w(), w())
+               for p in (0.5, 1.0, 2.0, 3.0)},
+        }
+
+    def test_matches_per_t_k_batch(self):
+        rng = np.random.default_rng(21)
+        for d in (1, 3, 8, 33):
+            X = rng.standard_normal((5, d))
+            X[1] = 0.0
+            X[2, ::2] = 1.5
+            for name, c in self.exact_couples(rng, d).items():
+                got = c.profile_batch(X, DYADIC)
+                want = np.stack([c.k_batch(X, t) for t in DYADIC], axis=1)
+                if name == "weighted_sup":
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                else:
+                    assert np.array_equal(got, want), (name, d)
+                if not c.is_exact():
+                    continue
+                derived = derived_sum_int_couple(c)
+                got = derived.profile_batch(X, DYADIC)
+                want = np.stack([derived.k_batch(X, t) for t in DYADIC],
+                                axis=1)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_oracle_profile_is_one_descent_call_over_all_t(self):
+        rng = np.random.default_rng(8)
+        c = Couple(WeightedNorm(1.5, 0, 2.0 ** rng.uniform(-1, 1, 4)),
+                   WeightedNorm(3.0, 0, 2.0 ** rng.uniform(-1, 1, 4)), ORACLE,
+                   oracle_budget=2)
+        x = rng.standard_normal(4)
+        grid = 2.0 ** np.arange(-3, 4).astype(float)
+        got = c.profile_batch(x, grid)[0]
+        want = c.k_batch(np.broadcast_to(x, (len(grid), 4)), grid)
+        assert np.array_equal(got, want)
+
+    def test_rejects_nonpositive_t(self):
+        with pytest.raises(DomainError):
+            l1_linf_couple(2).profile_batch(np.ones(2), [1.0, 0.0])
 
 
 class TestPowerCoordinatewise:

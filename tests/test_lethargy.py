@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from interpk import (DecaySpec, DomainError, InterpParams, InvariantError,
-                     lift_sequence, slow_k_witness, slow_snumber_witness,
-                     strictness_sweep, strictness_witness)
+from interpk import couples
+from interpk import (ConstructionError, DecaySpec, DomainError, InterpParams,
+                     InvariantError, lift_sequence, slow_k_witness,
+                     slow_snumber_witness, strictness_sweep,
+                     strictness_witness)
 from interpk.snum import approx_numbers
 
 
@@ -14,6 +16,28 @@ def random_spec(rng, max_len=48):
     h = np.maximum.accumulate(idx + rng.integers(0, 5, n))
     h = np.maximum(h, idx)
     return DecaySpec(eps, h)
+
+
+def orbit_oracle_lift(spec, N):
+    """The lift straight from its definition, one h-orbit at a time, O(N^2).
+
+    Orbit m, h(m), h(h(m)), ... contributes eps_m 2^{-k} on the index range
+    (h^{k-1}(m), h^k(m)].
+    """
+    eps = spec.epsilon[:N]
+    h = spec.h
+    xi = eps.copy()
+    for m in range(1, N + 1):
+        cur, k = m, 0
+        while cur < N:
+            nxt = int(h[cur - 1])
+            if nxt <= cur:
+                break  # fixed point: larger indices unreachable from m
+            k += 1
+            contrib = eps[m - 1] * 2.0 ** (-k)
+            np.maximum(xi[cur:min(nxt, N)], contrib, out=xi[cur:min(nxt, N)])
+            cur = nxt
+    return xi
 
 
 def assert_lift_postconditions(spec, xi, N):
@@ -50,6 +74,30 @@ class TestLiftSequence:
             spec = random_spec(rng)
             N = len(spec.epsilon)
             assert_lift_postconditions(spec, lift_sequence(spec, N), N)
+
+    def test_matches_orbit_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        for trial in range(300):
+            n = int(rng.integers(1, 120))
+            eps = np.sort(2.0 ** rng.uniform(-30, 0, n))[::-1].copy()
+            if trial % 3 == 0:
+                eps = np.round(eps * 8.0) / 8.0 + 1.0    # ties in eps
+            idx = np.arange(1, n + 1)
+            steps = [idx + rng.integers(0, 5, n),                  # short
+                     np.where(rng.random(n) < 0.3, idx, 2 * idx),  # stalls
+                     idx,                                          # identity
+                     idx + rng.integers(0, 3 * n, n)][trial % 4]   # long
+            spec = DecaySpec(eps, np.maximum.accumulate(steps))
+            N = int(rng.integers(1, n + 1))
+            assert np.array_equal(lift_sequence(spec, N),
+                                  orbit_oracle_lift(spec, N))
+
+    def test_long_orbit_is_linear_time(self):
+        # h(n) = n + 1 was quadratic in the orbit loop: ~20 s at N = 4000
+        N = 4000
+        spec = DecaySpec(1.0 / np.arange(1, N + 1), np.arange(2, N + 2))
+        xi = lift_sequence(spec, N)
+        assert_lift_postconditions(spec, xi, N)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvariantError):
@@ -90,6 +138,13 @@ class TestSlowKWitness:
     def test_needs_enough_entries(self):
         with pytest.raises(InvariantError):
             slow_k_witness([1.0, 0.5], 2)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        kernel = couples._weighted_sup_batch
+        monkeypatch.setattr(couples, "_weighted_sup_batch",
+                            lambda *args: 0.5 * kernel(*args))
+        with pytest.raises(ConstructionError, match="n=0"):
+            slow_k_witness(1.0 / (np.arange(0, 9) + 1.0), 8)
 
 
 class TestSlowSNumberWitness:

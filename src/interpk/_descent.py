@@ -30,6 +30,10 @@ import numpy as np
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 
+# golden-section iterations per coordinate and per clip-level line search
+COORD_ITERS = 40
+LINE_ITERS = 56
+
 BatchNorm = Callable[[np.ndarray], np.ndarray]
 
 
@@ -99,8 +103,6 @@ def decomposition_infimum(
     scale0: np.ndarray | None = None,
     scale1: np.ndarray | None = None,
     sweeps: int = 2,
-    coord_iters: int = 40,
-    line_iters: int = 56,
 ):
     """Upper approximation of inf{norm0(a) + t*norm1(x-a)} for each row of X.
 
@@ -127,9 +129,9 @@ def decomposition_infimum(
 
     # Clip families in both orientations; keep the better split as a start.
     clip1, val1 = _clip_search(
-        X, T, lambda b: T * norm1(b), lambda a: norm0(a), scale1, line_iters)
+        X, T, lambda b: T * norm1(b), lambda a: norm0(a), scale1, LINE_ITERS)
     clip0, val0 = _clip_search(
-        X, T, lambda a: norm0(a), lambda b: T * norm1(b), scale0, line_iters)
+        X, T, lambda a: norm0(a), lambda b: T * norm1(b), scale0, LINE_ITERS)
     best = np.minimum(best, np.minimum(val0, val1))
     clip_start = np.where((val0 < val1)[:, None], clip0, X - clip1)
 
@@ -153,7 +155,7 @@ def decomposition_infimum(
                     return objective(A)
 
                 cj, _ = _golden_min(coord_obj, -2.0 * span, 2.0 * span,
-                                    coord_iters)
+                                    COORD_ITERS)
                 # endpoints of the natural segment; exact for concave costs
                 cand = np.stack([cj, np.zeros_like(cj), X[:, j]])
                 vals = np.stack([coord_obj(c) for c in cand])

@@ -10,21 +10,25 @@
     interpk strictness    --theta T --q Q --n-list 2,4,8 --out out.csv
     interpk verify CHECK  --config c.json --seed S --out out.json
 
-Exit codes: 0 success, 2 config error, 3 a verify band failed.  Reports are
-deterministic: identical (argv, config, seed) produce byte-identical files.
-Every successful run writes exactly one artifact.
+Exit codes: 0 success; 2 a config error: malformed JSON, an unknown or missing
+key, or a value the library rejects; 3 a verify band failed.  Any other
+exception is a bug and propagates.  Reports are deterministic: identical
+(argv, config, seed) produce byte-identical files.  Every successful run
+writes exactly one artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import inspect
 import json
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .couples import Couple, FiniteVector, k_profile
 from .errors import InterpKError
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams, LatticeParam,
@@ -33,9 +37,6 @@ from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams, LatticeParam,
 from .lethargy import DecaySpec, lift_sequence, strictness_sweep
 from .snum import (LorentzParams, MatrixOperator, approx_numbers, ideal_norm,
                    witness_sequence, witness_trace)
-from .verify import (check_konig, check_mainlema, check_reiteration,
-                     check_sum_intersection, dichotomy_sweep,
-                     distinctness_demo)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,24 +50,43 @@ class ConfigError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return data
 
 
 def _take(config: dict, allowed: dict, required: tuple = ()):
-    """Validate keys against ``allowed`` (name -> default); reject unknowns."""
+    """Validate keys against ``allowed`` (name -> default); reject unknowns.
+
+    A required key given as null counts as missing.
+    """
     unknown = sorted(set(config) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]}")
-    missing = [k for k in required if k not in config]
+    missing = [k for k in required if config.get(k) is None]
     if missing:
         raise ConfigError(f"missing config key: {missing[0]}")
     out = dict(allowed)
     out.update(config)
     return out
+
+
+@contextlib.contextmanager
+def _parsing():
+    """Turn the errors of converting config values into ConfigError.
+
+    Only the parse step runs under it, so the same exception types raised
+    while computing still surface as bugs.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _dump_json(payload: dict, out_path: str) -> None:
@@ -89,14 +109,6 @@ def _report_payload(command: str, config: dict, body: dict) -> dict:
             "config": config, "report": body}
 
 
-def _parse_couple(config: dict) -> Couple:
-    return Couple.from_json(config)
-
-
-def _parse_vector(config) -> FiniteVector:
-    return FiniteVector.from_json(config)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -106,9 +118,11 @@ def _cmd_kprofile(args) -> int:
                 {"couple": None, "vector": None,
                  "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
                 required=("couple", "vector"))
-    couple = _parse_couple(cfg["couple"])
-    x = _parse_vector(cfg["vector"])
-    prof = k_profile(x, couple, int(cfg["n_min"]), int(cfg["n_max"]))
+    with _parsing():
+        couple = Couple.from_json(cfg["couple"])
+        x = FiniteVector.from_json(cfg["vector"])
+        n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
+    prof = k_profile(x, couple, n_min, n_max)
     if args.format == "csv":
         rows = [(int(n), float(t), float(v))
                 for n, t, v in zip(prof.grid, prof.t_values, prof.values)]
@@ -124,10 +138,12 @@ def _cmd_interp_norm(args) -> int:
                 {"couple": None, "vector": None, "theta": None, "q": None,
                  "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
                 required=("couple", "vector", "theta", "q"))
-    couple = _parse_couple(cfg["couple"])
-    x = _parse_vector(cfg["vector"])
-    params = InterpParams.from_json({"theta": cfg["theta"], "q": cfg["q"]})
-    prof = k_profile(x, couple, int(cfg["n_min"]), int(cfg["n_max"]))
+    with _parsing():
+        couple = Couple.from_json(cfg["couple"])
+        x = FiniteVector.from_json(cfg["vector"])
+        params = InterpParams.from_json({"theta": cfg["theta"], "q": cfg["q"]})
+        n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
+    prof = k_profile(x, couple, n_min, n_max)
     value = interp_norm_from_profile(prof, params)
     body = {"value": value, "truncation": truncation_terms(prof, params)}
     _dump_json(_report_payload("interp-norm", cfg, body), args.out)
@@ -139,11 +155,12 @@ def _cmd_lattice_norm(args) -> int:
                 {"couple": None, "vector": None, "r": None,
                  "lattice_weights": None, "n_min": DEFAULT_N_MIN},
                 required=("couple", "vector", "r", "lattice_weights"))
-    couple = _parse_couple(cfg["couple"])
-    x = _parse_vector(cfg["vector"])
-    r = float("inf") if cfg["r"] == "inf" else float(cfg["r"])
-    E = LatticeParam(r, int(cfg["n_min"]),
-                     np.asarray(cfg["lattice_weights"], dtype=float))
+    with _parsing():
+        couple = Couple.from_json(cfg["couple"])
+        x = FiniteVector.from_json(cfg["vector"])
+        r = float("inf") if cfg["r"] == "inf" else float(cfg["r"])
+        E = LatticeParam(r, int(cfg["n_min"]),
+                         np.asarray(cfg["lattice_weights"], dtype=float))
     value = lattice_norm(x, couple, E)
     _dump_json(_report_payload("lattice-norm", cfg, {"value": value}),
                args.out)
@@ -151,8 +168,8 @@ def _cmd_lattice_norm(args) -> int:
 
 
 def _cmd_snumbers(args) -> int:
-    data = _load_json(args.matrix)
-    T = MatrixOperator.from_json(data)
+    with _parsing():
+        T = MatrixOperator.from_json(_load_json(args.matrix))
     seq = approx_numbers(T)
     rows = [(i + 1, float(v)) for i, v in enumerate(seq.values)]
     _dump_csv(("n", "a_n"), rows, args.out,
@@ -161,8 +178,9 @@ def _cmd_snumbers(args) -> int:
 
 
 def _cmd_ideal_norm(args) -> int:
-    T = MatrixOperator.from_json(_load_json(args.matrix))
-    params = LorentzParams(args.p, args.q)
+    with _parsing():
+        T = MatrixOperator.from_json(_load_json(args.matrix))
+        params = LorentzParams(args.p, args.q)
     value = ideal_norm(T, params)
     cfg = {"matrix": args.matrix, "p": args.p, "q": args.q}
     _dump_json(_report_payload("ideal-norm", cfg, {"value": value}), args.out)
@@ -192,9 +210,11 @@ def _cmd_lift(args) -> int:
     cfg = _take(_load_json(args.config),
                 {"epsilon": None, "h": None, "N": None},
                 required=("epsilon", "h", "N"))
-    spec = DecaySpec(np.asarray(cfg["epsilon"], dtype=float),
-                     np.asarray(cfg["h"], dtype=int))
-    xi = lift_sequence(spec, int(cfg["N"]))
+    with _parsing():
+        spec = DecaySpec(np.asarray(cfg["epsilon"], dtype=float),
+                         np.asarray(cfg["h"], dtype=int))
+        N = int(cfg["N"])
+    xi = lift_sequence(spec, N)
     rows = [(i + 1, float(spec.epsilon[i]), float(xi[i]))
             for i in range(len(xi))]
     _dump_csv(("n", "eps_n", "xi_n"), rows, args.out,
@@ -203,10 +223,11 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_strictness(args) -> int:
-    n_list = [int(s) for s in args.n_list.split(",") if s]
+    with _parsing():
+        n_list = [int(s) for s in args.n_list.split(",") if s]
+        params = InterpParams(args.theta, args.q)
     if not n_list:
         raise ConfigError("empty --n-list")
-    params = InterpParams(args.theta, args.q)
     reports = strictness_sweep(n_list, params)
     rows = [(r.N, r.int_norm, r.sum_norm, r.interp_norm) for r in reports]
     _dump_csv(("N", "int_norm", "sum_norm", "interp_norm"), rows, args.out,
@@ -215,77 +236,52 @@ def _cmd_strictness(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_KEYS = {
-    "mainlema": {"family": "l1_linf", "dims": None, "t_grid": None,
-                 "count": None, "band": None, "budget": None},
-    "sum-intersection": {"theta": None, "p": None, "dims": None,
-                         "count": None, "family": "l1_linf",
-                         "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX,
-                         "spread_growth": None},
-    "reiteration": {"theta0": None, "theta1": None, "alpha": None, "r": None,
-                    "p": None, "q": None, "dims": None, "count": None,
-                    "family": "l1_linf", "n_min": DEFAULT_N_MIN,
-                    "n_max": DEFAULT_N_MAX, "spread_growth": None},
-    "konig": {"p0": None, "p1": None, "theta": None, "q": None,
-              "lengths": None, "count": None, "n_min": DEFAULT_N_MIN,
-              "n_max": DEFAULT_N_MAX, "spread_growth": None,
-              "witness_length": None},
-    "dichotomy": {"family": None, "t": None, "sizes": None, "samples": None,
-                  "lower": None, "upper_slack": None},
-    "distinctness": {"p_list": None, "q_list": None, "N": None,
-                     "norm_lengths": (16, 64)},
+# CLI name -> check function in ``verify``.  Names, not functions, are
+# stored and looked up at call time, so a rebinding of the module attribute
+# (as a tracer does) also sees the calls made from here.  A check's config
+# schema is its signature: every parameter but the run keys is a config key,
+# and those without a default are required.
+VERIFY_CHECKS = {
+    "mainlema": "check_mainlema",
+    "sum-intersection": "check_sum_intersection",
+    "reiteration": "check_reiteration",
+    "konig": "check_konig",
+    "dichotomy": "dichotomy_sweep",
+    "distinctness": "distinctness_demo",
 }
+_RUN_KEYS = ("seed", "keep_trace")
+
+
+def verify_schema(check: str) -> tuple[dict, tuple]:
+    """(config key -> default, required keys) of a verify check; a key
+    without a default maps to None."""
+    params = inspect.signature(getattr(verify, VERIFY_CHECKS[check])).parameters
+    keys = [p for name, p in params.items() if name not in _RUN_KEYS]
+    defaults = {p.name: None if p.default is p.empty else p.default
+                for p in keys}
+    return defaults, tuple(p.name for p in keys if p.default is p.empty)
 
 
 def _cmd_verify(args) -> int:
-    check = args.check
-    if check not in _VERIFY_KEYS:
-        raise ConfigError(f"unknown verify check: {check}")
+    check = getattr(verify, VERIFY_CHECKS[args.check])
     cfg = _take(_load_json(args.config) if args.config else {},
-                _VERIFY_KEYS[check])
+                *verify_schema(args.check))
     cfg = {k: v for k, v in cfg.items() if v is not None}
-    seed = args.seed
-    traced = {}
-    if args.trace and check in ("mainlema", "sum-intersection",
-                                "reiteration", "konig"):
-        traced = {"keep_trace": True}
-    if check == "mainlema":
-        report = check_mainlema(seed=seed, **cfg, **traced)
-    elif check == "sum-intersection":
-        for key in ("theta", "p"):
-            if key not in cfg:
-                raise ConfigError(f"missing config key: {key}")
-        report = check_sum_intersection(seed=seed, **cfg, **traced)
-    elif check == "reiteration":
-        for key in ("theta0", "theta1", "alpha", "r"):
-            if key not in cfg:
-                raise ConfigError(f"missing config key: {key}")
-        report = check_reiteration(seed=seed, **cfg, **traced)
-    elif check == "konig":
-        for key in ("p0", "p1", "theta", "q"):
-            if key not in cfg:
-                raise ConfigError(f"missing config key: {key}")
-        report = check_konig(seed=seed, **cfg, **traced)
-    elif check == "dichotomy":
-        for key in ("family", "t", "sizes"):
-            if key not in cfg:
-                raise ConfigError(f"missing config key: {key}")
-        report = dichotomy_sweep(seed=seed, **cfg)
-    else:
-        for key in ("p_list", "q_list", "N"):
-            if key not in cfg:
-                raise ConfigError(f"missing config key: {key}")
-        report = distinctness_demo(**cfg)
+    params = inspect.signature(check).parameters
+    run = {"seed": args.seed} if "seed" in params else {}
+    if args.trace and "keep_trace" in params:
+        run["keep_trace"] = True
+    report = check(**cfg, **run)
     body = report.to_json()
-    if args.trace and getattr(report, "trace", None) is not None:
+    if run.get("keep_trace"):
         cols = sorted(report.trace[0]) if report.trace else ["size", "index",
                                                              "ratio", "t"]
         rows = [tuple(row.get(c, "") for c in cols) for row in report.trace]
         _dump_csv(cols, rows, args.trace,
-                  comments=(f"interpk {__version__} trace verify {check}",))
+                  comments=(f"interpk {__version__} trace verify {args.check}",))
         body["trace_path"] = args.trace
-    payload = _report_payload(f"verify {check}",
-                              {"seed": seed, **cfg}, body)
+    payload = _report_payload(f"verify {args.check}",
+                              {"seed": args.seed, **cfg}, body)
     _dump_json(payload, args.out)
     return EXIT_OK if report.passed else EXIT_FAILED_BAND
 
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="named verification experiment")
-    p.add_argument("check", choices=sorted(_VERIFY_KEYS))
+    p.add_argument("check", choices=sorted(VERIFY_CHECKS))
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -376,10 +372,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InterpKError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, InterpKError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -320,8 +320,8 @@ class Couple:
             np.repeat(X, k, axis=0), np.broadcast_to(T, (m, k)).reshape(-1),
             self.norm0.dense, self.norm1.dense,
             budget=self.oracle_budget, seed=self.oracle_seed,
-            scale0=_amplitude_scale(self.norm0),
-            scale1=_amplitude_scale(self.norm1))
+            # norm(e_j) = w_j for every lp exponent
+            scale0=self.norm0.weights, scale1=self.norm1.weights)
         return values.reshape(m, k)
 
     def k(self, x: FiniteVector, t: float) -> float:
@@ -348,11 +348,6 @@ class Couple:
             band = 2.0 ** (1.0 / min(norm0.p, 1.0))
             extra = {"equiv_lo": 1.0 / band, "equiv_hi": band}
         return Couple(norm0, norm1, strategy, **extra)
-
-
-def _amplitude_scale(norm: WeightedNorm) -> np.ndarray:
-    # norm(e_j) = w_j for every lp exponent
-    return norm.weights
 
 
 @dataclass(frozen=True)
@@ -600,8 +595,8 @@ def k_oracle(x: FiniteVector, t: float, couple: Couple,
     X = couple.embed(x)[None, :]
     val = decomposition_infimum(
         X, t, couple.norm0.dense, couple.norm1.dense, budget=budget,
-        seed=seed, scale0=_amplitude_scale(couple.norm0),
-        scale1=_amplitude_scale(couple.norm1))
+        # norm(e_j) = w_j for every lp exponent
+        seed=seed, scale0=couple.norm0.weights, scale1=couple.norm1.weights)
     return float(val[0])
 
 

@@ -23,8 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from ._descent import decomposition_infimum
-from .couples import WeightedNorm, _power_batch, stable_lp_sum
+from .couples import WeightedNorm, stable_lp_sum
 from .errors import DomainError, InvariantError, SizeError, UnsupportedError
+from .interp import sequence_couple_k
 
 __all__ = [
     "MatrixOperator", "SNumSeq", "LorentzParams", "MembershipProbe",
@@ -251,18 +252,13 @@ def k_operator_diag_batch(X: np.ndarray, T, p0: float, p1: float,
                           budget: int = 8, seed: int = 0) -> np.ndarray:
     """Batched form of k_operator_diag over rows of nonnegative sequences."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = X.shape[1]
-    ones = np.ones(d)
-    p0 = float(p0)
-    p1 = float(p1)
-    if p0 == p1:
-        return _power_batch(X, T, p0, ones, ones)
-    n0 = WeightedNorm(p0, 0, ones)
-    n1 = WeightedNorm(p1, 0, ones)
-    if p0 == 1.0 or p1 == 1.0:
+    ones = np.ones(X.shape[1])
+    if (float(p0) == 1.0) != (float(p1) == 1.0):
         # clip families are exact here; skip the coordinate-descent phase
+        n0 = WeightedNorm(p0, 0, ones)
+        n1 = WeightedNorm(p1, 0, ones)
         return decomposition_infimum(X, T, n0.dense, n1.dense, budget=0,
                                      seed=seed, scale0=ones, scale1=ones,
                                      sweeps=0)
-    return decomposition_infimum(X, T, n0.dense, n1.dense, budget=budget,
-                                 seed=seed, scale0=ones, scale1=ones)
+    return sequence_couple_k(X, T, p0, ones, p1, ones, budget=budget,
+                             seed=seed)

@@ -1,11 +1,15 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from interpk import cli
 from interpk.cli import main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -160,6 +164,110 @@ class TestConfigErrors:
         code = run_cli(["verify", "dichotomy",
                         "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_couple_without_norm0(self, couple_config, tmp_path, capsys):
+        cfg = json.loads(couple_config.read_text())
+        del cfg["couple"]["norm0"]
+        couple_config.write_text(json.dumps(cfg))
+        code = run_cli(["kprofile", "--config", str(couple_config),
+                        "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "norm0" in capsys.readouterr().err
+
+    def test_unparsable_window(self, couple_config, tmp_path):
+        cfg = json.loads(couple_config.read_text())
+        cfg["n_min"] = "abc"
+        couple_config.write_text(json.dumps(cfg))
+        code = run_cli(["kprofile", "--config", str(couple_config),
+                        "--out", str(tmp_path / "x.json")])
+        assert code == 2
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+        code = run_cli(["kprofile", "--config", str(cfg),
+                        "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "list.json" in capsys.readouterr().err
+
+    def test_error_while_computing_propagates(self, couple_config, tmp_path,
+                                              monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug in k_profile")
+
+        monkeypatch.setattr(cli, "k_profile", broken)
+        with pytest.raises(ValueError, match="bug in k_profile"):
+            run_cli(["kprofile", "--config", str(couple_config),
+                     "--out", str(tmp_path / "x.json")])
+
+
+def _readme_required_keys() -> dict:
+    """check -> required keys, from the README's verify config table."""
+    out = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0] in cli.VERIFY_CHECKS:
+            out[cells[0]] = tuple(k.strip("` ") for k in cells[1].split(",")
+                                  if k.strip() not in ("", "-"))
+    return out
+
+
+@pytest.mark.parametrize("check", sorted(cli.VERIFY_CHECKS))
+class TestVerifyRegistry:
+    """The verify config schema is read from the check's signature."""
+
+    def run_verify(self, tmp_path, check, config):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(config))
+        return run_cli(["verify", check, "--config", str(path), "--seed",
+                        "1", "--out", str(tmp_path / "r.json")])
+
+    def test_missing_required_key(self, check, tmp_path, capsys):
+        _, required = cli.verify_schema(check)
+        for key in required:
+            config = {k: 1 for k in required if k != key}
+            assert self.run_verify(tmp_path, check, config) == 2
+            assert f"missing config key: {key}" in capsys.readouterr().err
+
+    def test_unknown_key(self, check, tmp_path, capsys):
+        assert self.run_verify(tmp_path, check, {"bogus": 1}) == 2
+        assert "unknown config key: bogus" in capsys.readouterr().err
+
+    def test_readme_required_keys(self, check):
+        assert _readme_required_keys()[check] == cli.verify_schema(check)[1]
+
+
+@pytest.mark.parametrize("check, config", [
+    ("dichotomy", {"family": "l1_geometric", "t": 0.25, "sizes": [9]}),
+    ("distinctness", {"p_list": [2.0], "q_list": [1.0], "N": 1024}),
+])
+def test_trace_ignored_without_keep_trace(check, config, tmp_path):
+    # these checks record no per-sample trace, so --trace writes nothing
+    path, trace = tmp_path / "v.json", tmp_path / "t.csv"
+    path.write_text(json.dumps(config))
+    assert run_cli(["verify", check, "--config", str(path), "--seed", "1",
+                    "--out", str(tmp_path / "r.json"),
+                    "--trace", str(trace)]) == 0
+    assert not trace.exists()
+    report = json.loads((tmp_path / "r.json").read_text())["report"]
+    assert "trace_path" not in report
+
+
+@pytest.mark.parametrize("check, config, echoed", [
+    ("dichotomy", {"family": "l1_geometric", "t": 0.25, "sizes": [9]}, {}),
+    ("distinctness", {"p_list": [2.0], "q_list": [1.0], "N": 1024},
+     {"norm_lengths": [16, 64]}),
+    ("sum-intersection", {"theta": 0.3, "p": 1.0, "dims": [4], "count": 4},
+     {"family": "l1_linf", "n_min": -20, "n_max": 20}),
+])
+def test_config_echo_adds_signature_defaults(check, config, echoed, tmp_path):
+    # None defaults (resolved from verify.DEFAULTS) are not echoed
+    path, out = tmp_path / "v.json", tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["verify", check, "--config", str(path), "--seed", "1",
+                    "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["config"]
+    assert echo == {"seed": 1, **config, **echoed}
 
 
 class TestDeterminism:

@@ -238,3 +238,23 @@ class TestKOperatorDiag:
         for i in range(4):
             assert batch[i] == pytest.approx(
                 k_operator_diag(S[i], 0.8, 1.0, 2.0), rel=1e-12)
+        # the dispatch: power functional for equal exponents, the clip
+        # search alone when exactly one exponent is 1, full descent otherwise
+        from interpk._descent import decomposition_infimum
+        from interpk.couples import WeightedNorm, _power_batch
+        ones = np.ones(S.shape[1])
+        for p0, p1 in ((2.0, 2.0), (0.5, 0.5), (1.5, 3.0), (1.0, 2.0),
+                       (3.0, 1.0)):
+            n0, n1 = WeightedNorm(p0, 0, ones), WeightedNorm(p1, 0, ones)
+            if p0 == p1:
+                want = _power_batch(S, 0.8, p0, ones, ones)
+            elif 1.0 in (p0, p1):
+                want = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
+                                             budget=0, seed=0, scale0=ones,
+                                             scale1=ones, sweeps=0)
+            else:
+                want = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
+                                             budget=8, seed=0, scale0=ones,
+                                             scale1=ones)
+            assert np.array_equal(k_operator_diag_batch(S, 0.8, p0, p1),
+                                  want), (p0, p1)

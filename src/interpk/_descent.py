@@ -18,8 +18,16 @@ It combines three ingredients, all deterministic under a seed:
 * the trivial decompositions a = x and a = 0.
 
 The returned value is the best candidate seen, hence always an upper bound
-on the true infimum.  All operations are batched: ``X`` holds one vector per
-row and the norm callables map an (m, d) array to m values.
+on the true infimum.
+
+All work is done in one stacked array.  ``X`` holds m vectors and ``T`` one
+t per row, or k values of t per row (a grid); every (row, t) pair becomes a
+row of an (m*k, d) array, on which both clip line searches run once.  The
+3 + ``budget`` starts then stack into S blocks of those m*k rows, and each
+coordinate's golden-section search runs once over all S*m*k rows, so the
+number of norm calls does not grow with m, k or the budget.  The norm
+callables map an (n, d) array to n values for any n and must treat rows
+independently: row r of what they see belongs to X row ``(r % (m*k)) // k``.
 """
 
 from __future__ import annotations
@@ -68,6 +76,18 @@ def _golden_min(objective: Callable[[np.ndarray], np.ndarray],
     return arg, best
 
 
+def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
+    """T as an (m, k) matrix, and whether it was given as one t per row.
+
+    Scalars and 1-d arrays hold one t per row (k = 1); a 2-d array holds k
+    values of t per row, or one (1, k) grid shared by every row.
+    """
+    T = np.asarray(T, dtype=float)
+    if T.ndim < 2:
+        return np.broadcast_to(T.reshape(-1, 1), (m, 1)), True
+    return np.broadcast_to(T, (m, T.shape[1])), False
+
+
 def probe_scales(norm: BatchNorm, dim: int) -> np.ndarray:
     """Per-coordinate amplitude scales norm(e_j), j = 0..dim-1."""
     return np.asarray(norm(np.eye(dim)), dtype=float)
@@ -106,24 +126,41 @@ def decomposition_infimum(
 ):
     """Upper approximation of inf{norm0(a) + t*norm1(x-a)} for each row of X.
 
-    ``T`` may be a scalar or one t per row.  ``scale0``/``scale1`` are the
+    ``T`` follows ``_t_matrix``: a scalar or a 1-d array gives one t per row
+    and an (m,) result; an (m, k) array, or a (1, k) grid shared by every
+    row, gives an (m, k) result.  ``scale0``/``scale1`` are the
     per-coordinate amplitude scales of the two norms used by the clip
-    families; they default to probing the norms on basis vectors.
+    families, shared (d,) or per row (m, d); they default to probing the
+    norms on basis vectors.
+
+    The norms see stacked rows: row r belongs to X row ``(r % (m*k)) // k``
+    and to its t number ``r % k``, and each block of m*k rows is one start.
+    They must treat rows independently and accept any row count.  The seeded
+    random starts are drawn at X's (m, d) shape and repeated over a row's k
+    values of t, so one (m, k) call equals k per-t calls with the same seed
+    bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
-    T = np.broadcast_to(np.asarray(T, dtype=float), (m,)).copy()
+    T, per_row = _t_matrix(T, m)
+    k = T.shape[1]
     if d == 0:
-        return np.zeros(m)
+        out = np.zeros((m, k))
+        return out[:, 0] if per_row else out
     if scale0 is None:
         scale0 = probe_scales(norm0, d)
     if scale1 is None:
         scale1 = probe_scales(norm1, d)
-    scale0 = np.where(scale0 > 0, scale0, 1.0)
-    scale1 = np.where(scale1 > 0, scale1, 1.0)
 
-    def objective(A):
-        return norm0(A) + T * norm1(X - A)
+    def stacked(scale):
+        # per-row scales follow their row to each of its k values of t
+        scale = np.where(scale > 0, scale, 1.0)
+        return np.repeat(scale, k, axis=0) if scale.ndim == 2 else scale
+
+    scale0, scale1 = stacked(scale0), stacked(scale1)
+    # one row per (X row, t)
+    X = np.repeat(X, k, axis=0)
+    T = T.reshape(-1)
 
     best = np.minimum(norm0(X), T * norm1(X))
 
@@ -136,31 +173,40 @@ def decomposition_infimum(
     clip_start = np.where((val0 < val1)[:, None], clip0, X - clip1)
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros_like(X), X.copy(), clip_start]
+    starts = [np.zeros_like(X), X, clip_start]
     for _ in range(max(0, int(budget))):
-        u = rng.uniform(-0.5, 1.5, size=X.shape)
-        starts.append(u * X)
+        u = rng.uniform(-0.5, 1.5, size=(m, d))
+        starts.append(np.repeat(u, k, axis=0) * X)
 
-    absx = np.abs(X)
-    for start in starts:
-        A = start.copy()
-        for _ in range(sweeps):
-            for j in range(d):
-                span = absx[:, j]
-                if not np.any(span > 0):
-                    continue
+    # every start's descent at once: one block of m*k rows per start
+    A = np.concatenate(starts)
+    XS = np.tile(X, (len(starts), 1))
+    TS = np.tile(T, len(starts))
+    absx = np.abs(XS)
+    rows = np.arange(len(A))
 
-                def coord_obj(c, j=j, A=A):
-                    A[:, j] = c
-                    return objective(A)
+    def objective(A):
+        return norm0(A) + TS * norm1(XS - A)
 
-                cj, _ = _golden_min(coord_obj, -2.0 * span, 2.0 * span,
-                                    COORD_ITERS)
-                # endpoints of the natural segment; exact for concave costs
-                cand = np.stack([cj, np.zeros_like(cj), X[:, j]])
-                vals = np.stack([coord_obj(c) for c in cand])
-                pick = np.argmin(vals, axis=0)
-                A[:, j] = cand[pick, np.arange(m)]
-        best = np.minimum(best, objective(A))
+    for _ in range(sweeps):
+        for j in range(d):
+            span = absx[:, j]
+            if not np.any(span > 0):
+                continue
 
-    return best
+            def coord_obj(c, j=j):
+                A[:, j] = c
+                return objective(A)
+
+            cj, _ = _golden_min(coord_obj, -2.0 * span, 2.0 * span,
+                                COORD_ITERS)
+            # endpoints of the natural segment; exact for concave costs
+            cand = np.stack([cj, np.zeros_like(cj), XS[:, j]])
+            vals = np.stack([coord_obj(c) for c in cand])
+            pick = np.argmin(vals, axis=0)
+            A[:, j] = cand[pick, rows]
+    # the min over starts, in start order
+    for val in objective(A).reshape(len(starts), -1):
+        best = np.minimum(best, val)
+
+    return best if per_row else best.reshape(m, k)

@@ -10,21 +10,24 @@
     interpk strictness    --theta T --q Q --n-list 2,4,8 --out out.csv
     interpk verify CHECK  --config c.json --seed S --out out.json
 
-Exit codes: 0 success; 2 a config error: malformed JSON, an unknown or missing
-key, or a value the library rejects; 3 a verify band failed.  Any other
-exception is a bug and propagates.  Reports are deterministic: identical
-(argv, config, seed) produce byte-identical files.  Every successful run
-writes exactly one artifact.
+Exit codes: 0 success; 2 a config error: malformed JSON, an unknown, missing
+or wrongly typed key, or a value the library rejects; 3 a verify band
+failed.  Any other exception is a bug and propagates.  Reports are
+deterministic: identical (argv, config, seed) produce byte-identical files.
+Every successful run writes exactly one artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import contextlib
 import csv
 import inspect
 import json
 import sys
+import types
+import typing
 
 import numpy as np
 
@@ -60,10 +63,36 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _take(config: dict, allowed: dict, required: tuple = ()):
+# JSON values each annotated Python type accepts (bool is no number)
+_JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a type annotation.
+
+    ``int`` takes a JSON integer, ``float`` any JSON number, ``str`` a
+    string and ``dict`` an object; ``Sequence[X]`` takes a list of X, and
+    ``X | None`` also null.  Any other annotation takes any value.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        return any(_fits(value, arg) for arg in args)
+    if origin is collections.abc.Sequence:
+        return isinstance(value, list) and all(_fits(v, args[0])
+                                               for v in value)
+    if hint is type(None):
+        return value is None
+    expected = _JSON_TYPES.get(hint)
+    return expected is None or (isinstance(value, expected)
+                                and not isinstance(value, bool))
+
+
+def _take(config: dict, allowed: dict, required: tuple = (),
+          hints: dict | None = None):
     """Validate keys against ``allowed`` (name -> default); reject unknowns.
 
-    A required key given as null counts as missing.
+    A required key given as null counts as missing.  A value whose key has
+    a type in ``hints`` must fit it; values are never converted.
     """
     unknown = sorted(set(config) - set(allowed))
     if unknown:
@@ -71,6 +100,10 @@ def _take(config: dict, allowed: dict, required: tuple = ()):
     missing = [k for k in required if config.get(k) is None]
     if missing:
         raise ConfigError(f"missing config key: {missing[0]}")
+    for key, value in config.items():
+        if hints and key in hints and not _fits(value, hints[key]):
+            raise ConfigError(f"wrongly typed config key {key}: "
+                              f"{json.dumps(value)}")
     out = dict(allowed)
     out.update(config)
     return out
@@ -113,11 +146,15 @@ def _report_payload(command: str, config: dict, body: dict) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+_COUPLE_VECTOR = {"couple": dict, "vector": dict}
+
+
 def _cmd_kprofile(args) -> int:
     cfg = _take(_load_json(args.config),
                 {"couple": None, "vector": None,
                  "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
-                required=("couple", "vector"))
+                required=("couple", "vector"),
+                hints=_COUPLE_VECTOR)
     with _parsing():
         couple = Couple.from_json(cfg["couple"])
         x = FiniteVector.from_json(cfg["vector"])
@@ -137,7 +174,8 @@ def _cmd_interp_norm(args) -> int:
     cfg = _take(_load_json(args.config),
                 {"couple": None, "vector": None, "theta": None, "q": None,
                  "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
-                required=("couple", "vector", "theta", "q"))
+                required=("couple", "vector", "theta", "q"),
+                hints=_COUPLE_VECTOR)
     with _parsing():
         couple = Couple.from_json(cfg["couple"])
         x = FiniteVector.from_json(cfg["vector"])
@@ -154,7 +192,8 @@ def _cmd_lattice_norm(args) -> int:
     cfg = _take(_load_json(args.config),
                 {"couple": None, "vector": None, "r": None,
                  "lattice_weights": None, "n_min": DEFAULT_N_MIN},
-                required=("couple", "vector", "r", "lattice_weights"))
+                required=("couple", "vector", "r", "lattice_weights"),
+                hints=_COUPLE_VECTOR)
     with _parsing():
         couple = Couple.from_json(cfg["couple"])
         x = FiniteVector.from_json(cfg["vector"])
@@ -188,6 +227,8 @@ def _cmd_ideal_norm(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.max_rows < 1:
+        raise ConfigError(f"--max-rows must be >= 1, got {args.max_rows}")
     p_star = args.p if args.p_star is None else args.p_star
     q_star = args.q if args.q_star is None else args.q_star
     _, report = witness_sequence(args.p, args.q, args.n,
@@ -264,8 +305,10 @@ def verify_schema(check: str) -> tuple[dict, tuple]:
 
 def _cmd_verify(args) -> int:
     check = getattr(verify, VERIFY_CHECKS[args.check])
+    # each value must fit its parameter's annotation
     cfg = _take(_load_json(args.config) if args.config else {},
-                *verify_schema(args.check))
+                *verify_schema(args.check),
+                hints=typing.get_type_hints(check))
     cfg = {k: v for k, v in cfg.items() if v is not None}
     params = inspect.signature(check).parameters
     run = {"seed": args.seed} if "seed" in params else {}

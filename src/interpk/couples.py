@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._descent import decomposition_infimum
+from ._descent import _t_matrix, decomposition_infimum
 from .errors import (DomainError, InvariantError, SizeError, WindowError)
 
 __all__ = [
@@ -397,18 +397,6 @@ class KProfile:
 # ---------------------------------------------------------------------------
 # batch strategy kernels
 # ---------------------------------------------------------------------------
-
-def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
-    """T as an (m, k) matrix, and whether it was given as one t per row.
-
-    Scalars and 1-d arrays hold one t per row (k = 1); a 2-d array holds k
-    values of t per row, or one (1, k) grid shared by every row.
-    """
-    T = np.asarray(T, dtype=float)
-    if T.ndim < 2:
-        return np.broadcast_to(T.reshape(-1, 1), (m, 1)), True
-    return np.broadcast_to(T, (m, T.shape[1])), False
-
 
 def _l1_linf_batch(X: np.ndarray, T) -> np.ndarray:
     """Exact K for the unweighted (l1, linf) couple, rowwise.

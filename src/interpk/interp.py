@@ -393,6 +393,11 @@ class DerivedSumIntCouple:
     # --- route (ii): descent on the explicit norms ------------------------
     def k_oracle_batch(self, X: np.ndarray, T, budget: int = 8,
                        seed: int = 0) -> np.ndarray:
+        """Descent K on the explicit sum and intersection norms.
+
+        ``T`` is one t per row, or an (m, k)/(1, k) grid answered by one
+        descent call with an (m, k) result, equal to k per-t calls.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
@@ -464,7 +469,9 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
     Rows of ``values`` are treated as independent sequences.  For a shared
     exponent the coordinatewise power functional is used (exact at p = 1,
     two-sided within 2^{|1-1/p|} otherwise); mixed exponents fall back to
-    seeded descent.
+    seeded descent.  ``t`` is a scalar or one t per row (an (m,) result), or
+    an (m, k)/(1, k) grid (an (m, k) result); a grid is one kernel or
+    descent call and equals k per-t calls with the same seed.
     """
     V = np.atleast_2d(np.asarray(values, dtype=float))
     p0 = float(p0)

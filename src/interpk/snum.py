@@ -250,7 +250,11 @@ def k_operator_diag(sigma, t: float, p0: float, p1: float,
 
 def k_operator_diag_batch(X: np.ndarray, T, p0: float, p1: float,
                           budget: int = 8, seed: int = 0) -> np.ndarray:
-    """Batched form of k_operator_diag over rows of nonnegative sequences."""
+    """Batched form of k_operator_diag over rows of nonnegative sequences.
+
+    ``T`` is a scalar or one t per row (an (m,) result), or an (m, k)/(1, k)
+    grid (an (m, k) result) answered by one descent call.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     ones = np.ones(X.shape[1])
     if (float(p0) == 1.0) != (float(p1) == 1.0):

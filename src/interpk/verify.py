@@ -306,9 +306,12 @@ def _filtered_ratios(lhs, rhs, size, trace):
 # named checks
 # ---------------------------------------------------------------------------
 
-def check_mainlema(family: str = "l1_linf", dims=None, t_grid=None,
+def check_mainlema(family: str = "l1_linf",
+                   dims: Sequence[int] | None = None,
+                   t_grid: Sequence[float] | None = None,
                    count: int | None = None, seed: int = 0,
-                   band=None, budget: int | None = None,
+                   band: Sequence[float] | None = None,
+                   budget: int | None = None,
                    keep_trace: bool = False) -> EquivReport:
     """Descent K on (A0+A1, A0 cap A1) against the surrogate
     K(x,t) + t K(x,1/t), over t <= 1 and a dimension sweep."""
@@ -327,11 +330,11 @@ def check_mainlema(family: str = "l1_linf", dims=None, t_grid=None,
         keep = np.max(np.abs(X), axis=1) > 0
         X = X[keep]
         idx = np.arange(count)[keep]
+        ts = [t for t in t_grid if t <= 1.0]
+        oracles = derived.k_oracle_batch(X, np.reshape(ts, (1, -1)),
+                                         budget=budget, seed=seed)
         rows = []
-        for t in t_grid:
-            if t > 1.0:
-                continue
-            oracle = derived.k_oracle_batch(X, t, budget=budget, seed=seed)
+        for t, oracle in zip(ts, oracles.T):
             surr = derived.k_batch(X, t)
             ok = (oracle > 1e-300) & (surr > 1e-300)
             ratios = oracle[ok] / surr[ok]
@@ -349,7 +352,8 @@ def check_mainlema(family: str = "l1_linf", dims=None, t_grid=None,
                        passed=passed, trace=trace)
 
 
-def check_sum_intersection(theta: float, p: float, dims=None,
+def check_sum_intersection(theta: float, p: float,
+                           dims: Sequence[int] | None = None,
                            count: int | None = None, seed: int = 0,
                            family: str = "l1_linf",
                            n_min: int = DEFAULT_N_MIN,
@@ -399,7 +403,8 @@ def check_sum_intersection(theta: float, p: float, dims=None,
 
 def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
                       p: float | None = None, q: float | None = None,
-                      dims=None, count: int | None = None, seed: int = 0,
+                      dims: Sequence[int] | None = None,
+                      count: int | None = None, seed: int = 0,
                       family: str = "l1_linf", n_min: int = DEFAULT_N_MIN,
                       n_max: int = DEFAULT_N_MAX,
                       spread_growth: float | None = None,
@@ -427,6 +432,7 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
     theta_bar = (1.0 - alpha) * theta0 + alpha * theta1
     w_bar = 2.0 ** (-theta_bar * grid.astype(float))
     w_alpha = 2.0 ** (-alpha * grid.astype(float))
+    t_grid = (2.0 ** grid.astype(float))[None, :]
     per_size = {}
     trace = [] if keep_trace else None
     for dim in dims:
@@ -434,12 +440,12 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
         X = sample_matrix_dense(count, dim, seed)
         P = _profile_matrix(couple, X, grid)
         if p == q:
-            cols = [_power_batch(P, float(2.0 ** mu), p, w0, w1)
-                    for mu in grid]
+            # one kernel call per t: the one-call form's (m, k, d)
+            # temporaries cost more memory than the loop costs time
+            KK = np.stack([_power_batch(P, float(2.0 ** mu), p, w0, w1)
+                           for mu in grid], axis=1)
         else:
-            cols = [sequence_couple_k(P, float(2.0 ** mu), p, w0, q, w1,
-                                      seed=seed) for mu in grid]
-        KK = np.stack(cols, axis=1)
+            KK = sequence_couple_k(P, t_grid, p, w0, q, w1, seed=seed)
         lhs = _lq_combine(w_alpha * KK, r)
         rhs = _lq_combine(w_bar * P, r)
         per_size[dim] = _filtered_ratios(lhs, rhs, dim, trace)
@@ -453,7 +459,8 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
                        passed=passed, trace=trace)
 
 
-def check_konig(p0: float, p1: float, theta: float, q: float, lengths=None,
+def check_konig(p0: float, p1: float, theta: float, q: float,
+                lengths: Sequence[int] | None = None,
                 count: int | None = None, seed: int = 0,
                 n_min: int = DEFAULT_N_MIN, n_max: int = DEFAULT_N_MAX,
                 spread_growth: float | None = None,
@@ -476,14 +483,13 @@ def check_konig(p0: float, p1: float, theta: float, q: float, lengths=None,
     params = LorentzParams(p, q)
     grid = np.arange(n_min, n_max + 1)
     w_theta = 2.0 ** (-theta * grid.astype(float))
+    t_grid = (2.0 ** grid.astype(float))[None, :]
     per_size = {}
     trace = [] if keep_trace else None
     for length in lengths:
         S = np.stack([sample_nonincreasing(length, i, seed)
                       for i in range(count)])
-        cols = [k_operator_diag_batch(S, float(2.0 ** mu), p0, p1, seed=seed)
-                for mu in grid]
-        KK = np.stack(cols, axis=1)
+        KK = k_operator_diag_batch(S, t_grid, p0, p1, seed=seed)
         lhs = _lq_combine(w_theta * KK, q)
         n_idx = np.arange(1, length + 1, dtype=float)
         rhs = _lq_combine(
@@ -613,8 +619,11 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
                 W0 = np.stack([g[3] for g in group])
                 W1 = np.stack([g[4] for g in group])
                 exact = _weighted_sup_batch(X, T, W0, W1)
-                n0 = lambda A, W0=W0: np.max(W0 * np.abs(A), axis=1)
-                n1 = lambda A, W1=W1: np.max(W1 * np.abs(A), axis=1)
+                # the descent stacks its starts: weight rows tile over them
+                n0 = lambda A, W0=W0: np.max(
+                    np.tile(W0, (len(A) // len(W0), 1)) * np.abs(A), axis=1)
+                n1 = lambda A, W1=W1: np.max(
+                    np.tile(W1, (len(A) // len(W1), 1)) * np.abs(A), axis=1)
                 s0, s1 = W0, W1
             oracle = decomposition_infimum(X, T, n0, n1, budget=budget,
                                            seed=seed, scale0=s0, scale1=s1)

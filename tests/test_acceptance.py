@@ -66,10 +66,12 @@ def test_criterion_02_surrogate_band():
                 kp = _power_batch(X, T, p, W0, W1)
 
                 def n0(A, W0=W0, p=p):
-                    return np.sum((W0 * np.abs(A)) ** p, axis=1) ** (1.0 / p)
+                    W = np.tile(W0, (len(A) // len(W0), 1))
+                    return np.sum((W * np.abs(A)) ** p, axis=1) ** (1.0 / p)
 
                 def n1(A, W1=W1, p=p):
-                    return np.sum((W1 * np.abs(A)) ** p, axis=1) ** (1.0 / p)
+                    W = np.tile(W1, (len(A) // len(W1), 1))
+                    return np.sum((W * np.abs(A)) ** p, axis=1) ** (1.0 / p)
 
                 oracle = decomposition_infimum(X, T, n0, n1, budget=4,
                                                seed=d, scale0=W0, scale1=W1)

@@ -201,6 +201,35 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "x.json")])
 
 
+    def test_witness_max_rows_below_one(self, tmp_path, capsys):
+        for rows in ("0", "-3"):
+            code = run_cli(["witness", "--p", "2", "--q", "1", "--n", "64",
+                            "--max-rows", rows,
+                            "--out", str(tmp_path / "w.csv")])
+            assert code == 2
+            assert "--max-rows" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("kprofile", {}),
+        ("interp-norm", {"theta": 0.5, "q": 2}),
+        ("lattice-norm", {"r": 1, "lattice_weights": [1, 1, 1]}),
+    ])
+    @pytest.mark.parametrize("key, value", [
+        ("vector", [1, 2]), ("couple", 3), ("vector", "x")])
+    def test_couple_and_vector_must_be_objects(self, command, extra, key,
+                                               value, couple_config,
+                                               tmp_path, capsys):
+        cfg = {**json.loads(couple_config.read_text()), **extra, key: value}
+        if command == "lattice-norm":
+            del cfg["n_max"]
+        couple_config.write_text(json.dumps(cfg))
+        code = run_cli([command, "--config", str(couple_config),
+                        "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert f"wrongly typed config key {key}" in capsys.readouterr().err
+
+
 def _readme_required_keys() -> dict:
     """check -> required keys, from the README's verify config table."""
     out = {}
@@ -235,6 +264,52 @@ class TestVerifyRegistry:
 
     def test_readme_required_keys(self, check):
         assert _readme_required_keys()[check] == cli.verify_schema(check)[1]
+
+
+# per check: a config whose one wrongly typed key is named last
+WRONG_TYPES = {
+    "mainlema": [{"count": "x"}, {"t_grid": 0.5}, {"band": [0.1, "8"]},
+                 {"budget": 1.5}],
+    "sum-intersection": [{"p": 1.0, "theta": "abc"},
+                         {"theta": 0.3, "p": 1.0, "dims": [4.5]}],
+    "reiteration": [{"theta0": 0.25, "theta1": 0.75, "alpha": 0.5, "r": 2.0,
+                     "family": 3},
+                    {"theta0": 0.25, "theta1": 0.75, "r": 2.0,
+                     "alpha": [0.5]}],
+    "konig": [{"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0, "lengths": 4},
+              {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0,
+               "witness_length": True}],
+    "dichotomy": [{"family": "l1_linf", "t": 0.25, "sizes": [9],
+                   "samples": "8"},
+                  {"family": "l1_linf", "sizes": [9], "t": {"v": 1}}],
+    "distinctness": [{"p_list": [2.0], "q_list": [1.0], "N": 1024.0},
+                     {"p_list": [2.0], "N": 1024, "q_list": ["1"]}],
+}
+
+
+@pytest.mark.parametrize("check", sorted(cli.VERIFY_CHECKS))
+def test_wrongly_typed_verify_value(check, tmp_path, capsys):
+    for config in WRONG_TYPES[check]:
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["verify", check, "--config", str(path), "--seed",
+                        "1", "--out", str(tmp_path / "r.json")]) == 2
+        key = list(config)[-1]
+        assert f"wrongly typed config key {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_typed_values_are_echoed_unchanged(tmp_path):
+    # an integer for a float and null for an optional key both fit
+    config = {"theta": 0.3, "p": 1, "dims": [4], "count": 4,
+              "spread_growth": None}
+    path, out = tmp_path / "v.json", tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["verify", "sum-intersection", "--config", str(path),
+                    "--seed", "1", "--out", str(out)]) in (0, 3)
+    echo = json.loads(out.read_text())["config"]
+    assert echo["p"] == 1 and isinstance(echo["p"], int)
+    assert "spread_growth" not in echo
 
 
 @pytest.mark.parametrize("check, config", [

@@ -423,6 +423,74 @@ def _l1_linf_batch(X: np.ndarray, T) -> np.ndarray:
     return out[:, 0] if per_row else out
 
 
+def _l1_lp_batch(X: np.ndarray, T, p: float, w0, w1) -> np.ndarray:
+    """Exact K for (l1(w0), lp(w1)) with 1 < p < inf, rowwise.
+
+    The optimal split gives the lp side b_i = min(|x_i|, lam * g_i) with
+    g_i = (w0_i / w1_i^p)^{1/(p-1)}, so the clipped coordinates are those
+    with the largest r_i = |x_i| / g_i, an order that does not depend on t.
+    With p' = p/(p-1) and the j largest r_i clipped,
+
+        K(x, t) = C_j + A_j^{1/p} (t^{p'} - B_j)^{1/p'},
+
+    C_j = sum_{i<=j} w0_i |x_i|, B_j = sum_{i<=j} (w0_i/w1_i)^{p'} and
+    A_j = sum_{i>j} (w1_i |x_i|)^p, where j counts the i with
+    A_i / r_i^p + B_i < t^{p'} (nondecreasing in i).  Each row is sorted and
+    prefix-summed once; each t finds its j by binary search.  B, the count
+    test and t^{p'} are kept in log space, since (w0/w1)^{p'} and t^{p'}
+    overflow for p near 1; rows are scaled by a power of two.  Weights may
+    be shared (d,) or per-row (m, d).
+    """
+    X = np.atleast_2d(X)
+    m, d = X.shape
+    T, per_row = _t_matrix(T, m)
+    if d == 0:
+        out = np.zeros(T.shape)
+        return out[:, 0] if per_row else out
+    q = p / (p - 1.0)
+    W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
+    W1 = np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
+    absx = np.abs(X)
+    # exact power-of-two scale: max_i w1_i |x_i| / scale lies in [1/2, 1)
+    scale = np.ldexp(1.0, np.frexp(np.max(W1 * absx, axis=1))[1])
+    absx = absx / scale[:, None]
+    with np.errstate(divide="ignore"):
+        log_r = np.log(absx) - (np.log(W0) - p * np.log(W1)) / (p - 1.0)
+    order = np.argsort(-log_r, axis=1, kind="stable")   # zeros last
+
+    def sort(V):
+        return np.take_along_axis(V, order, axis=1)
+
+    absx, log_r, W0, W1 = sort(absx), sort(log_r), sort(W0), sort(W1)
+    # prefix sums with j = 0..d clipped: C_j, A_j and log B_j
+    C = np.zeros((m, d + 1))
+    np.cumsum(W0 * absx, axis=1, out=C[:, 1:])
+    A = np.zeros((m, d + 1))
+    A[:, :d] = np.cumsum(((W1 * absx) ** p)[:, ::-1], axis=1)[:, ::-1]
+    logB = np.full((m, d + 1), -np.inf)
+    logB[:, 1:] = np.logaddexp.accumulate(q * np.log(W0 / W1), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f = np.where(absx > 0, np.logaddexp(
+            np.log(A[:, 1:]) - p * log_r, logB[:, 1:]), np.inf)
+    level = q * np.log(T)
+    lo = np.zeros(T.shape, dtype=np.intp)
+    hi = np.full(T.shape, d, dtype=np.intp)
+    for _ in range(d.bit_length()):
+        mid = (lo + hi) // 2
+        below = np.take_along_axis(log_f, np.minimum(mid, d - 1), axis=1) < level
+        open_ = lo < hi
+        lo = np.where(open_ & below, mid + 1, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+
+    def at(V):
+        return np.take_along_axis(V, lo, axis=1)
+
+    # (t^{p'} - B_j)^{1/p'} = t (1 - B_j / t^{p'})^{1/p'}
+    rest = at(A) ** (1.0 / p) * T * (-np.expm1(at(logB) - level)) ** (1.0 / q)
+    out = scale[:, None] * (at(C) + rest)
+    return out[:, 0] if per_row else out
+
+
 def _weighted_sup_batch(X, T, w0, w1) -> np.ndarray:
     """Exact K for (linf(w0), linf(w1)) on each row's vertex chain.
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._descent import decomposition_infimum
-from .couples import (Couple, FiniteVector, KProfile, WeightedNorm, ORACLE_MAX_DIM,
+from .couples import (EXACT_L1_LINF, ORACLE_MAX_DIM, Couple, FiniteVector,
+                      KProfile, WeightedNorm, _l1_linf_batch, _l1_lp_batch,
                       _power_batch, k_profile, stable_lp_sum)
 from .errors import DomainError, InvariantError, ParamError, SizeError
 
@@ -390,15 +391,24 @@ class DerivedSumIntCouple:
         prof.validate(rel_tol=1e-9)
         return prof
 
-    # --- route (ii): descent on the explicit norms ------------------------
+    # --- route (ii): K on the explicit norms -------------------------------
     def k_oracle_batch(self, X: np.ndarray, T, budget: int = 8,
                        seed: int = 0) -> np.ndarray:
-        """Descent K on the explicit sum and intersection norms.
+        """K on the explicit sum and intersection norms.
 
-        ``T`` is one t per row, or an (m, k)/(1, k) grid answered by one
-        descent call with an (m, k) result, equal to k per-t calls.
+        For an ``exact_l1_linf`` base (either order) the sum norm K(x, 1) is
+        ||x||_inf and the intersection norm max(||x||_1, ||x||_inf) is
+        ||x||_1, so the derived couple is exactly (linf, l1) and K is the
+        closed form t K(x, 1/t; l1, linf); ``budget``/``seed`` are unused.
+        Other bases get descent, an upper bound, limited to dimension
+        ``ORACLE_MAX_DIM``.  ``T`` is one t per row, or an (m, k)/(1, k)
+        grid answered by one call with an (m, k) result, equal to k per-t
+        calls.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.base.strategy == EXACT_L1_LINF:
+            T = np.asarray(T, dtype=float)
+            return T * _l1_linf_batch(X, 1.0 / T)
         if X.shape[1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
         return decomposition_infimum(X, T, self.sum_dense, self.int_dense,
@@ -468,17 +478,34 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
 
     Rows of ``values`` are treated as independent sequences.  For a shared
     exponent the coordinatewise power functional is used (exact at p = 1,
-    two-sided within 2^{|1-1/p|} otherwise); mixed exponents fall back to
-    seeded descent.  ``t`` is a scalar or one t per row (an (m,) result), or
-    an (m, k)/(1, k) grid (an (m, k) result); a grid is one kernel or
-    descent call and equals k per-t calls with the same seed.
+    two-sided within 2^{|1-1/p|} otherwise).  When one exponent is 1 and the
+    other lies in (1, inf), K is exact in closed form (``_l1_lp_batch``; the
+    order (lp, l1) through K(x, t; A0, A1) = t K(x, 1/t; A1, A0)), and so
+    is the unweighted (l1, linf) pair (``_l1_linf_batch``); there
+    ``budget``/``seed`` are unused.  Other mixed exponents fall back to
+    seeded descent, an upper bound.  ``t`` is a scalar or one t per row (an
+    (m,) result), or an (m, k)/(1, k) grid (an (m, k) result); a grid is one
+    kernel or descent call and equals k per-t calls with the same seed.
     """
     V = np.atleast_2d(np.asarray(values, dtype=float))
     p0 = float(p0)
     p1 = float(p1)
+    w0 = np.asarray(w0, float)
+    w1 = np.asarray(w1, float)
     if p0 == p1:
-        return _power_batch(V, t, p0, np.asarray(w0, float), np.asarray(w1, float))
-    n0 = WeightedNorm(p0, 0, np.asarray(w0, float))
-    n1 = WeightedNorm(p1, 0, np.asarray(w1, float))
+        return _power_batch(V, t, p0, w0, w1)
+    if p0 == 1.0 and 1.0 < p1 < math.inf:
+        return _l1_lp_batch(V, t, p1, w0, w1)
+    if p1 == 1.0 and 1.0 < p0 < math.inf:
+        t = np.asarray(t, dtype=float)
+        return t * _l1_lp_batch(V, 1.0 / t, p0, w1, w0)
+    if ({p0, p1} == {1.0, math.inf} and np.all(w0 == 1.0)
+            and np.all(w1 == 1.0)):
+        t = np.asarray(t, dtype=float)
+        if p0 == 1.0:
+            return _l1_linf_batch(V, t)
+        return t * _l1_linf_batch(V, 1.0 / t)
+    n0 = WeightedNorm(p0, 0, w0)
+    n1 = WeightedNorm(p1, 0, w1)
     return decomposition_infimum(V, t, n0.dense, n1.dense, budget=budget,
                                  seed=seed, scale0=n0.weights, scale1=n1.weights)

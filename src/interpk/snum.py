@@ -22,8 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._descent import decomposition_infimum
-from .couples import WeightedNorm, stable_lp_sum
+from .couples import stable_lp_sum
 from .errors import DomainError, InvariantError, SizeError, UnsupportedError
 from .interp import sequence_couple_k
 
@@ -231,10 +230,11 @@ def k_operator_diag(sigma, t: float, p0: float, p1: float,
     ||d0||_{lp0} + t ||d1||_{lp1}.
 
     For diagonal operators this bounds the operator K-functional between the
-    two lp ideals from above.  Equal exponents use the coordinatewise power
-    functional; if either exponent is 1 (the other > 1) the optimum lies on
-    the clip family sign(x) min(|x|, lam), which the descent engine searches
-    exactly; other mixed pairs get the seeded descent upper bound.
+    two lp ideals from above.  The value is ``interp.sequence_couple_k`` with
+    unit weights: the coordinatewise power functional for equal exponents,
+    the exact closed form when one exponent is 1 and the other lies in
+    (1, inf], and the seeded descent upper bound for other mixed pairs
+    (including (1, p) with p < 1, where the clip family is not optimal).
     """
     seq = SNumSeq(np.asarray(sigma, dtype=float))
     x = seq.values
@@ -253,16 +253,9 @@ def k_operator_diag_batch(X: np.ndarray, T, p0: float, p1: float,
     """Batched form of k_operator_diag over rows of nonnegative sequences.
 
     ``T`` is a scalar or one t per row (an (m,) result), or an (m, k)/(1, k)
-    grid (an (m, k) result) answered by one descent call.
+    grid (an (m, k) result) answered by one kernel or descent call.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     ones = np.ones(X.shape[1])
-    if (float(p0) == 1.0) != (float(p1) == 1.0):
-        # clip families are exact here; skip the coordinate-descent phase
-        n0 = WeightedNorm(p0, 0, ones)
-        n1 = WeightedNorm(p1, 0, ones)
-        return decomposition_infimum(X, T, n0.dense, n1.dense, budget=0,
-                                     seed=seed, scale0=ones, scale1=ones,
-                                     sweeps=0)
     return sequence_couple_k(X, T, p0, ones, p1, ones, budget=budget,
                              seed=seed)

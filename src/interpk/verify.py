@@ -313,14 +313,22 @@ def check_mainlema(family: str = "l1_linf",
                    band: Sequence[float] | None = None,
                    budget: int | None = None,
                    keep_trace: bool = False) -> EquivReport:
-    """Descent K on (A0+A1, A0 cap A1) against the surrogate
-    K(x,t) + t K(x,1/t), over t <= 1 and a dimension sweep."""
+    """K of (A0+A1, A0 cap A1) on its explicit norms against the surrogate
+    K(x,t) + t K(x,1/t), over the t <= 1 of ``t_grid`` and a dimension
+    sweep.  The explicit K is exact for ``l1_linf`` and seeded descent with
+    ``budget`` random starts otherwise."""
     cfg = DEFAULTS["mainlema"]
     dims = tuple(cfg["dims"] if dims is None else dims)
     t_grid = tuple(cfg["t_grid"] if t_grid is None else t_grid)
     count = cfg["count"] if count is None else count
     band = tuple(cfg["band"] if band is None else band)
     budget = cfg["budget"] if budget is None else budget
+    ts = [t for t in t_grid if t <= 1.0]
+    if not ts:
+        raise DomainError("t_grid needs at least one value t <= 1")
+    if len(band) != 2 or not band[0] <= band[1]:
+        raise DomainError(f"band must be [low, high] with low <= high, "
+                          f"got {list(band)}")
     per_size = {}
     trace = [] if keep_trace else None
     for dim in dims:
@@ -330,7 +338,6 @@ def check_mainlema(family: str = "l1_linf",
         keep = np.max(np.abs(X), axis=1) > 0
         X = X[keep]
         idx = np.arange(count)[keep]
-        ts = [t for t in t_grid if t <= 1.0]
         oracles = derived.k_oracle_batch(X, np.reshape(ts, (1, -1)),
                                          budget=budget, seed=seed)
         rows = []

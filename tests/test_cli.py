@@ -201,6 +201,25 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "x.json")])
 
 
+    @pytest.mark.parametrize("config, key", [
+        ({"t_grid": [2.0]}, "t_grid"),
+        ({"t_grid": [2.0, 4.0]}, "t_grid"),
+        ({"band": [0.1]}, "band"),
+        ({"band": [0.1, 1.0, 8.0]}, "band"),
+        ({"band": [8.0, 0.1]}, "band"),
+    ])
+    def test_mainlema_refuses_bad_grid_or_band(self, config, key, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"dims": [2], "count": 4, "t_grid": [0.5],
+                                   **config}))
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", "mainlema", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_witness_max_rows_below_one(self, tmp_path, capsys):
         for rows in ("0", "-3"):
             code = run_cli(["witness", "--p", "2", "--q", "1", "--n", "64",

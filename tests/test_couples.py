@@ -10,8 +10,10 @@ from interpk import (Couple, DomainError, InvariantError, SizeError,
                      k_exact_l1_linf, k_oracle, k_power_coordinatewise,
                      k_profile, k_sphere_sup, k_weighted_sup, l1_linf_couple,
                      power_couple, quasi_norm, weighted_sup_couple)
-from interpk.couples import ORACLE, FiniteVector, _weighted_sup_batch, vec
-from interpk.interp import derived_sum_int_couple
+from interpk._descent import decomposition_infimum
+from interpk.couples import (ORACLE, FiniteVector, _l1_lp_batch,
+                             _weighted_sup_batch, vec)
+from interpk.interp import derived_sum_int_couple, sequence_couple_k
 
 DYADIC = 2.0 ** np.arange(-20, 21).astype(float)   # the default profile grid
 
@@ -101,6 +103,23 @@ def grid_oracle_power_single(x, t, p, w0, w1):
     vals = (w0 * np.abs(a)) ** p + t ** p * (w1 * np.abs(x - a)) ** p
     return float(np.min(vals)) ** (1.0 / p)
 
+
+def scan_oracle_l1_lp(x, t, p, w0, w1, reverse=False, n=20001):
+    """K for (l1(w0), lp(w1)), or for (lp(w0), l1(w1)) with ``reverse``, by
+    scanning the clip level: the lp side is min(|x_i|, lam g_i) with
+    g_i = (w_l1_i / w_lp_i^p)^{1/(p-1)}, over a log-spaced lam grid plus 0
+    and every kink; an upper bound that converges to K."""
+    a = np.abs(np.asarray(x, dtype=float))
+    w_l1, w_lp = (w1, w0) if reverse else (w0, w1)
+    g = (w_l1 / w_lp ** p) ** (1.0 / (p - 1.0))
+    kinks = a / g
+    top = float(np.max(kinks))
+    lams = np.concatenate([[0.0], kinks,
+                           np.geomspace(top * 1e-12, top, n)]) if top else [0.0]
+    lp_part = np.minimum(a[None, :], np.asarray(lams)[:, None] * g[None, :])
+    l1 = np.sum(w_l1 * (a - lp_part), axis=1)
+    lp = np.sum((w_lp * lp_part) ** p, axis=1) ** (1.0 / p)
+    return float(np.min(lp + t * l1 if reverse else l1 + t * lp))
 
 def random_vector(rng, dim, offset=0):
     return FiniteVector(offset, rng.standard_normal(dim))
@@ -369,6 +388,129 @@ class TestProfileBatch:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(DomainError):
             l1_linf_couple(2).profile_batch(np.ones(2), [1.0, 0.0])
+
+
+class TestL1LpKernel:
+    """The closed form for (l1(w0), lp(w1)), 1 < p < inf."""
+
+    def test_matches_lambda_scan(self):
+        rng = np.random.default_rng(40)
+        for p in (1.25, 1.5, 2.0, 3.0, 8.0):
+            for _ in range(8):
+                d = int(rng.integers(1, 13))
+                w0 = 2.0 ** rng.uniform(-2, 2, d)
+                w1 = 2.0 ** rng.uniform(-2, 2, d)
+                x = rng.standard_normal(d)
+                t = float(2.0 ** rng.uniform(-4, 4))
+                got = _l1_lp_batch(x[None, :], t, p, w0, w1)[0]
+                want = scan_oracle_l1_lp(x, t, p, w0, w1)
+                assert got <= want * (1 + 1e-12)
+                assert got == pytest.approx(want, rel=1e-6), (p, d, t)
+
+    @pytest.mark.parametrize("p", [1.01, 1.25, 1.5, 2.0, 3.0, 8.0])
+    def test_never_above_descent(self, p):
+        rng = np.random.default_rng(int(100 * p))
+        grid = 2.0 ** np.arange(-6, 7, 2).astype(float)[None, :]
+        for d in (1, 2, 3, 5, 8):
+            w0 = 2.0 ** rng.uniform(-6, 6, d)
+            w1 = 2.0 ** rng.uniform(-6, 6, d)
+            X = rng.standard_normal((6, d))
+            n0, n1 = WeightedNorm(1.0, 0, w0), WeightedNorm(p, 0, w1)
+            got = _l1_lp_batch(X, grid, p, w0, w1)
+            ref = decomposition_infimum(X, grid, n0.dense, n1.dense,
+                                        budget=16, seed=d, scale0=w0,
+                                        scale1=w1)
+            assert np.all(got <= ref * (1 + 1e-12)), (p, d)
+            assert np.all(got >= 0.0)
+
+    def test_grid_equals_per_t(self):
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((5, 7))
+        X[1] = 0.0
+        X[2, ::3] = 0.0
+        for p, W in ((2.0, 2.0 ** rng.uniform(-3, 3, 7)),
+                     (1.01, 2.0 ** rng.uniform(-3, 3, (5, 7)))):
+            got = _l1_lp_batch(X, DYADIC[None, :], p, W, 1.0 / W)
+            want = np.stack([_l1_lp_batch(X, t, p, W, 1.0 / W)
+                             for t in DYADIC], axis=1)
+            assert np.array_equal(got, want), p
+            T = np.broadcast_to(DYADIC, (5, len(DYADIC)))
+            assert np.array_equal(_l1_lp_batch(X, T, p, W, 1.0 / W), want)
+
+    def test_reversed_orientation(self):
+        # K(x, t; lp(w0), l1(w1)) = t K(x, 1/t; l1(w1), lp(w0)), checked
+        # against descent on the (lp, l1) norms themselves
+        rng = np.random.default_rng(42)
+        w0 = 2.0 ** rng.uniform(-3, 3, 6)
+        w1 = 2.0 ** rng.uniform(-3, 3, 6)
+        V = np.abs(rng.standard_normal((8, 6)))
+        grid = 2.0 ** np.arange(-5, 6).astype(float)[None, :]
+        got = sequence_couple_k(V, grid, 2.5, w0, 1.0, w1)
+        assert np.array_equal(
+            got, grid * sequence_couple_k(V, 1.0 / grid, 1.0, w1, 2.5, w0))
+        n0, n1 = WeightedNorm(2.5, 0, w0), WeightedNorm(1.0, 0, w1)
+        ref = decomposition_infimum(V, grid, n0.dense, n1.dense, budget=16,
+                                    seed=1, scale0=w0, scale1=w1)
+        assert np.all(got <= ref * (1 + 1e-12))
+        for i, v in enumerate(V):
+            for j, t in enumerate(grid[0]):
+                want = scan_oracle_l1_lp(v, t, 2.5, w0, w1, reverse=True)
+                assert got[i, j] <= want * (1 + 1e-12)
+                assert got[i, j] == pytest.approx(want, rel=1e-6)
+
+    def test_zero_entries_and_rows(self):
+        rng = np.random.default_rng(43)
+        w0 = 2.0 ** rng.uniform(-2, 2, 6)
+        w1 = 2.0 ** rng.uniform(-2, 2, 6)
+        x = rng.standard_normal(6)
+        x[[1, 4]] = 0.0
+        keep = x != 0.0
+        for p in (1.5, 3.0):
+            got = _l1_lp_batch(np.stack([x, np.zeros(6)]), DYADIC[None, :],
+                               p, w0, w1)
+            want = _l1_lp_batch(x[keep][None, :], DYADIC[None, :], p,
+                                w0[keep], w1[keep])
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-15, atol=0)
+            assert np.array_equal(got[1], np.zeros(len(DYADIC)))
+        assert _l1_lp_batch(np.zeros((3, 0)), 1.0, 2.0, [], []).shape == (3,)
+
+    def test_one_coordinate(self):
+        # both norms are multiples of |x|: K = min(w0, t w1) |x|
+        for p in (1.01, 2.0, 8.0):
+            for t in DYADIC:
+                got = _l1_lp_batch(np.array([[-3.0]]), t, p, [0.5], [2.0])[0]
+                assert got == pytest.approx(3.0 * min(0.5, 2.0 * t),
+                                            rel=1e-15)
+
+    def test_homogeneity(self):
+        rng = np.random.default_rng(44)
+        X = rng.standard_normal((4, 9))
+        w0 = 2.0 ** rng.uniform(-3, 3, 9)
+        w1 = 2.0 ** rng.uniform(-3, 3, 9)
+        K = _l1_lp_batch(X, DYADIC[None, :], 2.0, w0, w1)
+        # the row scale is a power of two, so powers of two scale exactly
+        assert np.array_equal(
+            _l1_lp_batch(-2.0 ** 40 * X, DYADIC[None, :], 2.0, w0, w1),
+            2.0 ** 40 * K)
+        np.testing.assert_allclose(
+            _l1_lp_batch(3.7 * X, DYADIC[None, :], 2.0, w0, w1), 3.7 * K,
+            rtol=1e-14)
+
+    @pytest.mark.parametrize("p", [1.001, 1.01])
+    def test_extreme_t_near_one(self, p):
+        # t^{p'} overflows (p' = 1001 or 101): the result stays finite and
+        # reaches both trivial decompositions at the ends of the grid
+        rng = np.random.default_rng(45)
+        X = rng.standard_normal((4, 7))
+        w0 = 2.0 ** rng.uniform(-1, 1, 7)
+        w1 = 2.0 ** rng.uniform(-1, 1, 7)
+        got = _l1_lp_batch(X, DYADIC[None, :], p, w0, w1)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[:, -1], np.sum(w0 * np.abs(X), axis=1),
+                                   rtol=1e-14)
+        lp = np.sum((w1 * np.abs(X)) ** p, axis=1) ** (1.0 / p)
+        np.testing.assert_allclose(got[:, 0], DYADIC[0] * lp, rtol=1e-14)
+        assert np.all(np.diff(got, axis=1) >= 0.0)
 
 
 class TestPowerCoordinatewise:

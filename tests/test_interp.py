@@ -238,6 +238,39 @@ class TestDerivedCouple:
             lo, hi = min(lo, ratios.min()), max(hi, ratios.max())
         assert 1.0 / 8.0 <= lo <= hi <= 8.0
 
+    def test_exact_route_matches_descent(self):
+        # the derived couple of (l1, linf) is exactly (linf, l1)
+        from interpk._descent import decomposition_infimum
+        rng = np.random.default_rng(78)
+        grid = 2.0 ** np.arange(-6, 1).astype(float)[None, :]
+        for d in range(1, 9):
+            X = rng.standard_normal((8, d))
+            for base in (l1_linf_couple(d), l1_linf_couple(d).reversed()):
+                dc = derived_sum_int_couple(base)
+                got = dc.k_oracle_batch(X, grid, budget=2, seed=d)
+                ref = decomposition_infimum(X, grid, dc.sum_dense,
+                                            dc.int_dense, budget=2, seed=d)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+                want = np.stack([dc.k_oracle_batch(X, t) for t in grid[0]],
+                                axis=1)
+                assert np.array_equal(got, want)
+
+    def test_exact_route_has_no_size_guard(self):
+        # ORACLE_MAX_DIM guards only the descent route
+        from interpk.errors import SizeError
+        X = np.random.default_rng(79).standard_normal((3, 40))
+        got = derived_sum_int_couple(l1_linf_couple(40)).k_oracle_batch(X, 0.25)
+        # K(x, t; linf, l1) = t K(x, 1/t; l1, linf): at t = 1/4, a quarter
+        # of the four largest |x_i|
+        top4 = -np.sort(-np.abs(X), axis=1)[:, :4]
+        np.testing.assert_allclose(got, 0.25 * np.sum(top4, axis=1),
+                                   rtol=1e-15)
+        geometric = derived_sum_int_couple(
+            power_couple(1.0, 2.0 ** np.arange(-8, 9.0),
+                         2.0 ** -np.arange(-8, 9.0)))
+        with pytest.raises(SizeError):
+            geometric.k_oracle_batch(np.ones((1, 17)), 0.5)
+
     def test_sum_int_norms_for_l1_linf(self):
         # sum norm = max |x|, intersection norm = l1 norm
         dc = derived_sum_int_couple(l1_linf_couple(3))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -217,6 +218,37 @@ class TestKOperatorDiag:
                 d1 ** p1, axis=1) ** (1.0 / p1)
             assert got == pytest.approx(float(np.min(vals)), rel=1e-6)
 
+    @staticmethod
+    def vertex_oracle(sigma, t, p0, p1):
+        """Min over the splits d1_i in {0, sigma_i}: exact when p0 or p1 is
+        below 1 and the other is 1, since the cost is then concave on the box
+        0 <= d1 <= sigma, which holds the optimum."""
+        best = math.inf
+        for mask in itertools.product((0.0, 1.0), repeat=len(sigma)):
+            d1 = sigma * np.array(mask)
+            d0 = sigma - d1
+            best = min(best, np.sum(d0 ** p0) ** (1.0 / p0)
+                       + t * np.sum(d1 ** p1) ** (1.0 / p1))
+        return best
+
+    def test_exponent_below_one_reaches_full_descent(self):
+        # the clip family is not optimal for (1, p) with p < 1: the clip
+        # search alone gave 3.35 here
+        sigma = np.array([1.0, 0.9, 0.8, 0.7])
+        assert k_operator_diag(sigma, 0.5, 1.0, 0.5) == pytest.approx(
+            self.vertex_oracle(sigma, 0.5, 1.0, 0.5), rel=1e-12)
+        assert self.vertex_oracle(sigma, 0.5, 1.0, 0.5) == pytest.approx(2.9)
+        rng = np.random.default_rng(37)
+        for _ in range(24):
+            d = int(rng.integers(1, 9))
+            sigma = np.sort(np.abs(rng.standard_normal(d)))[::-1]
+            t = float(2.0 ** rng.uniform(-4, 4))
+            p = float(rng.choice([0.25, 0.5, 0.75]))
+            for p0, p1 in ((1.0, p), (p, 1.0)):
+                want = self.vertex_oracle(sigma, t, p0, p1)
+                assert k_operator_diag(sigma, t, p0, p1) == pytest.approx(
+                    want, rel=1e-12), (d, t, p0, p1)
+
     def test_reversed_orientation(self):
         rng = np.random.default_rng(35)
         sigma = np.sort(np.abs(rng.standard_normal(10)))[::-1]
@@ -238,23 +270,37 @@ class TestKOperatorDiag:
         for i in range(4):
             assert batch[i] == pytest.approx(
                 k_operator_diag(S[i], 0.8, 1.0, 2.0), rel=1e-12)
-        # the dispatch: power functional for equal exponents, the clip
-        # search alone when exactly one exponent is 1, full descent otherwise
+        # the dispatch: power functional for equal exponents, the (l1, lp)
+        # closed form when one exponent is 1 and the other lies in (1, inf),
+        # the (l1, linf) closed form for {1, inf}, full descent otherwise
+        # (including (1, p) with p < 1)
         from interpk._descent import decomposition_infimum
-        from interpk.couples import WeightedNorm, _power_batch
+        from interpk.couples import (WeightedNorm, _l1_linf_batch,
+                                     _l1_lp_batch, _power_batch)
         ones = np.ones(S.shape[1])
         for p0, p1 in ((2.0, 2.0), (0.5, 0.5), (1.5, 3.0), (1.0, 2.0),
-                       (3.0, 1.0)):
+                       (3.0, 1.0), (1.0, 0.5), (1.0, math.inf),
+                       (math.inf, 1.0)):
             n0, n1 = WeightedNorm(p0, 0, ones), WeightedNorm(p1, 0, ones)
             if p0 == p1:
                 want = _power_batch(S, 0.8, p0, ones, ones)
-            elif 1.0 in (p0, p1):
-                want = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
-                                             budget=0, seed=0, scale0=ones,
-                                             scale1=ones, sweeps=0)
+            elif (p0, p1) == (1.0, math.inf):
+                want = _l1_linf_batch(S, 0.8)
+            elif (p0, p1) == (math.inf, 1.0):
+                want = 0.8 * _l1_linf_batch(S, 1.0 / 0.8)
+            elif p0 == 1.0 and p1 > 1.0:
+                want = _l1_lp_batch(S, 0.8, p1, ones, ones)
+            elif p1 == 1.0 and p0 > 1.0:
+                want = 0.8 * _l1_lp_batch(S, 1.0 / 0.8, p0, ones, ones)
             else:
                 want = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
                                              budget=8, seed=0, scale0=ones,
                                              scale1=ones)
-            assert np.array_equal(k_operator_diag_batch(S, 0.8, p0, p1),
-                                  want), (p0, p1)
+            got = k_operator_diag_batch(S, 0.8, p0, p1)
+            assert np.array_equal(got, want), (p0, p1)
+            if 1.0 in (p0, p1) and max(p0, p1) > 1.0:
+                # the clip search alone, which the closed form replaced
+                clip = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
+                                             budget=0, seed=0, scale0=ones,
+                                             scale1=ones, sweeps=0)
+                np.testing.assert_allclose(got, clip, rtol=1e-12, atol=0)

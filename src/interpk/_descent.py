@@ -46,6 +46,8 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 # golden-section iterations per coordinate and per clip-level line search
 COORD_ITERS = 40
 LINE_ITERS = 56
+# coordinate-descent passes over every coordinate, per start
+SWEEPS = 2
 
 BatchNorm = Callable[[np.ndarray], np.ndarray]
 
@@ -127,7 +129,6 @@ def decomposition_infimum(
     seed: int = 0,
     scale0: np.ndarray | None = None,
     scale1: np.ndarray | None = None,
-    sweeps: int = 2,
 ):
     """Upper approximation of inf{norm0(a) + t*norm1(x-a)} for each row of X.
 
@@ -193,7 +194,7 @@ def decomposition_infimum(
     def objective(A):
         return norm0(A) + TS * norm1(XS - A)
 
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         for j in range(d):
             span = absx[:, j]
             if not np.any(span > 0):

@@ -561,14 +561,19 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     """
     X = np.atleast_2d(X)
     m, d = X.shape
+    w0 = np.asarray(w0, dtype=float)
+    w1 = np.asarray(w1, dtype=float)
+    # shared weights and a t shared by every row: the weight factor depends
+    # on (t, i) only, so it is computed for one row and broadcast
+    n = 1 if (w0.ndim == w1.ndim == 1
+              and (np.ndim(T) == 0 or np.shape(T)[0] == 1)) else m
     T, per_row = _t_matrix(T, m)
     if d == 0:
         out = np.zeros(T.shape)
     else:
         absx = np.abs(X)[:, None, :]
-        u = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))[:, None, :]
-        v = T[:, :, None] * np.broadcast_to(np.asarray(w1, dtype=float),
-                                            (m, d))[:, None, :]
+        u = np.broadcast_to(w0, (n, d))[:, None, :]
+        v = T[:n, :, None] * np.broadcast_to(w1, (n, d))[:, None, :]
         if p <= 1.0:
             amp = np.minimum(u, v) * absx
         else:

@@ -12,7 +12,11 @@ pairs.
 All pass/fail thresholds live in DEFAULTS (overridable per call), never in
 the check logic.  Every check is deterministic under (seed, config): sample
 i is drawn from a child generator keyed by (seed, i), so doubling the sample
-count extends the sample set and can only widen the observed band.
+count extends the sample set and can only widen the observed band.  One such
+generator serves sample i at every dimension of a sweep, and each dimension
+still sees the stream it would get from a generator of its own: Gaussian
+draws are prefix-stable, so dimension d takes the first d of one stream;
+draws whose count depends on d restart from the generator's saved state.
 """
 
 from __future__ import annotations
@@ -133,37 +137,48 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def sample_dense(dim: int, index: int, seed: int) -> np.ndarray:
-    """Sample i of the standard mix: flat, spike, Gaussian, sparse, witness.
+def _sample_rows(index: int, seed: int, dims: Sequence[int]) -> dict:
+    """Sample ``index`` of the standard mix at every dim of ``dims``.
 
-    Index 0 is always the flat vector (the strictness witness shape) and
-    index 1 the first basis spike, so the extreme shapes are represented at
-    every sample count.
+    The mix is flat, spike, Gaussian, sparse, witness.  Index 0 is always
+    the flat vector (the strictness witness shape) and index 1 the first
+    basis spike, so the extreme shapes are represented at every sample
+    count.  One generator keyed by (seed, index) serves every dim: the
+    Gaussian kind takes the first d draws of one stream (normal draws are
+    prefix-stable), the sparse kind, whose draws depend on d, restarts from
+    the generator's saved state at each dim, and the witness kind draws the
+    same two values at any d.
     """
-    rng = _sample_rng(seed, index)
     if index == 0:
-        return np.full(dim, 1.0 / dim)
+        return {d: np.full(d, 1.0 / d) for d in dims}
     if index == 1:
-        out = np.zeros(dim)
-        out[0] = 1.0
-        return out
+        return {d: np.eye(1, d).reshape(-1) for d in dims}
+    rng = _sample_rng(seed, index)
     kind = index % 3
     if kind == 0:
-        return rng.standard_normal(dim)
+        z = rng.standard_normal(max(dims))
+        return {d: z[:d] for d in dims}
     if kind == 1:
-        out = np.zeros(dim)
-        support = rng.choice(dim, size=max(1, dim // 4), replace=False)
-        out[support] = rng.standard_normal(len(support)) * (
-            2.0 ** rng.uniform(-5.0, 5.0))
+        state = rng.bit_generator.state
+        out = {}
+        for d in dims:
+            rng.bit_generator.state = state
+            row = np.zeros(d)
+            support = rng.choice(d, size=max(1, d // 4), replace=False)
+            row[support] = rng.standard_normal(len(support)) * (
+                2.0 ** rng.uniform(-5.0, 5.0))
+            out[d] = row
         return out
     scale = 2.0 ** rng.integers(-3, 4)
     if rng.integers(0, 2):
-        return np.full(dim, scale / dim)
-    return scale * 2.0 ** (-np.arange(dim, dtype=float) / 2.0)
+        return {d: np.full(d, scale / d) for d in dims}
+    return {d: scale * 2.0 ** (-np.arange(d, dtype=float) / 2.0)
+            for d in dims}
 
 
-def sample_matrix_dense(count: int, dim: int, seed: int) -> np.ndarray:
-    return np.stack([sample_dense(dim, i, seed) for i in range(count)])
+def sample_dense(dim: int, index: int, seed: int) -> np.ndarray:
+    """Sample ``index`` of the standard mix at one dimension."""
+    return _sample_rows(index, seed, (dim,))[dim]
 
 
 def vector_sampler(dim: int, seed: int, offset: int = 0) -> Callable[[int], FiniteVector]:
@@ -175,19 +190,47 @@ def vector_sampler(dim: int, seed: int, offset: int = 0) -> Callable[[int], Fini
     return sample
 
 
+def _nonincreasing_rows(index: int, seed: int, lengths: Sequence[int]) -> dict:
+    """Sample ``index`` of the nonincreasing mix at every length of
+    ``lengths``; one generator, restarted from its saved state per length."""
+    rng = _sample_rng(seed, index)
+    state = rng.bit_generator.state
+    kind = index % 3
+    out = {}
+    for length in lengths:
+        rng.bit_generator.state = state
+        if kind == 0:
+            vals = np.sort(np.abs(rng.standard_normal(length)))[::-1]
+        elif kind == 1:
+            rate = rng.uniform(0.1, 1.5)
+            vals = 2.0 ** (-rate * np.arange(length, dtype=float))
+        else:
+            n = np.arange(1, length + 1, dtype=float)
+            vals = n ** (-rng.uniform(0.3, 2.0))
+        out[length] = vals * 2.0 ** rng.integers(-2, 3)
+    return out
+
+
 def sample_nonincreasing(length: int, index: int, seed: int) -> np.ndarray:
     """Seeded nonincreasing nonnegative sequences of mixed decay shapes."""
-    rng = _sample_rng(seed, index)
-    kind = index % 3
-    if kind == 0:
-        vals = np.sort(np.abs(rng.standard_normal(length)))[::-1]
-    elif kind == 1:
-        rate = rng.uniform(0.1, 1.5)
-        vals = 2.0 ** (-rate * np.arange(length, dtype=float))
-    else:
-        n = np.arange(1, length + 1, dtype=float)
-        vals = n ** (-rng.uniform(0.3, 2.0))
-    return vals * 2.0 ** rng.integers(-2, 3)
+    return _nonincreasing_rows(index, seed, (length,))[length]
+
+
+def _sample_sweep(rows, count: int, sizes: Sequence[int],
+                  seed: int) -> dict[int, np.ndarray]:
+    """{size: (count, size) matrix} whose row i is ``rows(i, seed, ...)``
+    at that size, one ``rows`` call per index for the whole sweep."""
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+    if not sizes or min(sizes) < 1:
+        raise DomainError(f"the sweep needs one or more dimensions or "
+                          f"lengths, each >= 1, got {list(sizes)}")
+    sizes = sorted(set(sizes))
+    out = {size: np.empty((count, size)) for size in sizes}
+    for i in range(count):
+        for size, row in rows(i, seed, sizes).items():
+            out[size][i] = row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +282,17 @@ def couple_family(name: str, dim: int) -> Couple:
 
     ``l1_linf``: the unweighted (l1, linf) pair on dim coordinates (ordered
     at fixed dimension).  ``l1_geometric``: the non-ordered pair
-    (l1(2^k), l1(2^{-k})) on the symmetric window |k| <= (dim-1)//2.
+    (l1(2^k), l1(2^{-k})) on the symmetric window |k| <= (dim-1)//2, so
+    its dim must be odd.
     """
+    if dim < 1:
+        raise DomainError(f"couple dimension must be >= 1, got {dim}")
     if name == "l1_linf":
         return l1_linf_couple(dim)
     if name == "l1_geometric":
+        if dim % 2 == 0:
+            raise DomainError(f"l1_geometric needs an odd dimension (its "
+                              f"window is symmetric about 0), got {dim}")
         half = (dim - 1) // 2
         ks = np.arange(-half, half + 1, dtype=float)
         return power_couple(1.0, 2.0 ** ks, 2.0 ** (-ks), offset=-half)
@@ -329,12 +378,13 @@ def check_mainlema(family: str = "l1_linf",
     if len(band) != 2 or not band[0] <= band[1]:
         raise DomainError(f"band must be [low, high] with low <= high, "
                           f"got {list(band)}")
+    couples = {dim: couple_family(family, dim) for dim in dims}
+    samples = _sample_sweep(_sample_rows, count, dims, seed)
     per_size = {}
     trace = [] if keep_trace else None
     for dim in dims:
-        couple = couple_family(family, dim)
-        derived = derived_sum_int_couple(couple)
-        X = sample_matrix_dense(count, dim, seed)
+        derived = derived_sum_int_couple(couples[dim])
+        X = samples[dim]
         keep = np.max(np.abs(X), axis=1) > 0
         X = X[keep]
         idx = np.arange(count)[keep]
@@ -385,12 +435,12 @@ def check_sum_intersection(theta: float, p: float,
     low_half = grid <= 0
     w_theta = interp_weights(params, grid)
     w_mirror = interp_weights(InterpParams(1.0 - theta, p), grid)
+    couples = {dim: couple_family(family, dim) for dim in dims}
+    samples = _sample_sweep(_sample_rows, count, dims, seed)
     per_size = {}
     trace = [] if keep_trace else None
     for dim in dims:
-        couple = couple_family(family, dim)
-        X = sample_matrix_dense(count, dim, seed)
-        P = _profile_matrix(couple, X, grid)
+        P = _profile_matrix(couples[dim], samples[dim], grid)
         D = _derived_profile(P, grid)
         lhs = _lq_combine((w_theta * D)[:, low_half], p)
         if theta < 0.5:
@@ -440,12 +490,12 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
     w_bar = 2.0 ** (-theta_bar * grid.astype(float))
     w_alpha = 2.0 ** (-alpha * grid.astype(float))
     t_grid = (2.0 ** grid.astype(float))[None, :]
+    couples = {dim: couple_family(family, dim) for dim in dims}
+    samples = _sample_sweep(_sample_rows, count, dims, seed)
     per_size = {}
     trace = [] if keep_trace else None
     for dim in dims:
-        couple = couple_family(family, dim)
-        X = sample_matrix_dense(count, dim, seed)
-        P = _profile_matrix(couple, X, grid)
+        P = _profile_matrix(couples[dim], samples[dim], grid)
         if p == q:
             # one kernel call per t: the one-call form's (m, k, d)
             # temporaries cost more memory than the loop costs time
@@ -491,11 +541,11 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
     grid = np.arange(n_min, n_max + 1)
     w_theta = 2.0 ** (-theta * grid.astype(float))
     t_grid = (2.0 ** grid.astype(float))[None, :]
+    samples = _sample_sweep(_nonincreasing_rows, count, lengths, seed)
     per_size = {}
     trace = [] if keep_trace else None
     for length in lengths:
-        S = np.stack([sample_nonincreasing(length, i, seed)
-                      for i in range(count)])
+        S = samples[length]
         KK = k_operator_diag_batch(S, t_grid, p0, p1, seed=seed)
         lhs = _lq_combine(w_theta * KK, q)
         n_idx = np.arange(1, length + 1, dtype=float)
@@ -597,6 +647,9 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
     and either the unweighted (l1, linf) couple or (linf(w0), linf(w1)) with
     seeded log-uniform weights.  Returns the worst relative errors per kind.
     """
+    if count < 2:
+        raise DomainError(f"count must be >= 2 (samples alternate between "
+                          f"the two kinds), got {count}")
     specs = {"l1_linf": [], "weighted_sup": []}
     for i in range(count):
         rng = _sample_rng(seed, i)
@@ -610,32 +663,32 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
 
     worst = {}
     for kind, items in specs.items():
-        errs = []
-        by_dim: dict[int, list] = {}
-        for item in items:
-            by_dim.setdefault(item[0], []).append(item)
-        for dim, group in by_dim.items():
-            X = np.stack([g[2] for g in group])
-            T = np.asarray([g[1] for g in group])
-            if kind == "l1_linf":
-                exact = _l1_linf_batch(X, T)
-                n0 = lambda A: np.sum(np.abs(A), axis=1)
-                n1 = lambda A: np.max(np.abs(A), axis=1)
-                s0 = s1 = np.ones(dim)
-            else:
-                W0 = np.stack([g[3] for g in group])
-                W1 = np.stack([g[4] for g in group])
-                exact = _weighted_sup_batch(X, T, W0, W1)
-                # the descent stacks its starts: weight rows tile over them
-                n0 = lambda A, W0=W0: np.max(
-                    np.tile(W0, (len(A) // len(W0), 1)) * np.abs(A), axis=1)
-                n1 = lambda A, W1=W1: np.max(
-                    np.tile(W1, (len(A) // len(W1), 1)) * np.abs(A), axis=1)
-                s0, s1 = W0, W1
-            oracle = decomposition_infimum(X, T, n0, n1, budget=budget,
-                                           seed=seed, scale0=s0, scale1=s1)
-            keep = exact > 1e-300
-            errs.append(np.abs(oracle[keep] - exact[keep]) / exact[keep])
-        worst[kind] = float(np.max(np.concatenate(errs)))
+        # one descent per kind: rows zero-padded to the kind's largest dim,
+        # with weight 1 on the padding, where both norms see only zeros
+        n = max(item[0] for item in items)
+        X = np.zeros((len(items), n))
+        W0 = np.ones((len(items), n))
+        W1 = np.ones((len(items), n))
+        for row, (dim, _, x, w0, w1) in enumerate(items):
+            X[row, :dim], W0[row, :dim], W1[row, :dim] = x, w0, w1
+        T = np.asarray([item[1] for item in items])
+        if kind == "l1_linf":
+            exact = _l1_linf_batch(X, T)
+            n0 = lambda A: np.sum(np.abs(A), axis=1)
+            n1 = lambda A: np.max(np.abs(A), axis=1)
+            W0 = W1 = np.ones(n)
+        else:
+            exact = _weighted_sup_batch(X, T, W0, W1)
+            # the descent stacks its starts as blocks of len(X) rows: the
+            # weights broadcast over the blocks
+            n0 = lambda A: np.max(W0 * np.abs(A).reshape(-1, *W0.shape),
+                                  axis=2).reshape(-1)
+            n1 = lambda A: np.max(W1 * np.abs(A).reshape(-1, *W1.shape),
+                                  axis=2).reshape(-1)
+        oracle = decomposition_infimum(X, T, n0, n1, budget=budget,
+                                       seed=seed, scale0=W0, scale1=W1)
+        keep = exact > 1e-300
+        worst[kind] = float(np.max(
+            np.abs(oracle[keep] - exact[keep]) / exact[keep]))
     return {"count": count, "max_dim": max_dim, "seed": seed,
             "worst_relative_error": worst}

@@ -220,6 +220,70 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("check, config", [
+        ("mainlema", {}),
+        ("sum-intersection", {"theta": 0.3, "p": 1.0}),
+        ("reiteration", {"theta0": 0.25, "theta1": 0.75, "alpha": 0.5,
+                         "r": 2.0}),
+    ])
+    def test_l1_geometric_refuses_even_dims(self, check, config, tmp_path,
+                                            capsys):
+        # the family's window is symmetric, so it has an odd dimension
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"family": "l1_geometric", "dims": [3, 4],
+                                   **config}))
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", check, "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "l1_geometric" in err and "got 4" in err
+        assert not out.exists()
+
+    def test_dichotomy_refuses_even_l1_geometric_size(self, tmp_path, capsys):
+        cfg = tmp_path / "d.json"
+        cfg.write_text(json.dumps({"family": "l1_geometric", "t": 0.25,
+                                   "sizes": [9, 10]}))
+        code = run_cli(["verify", "dichotomy", "--config", str(cfg),
+                        "--seed", "0", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "got 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, config", [
+        ("mainlema", {}),
+        ("sum-intersection", {"theta": 0.3, "p": 1.0}),
+        ("reiteration", {"theta0": 0.25, "theta1": 0.75, "alpha": 0.5,
+                         "r": 2.0}),
+        ("konig", {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0}),
+    ])
+    def test_sample_count_below_one(self, check, config, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"count": 0, **config}))
+        code = run_cli(["verify", check, "--config", str(cfg),
+                        "--seed", "0", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "count must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, config", [
+        ("mainlema", {"dims": []}),
+        ("sum-intersection", {"theta": 0.3, "p": 1.0, "dims": []}),
+        ("reiteration", {"theta0": 0.25, "theta1": 0.75, "alpha": 0.5,
+                         "r": 2.0, "dims": []}),
+        ("konig", {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0,
+                   "lengths": [], "witness_length": 1024}),
+        ("konig", {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0,
+                   "lengths": [0, 4]}),
+        ("konig", {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0,
+                   "lengths": [-1, 4]}),
+        ("sum-intersection", {"theta": 0.3, "p": 1.0, "dims": [-1, 4]}),
+    ])
+    def test_empty_or_nonpositive_sweep(self, check, config, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code = run_cli(["verify", check, "--config", str(cfg),
+                        "--seed", "0", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+
     def test_witness_max_rows_below_one(self, tmp_path, capsys):
         for rows in ("0", "-3"):
             code = run_cli(["witness", "--p", "2", "--q", "1", "--n", "64",

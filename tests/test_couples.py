@@ -12,7 +12,7 @@ from interpk import (Couple, DomainError, InvariantError, SizeError,
                      power_couple, quasi_norm, weighted_sup_couple)
 from interpk._descent import decomposition_infimum
 from interpk.couples import (ORACLE, FiniteVector, _l1_lp_batch,
-                             _weighted_sup_batch, vec)
+                             _power_batch, _weighted_sup_batch, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
 
 DYADIC = 2.0 ** np.arange(-20, 21).astype(float)   # the default profile grid
@@ -556,6 +556,24 @@ class TestPowerCoordinatewise:
         got = k_power_coordinatewise(vec([x]), t, p, [w0], [w1])
         want = grid_oracle_power_single(x, t, p, w0, w1)
         assert got == pytest.approx(want, rel=2e-4)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("T", ["scalar", "per_row", "row_grid", "grid"])
+    def test_shared_factor_is_bit_identical(self, p, T):
+        # shared weights and t: the weight factor is computed for one row;
+        # weights tiled to (m, d) take the per-row path
+        rng = np.random.default_rng(37)
+        m, d = 7, 9
+        X = rng.standard_normal((m, d)) * 2.0 ** rng.uniform(-8, 8, (m, d))
+        w0 = 2.0 ** rng.uniform(-4, 4, d)
+        w1 = 2.0 ** rng.uniform(-4, 4, d)
+        T = {"scalar": 0.3, "per_row": 2.0 ** rng.uniform(-6, 6, m),
+             "row_grid": 2.0 ** rng.uniform(-6, 6, (m, 5)),
+             "grid": DYADIC[None, :]}[T]
+        got = _power_batch(X, T, p, w0, w1)
+        want = _power_batch(X, T, p, np.tile(w0, (m, 1)), np.tile(w1, (m, 1)))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

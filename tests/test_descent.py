@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from interpk import _descent
 from interpk._descent import (COORD_ITERS, LINE_ITERS, _clip_search,
                               _golden_min, decomposition_infimum,
                               probe_scales)
@@ -105,14 +106,16 @@ GRID = 2.0 ** np.arange(-4, 5).astype(float)
 class TestAgainstLoopOracle:
     @pytest.mark.parametrize("budget", [0, 1, 4])
     @pytest.mark.parametrize("sweeps", [0, 1, 2])
-    def test_budget_and_sweeps(self, budget, sweeps):
+    def test_budget_and_sweeps(self, budget, sweeps, monkeypatch):
         rng = np.random.default_rng([11, budget, sweeps])
         n0, n1 = _norms(1.5, 3.0, 4, rng)
         X = rng.standard_normal((6, 4))
         T = 2.0 ** rng.uniform(-3, 3, 6)
-        kw = dict(budget=budget, seed=5, sweeps=sweeps)
+        kw = dict(budget=budget, seed=5)
+        monkeypatch.setattr(_descent, "SWEEPS", sweeps)
         got = decomposition_infimum(X, T, n0.dense, n1.dense, **kw)
-        want = loop_oracle_descent(X, T, n0.dense, n1.dense, **kw)
+        want = loop_oracle_descent(X, T, n0.dense, n1.dense, sweeps=sweeps,
+                                   **kw)
         assert got.shape == (6,)
         assert np.array_equal(got, want)
 

@@ -262,7 +262,7 @@ class TestKOperatorDiag:
         with pytest.raises(SizeError):
             k_operator_diag(np.ones(129), 1.0, 1.0, 2.0)
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scalar(self, monkeypatch):
         rng = np.random.default_rng(36)
         S = np.stack([np.sort(np.abs(rng.standard_normal(6)))[::-1]
                       for _ in range(4)])
@@ -274,6 +274,7 @@ class TestKOperatorDiag:
         # closed form when one exponent is 1 and the other lies in (1, inf),
         # the (l1, linf) closed form for {1, inf}, full descent otherwise
         # (including (1, p) with p < 1)
+        from interpk import _descent
         from interpk._descent import decomposition_infimum
         from interpk.couples import (WeightedNorm, _l1_linf_batch,
                                      _l1_lp_batch, _power_batch)
@@ -300,7 +301,9 @@ class TestKOperatorDiag:
             assert np.array_equal(got, want), (p0, p1)
             if 1.0 in (p0, p1) and max(p0, p1) > 1.0:
                 # the clip search alone, which the closed form replaced
-                clip = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
-                                             budget=0, seed=0, scale0=ones,
-                                             scale1=ones, sweeps=0)
+                with monkeypatch.context() as mp:
+                    mp.setattr(_descent, "SWEEPS", 0)
+                    clip = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
+                                                 budget=0, seed=0,
+                                                 scale0=ones, scale1=ones)
                 np.testing.assert_allclose(got, clip, rtol=1e-12, atol=0)

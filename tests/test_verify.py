@@ -9,7 +9,53 @@ from interpk import (EmptyReportError, InterpParams, check_konig,
                      distinctness_demo, equivalence_report, l1_linf_couple,
                      oracle_agreement)
 from interpk.couples import WeightedNorm, vec
-from interpk.verify import couple_family, sample_dense, vector_sampler
+from interpk.verify import (_nonincreasing_rows, _sample_rows, _sample_sweep,
+                            couple_family, sample_dense,
+                            sample_nonincreasing, vector_sampler)
+
+
+def frozen_sample_dense(dim, index, seed):
+    """The standard mix as drawn one (index, dim) pair per generator; the
+    sweep sampler must reproduce this stream bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    if index == 0:
+        return np.full(dim, 1.0 / dim)
+    if index == 1:
+        out = np.zeros(dim)
+        out[0] = 1.0
+        return out
+    kind = index % 3
+    if kind == 0:
+        return rng.standard_normal(dim)
+    if kind == 1:
+        out = np.zeros(dim)
+        support = rng.choice(dim, size=max(1, dim // 4), replace=False)
+        out[support] = rng.standard_normal(len(support)) * (
+            2.0 ** rng.uniform(-5.0, 5.0))
+        return out
+    scale = 2.0 ** rng.integers(-3, 4)
+    if rng.integers(0, 2):
+        return np.full(dim, scale / dim)
+    return scale * 2.0 ** (-np.arange(dim, dtype=float) / 2.0)
+
+
+def frozen_sample_nonincreasing(length, index, seed):
+    """The nonincreasing mix, one (index, length) pair per generator."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    kind = index % 3
+    if kind == 0:
+        vals = np.sort(np.abs(rng.standard_normal(length)))[::-1]
+    elif kind == 1:
+        rate = rng.uniform(0.1, 1.5)
+        vals = 2.0 ** (-rate * np.arange(length, dtype=float))
+    else:
+        n = np.arange(1, length + 1, dtype=float)
+        vals = n ** (-rng.uniform(0.3, 2.0))
+    return vals * 2.0 ** rng.integers(-2, 3)
+
+
+# unsorted, with duplicates and dimension 1
+SWEEP_SIZES = [(5,), (8, 1, 8, 3), (64, 4, 16, 4, 1, 32)]
 
 
 class TestEquivalenceReport:
@@ -59,6 +105,32 @@ class TestSamplers:
         assert np.allclose(sample_dense(4, 0, seed=1), 0.25)
         spike = sample_dense(4, 1, seed=1)
         assert spike[0] == 1.0 and np.all(spike[1:] == 0.0)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 160])
+    @pytest.mark.parametrize("dims", SWEEP_SIZES)
+    def test_dense_sweep_is_bit_identical(self, count, dims):
+        got = _sample_sweep(_sample_rows, count, dims, seed=7)
+        assert sorted(got) == sorted(set(dims))
+        for d in dims:
+            per_index = np.stack([sample_dense(d, i, 7) for i in range(count)])
+            frozen = np.stack([frozen_sample_dense(d, i, 7)
+                               for i in range(count)])
+            assert got[d].shape == (count, d)
+            assert got[d].tobytes() == per_index.tobytes()
+            assert got[d].tobytes() == frozen.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 48])
+    @pytest.mark.parametrize("lengths", SWEEP_SIZES)
+    def test_nonincreasing_sweep_is_bit_identical(self, count, lengths):
+        got = _sample_sweep(_nonincreasing_rows, count, lengths, seed=7)
+        assert sorted(got) == sorted(set(lengths))
+        for n in lengths:
+            per_index = np.stack([sample_nonincreasing(n, i, 7)
+                                  for i in range(count)])
+            frozen = np.stack([frozen_sample_nonincreasing(n, i, 7)
+                               for i in range(count)])
+            assert got[n].tobytes() == per_index.tobytes()
+            assert got[n].tobytes() == frozen.tobytes()
 
 
 class TestCheckMainlema:
@@ -113,9 +185,10 @@ class TestCheckReiteration:
                               count=60, seed=3)
         assert r.passed
 
-    def test_profile_route_vs_descent_route_small_dims(self):
+    def test_profile_route_vs_descent_route_small_dims(self, monkeypatch):
         # cross-validate the profile-level K against descent on the
         # materialized endpoint norms at dims <= 8
+        from interpk import _descent
         from interpk._descent import decomposition_infimum
         from interpk.couples import _power_batch
         from interpk.interp import endpoint_space
@@ -131,10 +204,11 @@ class TestCheckReiteration:
         X = rng.standard_normal((2, 5))
         from interpk.verify import _profile_matrix
         P = _profile_matrix(couple, X, grid)
+        monkeypatch.setattr(_descent, "SWEEPS", 1)
         for t in (0.25, 2.0):
             profile_k = _power_batch(P, t, p, w0, w1)
             descent_k = decomposition_infimum(X, t, e0.dense, e1.dense,
-                                              budget=1, seed=1, sweeps=1)
+                                              budget=1, seed=1)
             ratio = profile_k / descent_k
             assert np.all(ratio > 0.2) and np.all(ratio < 5.0)
 
@@ -206,6 +280,27 @@ class TestOracleAgreement:
         for kind, err in rep["worst_relative_error"].items():
             assert err <= 1e-6, f"{kind}: {err}"
 
+    def test_one_descent_per_kind(self, monkeypatch):
+        # rows of every dim, zero-padded to the largest, share one descent
+        from interpk import verify
+        shapes = []
+        descent = verify.decomposition_infimum
+
+        def counted(X, *args, **kwargs):
+            shapes.append(X.shape)
+            return descent(X, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "decomposition_infimum", counted)
+        rep = oracle_agreement(200, 8, 101, 4)
+        assert shapes == [(100, 8), (100, 8)]
+        for kind, err in rep["worst_relative_error"].items():
+            assert err <= 1e-6, f"{kind}: {err}"
+
+    def test_needs_both_kinds(self):
+        from interpk.errors import DomainError
+        with pytest.raises(DomainError, match="count must be >= 2"):
+            oracle_agreement(count=1)
+
 
 class TestCoupleFamily:
     def test_unknown_family(self):
@@ -217,3 +312,12 @@ class TestCoupleFamily:
         c = couple_family("l1_geometric", 9)
         assert c.offset == -4
         assert c.dim == 9
+
+    @pytest.mark.parametrize("name, dim", [("l1_geometric", 4),
+                                           ("l1_geometric", 0),
+                                           ("l1_linf", 0),
+                                           ("l1_linf", -1)])
+    def test_refused_dimensions(self, name, dim):
+        from interpk.errors import DomainError
+        with pytest.raises(DomainError, match=f"got {dim}"):
+            couple_family(name, dim)

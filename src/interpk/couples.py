@@ -5,22 +5,37 @@ decomposition functional
 
 Everything is finite: vectors carry an integer offset into Z and a finite
 entry array; norms carry positive weights over a window of Z.  A couple is
-two norms on a shared window plus an evaluation strategy for K together with
-the constants relating the strategy's output to the true infimum:
+two norms on a shared window plus an evaluation strategy for K.
 
-* ``exact_l1_linf``        closed form for the unweighted (l1, linf) pair,
-  in either order via the identity K(x, t; A0, A1) = t * K(x, 1/t; A1, A0);
-* ``weighted_sup_lp``      exact K for (linf(w0), linf(w1)), the two-variable
-  linear program solved on the vertex chain of its feasible region, built
-  once per vector in O(d log d) time and O(d) memory;
-* ``power_coordinatewise`` the coordinatewise power functional
+``k_route(norm0, norm1)`` is the one place that maps a norm pair to a K
+kernel.  Its route table, where (A1, A0) is answered through the identity
+K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
+
+* ``l1_linf``       exponents {1, inf} with unit weights, either order: the
+  closed form of ``_l1_linf_batch``;
+* ``weighted_sup``  (linf(w0), linf(w1)): the two-variable linear program
+  solved on the vertex chain of its feasible region, built once per vector
+  in O(d log d) time and O(d) memory (``_weighted_sup_batch``);
+* ``l1_lp``         (l1(w0), lp(w1)) with 1 < p < inf, either order:
+  Holmstedt's closed form (``_l1_lp_batch``);
+* ``power``         one shared finite exponent p: the coordinatewise power
+  functional
 
       K_p(x, t) = ( sum_i inf_{a+b=x_i} (w0_i |a|)^p + t^p (w1_i |b|)^p )^{1/p}
 
-  for two weighted lp norms sharing one exponent p; equals the true K for
-  p = 1 and stays within [2^{-|1-1/p|}, 2^{|1-1/p|}] of it otherwise;
-* ``oracle``               seeded multi-start descent over decompositions
-  (an upper approximation), usable with arbitrary norm handles.
+  (``_power_batch``), exact for p = 1 and a surrogate with band
+  [2^{-1/min(p,1)}, 2^{1/min(p,1)}] otherwise;
+* any other pair has no route: its K is a seeded multi-start descent over
+  decompositions (an upper approximation).
+
+A route carries its band: ``band[0] <= K_route / K_true <= band[1]``, (1, 1)
+for the exact routes.  The strategy names select what a couple may use:
+
+* ``exact_l1_linf``, ``weighted_sup_lp`` and ``power_coordinatewise`` name
+  the ``l1_linf``, ``weighted_sup`` and ``power`` routes, and the norms
+  must have that route;
+* ``oracle`` takes any norm pair: it uses the route where the route is
+  exact and descends everywhere else.
 
 K-profiles sample K(x, 2^n) over a dyadic window; they are the discrete
 object every interpolation norm downstream consumes.  ``Couple.profile_batch``
@@ -31,7 +46,8 @@ kernels sort (or build their vertex chain) once per vector, not once per t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +55,7 @@ from ._descent import _t_matrix, decomposition_infimum
 from .errors import (DomainError, InvariantError, SizeError, WindowError)
 
 __all__ = [
-    "FiniteVector", "WeightedNorm", "Couple", "KProfile",
+    "FiniteVector", "WeightedNorm", "Couple", "KProfile", "KRoute", "k_route",
     "EXACT_L1_LINF", "WEIGHTED_SUP_LP", "POWER_COORDINATEWISE", "ORACLE",
     "quasi_norm", "k_exact_l1_linf", "k_weighted_sup",
     "k_power_coordinatewise", "k_oracle", "k_profile", "endpoint_norms",
@@ -52,9 +68,14 @@ WEIGHTED_SUP_LP = "weighted_sup_lp"
 POWER_COORDINATEWISE = "power_coordinatewise"
 ORACLE = "oracle"
 
-_EXACT_STRATEGIES = (EXACT_L1_LINF, WEIGHTED_SUP_LP)
+# strategy name -> the route it names
+_STRATEGY_ROUTES = {EXACT_L1_LINF: "l1_linf", WEIGHTED_SUP_LP: "weighted_sup",
+                    POWER_COORDINATEWISE: "power"}
 
 ORACLE_MAX_DIM = 16
+
+# cells (rows x t values x coordinates) per block of a power-kernel grid
+_POWER_CHUNK_CELLS = 2 ** 14
 
 
 def _parse_p(p) -> float:
@@ -209,52 +230,88 @@ def unit_weights(dim: int) -> np.ndarray:
     return np.ones(dim)
 
 
+class KRoute(NamedTuple):
+    """The K kernel of one norm pair: ``kernel(X, T)`` is K at the rows of
+    X and the t of T, within ``band`` of the true K (see the module
+    docstring)."""
+
+    name: str
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    exact: bool = True
+    band: tuple[float, float] = (1.0, 1.0)
+
+
+def _mirrored(route: KRoute) -> KRoute:
+    """The route of (A1, A0) from that of (A0, A1)."""
+    def kernel(X, T):
+        T = np.asarray(T, dtype=float)
+        return T * route.kernel(X, 1.0 / T)
+    return route._replace(kernel=kernel)
+
+
+def _l1_route(p: float, w0, w1) -> KRoute | None:
+    """The route of (l1(w0), lp(w1)), p != 1."""
+    if math.isinf(p) and np.all(w0 == 1.0) and np.all(w1 == 1.0):
+        return KRoute("l1_linf", lambda X, T: _l1_linf_batch(X, T))
+    if 1.0 < p < math.inf:
+        return KRoute("l1_lp", lambda X, T: _l1_lp_batch(X, T, p, w0, w1))
+    return None
+
+
+def k_route(norm0: WeightedNorm, norm1: WeightedNorm) -> KRoute | None:
+    """The K kernel for (norm0, norm1) by the module's route table, or None
+    where only descent answers.  This is the one place that maps exponents
+    and weights to a kernel; the kernels are looked up when called."""
+    p0, p1 = norm0.p, norm1.p
+    w0, w1 = norm0.weights, norm1.weights
+    if p0 == p1 == math.inf:
+        return KRoute("weighted_sup",
+                      lambda X, T: _weighted_sup_batch(X, T, w0, w1))
+    if p0 == p1:
+        band = 1.0 if p0 == 1.0 else 2.0 ** (1.0 / min(p0, 1.0))
+        return KRoute("power", lambda X, T: _power_batch(X, T, p0, w0, w1),
+                      p0 == 1.0, (1.0 / band, band))
+    if p0 == 1.0:
+        return _l1_route(p1, w0, w1)
+    route = _l1_route(p0, w1, w0) if p1 == 1.0 else None
+    return route and _mirrored(route)
+
+
 @dataclass(frozen=True)
 class Couple:
     """Two weighted quasi-norms on a shared window plus a K strategy.
 
-    ``equiv_lo <= K_strategy / K_true <= equiv_hi`` on the strategy's domain;
-    both constants are 1 for the exact strategies.
+    ``route`` is the ``k_route`` the couple evaluates K through, or None
+    where it descends.  ``equiv_lo <= K_strategy / K_true <= equiv_hi`` is
+    the route's band, (1, 1) for the exact routes; a descending couple
+    reports (1, 1) too, although descent is an upper approximation.
     """
 
     norm0: WeightedNorm
     norm1: WeightedNorm
     strategy: str
-    equiv_lo: float = 1.0
-    equiv_hi: float = 1.0
     oracle_budget: int = 8
     oracle_seed: int = 0
+    route: KRoute | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.norm0.window != self.norm1.window:
             raise WindowError("couple norms must share one index window")
-        if not (0 < self.equiv_lo <= 1.0 <= self.equiv_hi):
-            raise InvariantError("need equiv_lo <= 1 <= equiv_hi, both positive")
         s = self.strategy
-        p0, p1 = self.norm0.p, self.norm1.p
-        if s == EXACT_L1_LINF:
-            pair = {p0, p1}
-            if pair != {1.0, math.inf}:
-                raise InvariantError("exact_l1_linf needs exponents {1, inf}")
-            for n in (self.norm0, self.norm1):
-                if not np.all(n.weights == 1.0):
-                    raise InvariantError("exact_l1_linf needs unit weights")
-            if (self.equiv_lo, self.equiv_hi) != (1.0, 1.0):
-                raise InvariantError("exact strategies carry band (1, 1)")
-        elif s == WEIGHTED_SUP_LP:
-            if not (math.isinf(p0) and math.isinf(p1)):
-                raise InvariantError("weighted_sup_lp needs p0 = p1 = inf")
-            if (self.equiv_lo, self.equiv_hi) != (1.0, 1.0):
-                raise InvariantError("exact strategies carry band (1, 1)")
-        elif s == POWER_COORDINATEWISE:
-            if math.isinf(p0) or math.isinf(p1):
+        route = k_route(self.norm0, self.norm1)
+        if s == ORACLE:
+            route = route if route and route.exact else None
+        elif s not in _STRATEGY_ROUTES:
+            raise InvariantError(f"unknown strategy {s!r}")
+        elif route is None or route.name != _STRATEGY_ROUTES[s]:
+            if s == POWER_COORDINATEWISE and math.inf in (self.norm0.p,
+                                                          self.norm1.p):
                 raise DomainError(
                     "power_coordinatewise rejects p = inf; use weighted_sup_lp")
-            if p0 != p1:
-                raise InvariantError(
-                    "power_coordinatewise needs one shared exponent")
-        elif s != ORACLE:
-            raise InvariantError(f"unknown strategy {s!r}")
+            raise InvariantError(
+                f"{s} needs the {_STRATEGY_ROUTES[s]} route, these norms "
+                f"have {route.name if route else 'none'} (see k_route)")
+        object.__setattr__(self, "route", route)
 
     @property
     def offset(self) -> int:
@@ -272,10 +329,16 @@ class Couple:
     def quasi_constant(self) -> float:
         return max(self.norm0.quasi_constant, self.norm1.quasi_constant)
 
+    @property
+    def equiv_lo(self) -> float:
+        return self.route.band[0] if self.route else 1.0
+
+    @property
+    def equiv_hi(self) -> float:
+        return self.route.band[1] if self.route else 1.0
+
     def is_exact(self) -> bool:
-        return (self.strategy in _EXACT_STRATEGIES
-                or (self.strategy == POWER_COORDINATEWISE
-                    and self.norm0.p == 1.0))
+        return self.route is not None and self.route.exact
 
     def reversed(self) -> "Couple":
         """The couple (A1, A0); K relates by K(x,t;A1,A0) = t K(x,1/t;A0,A1)."""
@@ -302,17 +365,8 @@ class Couple:
 
     def _k_matrix(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """K(X[i], T[i, j]) for T of shape (m, k), or (1, k) shared by rows."""
-        s = self.strategy
-        if s == EXACT_L1_LINF:
-            if self.norm0.p == 1.0:
-                return _l1_linf_batch(X, T)
-            return T * _l1_linf_batch(X, 1.0 / T)
-        if s == WEIGHTED_SUP_LP:
-            return _weighted_sup_batch(X, T, self.norm0.weights,
-                                       self.norm1.weights)
-        if s == POWER_COORDINATEWISE:
-            return _power_batch(X, T, self.norm0.p, self.norm0.weights,
-                                self.norm1.weights)
+        if self.route is not None:
+            return self.route.kernel(X, T)
         # descent has no t-independent work to share: one call over every
         # (row, t) pair, rows repeated in place
         m, k = X.shape[0], T.shape[1]
@@ -334,20 +388,12 @@ class Couple:
 
     @staticmethod
     def from_json(data: dict) -> "Couple":
+        """The inverse of ``to_json``; the band keys are read-only and
+        ignored."""
         offset = int(data.get("offset", 0))
-        norm0 = WeightedNorm.from_json(data["norm0"], offset)
-        norm1 = WeightedNorm.from_json(data["norm1"], offset)
-        strategy = data["strategy"]
-        extra = {}
-        if "equiv_lo" in data:
-            extra["equiv_lo"] = float(data["equiv_lo"])
-        if "equiv_hi" in data:
-            extra["equiv_hi"] = float(data["equiv_hi"])
-        if strategy == POWER_COORDINATEWISE and not extra and norm0.p != 1.0:
-            # default to the analytically safe surrogate band
-            band = 2.0 ** (1.0 / min(norm0.p, 1.0))
-            extra = {"equiv_lo": 1.0 / band, "equiv_hi": band}
-        return Couple(norm0, norm1, strategy, **extra)
+        return Couple(WeightedNorm.from_json(data["norm0"], offset),
+                      WeightedNorm.from_json(data["norm1"], offset),
+                      data["strategy"])
 
 
 @dataclass(frozen=True)
@@ -557,7 +603,10 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     c_i = (inf_{a+b=x_i} (u|a|)^p + (v|b|)^p)^{1/p} is:
       p <= 1:  min(u, v) |x_i|            (endpoint optimum);
       p > 1:   |x_i| (u^-s + v^-s)^{-1/s}, s = p/(p-1)  (stationarity),
-    and K_p is the lp sum of the amplitudes.
+    and K_p is the lp sum of the amplitudes.  A grid of t is evaluated in
+    blocks of columns of at most ``_POWER_CHUNK_CELLS`` (row, t, coordinate)
+    cells (one column at least), so memory stays flat in the grid size;
+    every value is computed as it would be alone.
     """
     X = np.atleast_2d(X)
     m, d = X.shape
@@ -568,12 +617,12 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     n = 1 if (w0.ndim == w1.ndim == 1
               and (np.ndim(T) == 0 or np.shape(T)[0] == 1)) else m
     T, per_row = _t_matrix(T, m)
-    if d == 0:
-        out = np.zeros(T.shape)
-    else:
-        absx = np.abs(X)[:, None, :]
-        u = np.broadcast_to(w0, (n, d))[:, None, :]
-        v = T[:n, :, None] * np.broadcast_to(w1, (n, d))[:, None, :]
+    out = np.zeros(T.shape)
+    absx = np.abs(X)[:, None, :]
+    u = np.broadcast_to(w0, (n, d))[:, None, :]
+    step = max(1, _POWER_CHUNK_CELLS // max(m * d, 1))
+    for j in range(0, T.shape[1] if d else 0, step):
+        v = T[:n, j:j + step, None] * np.broadcast_to(w1, (n, d))[:, None, :]
         if p <= 1.0:
             amp = np.minimum(u, v) * absx
         else:
@@ -581,7 +630,7 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
             # harmonic-type mean of the weights, evaluated in log space
             mean = np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
             amp = absx * mean
-        out = stable_lp_sum(amp, p)
+        out[:, j:j + step] = stable_lp_sum(amp, p)
     return out[:, 0] if per_row else out
 
 
@@ -661,14 +710,21 @@ def k_oracle(x: FiniteVector, t: float, couple: Couple,
     return float(val[0])
 
 
+def _n_window(n_min: int, n_max: int) -> np.ndarray:
+    """The exponents n_min..n_max of a dyadic grid t = 2^n; DomainError
+    when the window is empty."""
+    if n_min > n_max:
+        raise DomainError(f"need n_min <= n_max, got n_min = {n_min} and "
+                          f"n_max = {n_max}")
+    return np.arange(n_min, n_max + 1)
+
+
 def k_profile(x: FiniteVector, couple: Couple, n_min: int, n_max: int) -> KProfile:
     """Evaluate the couple's strategy at t = 2^n for n in [n_min, n_max]."""
-    if n_min > n_max:
-        raise DomainError("need n_min <= n_max")
-    grid = np.arange(n_min, n_max + 1)
+    grid = _n_window(n_min, n_max)
     values = couple.profile_batch(couple.embed(x), 2.0 ** grid.astype(float))
     prof = KProfile(n_min, n_max, values[0])
-    if couple.strategy != ORACLE:
+    if couple.route is not None:
         prof.validate(rel_tol=1e-9)
     return prof
 
@@ -730,8 +786,5 @@ def weighted_sup_couple(w0, w1, offset: int = 0) -> Couple:
 
 def power_couple(p, w0, w1, offset: int = 0) -> Couple:
     """The couple (lp(w0), lp(w1)) with the coordinatewise power strategy."""
-    p = _parse_p(p)
-    r = min(p, 1.0)
-    band = 2.0 ** (1.0 / r) if p != 1.0 else 1.0
     return Couple(WeightedNorm(p, offset, w0), WeightedNorm(p, offset, w1),
-                  POWER_COORDINATEWISE, equiv_lo=1.0 / band, equiv_hi=band)
+                  POWER_COORDINATEWISE)

@@ -16,8 +16,9 @@ The module also provides:
 * substitution/comparison checks for pairs of power parameter spaces
   Phi(theta) (weight t^-theta inside the q-th power) on the dyadic grid;
 * the derived couple (A0+A1, A0 cap A1) whose K at t <= 1 is evaluated both
-  by the surrogate K(x,t) + t K(x,1/t) and by descent on the explicit sum
-  and intersection norms;
+  by the surrogate K(x,t) + t K(x,1/t) and on the explicit sum and
+  intersection norms (by ``k_route`` for an (l1, linf) base, by descent
+  otherwise);
 * endpoint norm handles materializing (A0, A1)_{theta,q} for reiteration
   experiments.
 """
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._descent import decomposition_infimum
-from .couples import (EXACT_L1_LINF, ORACLE_MAX_DIM, Couple, FiniteVector,
-                      KProfile, WeightedNorm, _l1_linf_batch, _l1_lp_batch,
-                      _power_batch, k_profile, stable_lp_sum)
+from .couples import (ORACLE_MAX_DIM, Couple, FiniteVector, KProfile,
+                      WeightedNorm, k_profile, k_route, l1_linf_couple,
+                      stable_lp_sum)
 from .errors import DomainError, InvariantError, ParamError, SizeError
 
 __all__ = [
@@ -323,9 +324,9 @@ class DerivedSumIntCouple:
     """The ordered couple (A0+A1, A0 cap A1) derived from a base couple.
 
     Its K at t <= 1 is exposed along two routes: the surrogate
-    K(x, t) + t K(x, 1/t) built from the base couple, and direct descent on
-    the explicit sum and intersection norms.  Requests with t > 1 use the
-    monotone extension by the value at t = 1; the true K is sandwiched
+    K(x, t) + t K(x, 1/t) built from the base couple, and K on the explicit
+    sum and intersection norms (``k_oracle_batch``).  Requests with t > 1
+    use the monotone extension by the value at t = 1; the true K is sandwiched
     between K(., 1) and the sum norm there, so the extension stays inside
     the surrogate band.
     """
@@ -338,6 +339,10 @@ class DerivedSumIntCouple:
         m = base.quasi_constant
         self.equiv_lo = 1.0 / (8.0 * m)
         self.equiv_hi = 8.0 * m
+        # the sum and intersection of (l1, linf), either order, are linf
+        # and l1; other bases have no weighted-norm form, so no route
+        self.route = (l1_linf_couple(base.dim).reversed().route
+                      if base.route.name == "l1_linf" else None)
 
     @property
     def offset(self) -> int:
@@ -396,19 +401,18 @@ class DerivedSumIntCouple:
                        seed: int = 0) -> np.ndarray:
         """K on the explicit sum and intersection norms.
 
-        For an ``exact_l1_linf`` base (either order) the sum norm K(x, 1) is
-        ||x||_inf and the intersection norm max(||x||_1, ||x||_inf) is
-        ||x||_1, so the derived couple is exactly (linf, l1) and K is the
-        closed form t K(x, 1/t; l1, linf); ``budget``/``seed`` are unused.
-        Other bases get descent, an upper bound, limited to dimension
-        ``ORACLE_MAX_DIM``.  ``T`` is one t per row, or an (m, k)/(1, k)
-        grid answered by one call with an (m, k) result, equal to k per-t
-        calls.
+        For a base on the ``l1_linf`` route (either order) the sum norm
+        K(x, 1) is ||x||_inf and the intersection norm max(||x||_1,
+        ||x||_inf) is ||x||_1, so the derived couple is exactly (linf, l1)
+        and ``k_route`` answers it (the ``l1_linf`` row of the route table
+        in ``couples``); ``budget``/``seed`` are unused.  Other bases get
+        descent, an upper bound, limited to dimension ``ORACLE_MAX_DIM``.
+        ``T`` is one t per row, or an (m, k)/(1, k) grid answered by one
+        call with an (m, k) result, equal to k per-t calls.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.base.strategy == EXACT_L1_LINF:
-            T = np.asarray(T, dtype=float)
-            return T * _l1_linf_batch(X, 1.0 / T)
+        if self.route is not None:
+            return self.route.kernel(X, T)
         if X.shape[1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
         return decomposition_infimum(X, T, self.sum_dense, self.int_dense,
@@ -432,8 +436,10 @@ def derived_sum_int_couple(couple: Couple) -> DerivedSumIntCouple:
 class EndpointNorm:
     """Norm handle evaluating x -> interp_norm(x; theta, q) over the window.
 
-    Duck-types the WeightedNorm evaluation surface (offset/dim/dense/call),
-    so it can serve as an endpoint of an oracle-strategy couple.
+    Its ``dense`` evaluates the norm of each row of a matrix, so it can be
+    handed, as a norm callable, to ``_descent.decomposition_infimum``.  It
+    is not a ``WeightedNorm`` (it has no exponent or weights), so it cannot
+    be an endpoint of a ``Couple``.
     """
 
     def __init__(self, couple: Couple, params: InterpParams,
@@ -476,36 +482,19 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
                       budget: int = 4, seed: int = 0) -> np.ndarray:
     """K of nonnegative sequences in the couple (lp0(w0), lp1(w1)).
 
-    Rows of ``values`` are treated as independent sequences.  For a shared
-    exponent the coordinatewise power functional is used (exact at p = 1,
-    two-sided within 2^{|1-1/p|} otherwise).  When one exponent is 1 and the
-    other lies in (1, inf), K is exact in closed form (``_l1_lp_batch``; the
-    order (lp, l1) through K(x, t; A0, A1) = t K(x, 1/t; A1, A0)), and so
-    is the unweighted (l1, linf) pair (``_l1_linf_batch``); there
-    ``budget``/``seed`` are unused.  Other mixed exponents fall back to
+    Rows of ``values`` are treated as independent sequences.  K is read
+    from ``couples.k_route`` (its route table is in the ``couples`` module
+    docstring; the ``power`` route is the coordinatewise surrogate), and
+    ``budget``/``seed`` are unused there; pairs without a route fall back to
     seeded descent, an upper bound.  ``t`` is a scalar or one t per row (an
     (m,) result), or an (m, k)/(1, k) grid (an (m, k) result); a grid is one
     kernel or descent call and equals k per-t calls with the same seed.
     """
     V = np.atleast_2d(np.asarray(values, dtype=float))
-    p0 = float(p0)
-    p1 = float(p1)
-    w0 = np.asarray(w0, float)
-    w1 = np.asarray(w1, float)
-    if p0 == p1:
-        return _power_batch(V, t, p0, w0, w1)
-    if p0 == 1.0 and 1.0 < p1 < math.inf:
-        return _l1_lp_batch(V, t, p1, w0, w1)
-    if p1 == 1.0 and 1.0 < p0 < math.inf:
-        t = np.asarray(t, dtype=float)
-        return t * _l1_lp_batch(V, 1.0 / t, p0, w1, w0)
-    if ({p0, p1} == {1.0, math.inf} and np.all(w0 == 1.0)
-            and np.all(w1 == 1.0)):
-        t = np.asarray(t, dtype=float)
-        if p0 == 1.0:
-            return _l1_linf_batch(V, t)
-        return t * _l1_linf_batch(V, 1.0 / t)
     n0 = WeightedNorm(p0, 0, w0)
     n1 = WeightedNorm(p1, 0, w1)
+    route = k_route(n0, n1)
+    if route is not None:
+        return route.kernel(V, t)
     return decomposition_infimum(V, t, n0.dense, n1.dense, budget=budget,
                                  seed=seed, scale0=n0.weights, scale1=n1.weights)

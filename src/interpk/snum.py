@@ -231,10 +231,12 @@ def k_operator_diag(sigma, t: float, p0: float, p1: float,
 
     For diagonal operators this bounds the operator K-functional between the
     two lp ideals from above.  The value is ``interp.sequence_couple_k`` with
-    unit weights: the coordinatewise power functional for equal exponents,
-    the exact closed form when one exponent is 1 and the other lies in
-    (1, inf], and the seeded descent upper bound for other mixed pairs
-    (including (1, p) with p < 1, where the clip family is not optimal).
+    unit weights, so the route table in the ``couples`` module docstring
+    picks the kernel: exact for {1, inf}, (inf, inf), {1, p} with
+    1 < p < inf and p0 = p1 = 1, the coordinatewise power surrogate for
+    other equal exponents, and the seeded descent upper bound for every
+    other pair (including (1, p) with p < 1, where the clip family is not
+    optimal).
     """
     seq = SNumSeq(np.asarray(sigma, dtype=float))
     x = seq.values

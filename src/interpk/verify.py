@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._descent import decomposition_infimum
-from .couples import (Couple, FiniteVector, _l1_linf_batch, _power_batch,
-                      _weighted_sup_batch, k_sphere_sup, l1_linf_couple,
-                      power_couple)
+from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
+                      _parse_p, _weighted_sup_batch, k_sphere_sup,
+                      l1_linf_couple, power_couple)
 from .errors import DomainError, EmptyReportError, InvariantError
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams,
                      derived_sum_int_couple, interp_weights, _lq_combine,
@@ -431,7 +431,7 @@ def check_sum_intersection(theta: float, p: float,
     count = cfg["count"] if count is None else count
     spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
     params = InterpParams(theta, p)
-    grid = np.arange(n_min, n_max + 1)
+    grid = _n_window(n_min, n_max)
     low_half = grid <= 0
     w_theta = interp_weights(params, grid)
     w_mirror = interp_weights(InterpParams(1.0 - theta, p), grid)
@@ -444,7 +444,7 @@ def check_sum_intersection(theta: float, p: float,
         D = _derived_profile(P, grid)
         lhs = _lq_combine((w_theta * D)[:, low_half], p)
         if theta < 0.5:
-            rhs = _power_batch(P, 1.0, p, w_theta, w_mirror)
+            rhs = sequence_couple_k(P, 1.0, p, w_theta, p, w_mirror)
         else:
             rhs = np.maximum(_lq_combine(w_theta * P, p),
                              _lq_combine(w_mirror * P, p))
@@ -483,7 +483,9 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
     spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
     p = r if p is None else p
     q = r if q is None else q
-    grid = np.arange(n_min, n_max + 1)
+    for theta, exponent in ((theta0, p), (theta1, q), (alpha, r)):
+        InterpParams(theta, exponent)
+    grid = _n_window(n_min, n_max)
     w0 = 2.0 ** (-theta0 * grid.astype(float))
     w1 = 2.0 ** (-theta1 * grid.astype(float))
     theta_bar = (1.0 - alpha) * theta0 + alpha * theta1
@@ -496,13 +498,7 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
     trace = [] if keep_trace else None
     for dim in dims:
         P = _profile_matrix(couples[dim], samples[dim], grid)
-        if p == q:
-            # one kernel call per t: the one-call form's (m, k, d)
-            # temporaries cost more memory than the loop costs time
-            KK = np.stack([_power_batch(P, float(2.0 ** mu), p, w0, w1)
-                           for mu in grid], axis=1)
-        else:
-            KK = sequence_couple_k(P, t_grid, p, w0, q, w1, seed=seed)
+        KK = sequence_couple_k(P, t_grid, p, w0, q, w1, seed=seed)
         lhs = _lq_combine(w_alpha * KK, r)
         rhs = _lq_combine(w_bar * P, r)
         per_size[dim] = _filtered_ratios(lhs, rhs, dim, trace)
@@ -536,9 +532,11 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
     spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
     witness_length = (cfg["witness_length"] if witness_length is None
                       else witness_length)
-    p = 1.0 / ((1.0 - theta) / p0 + theta / p1)
-    params = LorentzParams(p, q)
-    grid = np.arange(n_min, n_max + 1)
+    InterpParams(theta, q)
+    inv_p = (1.0 - theta) / _parse_p(p0) + theta / _parse_p(p1)
+    params = LorentzParams(1.0 / inv_p if inv_p else math.inf, q)
+    p = params.p
+    grid = _n_window(n_min, n_max)
     w_theta = 2.0 ** (-theta * grid.astype(float))
     t_grid = (2.0 ** grid.astype(float))[None, :]
     samples = _sample_sweep(_nonincreasing_rows, count, lengths, seed)

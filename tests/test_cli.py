@@ -284,6 +284,41 @@ class TestConfigErrors:
                         "--seed", "0", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("check, config, message", [
+        pytest.param("konig", {"theta": 1.5},
+                     "theta must lie in (0, 1), got 1.5", id="konig-theta"),
+        pytest.param("reiteration", {"theta0": 1.5},
+                     "theta must lie in (0, 1), got 1.5",
+                     id="reiteration-theta0"),
+        pytest.param("konig", {"p0": 0},
+                     "exponent p must be positive, got 0.0", id="konig-p0-zero"),
+        pytest.param("konig", {"p0": math.inf, "p1": math.inf},
+                     "p must lie in (0, inf)", id="konig-p-inf"),
+        pytest.param("reiteration", {"r": 0}, "q must be positive, got 0.0",
+                     id="reiteration-r-zero"),
+        *(pytest.param(check, {"n_min": 2, "n_max": 1}, "need n_min <= n_max",
+                       id=f"{check}-empty-window")
+          for check in ("sum-intersection", "konig", "reiteration")),
+    ])
+    def test_refuses_inadmissible_parameters(self, check, config, message,
+                                             tmp_path, capsys):
+        base = {
+            "sum-intersection": {"theta": 0.3, "p": 1.0, "dims": [4],
+                                 "count": 4},
+            "reiteration": {"theta0": 0.25, "theta1": 0.75, "alpha": 0.5,
+                            "r": 2.0, "dims": [4], "count": 4},
+            "konig": {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0,
+                      "lengths": [4, 8], "count": 4, "witness_length": 1024},
+        }[check]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**base, **config}))
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", check, "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_witness_max_rows_below_one(self, tmp_path, capsys):
         for rows in ("0", "-3"):
             code = run_cli(["witness", "--p", "2", "--q", "1", "--n", "64",

@@ -11,9 +11,11 @@ from interpk import (Couple, DomainError, InvariantError, SizeError,
                      k_profile, k_sphere_sup, k_weighted_sup, l1_linf_couple,
                      power_couple, quasi_norm, weighted_sup_couple)
 from interpk._descent import decomposition_infimum
-from interpk.couples import (ORACLE, FiniteVector, _l1_lp_batch,
-                             _power_batch, _weighted_sup_batch, vec)
+from interpk.couples import (ORACLE, FiniteVector, _l1_linf_batch,
+                             _l1_lp_batch, _power_batch, _weighted_sup_batch,
+                             k_route, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
+from interpk.snum import k_operator_diag_batch
 
 DYADIC = 2.0 ** np.arange(-20, 21).astype(float)   # the default profile grid
 
@@ -390,6 +392,105 @@ class TestProfileBatch:
             l1_linf_couple(2).profile_batch(np.ones(2), [1.0, 0.0])
 
 
+def _mirror(kernel):
+    return lambda X, T, w0, w1: T * kernel(X, 1.0 / T, w1, w0)
+
+
+# one case per row of the route table: (p0, p1), the route's name, whether
+# it is exact, the strategy names that select it, and the kernel called
+# directly; the (l1, linf) row needs unit weights
+ROUTE_TABLE = {
+    "l1_linf": ((1.0, math.inf), "l1_linf", True, ("exact_l1_linf",),
+                lambda X, T, w0, w1: _l1_linf_batch(X, T)),
+    "linf_l1": ((math.inf, 1.0), "l1_linf", True, ("exact_l1_linf",),
+                _mirror(lambda X, T, w0, w1: _l1_linf_batch(X, T))),
+    "weighted_sup": ((math.inf, math.inf), "weighted_sup", True,
+                     ("weighted_sup_lp",), _weighted_sup_batch),
+    "l1_lp": ((1.0, 2.5), "l1_lp", True, (),
+              lambda X, T, w0, w1: _l1_lp_batch(X, T, 2.5, w0, w1)),
+    "lp_l1": ((2.5, 1.0), "l1_lp", True, (),
+              _mirror(lambda X, T, w0, w1: _l1_lp_batch(X, T, 2.5, w0, w1))),
+    "power.p1": ((1.0, 1.0), "power", True, ("power_coordinatewise",),
+                 lambda X, T, w0, w1: _power_batch(X, T, 1.0, w0, w1)),
+    "power.p0.5": ((0.5, 0.5), "power", False, ("power_coordinatewise",),
+                   lambda X, T, w0, w1: _power_batch(X, T, 0.5, w0, w1)),
+    "power.p2": ((2.0, 2.0), "power", False, ("power_coordinatewise",),
+                 lambda X, T, w0, w1: _power_batch(X, T, 2.0, w0, w1)),
+}
+
+
+class TestKRoute:
+    """Every caller answers K through ``k_route``: each route gives what its
+    kernel gives when called directly, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_TABLE))
+    def test_callers_equal_the_direct_kernel(self, case):
+        (p0, p1), name, exact, strategies, direct = ROUTE_TABLE[case]
+        rng = np.random.default_rng(61)
+        d = 9
+        V = np.abs(rng.standard_normal((6, d))) * 2.0 ** rng.uniform(-4, 4,
+                                                                      (6, d))
+        V[1] = 0.0
+        grid = DYADIC[None, :]
+        weightings = [(np.ones(d), np.ones(d))]
+        if name != "l1_linf":
+            weightings.append((2.0 ** rng.uniform(-3, 3, d),
+                               2.0 ** rng.uniform(-3, 3, d)))
+        for w0, w1 in weightings:
+            n0, n1 = WeightedNorm(p0, 0, w0), WeightedNorm(p1, 0, w1)
+            route = k_route(n0, n1)
+            assert (route.name, route.exact) == (name, exact)
+            r = 2.0 ** (1.0 / min(p0, 1.0))
+            assert route.band == ((1.0, 1.0) if exact else (1.0 / r, r))
+            want = direct(V, grid, w0, w1)
+            assert np.all(np.isfinite(want))
+            for strategy in strategies + ((ORACLE,) if exact else ()):
+                got = Couple(n0, n1, strategy).profile_batch(V, grid[0])
+                assert np.array_equal(got, want), (case, strategy)
+            got = sequence_couple_k(V, grid, p0, w0, p1, w1)
+            assert np.array_equal(got, want), case
+            if np.all(w0 == 1.0) and np.all(w1 == 1.0):
+                got = k_operator_diag_batch(V, grid, p0, p1)
+                assert np.array_equal(got, want), case
+
+    @pytest.mark.parametrize("p0, p1, weighted", [
+        (1.0, math.inf, True), (math.inf, 1.0, True), (1.0, 0.5, False),
+        (0.5, 1.0, False), (2.0, 3.0, False), (math.inf, 2.0, False),
+        (0.5, math.inf, False)])
+    def test_pairs_without_route_descend(self, p0, p1, weighted):
+        rng = np.random.default_rng(62)
+        w0, w1 = ((2.0 ** rng.uniform(-2, 2, 3), 2.0 ** rng.uniform(-2, 2, 3))
+                  if weighted else (np.ones(3), np.ones(3)))
+        n0, n1 = WeightedNorm(p0, 0, w0), WeightedNorm(p1, 0, w1)
+        assert k_route(n0, n1) is None
+        c = Couple(n0, n1, ORACLE, oracle_budget=2)
+        assert c.route is None and not c.is_exact()
+        V = np.abs(rng.standard_normal((2, 3)))
+        got = sequence_couple_k(V, 0.5, p0, w0, p1, w1, budget=2, seed=4)
+        want = decomposition_infimum(V, 0.5, n0.dense, n1.dense, budget=2,
+                                     seed=4, scale0=w0, scale1=w1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [1.25, 2.0, 3.0])
+    def test_oracle_couple_over_l1_lp_is_closed_form(self, p):
+        rng = np.random.default_rng(63)
+        for trial in range(6):
+            d = int(rng.integers(1, 9))
+            w0 = 2.0 ** rng.uniform(-2, 2, d)
+            w1 = 2.0 ** rng.uniform(-2, 2, d)
+            c = Couple(WeightedNorm(1.0, 0, w0), WeightedNorm(p, 0, w1),
+                       ORACLE)
+            assert c.is_exact()
+            X = rng.standard_normal((3, d))
+            got = c.profile_batch(X, DYADIC)
+            assert np.array_equal(got, _l1_lp_batch(X, DYADIC[None, :], p,
+                                                    w0, w1))
+            x = FiniteVector(0, X[0])
+            for t in (2.0 ** -3, 0.7, 1.0, 5.0):
+                descent = k_oracle(x, t, c, budget=4, seed=trial)
+                assert c.k(x, t) <= descent * (1 + 1e-12)
+
+
 class TestL1LpKernel:
     """The closed form for (l1(w0), lp(w1)), 1 < p < inf."""
 
@@ -574,6 +675,42 @@ class TestPowerCoordinatewise:
         want = _power_batch(X, T, p, np.tile(w0, (m, 1)), np.tile(w1, (m, 1)))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("m, d", [(4, 8), (1, 1024), (160, 41), (20, 1000)])
+    def test_grid_blocks_are_bit_identical(self, p, m, d):
+        # m*k*d below 2^14 (one block), above it (blocks of 16 and 2 t
+        # values), and m*d alone above it (one t per block)
+        rng = np.random.default_rng(38)
+        X = rng.standard_normal((m, d)) * 2.0 ** rng.uniform(-8, 8, (m, d))
+        w0 = 2.0 ** rng.uniform(-4, 4, d)
+        w1 = 2.0 ** rng.uniform(-4, 4, d)
+        got = _power_batch(X, DYADIC[None, :], p, w0, w1)
+        want = np.stack([_power_batch(X, t, p, w0, w1) for t in DYADIC],
+                        axis=1)
+        assert got.tobytes() == want.tobytes()
+        T = 2.0 ** rng.uniform(-6, 6, (m, 5))
+        got = _power_batch(X, T, p, w0, w1)
+        want = np.stack([_power_batch(X, T[:, j], p, w0, w1)
+                         for j in range(5)], axis=1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_grid_memory_stays_flat(self):
+        # the reiteration shape: 160 profiles of 41 values on a 41-point grid
+        rng = np.random.default_rng(39)
+        X = rng.standard_normal((160, 41))
+        w0, w1 = 2.0 ** rng.uniform(-4, 4, (2, 41))
+
+        def peak(T):
+            tracemalloc.start()
+            _power_batch(X, T, 2.0, w0, w1)
+            out = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return out
+
+        # blocks of two t values peak at about twice one t's peak; one
+        # (160, 41, 41) block peaks at about 30 times
+        assert peak(DYADIC[None, :]) <= 4 * peak(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +911,52 @@ class TestCoupleValidation:
         with pytest.raises(InvariantError):
             Couple(WeightedNorm(1.0, 0, [1, 1]),
                    WeightedNorm(2.0, 0, [1, 1]), "power_coordinatewise")
+
+    @pytest.mark.parametrize("p0, p1, strategy, error", [
+        (1.0, math.inf, "weighted_sup_lp", InvariantError),
+        (math.inf, math.inf, "exact_l1_linf", InvariantError),
+        (1.0, 2.0, "exact_l1_linf", InvariantError),
+        (1.0, math.inf, "power_coordinatewise", DomainError),
+        (math.inf, math.inf, "power_coordinatewise", DomainError),
+        (0.5, 2.0, "power_coordinatewise", InvariantError),
+        (1.0, 1.0, "no_such_strategy", InvariantError),
+    ])
+    def test_strategy_must_name_the_route(self, p0, p1, strategy, error):
+        with pytest.raises(error):
+            Couple(WeightedNorm(p0, 0, [1, 1]), WeightedNorm(p1, 0, [1, 1]),
+                   strategy)
+
+    def test_oracle_takes_exact_routes_only(self):
+        ones = np.ones(3)
+        for (p0, p1), name in (((1.0, math.inf), "l1_linf"),
+                               ((math.inf, math.inf), "weighted_sup"),
+                               ((3.0, 1.0), "l1_lp"), ((1.0, 1.0), "power")):
+            c = Couple(WeightedNorm(p0, 0, ones), WeightedNorm(p1, 0, ones),
+                       ORACLE)
+            assert c.route.name == name and c.is_exact()
+            prof = k_profile(vec([3.0, -1.0, 2.0]), c, -6, 6)   # validated
+            assert np.all(prof.values > 0)
+        c = Couple(WeightedNorm(2.0, 0, ones), WeightedNorm(2.0, 0, ones),
+                   ORACLE)
+        assert c.route is None and not c.is_exact()
+        assert (c.equiv_lo, c.equiv_hi) == (1.0, 1.0)
+
+    def test_band_is_the_routes_and_read_only(self):
+        w = [1.0, 2.0]
+        for p, band in ((0.5, 4.0), (1.0, 1.0), (2.0, 2.0), (3.0, 2.0)):
+            c = power_couple(p, w, w)
+            assert (c.equiv_lo, c.equiv_hi) == (1.0 / band, band)
+            data = c.to_json()
+            assert (data["equiv_lo"], data["equiv_hi"]) == (1.0 / band, band)
+            data.update(equiv_lo=0.01, equiv_hi=100.0)     # ignored
+            c2 = Couple.from_json(data)
+            assert (c2.equiv_lo, c2.equiv_hi) == (1.0 / band, band)
+        c = weighted_sup_couple(w, w)
+        assert (c.equiv_lo, c.equiv_hi) == (1.0, 1.0)
+        with pytest.raises(AttributeError):
+            c.equiv_lo = 2.0
+        with pytest.raises(TypeError):
+            Couple(c.norm0, c.norm1, "weighted_sup_lp", equiv_lo=1.0)
 
     def test_reversed_l1_linf_evaluates_via_symmetry(self):
         c = l1_linf_couple(3).reversed()

@@ -314,6 +314,20 @@ class TestSequenceCoupleK:
         want = _power_batch(vals, 0.7, 2.0, w0, w1)
         np.testing.assert_allclose(got, want)
 
+    def test_sup_pair_is_the_weighted_sup_kernel(self):
+        # the power kernel's s = p/(p-1) is inf/inf = nan at p = inf
+        from interpk.couples import _weighted_sup_batch
+        rng = np.random.default_rng(14)
+        vals = np.abs(rng.standard_normal((5, 7)))
+        w0 = 2.0 ** rng.uniform(-3, 3, 7)
+        w1 = 2.0 ** rng.uniform(-3, 3, 7)
+        grid = 2.0 ** np.arange(-6, 7).astype(float)[None, :]
+        for t in (0.3, grid):
+            got = sequence_couple_k(vals, t, math.inf, w0, "inf", w1)
+            want = _weighted_sup_batch(vals, t, w0, w1)
+            assert np.all(np.isfinite(want))
+            assert np.array_equal(got, want)
+
     def test_mixed_exponents_upper_bounds_trivial(self):
         vals = np.array([[1.0, 0.5, 0.25, 0.125]])
         ones = np.ones(4)

@@ -173,6 +173,13 @@ class TestCheckReiteration:
         assert r.max_ratio / r.min_ratio == pytest.approx(1.0, rel=1e-9)
         assert 0.1 < r.min_ratio < 10.0
 
+    def test_sup_endpoints(self):
+        # (theta0, inf) and (theta1, inf): the weighted sup route, not nan
+        r = check_reiteration(0.25, 0.75, 0.5, 2.0, p=math.inf, q=math.inf,
+                              dims=(4, 8), count=12, seed=3)
+        assert r.sample_count == 24
+        assert 0.0 < r.min_ratio <= r.max_ratio < math.inf
+
     def test_alpha_degenerate_rejected(self):
         from interpk.errors import DomainError
         with pytest.raises(DomainError):

@@ -15,6 +15,12 @@ or wrongly typed key, or a value the library rejects; 3 a verify band
 failed.  Any other exception is a bug and propagates.  Reports are
 deterministic: identical (argv, config, seed) produce byte-identical files.
 Every successful run writes exactly one artifact.
+
+A JSON report holds the bytes of ``json.dumps(payload, sort_keys=True,
+indent=2)`` plus a newline; ``_json_text`` writes them without the stdlib's
+pure-Python indenting encoder.  Each call builds the parser of the invoked
+subcommand only, or of all of them when the arguments do not start with a
+command name; help, usage lines and errors read the same either way.
 """
 
 from __future__ import annotations
@@ -122,8 +128,40 @@ def _parsing():
         raise ConfigError(str(exc)) from exc
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, nested at indent ``pad``.
+
+    That call always runs the pure-Python encoder.  Here a list of plain
+    ints and floats goes through the C encoder in one call, with its
+    ``", "`` separators turned into line breaks, and every other leaf is
+    one ``json.dumps`` call.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            # the stdlib converts and sorts other keys itself
+            return json.dumps(value, sort_keys=True,
+                              indent=2).replace("\n", "\n" + pad)
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join(
+            f"{json.dumps(k)}: {_json_text(value[k], inner)}"
+            for k in sorted(value))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(x) in (int, float) for x in value):
+            body = json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_json_text(x, inner) for x in value)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def _dump_json(payload: dict, out_path: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
+    byte for byte, through the faster ``_json_text``."""
+    text = _json_text(payload)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -293,26 +331,34 @@ VERIFY_CHECKS = {
 _RUN_KEYS = ("seed", "keep_trace")
 
 
-def verify_schema(check: str) -> tuple[dict, tuple]:
-    """(config key -> default, required keys) of a verify check; a key
-    without a default maps to None."""
-    params = inspect.signature(getattr(verify, VERIFY_CHECKS[check])).parameters
+def _check_schema(check) -> tuple[dict, tuple, dict, set]:
+    """(config key -> default, required keys, config key -> annotation,
+    run keys taken) of a verify check function, from one signature read."""
+    params = inspect.signature(check, eval_str=True).parameters
     keys = [p for name, p in params.items() if name not in _RUN_KEYS]
     defaults = {p.name: None if p.default is p.empty else p.default
                 for p in keys}
-    return defaults, tuple(p.name for p in keys if p.default is p.empty)
+    required = tuple(p.name for p in keys if p.default is p.empty)
+    hints = {p.name: p.annotation for p in keys
+             if p.annotation is not p.empty}
+    return defaults, required, hints, set(_RUN_KEYS) & set(params)
+
+
+def verify_schema(check: str) -> tuple[dict, tuple]:
+    """(config key -> default, required keys) of a verify check; a key
+    without a default maps to None."""
+    return _check_schema(getattr(verify, VERIFY_CHECKS[check]))[:2]
 
 
 def _cmd_verify(args) -> int:
     check = getattr(verify, VERIFY_CHECKS[args.check])
+    defaults, required, hints, run_keys = _check_schema(check)
     # each value must fit its parameter's annotation
     cfg = _take(_load_json(args.config) if args.config else {},
-                *verify_schema(args.check),
-                hints=typing.get_type_hints(check))
+                defaults, required, hints=hints)
     cfg = {k: v for k, v in cfg.items() if v is not None}
-    params = inspect.signature(check).parameters
-    run = {"seed": args.seed} if "seed" in params else {}
-    if args.trace and "keep_trace" in params:
+    run = {"seed": args.seed} if "seed" in run_keys else {}
+    if args.trace and "keep_trace" in run_keys:
         run["keep_trace"] = True
     report = check(**cfg, **run)
     body = report.to_json()
@@ -329,92 +375,88 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED_BAND
 
 
-def build_parser() -> argparse.ArgumentParser:
+# CLI name -> (handler, help, argument specs).  A spec is the argument's
+# name and its ``add_argument`` keywords, in the order the subparser adds them.
+_OUT = ("--out", {"required": True, "help": "output artifact path"})
+_CONFIG = ("--config", {"required": True, "help": "JSON config file"})
+_COMMANDS = {
+    "kprofile": (_cmd_kprofile, "dyadic K-profile of a vector", (
+        _OUT, _CONFIG,
+        ("--format", {"choices": ("json", "csv"), "default": "json"}))),
+    "interp-norm": (_cmd_interp_norm, "(theta, q) interpolation norm",
+                    (_OUT, _CONFIG)),
+    "lattice-norm": (_cmd_lattice_norm, "lattice-parameter E:K norm",
+                     (_OUT, _CONFIG)),
+    "snumbers": (_cmd_snumbers, "approximation numbers of a matrix", (
+        ("--matrix", {"required": True, "help": "matrix JSON file"}),
+        ("--out", {"required": True}))),
+    "ideal-norm": (_cmd_ideal_norm, "Lorentz ideal norm of a matrix", (
+        ("--matrix", {"required": True}),
+        ("--p", {"type": float, "required": True}),
+        ("--q", {"type": float, "required": True}),
+        ("--out", {"required": True}))),
+    "witness": (_cmd_witness, "separating witness sequence", (
+        ("--p", {"type": float, "required": True}),
+        ("--q", {"type": float, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--p-star", {"type": float, "default": None}),
+        ("--q-star", {"type": float, "default": None}),
+        ("--max-rows", {"type": int, "default": 256}),
+        ("--out", {"required": True}))),
+    "lift": (_cmd_lift, "sequence lifting construction", (_OUT, _CONFIG)),
+    "strictness": (_cmd_strictness, "flat-vector strictness witness sweep", (
+        ("--theta", {"type": float, "required": True}),
+        ("--q", {"type": float, "required": True}),
+        ("--n-list", {"required": True, "help": "comma-separated N values"}),
+        ("--out", {"required": True}))),
+    "verify": (_cmd_verify, "named verification experiment", (
+        ("check", {"choices": sorted(VERIFY_CHECKS)}),
+        ("--config", {"default": None, "help": "JSON config file"}),
+        ("--seed", {"type": int, "required": True}),
+        ("--out", {"required": True}),
+        ("--trace", {"default": None,
+                     "help": "also write the per-sample ratio trace CSV "
+                             "here"}))),
+}
+# what argparse writes for the command choices when all are registered
+_COMMAND_METAVAR = "{" + ",".join(_COMMANDS) + "}"
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: a subparser for every command, or for ``command``
+    only.  On arguments that start with ``command`` both parse alike and
+    print the same help, usage lines and errors."""
     parser = argparse.ArgumentParser(
         prog="interpk",
         description="K-functionals, interpolation norms and s-number ideals "
                     "on finite windows")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config=True):
-        p.add_argument("--out", required=True, help="output artifact path")
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
-
-    p = sub.add_parser("kprofile", help="dyadic K-profile of a vector")
-    common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("interp-norm", help="(theta, q) interpolation norm")
-    common(p)
-
-    p = sub.add_parser("lattice-norm", help="lattice-parameter E:K norm")
-    common(p)
-
-    p = sub.add_parser("snumbers", help="approximation numbers of a matrix")
-    p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("ideal-norm", help="Lorentz ideal norm of a matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("witness", help="separating witness sequence")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p-star", type=float, default=None)
-    p.add_argument("--q-star", type=float, default=None)
-    p.add_argument("--max-rows", type=int, default=256)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("lift", help="sequence lifting construction")
-    common(p)
-
-    p = sub.add_parser("strictness", help="flat-vector strictness witness sweep")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--n-list", required=True, help="comma-separated N values")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("verify", help="named verification experiment")
-    p.add_argument("check", choices=sorted(VERIFY_CHECKS))
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None,
-                   help="also write the per-sample ratio trace CSV here")
-
+    # the metavar is needed only when the choices are not all registered;
+    # with it set, a missing or invalid command would be named by it
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else _COMMAND_METAVAR)
+    for name in _COMMANDS if command is None else (command,):
+        _, help_text, specs = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in specs:
+            p.add_argument(arg, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "kprofile": _cmd_kprofile,
-    "interp-norm": _cmd_interp_norm,
-    "lattice-norm": _cmd_lattice_norm,
-    "snumbers": _cmd_snumbers,
-    "ideal-norm": _cmd_ideal_norm,
-    "witness": _cmd_witness,
-    "lift": _cmd_lift,
-    "strictness": _cmd_strictness,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading command name fixes the subcommand: build only its parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; re-raise clean exits
         if exc.code in (0, None):
             return EXIT_OK
         return EXIT_CONFIG
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, InterpKError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

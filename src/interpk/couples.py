@@ -78,14 +78,16 @@ ORACLE_MAX_DIM = 16
 _POWER_CHUNK_CELLS = 2 ** 14
 
 
-def _parse_p(p) -> float:
+def _parse_p(p, key: str = "exponent p") -> float:
+    """An exponent from JSON: a positive number or "inf"; ``key`` names it
+    in the refusal."""
     if isinstance(p, str):
         if p.lower() in ("inf", "infinity"):
             return math.inf
         raise DomainError(f"unrecognized exponent string {p!r}")
     p = float(p)
     if not (p > 0):
-        raise DomainError(f"exponent p must be positive, got {p}")
+        raise DomainError(f"{key} must be positive, got {p}")
     return p
 
 

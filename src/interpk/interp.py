@@ -48,6 +48,17 @@ DEFAULT_N_MIN = -20
 DEFAULT_N_MAX = 20
 
 
+def _check_theta_q(theta, q, keys=("theta", "q")) -> float:
+    """Refuse theta outside (0, 1) and q <= 0, naming them by ``keys``;
+    return q as a float."""
+    if not (0.0 < theta < 1.0):
+        raise ParamError(f"{keys[0]} must lie in (0, 1), got {theta}")
+    q = float(q)
+    if not (q > 0):
+        raise DomainError(f"{keys[1]} must be positive, got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class InterpParams:
     """Parameters (theta, q) of the real interpolation norm."""
@@ -56,12 +67,7 @@ class InterpParams:
     q: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise ParamError(f"theta must lie in (0, 1), got {self.theta}")
-        q = float(self.q)
-        if not (q > 0):
-            raise DomainError(f"q must be positive, got {q}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _check_theta_q(self.theta, self.q))
 
     def to_json(self) -> dict:
         return {"theta": self.theta, "q": "inf" if math.isinf(self.q) else self.q}

@@ -33,8 +33,8 @@ from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
                       l1_linf_couple, power_couple)
 from .errors import DomainError, EmptyReportError, InvariantError
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams,
-                     derived_sum_int_couple, interp_weights, _lq_combine,
-                     sequence_couple_k)
+                     _check_theta_q, derived_sum_int_couple, interp_weights,
+                     _lq_combine, sequence_couple_k)
 from .snum import (LorentzParams, diag_operator, ideal_norm,
                    k_operator_diag_batch, witness_sequence)
 
@@ -430,7 +430,7 @@ def check_sum_intersection(theta: float, p: float,
     dims = tuple(cfg["dims"] if dims is None else dims)
     count = cfg["count"] if count is None else count
     spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
-    params = InterpParams(theta, p)
+    params = InterpParams(theta, _check_theta_q(theta, p, ("theta", "p")))
     grid = _n_window(n_min, n_max)
     low_half = grid <= 0
     w_theta = interp_weights(params, grid)
@@ -483,8 +483,11 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
     spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
     p = r if p is None else p
     q = r if q is None else q
-    for theta, exponent in ((theta0, p), (theta1, q), (alpha, r)):
-        InterpParams(theta, exponent)
+    # r first: p and q default to it
+    for keys, theta, exponent in ((("alpha", "r"), alpha, r),
+                                  (("theta0", "p"), theta0, p),
+                                  (("theta1", "q"), theta1, q)):
+        _check_theta_q(theta, exponent, keys)
     grid = _n_window(n_min, n_max)
     w0 = 2.0 ** (-theta0 * grid.astype(float))
     w1 = 2.0 ** (-theta1 * grid.astype(float))
@@ -533,7 +536,7 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
     witness_length = (cfg["witness_length"] if witness_length is None
                       else witness_length)
     InterpParams(theta, q)
-    inv_p = (1.0 - theta) / _parse_p(p0) + theta / _parse_p(p1)
+    inv_p = (1.0 - theta) / _parse_p(p0, "p0") + theta / _parse_p(p1, "p1")
     params = LorentzParams(1.0 / inv_p if inv_p else math.inf, q)
     p = params.p
     grid = _n_window(n_min, n_max)

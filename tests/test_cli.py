@@ -288,13 +288,13 @@ class TestConfigErrors:
         pytest.param("konig", {"theta": 1.5},
                      "theta must lie in (0, 1), got 1.5", id="konig-theta"),
         pytest.param("reiteration", {"theta0": 1.5},
-                     "theta must lie in (0, 1), got 1.5",
+                     "theta0 must lie in (0, 1), got 1.5",
                      id="reiteration-theta0"),
         pytest.param("konig", {"p0": 0},
-                     "exponent p must be positive, got 0.0", id="konig-p0-zero"),
+                     "p0 must be positive, got 0.0", id="konig-p0-zero"),
         pytest.param("konig", {"p0": math.inf, "p1": math.inf},
                      "p must lie in (0, inf)", id="konig-p-inf"),
-        pytest.param("reiteration", {"r": 0}, "q must be positive, got 0.0",
+        pytest.param("reiteration", {"r": 0}, "r must be positive, got 0.0",
                      id="reiteration-r-zero"),
         *(pytest.param(check, {"n_min": 2, "n_max": 1}, "need n_min <= n_max",
                        id=f"{check}-empty-window")

@@ -97,13 +97,15 @@ def _take(config: dict, allowed: dict, required: tuple = (),
           hints: dict | None = None):
     """Validate keys against ``allowed`` (name -> default); reject unknowns.
 
-    A required key given as null counts as missing.  A value whose key has
-    a type in ``hints`` must fit it; values are never converted.
+    A key given as null counts as absent: a required one is missing and an
+    optional one takes its default.  A value whose key has a type in
+    ``hints`` must fit it; values are never converted.
     """
     unknown = sorted(set(config) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]}")
-    missing = [k for k in required if config.get(k) is None]
+    config = {k: v for k, v in config.items() if v is not None}
+    missing = [k for k in required if k not in config]
     if missing:
         raise ConfigError(f"missing config key: {missing[0]}")
     for key, value in config.items():
@@ -353,7 +355,8 @@ def verify_schema(check: str) -> tuple[dict, tuple]:
 def _cmd_verify(args) -> int:
     check = getattr(verify, VERIFY_CHECKS[args.check])
     defaults, required, hints, run_keys = _check_schema(check)
-    # each value must fit its parameter's annotation
+    # each value must fit its parameter's annotation; a None default (such
+    # as reiteration's p = r) is left to the check and not echoed
     cfg = _take(_load_json(args.config) if args.config else {},
                 defaults, required, hints=hints)
     cfg = {k: v for k, v in cfg.items() if v is not None}

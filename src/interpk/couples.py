@@ -293,7 +293,6 @@ class Couple:
     norm1: WeightedNorm
     strategy: str
     oracle_budget: int = 8
-    oracle_seed: int = 0
     route: KRoute | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -375,7 +374,7 @@ class Couple:
         values = decomposition_infimum(
             np.repeat(X, k, axis=0), np.broadcast_to(T, (m, k)).reshape(-1),
             self.norm0.dense, self.norm1.dense,
-            budget=self.oracle_budget, seed=self.oracle_seed,
+            budget=self.oracle_budget, seed=0,
             # norm(e_j) = w_j for every lp exponent
             scale0=self.norm0.weights, scale1=self.norm1.weights)
         return values.reshape(m, k)

@@ -9,14 +9,15 @@ stays stable across a dimension sweep, and the counterpart of a distinctness
 theorem is a witness whose membership flags differ between two parameter
 pairs.
 
-All pass/fail thresholds live in DEFAULTS (overridable per call), never in
-the check logic.  Every check is deterministic under (seed, config): sample
-i is drawn from a child generator keyed by (seed, i), so doubling the sample
-count extends the sample set and can only widen the observed band.  One such
-generator serves sample i at every dimension of a sweep, and each dimension
-still sees the stream it would get from a generator of its own: Gaussian
-draws are prefix-stable, so dimension d takes the first d of one stream;
-draws whose count depends on d restart from the generator's saved state.
+Every pass/fail threshold is a default in its check's signature
+(overridable per call), never in the check logic.  Every check is
+deterministic under (seed, config): sample i is drawn from a child generator
+keyed by (seed, i), so doubling the sample count extends the sample set and
+can only widen the observed band.  One such generator serves sample i at
+every dimension of a sweep, and each dimension still sees the stream it
+would get from a generator of its own: Gaussian draws are prefix-stable, so
+dimension d takes the first d of one stream; draws whose count depends on d
+restart from the generator's saved state.
 """
 
 from __future__ import annotations
@@ -39,25 +40,12 @@ from .snum import (LorentzParams, diag_operator, ideal_norm,
                    k_operator_diag_batch, witness_sequence)
 
 __all__ = [
-    "DEFAULTS", "EquivReport", "DichotomyReport", "DistinctnessReport",
+    "EquivReport", "DichotomyReport", "DistinctnessReport",
     "equivalence_report", "vector_sampler", "check_mainlema",
     "check_sum_intersection", "check_reiteration", "check_konig",
     "dichotomy_sweep", "distinctness_demo", "oracle_agreement",
     "couple_family",
 ]
-
-DEFAULTS = {
-    "mainlema": {"band": (0.125, 8.0), "dims": (2, 4, 8),
-                 "t_grid": tuple(2.0 ** n for n in range(-6, 1)),
-                 "count": 200, "budget": 4},
-    "sum_intersection": {"dims": (4, 8, 16, 32, 64), "count": 160,
-                         "spread_growth": 1.10},
-    "reiteration": {"dims": (4, 8, 16, 32), "count": 160,
-                    "spread_growth": 1.10},
-    "konig": {"lengths": (4, 8, 16, 32, 64), "count": 48,
-              "spread_growth": 1.10, "witness_length": 2 ** 16},
-    "dichotomy": {"lower": 0.99, "upper_slack": 1e-9, "samples": 32},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +236,6 @@ def equivalence_report(norm_a, norm_b, sampler: Callable[[int], FiniteVector],
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    ratios = []
     trace = [] if keep_trace else None
     dims: dict[int, list] = {}
     for i in range(count):
@@ -258,18 +245,14 @@ def equivalence_report(norm_a, norm_b, sampler: Callable[[int], FiniteVector],
         if va <= 1e-300 or vb <= 1e-300:
             continue
         r = va / vb
-        ratios.append(r)
         dims.setdefault(len(x), []).append(r)
         if keep_trace:
             trace.append({"index": i, "dim": len(x), "ratio": r})
-    if not ratios:
+    if not dims:
         raise EmptyReportError("all samples had a vanishing norm")
-    per_dim = {d: {"min": float(np.min(v)), "max": float(np.max(v)),
-                   "count": len(v)} for d, v in sorted(dims.items())}
-    return EquivReport(check=check, seed=seed, sample_count=len(ratios),
-                       min_ratio=float(np.min(ratios)),
-                       max_ratio=float(np.max(ratios)),
-                       per_dimension=per_dim, config=config or {},
+    per_dim, lo, hi, total = _band_from_ratios(
+        {d: np.asarray(v) for d, v in dims.items()})
+    return EquivReport(check, seed, total, lo, hi, per_dim, config or {},
                        trace=trace)
 
 
@@ -297,10 +280,6 @@ def couple_family(name: str, dim: int) -> Couple:
         ks = np.arange(-half, half + 1, dtype=float)
         return power_couple(1.0, 2.0 ** ks, 2.0 ** (-ks), offset=-half)
     raise DomainError(f"unknown couple family {name!r}")
-
-
-def _profile_matrix(couple: Couple, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return couple.profile_batch(X, 2.0 ** grid.astype(float))
 
 
 def _derived_profile(base_profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -341,14 +320,40 @@ def _spreads_stable(per_dim: dict, growth: float) -> bool:
     return all(b <= a * growth for a, b in zip(spreads, spreads[1:]))
 
 
-def _filtered_ratios(lhs, rhs, size, trace):
-    ok = (lhs > 1e-300) & (rhs > 1e-300)
-    ratios = lhs[ok] / rhs[ok]
-    if trace is not None:
-        idx = np.arange(len(lhs))[ok]
-        trace.extend({"size": int(size), "index": int(i), "ratio": float(r)}
-                     for i, r in zip(idx, ratios))
-    return ratios
+def _sweep_report(check: str, seed: int, rows, count: int,
+                  sizes: Sequence[int], pair, keep_trace: bool,
+                  ts: Sequence[float] | None = None) -> EquivReport:
+    """The band of the ratios lhs / rhs over a seeded size sweep.
+
+    ``rows`` draws the samples (see ``_sample_sweep``).  At each entry of
+    ``sizes``, in order, ``pair(size, X)`` gets the nonzero sample rows X
+    at that size and returns (lhs, rhs): vectors, or, with ``ts`` given,
+    matrices whose column j is at t = ts[j].  A ratio counts where both
+    sides exceed 1e-300.  Trace rows run t-major within a size and carry t
+    when ``ts`` is given.  The caller sets the report's config and verdict.
+    """
+    samples = _sample_sweep(rows, count, sizes, seed)
+    per_size = {}
+    trace = [] if keep_trace else None
+    for size in sizes:
+        X = samples[size]
+        keep = X.any(axis=1)
+        idx = np.flatnonzero(keep)
+        lhs, rhs = pair(size, X[keep])
+        columns = []
+        # a vector is one column, a matrix has one column per t of ts
+        for j, (a, b) in enumerate(zip(np.atleast_2d(lhs.T),
+                                       np.atleast_2d(rhs.T))):
+            ok = (a > 1e-300) & (b > 1e-300)
+            columns.append(a[ok] / b[ok])
+            if keep_trace:
+                at = {"t": float(ts[j])} if ts else {}
+                trace.extend({"size": int(size), **at, "index": int(i),
+                              "ratio": float(r)}
+                             for i, r in zip(idx[ok], columns[-1]))
+        per_size[size] = np.concatenate(columns)
+    per_dim, lo, hi, total = _band_from_ratios(per_size)
+    return EquivReport(check, seed, total, lo, hi, per_dim, {}, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +361,16 @@ def _filtered_ratios(lhs, rhs, size, trace):
 # ---------------------------------------------------------------------------
 
 def check_mainlema(family: str = "l1_linf",
-                   dims: Sequence[int] | None = None,
-                   t_grid: Sequence[float] | None = None,
-                   count: int | None = None, seed: int = 0,
-                   band: Sequence[float] | None = None,
-                   budget: int | None = None,
+                   dims: Sequence[int] = (2, 4, 8),
+                   t_grid: Sequence[float] = tuple(2.0 ** n
+                                                   for n in range(-6, 1)),
+                   count: int = 200, seed: int = 0,
+                   band: Sequence[float] = (0.125, 8.0), budget: int = 4,
                    keep_trace: bool = False) -> EquivReport:
     """K of (A0+A1, A0 cap A1) on its explicit norms against the surrogate
     K(x,t) + t K(x,1/t), over the t <= 1 of ``t_grid`` and a dimension
     sweep.  The explicit K is exact for ``l1_linf`` and seeded descent with
     ``budget`` random starts otherwise."""
-    cfg = DEFAULTS["mainlema"]
-    dims = tuple(cfg["dims"] if dims is None else dims)
-    t_grid = tuple(cfg["t_grid"] if t_grid is None else t_grid)
-    count = cfg["count"] if count is None else count
-    band = tuple(cfg["band"] if band is None else band)
-    budget = cfg["budget"] if budget is None else budget
     ts = [t for t in t_grid if t <= 1.0]
     if not ts:
         raise DomainError("t_grid needs at least one value t <= 1")
@@ -379,43 +378,29 @@ def check_mainlema(family: str = "l1_linf",
         raise DomainError(f"band must be [low, high] with low <= high, "
                           f"got {list(band)}")
     couples = {dim: couple_family(family, dim) for dim in dims}
-    samples = _sample_sweep(_sample_rows, count, dims, seed)
-    per_size = {}
-    trace = [] if keep_trace else None
-    for dim in dims:
+
+    def pair(dim, X):
         derived = derived_sum_int_couple(couples[dim])
-        X = samples[dim]
-        keep = np.max(np.abs(X), axis=1) > 0
-        X = X[keep]
-        idx = np.arange(count)[keep]
-        oracles = derived.k_oracle_batch(X, np.reshape(ts, (1, -1)),
-                                         budget=budget, seed=seed)
-        rows = []
-        for t, oracle in zip(ts, oracles.T):
-            surr = derived.k_batch(X, t)
-            ok = (oracle > 1e-300) & (surr > 1e-300)
-            ratios = oracle[ok] / surr[ok]
-            rows.append(ratios)
-            if keep_trace:
-                trace.extend({"size": dim, "t": float(t), "index": int(i),
-                              "ratio": float(r)}
-                             for i, r in zip(idx[ok], ratios))
-        per_size[dim] = np.concatenate(rows)
-    per_dim, lo, hi, total = _band_from_ratios(per_size)
-    passed = band[0] <= lo and hi <= band[1]
-    config = {"family": family, "dims": list(dims), "t_grid": list(t_grid),
-              "count": count, "band": list(band), "budget": budget}
-    return EquivReport("mainlema", seed, total, lo, hi, per_dim, config,
-                       passed=passed, trace=trace)
+        oracle = derived.k_oracle_batch(X, np.reshape(ts, (1, -1)),
+                                        budget=budget, seed=seed)
+        return oracle, np.stack([derived.k_batch(X, t) for t in ts], axis=1)
+
+    report = _sweep_report("mainlema", seed, _sample_rows, count, dims, pair,
+                           keep_trace, ts)
+    report.passed = band[0] <= report.min_ratio and report.max_ratio <= band[1]
+    report.config = {"family": family, "dims": list(dims),
+                     "t_grid": list(t_grid), "count": count,
+                     "band": list(band), "budget": budget}
+    return report
 
 
 def check_sum_intersection(theta: float, p: float,
-                           dims: Sequence[int] | None = None,
-                           count: int | None = None, seed: int = 0,
+                           dims: Sequence[int] = (4, 8, 16, 32, 64),
+                           count: int = 160, seed: int = 0,
                            family: str = "l1_linf",
                            n_min: int = DEFAULT_N_MIN,
                            n_max: int = DEFAULT_N_MAX,
-                           spread_growth: float | None = None,
+                           spread_growth: float = 1.10,
                            keep_trace: bool = False) -> EquivReport:
     """Interpolation norm of the derived couple (A0+A1, A0 cap A1) at
     (theta, p) against the sum (theta < 1/2) or max (theta >= 1/2) of the
@@ -426,49 +411,42 @@ def check_sum_intersection(theta: float, p: float,
     constants; the check evaluates that half, where the surrogate
     K(x,t) + t K(x,1/t) is available.
     """
-    cfg = DEFAULTS["sum_intersection"]
-    dims = tuple(cfg["dims"] if dims is None else dims)
-    count = cfg["count"] if count is None else count
-    spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
     params = InterpParams(theta, _check_theta_q(theta, p, ("theta", "p")))
     grid = _n_window(n_min, n_max)
     low_half = grid <= 0
     w_theta = interp_weights(params, grid)
     w_mirror = interp_weights(InterpParams(1.0 - theta, p), grid)
     couples = {dim: couple_family(family, dim) for dim in dims}
-    samples = _sample_sweep(_sample_rows, count, dims, seed)
-    per_size = {}
-    trace = [] if keep_trace else None
-    for dim in dims:
-        P = _profile_matrix(couples[dim], samples[dim], grid)
+
+    def pair(dim, X):
+        P = couples[dim].profile_batch(X, 2.0 ** grid.astype(float))
         D = _derived_profile(P, grid)
         lhs = _lq_combine((w_theta * D)[:, low_half], p)
         if theta < 0.5:
-            rhs = sequence_couple_k(P, 1.0, p, w_theta, p, w_mirror)
-        else:
-            rhs = np.maximum(_lq_combine(w_theta * P, p),
-                             _lq_combine(w_mirror * P, p))
-        per_size[dim] = _filtered_ratios(lhs, rhs, dim, trace)
-    per_dim, lo, hi, total = _band_from_ratios(per_size)
-    passed = _spreads_stable(per_dim, spread_growth)
-    config = {"theta": theta, "p": p, "dims": list(dims), "count": count,
-              "family": family, "n_min": n_min, "n_max": n_max,
-              "spread_growth": spread_growth}
-    return EquivReport("sum_intersection", seed, total, lo, hi, per_dim,
-                       config, passed=passed, trace=trace)
+            return lhs, sequence_couple_k(P, 1.0, p, w_theta, p, w_mirror)
+        return lhs, np.maximum(_lq_combine(w_theta * P, p),
+                               _lq_combine(w_mirror * P, p))
+
+    report = _sweep_report("sum_intersection", seed, _sample_rows, count,
+                           dims, pair, keep_trace)
+    report.passed = _spreads_stable(report.per_dimension, spread_growth)
+    report.config = {"theta": theta, "p": p, "dims": list(dims),
+                     "count": count, "family": family, "n_min": n_min,
+                     "n_max": n_max, "spread_growth": spread_growth}
+    return report
 
 
 def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
                       p: float | None = None, q: float | None = None,
-                      dims: Sequence[int] | None = None,
-                      count: int | None = None, seed: int = 0,
+                      dims: Sequence[int] = (4, 8, 16, 32),
+                      count: int = 160, seed: int = 0,
                       family: str = "l1_linf", n_min: int = DEFAULT_N_MIN,
                       n_max: int = DEFAULT_N_MAX,
-                      spread_growth: float | None = None,
+                      spread_growth: float = 1.10,
                       keep_trace: bool = False) -> EquivReport:
     """Interpolation at (alpha, r) between the endpoint spaces
     (theta0, p) and (theta1, q) against direct interpolation at
-    ((1-alpha) theta0 + alpha theta1, r).
+    ((1-alpha) theta0 + alpha theta1, r); p and q default to r.
 
     The K-functional between the endpoint spaces is evaluated on the shared
     K-profile: a decomposition of x induces a decomposition of its profile
@@ -477,10 +455,6 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    cfg = DEFAULTS["reiteration"]
-    dims = tuple(cfg["dims"] if dims is None else dims)
-    count = cfg["count"] if count is None else count
-    spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
     p = r if p is None else p
     q = r if q is None else q
     # r first: p and q default to it
@@ -488,39 +462,35 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
                                   (("theta0", "p"), theta0, p),
                                   (("theta1", "q"), theta1, q)):
         _check_theta_q(theta, exponent, keys)
-    grid = _n_window(n_min, n_max)
-    w0 = 2.0 ** (-theta0 * grid.astype(float))
-    w1 = 2.0 ** (-theta1 * grid.astype(float))
+    grid = _n_window(n_min, n_max).astype(float)
+    w0 = 2.0 ** (-theta0 * grid)
+    w1 = 2.0 ** (-theta1 * grid)
     theta_bar = (1.0 - alpha) * theta0 + alpha * theta1
-    w_bar = 2.0 ** (-theta_bar * grid.astype(float))
-    w_alpha = 2.0 ** (-alpha * grid.astype(float))
-    t_grid = (2.0 ** grid.astype(float))[None, :]
+    w_bar = 2.0 ** (-theta_bar * grid)
+    w_alpha = 2.0 ** (-alpha * grid)
+    t_grid = (2.0 ** grid)[None, :]
     couples = {dim: couple_family(family, dim) for dim in dims}
-    samples = _sample_sweep(_sample_rows, count, dims, seed)
-    per_size = {}
-    trace = [] if keep_trace else None
-    for dim in dims:
-        P = _profile_matrix(couples[dim], samples[dim], grid)
+
+    def pair(dim, X):
+        P = couples[dim].profile_batch(X, t_grid)
         KK = sequence_couple_k(P, t_grid, p, w0, q, w1, seed=seed)
-        lhs = _lq_combine(w_alpha * KK, r)
-        rhs = _lq_combine(w_bar * P, r)
-        per_size[dim] = _filtered_ratios(lhs, rhs, dim, trace)
-    per_dim, lo, hi, total = _band_from_ratios(per_size)
-    passed = _spreads_stable(per_dim, spread_growth)
-    config = {"theta0": theta0, "theta1": theta1, "alpha": alpha, "r": r,
-              "p": p, "q": q, "dims": list(dims), "count": count,
-              "family": family, "n_min": n_min, "n_max": n_max,
-              "spread_growth": spread_growth}
-    return EquivReport("reiteration", seed, total, lo, hi, per_dim, config,
-                       passed=passed, trace=trace)
+        return _lq_combine(w_alpha * KK, r), _lq_combine(w_bar * P, r)
+
+    report = _sweep_report("reiteration", seed, _sample_rows, count, dims,
+                           pair, keep_trace)
+    report.passed = _spreads_stable(report.per_dimension, spread_growth)
+    report.config = {"theta0": theta0, "theta1": theta1, "alpha": alpha,
+                     "r": r, "p": p, "q": q, "dims": list(dims),
+                     "count": count, "family": family, "n_min": n_min,
+                     "n_max": n_max, "spread_growth": spread_growth}
+    return report
 
 
 def check_konig(p0: float, p1: float, theta: float, q: float,
-                lengths: Sequence[int] | None = None,
-                count: int | None = None, seed: int = 0,
+                lengths: Sequence[int] = (4, 8, 16, 32, 64),
+                count: int = 48, seed: int = 0,
                 n_min: int = DEFAULT_N_MIN, n_max: int = DEFAULT_N_MAX,
-                spread_growth: float | None = None,
-                witness_length: int | None = None,
+                spread_growth: float = 1.10, witness_length: int = 2 ** 16,
                 keep_trace: bool = False) -> EquivReport:
     """Dyadic interpolation norm of diagonal K-profiles between the lp0 and
     lp1 ideals against the Lorentz (p, q) norm, 1/p = (1-theta)/p0 + theta/p1.
@@ -529,58 +499,48 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
     records its membership flags at (p, q) and (p, 2q); the flags are part
     of the pass condition.
     """
-    cfg = DEFAULTS["konig"]
-    lengths = tuple(cfg["lengths"] if lengths is None else lengths)
-    count = cfg["count"] if count is None else count
-    spread_growth = cfg["spread_growth"] if spread_growth is None else spread_growth
-    witness_length = (cfg["witness_length"] if witness_length is None
-                      else witness_length)
     InterpParams(theta, q)
     inv_p = (1.0 - theta) / _parse_p(p0, "p0") + theta / _parse_p(p1, "p1")
     params = LorentzParams(1.0 / inv_p if inv_p else math.inf, q)
     p = params.p
-    grid = _n_window(n_min, n_max)
-    w_theta = 2.0 ** (-theta * grid.astype(float))
-    t_grid = (2.0 ** grid.astype(float))[None, :]
-    samples = _sample_sweep(_nonincreasing_rows, count, lengths, seed)
-    per_size = {}
-    trace = [] if keep_trace else None
-    for length in lengths:
-        S = samples[length]
+    grid = _n_window(n_min, n_max).astype(float)
+    w_theta = 2.0 ** (-theta * grid)
+    t_grid = (2.0 ** grid)[None, :]
+
+    def pair(length, S):
         KK = k_operator_diag_batch(S, t_grid, p0, p1, seed=seed)
-        lhs = _lq_combine(w_theta * KK, q)
         n_idx = np.arange(1, length + 1, dtype=float)
         rhs = _lq_combine(
             np.broadcast_to(n_idx ** (1.0 / p - 1.0 / q), S.shape) * S, q)
-        per_size[length] = _filtered_ratios(lhs, rhs, length, trace)
-    per_dim, lo, hi, total = _band_from_ratios(per_size)
-    _, report = witness_sequence(p, q, witness_length,
-                                 probe_params=[(p, q), (p, 2.0 * q)])
-    flags = [probe.flag for probe in report.probes]
-    passed = (_spreads_stable(per_dim, spread_growth)
-              and flags == ["diverging", "converging"])
-    config = {"p0": p0, "p1": p1, "theta": theta, "q": q, "p": p,
-              "lengths": list(lengths), "count": count, "n_min": n_min,
-              "n_max": n_max, "spread_growth": spread_growth,
-              "witness_length": witness_length, "witness_flags": flags}
-    return EquivReport("konig", seed, total, lo, hi, per_dim, config,
-                       passed=passed, trace=trace)
+        return _lq_combine(w_theta * KK, q), rhs
+
+    report = _sweep_report("konig", seed, _nonincreasing_rows, count,
+                           lengths, pair, keep_trace)
+    _, witness = witness_sequence(p, q, witness_length,
+                                  probe_params=[(p, q), (p, 2.0 * q)])
+    flags = [probe.flag for probe in witness.probes]
+    report.passed = (_spreads_stable(report.per_dimension, spread_growth)
+                     and flags == ["diverging", "converging"])
+    report.config = {"p0": p0, "p1": p1, "theta": theta, "q": q, "p": p,
+                     "lengths": list(lengths), "count": count,
+                     "n_min": n_min, "n_max": n_max,
+                     "spread_growth": spread_growth,
+                     "witness_length": witness_length,
+                     "witness_flags": flags}
+    return report
 
 
 def dichotomy_sweep(family: str, t: float, sizes: Sequence[int],
-                    samples: int | None = None, seed: int = 0,
-                    lower: float | None = None,
-                    upper_slack: float | None = None) -> DichotomyReport:
+                    samples: int = 32, seed: int = 0, lower: float = 0.99,
+                    upper_slack: float = 1e-9) -> DichotomyReport:
     """Sphere sup of K(., t) across growing windows.
 
     For the non-ordered family the estimate must stay >= ``lower`` (the sum
     space differs from both endpoints, so the normalized K cannot drop); for
     the ordered family it must stay below t (consistent with A0+A1 = A1).
     """
-    cfg = DEFAULTS["dichotomy"]
-    samples = cfg["samples"] if samples is None else samples
-    lower = cfg["lower"] if lower is None else lower
-    upper_slack = cfg["upper_slack"] if upper_slack is None else upper_slack
+    if not sizes:
+        raise DomainError("sizes needs one or more window sizes, got []")
     values = []
     for size in sizes:
         couple = couple_family(family, size)
@@ -598,15 +558,23 @@ def dichotomy_sweep(family: str, t: float, sizes: Sequence[int],
 
 
 def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
-                      N: int, norm_lengths: Sequence[int] = (16, 64)) -> DistinctnessReport:
+                      N: int, norm_lengths: Sequence[int] = (16, 64)
+                      ) -> DistinctnessReport:
     """Witness-based separation of Lorentz ideal parameter pairs.
 
     For each unordered pair of parameters, the witness built from the finer
     pair (smaller p, then smaller q) diverges there and converges in the
     coarser ideal whenever p differs or q does; identical pairs report
     identical flags.  Ideal norms of the truncated witness diagonal operator
-    are tabulated alongside.
+    are tabulated alongside, at each length of ``norm_lengths``.
     """
+    for key, values in (("p_list", p_list), ("q_list", q_list)):
+        if not values:
+            raise DomainError(f"{key} needs one or more values, got []")
+    if not norm_lengths or min(norm_lengths) < 1 or max(norm_lengths) < 4:
+        # the norms read a witness of max(norm_lengths) terms, which needs 4
+        raise DomainError(f"norm_lengths needs entries >= 1, the largest "
+                          f">= 4, got {list(norm_lengths)}")
     pairs_all = [(float(p), float(q)) for p in p_list for q in q_list]
     results = []
     passed = True

@@ -1,12 +1,14 @@
+import inspect
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from interpk import cli
+from interpk import cli, verify
 from interpk.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -122,6 +124,21 @@ class TestRouting:
         lines = trace.read_text().splitlines()
         assert lines[1].split(",")[0] == "index"
         assert len(lines) > 10
+
+    def test_null_means_absent(self, couple_config, tmp_path):
+        # an optional key given as null takes its default
+        cfg = json.loads(couple_config.read_text())
+        del cfg["n_min"], cfg["n_max"]
+        outs = []
+        for name, window in (("a", {}), ("b", {"n_min": None,
+                                                "n_max": None})):
+            couple_config.write_text(json.dumps({**cfg, **window}))
+            out = tmp_path / f"{name}.json"
+            assert run_cli(["kprofile", "--config", str(couple_config),
+                            "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["config"]["n_min"] == -20
 
     def test_verify_fail_exit_three(self, tmp_path):
         # an impossible lower bound forces a failed band
@@ -319,6 +336,45 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("check, config, key", [
+        pytest.param("dichotomy", {"sizes": []}, "sizes",
+                     id="dichotomy-no-sizes"),
+        pytest.param("distinctness", {"p_list": []}, "p_list",
+                     id="distinctness-no-p"),
+        pytest.param("distinctness", {"q_list": []}, "q_list",
+                     id="distinctness-no-q"),
+        pytest.param("distinctness", {"norm_lengths": []}, "norm_lengths",
+                     id="distinctness-no-norm-lengths"),
+        pytest.param("distinctness", {"norm_lengths": [0]}, "norm_lengths",
+                     id="distinctness-norm-length-zero"),
+        pytest.param("distinctness", {"norm_lengths": [2]}, "norm_lengths",
+                     id="distinctness-norm-lengths-below-4"),
+    ])
+    def test_refuses_empty_or_short_lists(self, check, config, key,
+                                          tmp_path, capsys):
+        base = {"dichotomy": {"family": "l1_geometric", "t": 0.25},
+                "distinctness": {"p_list": [2.0], "q_list": [1.0],
+                                 "N": 1024}}[check]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**base, **config}))
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", check, "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_norm_length_next_to_a_long_one(self, tmp_path):
+        # only the largest norm length must cover the witness's 4 terms
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"p_list": [2.0], "q_list": [1.0],
+                                   "N": 1024, "norm_lengths": [2, 16]}))
+        out = tmp_path / "x.json"
+        assert run_cli(["verify", "distinctness", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)]) == 0
+        pair, = json.loads(out.read_text())["report"]["pairs"]
+        assert sorted(pair["ideal_norms"]) == ["16", "2"]
+
     def test_witness_max_rows_below_one(self, tmp_path, capsys):
         for rows in ("0", "-3"):
             code = run_cli(["witness", "--p", "2", "--q", "1", "--n", "64",
@@ -359,6 +415,18 @@ def _readme_required_keys() -> dict:
     return out
 
 
+def _readme_defaults() -> dict:
+    """check -> {option: default}, from the cells "`key` = `JSON`" of the
+    README's verify config table."""
+    out = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0] in cli.VERIFY_CHECKS:
+            out[cells[0]] = {k: json.loads(v) for k, v in
+                             re.findall(r"`(\w+)` = `([^`]*)`", cells[2])}
+    return out
+
+
 @pytest.mark.parametrize("check", sorted(cli.VERIFY_CHECKS))
 class TestVerifyRegistry:
     """The verify config schema is read from the check's signature."""
@@ -382,6 +450,12 @@ class TestVerifyRegistry:
 
     def test_readme_required_keys(self, check):
         assert _readme_required_keys()[check] == cli.verify_schema(check)[1]
+
+    def test_readme_defaults(self, check):
+        defaults, required = cli.verify_schema(check)
+        assert _readme_defaults()[check] == {
+            k: json.loads(json.dumps(v)) for k, v in defaults.items()
+            if k not in required}
 
 
 # per check: a config whose one wrongly typed key is named last
@@ -418,7 +492,8 @@ def test_wrongly_typed_verify_value(check, tmp_path, capsys):
 
 
 def test_typed_values_are_echoed_unchanged(tmp_path):
-    # an integer for a float and null for an optional key both fit
+    # an integer for a float fits, and null for an optional key takes its
+    # default
     config = {"theta": 0.3, "p": 1, "dims": [4], "count": 4,
               "spread_growth": None}
     path, out = tmp_path / "v.json", tmp_path / "r.json"
@@ -427,7 +502,7 @@ def test_typed_values_are_echoed_unchanged(tmp_path):
                     "--seed", "1", "--out", str(out)]) in (0, 3)
     echo = json.loads(out.read_text())["config"]
     assert echo["p"] == 1 and isinstance(echo["p"], int)
-    assert "spread_growth" not in echo
+    assert echo["spread_growth"] == 1.1
 
 
 @pytest.mark.parametrize("check, config", [
@@ -447,20 +522,68 @@ def test_trace_ignored_without_keep_trace(check, config, tmp_path):
 
 
 @pytest.mark.parametrize("check, config, echoed", [
-    ("dichotomy", {"family": "l1_geometric", "t": 0.25, "sizes": [9]}, {}),
+    ("dichotomy", {"family": "l1_geometric", "t": 0.25, "sizes": [9]},
+     {"samples": 32, "lower": 0.99, "upper_slack": 1e-9}),
     ("distinctness", {"p_list": [2.0], "q_list": [1.0], "N": 1024},
      {"norm_lengths": [16, 64]}),
     ("sum-intersection", {"theta": 0.3, "p": 1.0, "dims": [4], "count": 4},
-     {"family": "l1_linf", "n_min": -20, "n_max": 20}),
+     {"family": "l1_linf", "n_min": -20, "n_max": 20,
+      "spread_growth": 1.1}),
 ])
 def test_config_echo_adds_signature_defaults(check, config, echoed, tmp_path):
-    # None defaults (resolved from verify.DEFAULTS) are not echoed
     path, out = tmp_path / "v.json", tmp_path / "r.json"
     path.write_text(json.dumps(config))
     assert run_cli(["verify", check, "--config", str(path), "--seed", "1",
                     "--out", str(out)]) == 0
     echo = json.loads(out.read_text())["config"]
     assert echo == {"seed": 1, **config, **echoed}
+
+
+# per check: a small config, with every required key
+SMALL_CONFIGS = {
+    "mainlema": {"dims": [2], "count": 4, "t_grid": [0.5]},
+    "sum-intersection": {"theta": 0.3, "p": 1.0, "dims": [4], "count": 4},
+    "reiteration": {"theta0": 0.25, "theta1": 0.75, "alpha": 0.5, "r": 2.0,
+                    "dims": [4], "count": 4},
+    "konig": {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0, "lengths": [4],
+              "count": 4, "witness_length": 1024},
+    "dichotomy": {"family": "l1_geometric", "t": 0.25, "sizes": [9]},
+    "distinctness": {"p_list": [2.0], "q_list": [1.0], "N": 1024},
+}
+ECHO_CASES = [*SMALL_CONFIGS.items(),
+              ("reiteration", {**SMALL_CONFIGS["reiteration"], "p": 1.0,
+                               "q": 2.0, "n_min": -1, "n_max": 1})]
+
+
+def _verify_echo(tmp_path, check, config, name):
+    path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["verify", check, "--config", str(path), "--seed", "5",
+                    "--out", str(out)]) in (0, 3)
+    return out.read_bytes(), json.loads(out.read_text())["config"]
+
+
+@pytest.mark.parametrize("check, config", ECHO_CASES)
+def test_config_echo_names_every_key(check, config, tmp_path):
+    # every parameter but the run keys; reiteration's p and q (default
+    # None, meaning r) only when given
+    params = inspect.signature(getattr(verify, cli.VERIFY_CHECKS[check]),
+                               eval_str=True).parameters
+    keys = set(params) - {"seed", "keep_trace"}
+    if check == "reiteration":
+        keys -= {"p", "q"} - set(config)
+    _, echo = _verify_echo(tmp_path, check, config, "a")
+    assert set(echo) == keys | {"seed"}
+    for key in keys - set(config):
+        assert echo[key] == json.loads(json.dumps(params[key].default))
+
+
+@pytest.mark.parametrize("check, config", ECHO_CASES)
+def test_config_echo_replays_byte_identically(check, config, tmp_path):
+    first, echo = _verify_echo(tmp_path, check, config, "a")
+    del echo["seed"]
+    second, _ = _verify_echo(tmp_path, check, echo, "b")
+    assert second == first
 
 
 class TestDeterminism:

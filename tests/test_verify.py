@@ -209,8 +209,7 @@ class TestCheckReiteration:
         e1 = endpoint_space(couple, InterpParams(theta1, p), n_min, n_max)
         rng = np.random.default_rng(21)
         X = rng.standard_normal((2, 5))
-        from interpk.verify import _profile_matrix
-        P = _profile_matrix(couple, X, grid)
+        P = couple.profile_batch(X, 2.0 ** grid.astype(float))
         monkeypatch.setattr(_descent, "SWEEPS", 1)
         for t in (0.25, 2.0):
             profile_k = _power_batch(P, t, p, w0, w1)

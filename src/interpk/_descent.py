@@ -33,6 +33,20 @@ coordinate's golden-section search runs once over all S*m*k rows, so the
 number of norm calls does not grow with m, k or the budget.  The norm
 callables map an (n, d) array to n values for any n and must treat rows
 independently: row r of what they see belongs to X row ``(r % (m*k)) // k``.
+
+Layout contract: every array a norm callable receives is column-major
+(Fortran order).  d is a window or a profile length, a few to a few dozen,
+while n runs to thousands of stacked rows, so a reduction along a row of a
+C-ordered array makes numpy run one short inner loop per row.
+Column-major, the same ``max``/``sum`` over axis 1 runs along the long axis
+in a few vectorized passes (at n = 700, d = 4 on a 2-vCPU host: ``max``
+50 -> 4.5 us, ``sum`` 21 -> 3.7 us), and the coordinate writes ``A[:, j]`` of
+the descent are contiguous.  Norm callables must keep the layout: a
+reshape that needs C order copies on every call.  A sum over fewer than 8
+terms adds sequentially in either layout, so results are bit for bit those
+of the C-ordered engine for d <= 7; from 8 terms numpy sums a contiguous C
+row pairwise and a column-major one sequentially, which moves results in
+the last bits.
 """
 
 from __future__ import annotations
@@ -69,13 +83,13 @@ def _golden_min(objective: Callable[[np.ndarray], np.ndarray],
         left = f1 < f2
         hi = np.where(left, c2, hi)
         lo = np.where(left, lo, c1)
-        c_old_1, c_old_f1 = c1, f1
-        c1 = np.where(left, hi - _INV_PHI * (hi - lo), c2)
-        c2 = np.where(left, c_old_1, lo + _INV_PHI * (hi - lo))
-        probe = np.where(left, c1, c2)
+        # the one new probe: left keeps c1 as the new c2, right keeps c2 as
+        # the new c1
+        step = _INV_PHI * (hi - lo)
+        probe = np.where(left, hi - step, lo + step)
         fp = objective(probe)
-        f1 = np.where(left, fp, f2)
-        f2 = np.where(left, c_old_f1, fp)
+        c1, c2 = np.where(left, probe, c2), np.where(left, c1, probe)
+        f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
     mid = 0.5 * (lo + hi)
     fm = objective(mid)
     best = np.minimum(np.minimum(f1, f2), fm)
@@ -97,7 +111,14 @@ def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
 
 def probe_scales(norm: BatchNorm, dim: int) -> np.ndarray:
     """Per-coordinate amplitude scales norm(e_j), j = 0..dim-1."""
-    return np.asarray(norm(np.eye(dim)), dtype=float)
+    return np.asarray(norm(np.eye(dim, order="F")), dtype=float)
+
+
+def _repeat_rows(V: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Each row of the (m, d) array V, or of a shared (d,) row, repeated k
+    times in place: an (m*k, d) column-major array."""
+    V = np.broadcast_to(V, (m, V.shape[-1]))
+    return np.repeat(V.T, k, axis=1).T
 
 
 def _clip_search(X, T, pay_clip, pay_rest, scale, iters):
@@ -141,7 +162,8 @@ def decomposition_infimum(
 
     The norms see stacked rows: row r belongs to X row ``(r % (m*k)) // k``
     and to its t number ``r % k``, and each block of m*k rows is one start.
-    They must treat rows independently and accept any row count.  The seeded
+    They must treat rows independently and accept any row count, and they
+    receive column-major arrays (the module docstring says why).  The seeded
     random starts are drawn at X's (m, d) shape and repeated over a row's k
     values of t, so one (m, k) call equals k per-t calls with the same seed
     bit for bit.
@@ -158,14 +180,11 @@ def decomposition_infimum(
     if scale1 is None:
         scale1 = probe_scales(norm1, d)
 
-    def stacked(scale):
-        # per-row scales follow their row to each of its k values of t
-        scale = np.where(scale > 0, scale, 1.0)
-        return np.repeat(scale, k, axis=0) if scale.ndim == 2 else scale
-
-    scale0, scale1 = stacked(scale0), stacked(scale1)
-    # one row per (X row, t)
-    X = np.repeat(X, k, axis=0)
+    # one row per (X row, t); per-row scales follow their row to each of
+    # its k values of t
+    scale0, scale1 = (_repeat_rows(np.where(s > 0, s, 1.0), m, k)
+                      for s in (scale0, scale1))
+    X = _repeat_rows(X, m, k)
     T = T.reshape(-1)
 
     best = np.minimum(norm0(X), T * norm1(X))
@@ -182,11 +201,12 @@ def decomposition_infimum(
     starts = [np.zeros_like(X), X, clip_start]
     for _ in range(max(0, int(budget))):
         u = rng.uniform(-0.5, 1.5, size=(m, d))
-        starts.append(np.repeat(u, k, axis=0) * X)
+        starts.append(_repeat_rows(u, m, k) * X)
 
-    # every start's descent at once: one block of m*k rows per start
+    # every start's descent at once: one block of m*k rows per start; the
+    # blocks are column-major, and so is their concatenation
     A = np.concatenate(starts)
-    XS = np.tile(X, (len(starts), 1))
+    XS = np.concatenate([X] * len(starts))
     TS = np.tile(T, len(starts))
     absx = np.abs(XS)
     rows = np.arange(len(A))

@@ -713,7 +713,13 @@ def k_oracle(x: FiniteVector, t: float, couple: Couple,
 
 def _n_window(n_min: int, n_max: int) -> np.ndarray:
     """The exponents n_min..n_max of a dyadic grid t = 2^n; DomainError
-    when the window is empty."""
+    when the window is empty or 2^n at an end is not a positive normal
+    float (n outside [-1022, 1023])."""
+    lo, hi = np.finfo(float).minexp, np.finfo(float).maxexp - 1
+    for key, n in (("n_min", n_min), ("n_max", n_max)):
+        if not lo <= n <= hi:
+            raise DomainError(f"{key} = {n} is outside [{lo}, {hi}], where "
+                              f"t = 2^n is a positive normal float")
     if n_min > n_max:
         raise DomainError(f"need n_min <= n_max, got n_min = {n_min} and "
                           f"n_max = {n_max}")

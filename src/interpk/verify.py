@@ -36,8 +36,8 @@ from .errors import DomainError, EmptyReportError, InvariantError
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams,
                      _check_theta_q, derived_sum_int_couple, interp_weights,
                      _lq_combine, sequence_couple_k)
-from .snum import (LorentzParams, diag_operator, ideal_norm,
-                   k_operator_diag_batch, witness_sequence)
+from .snum import (LorentzParams, k_operator_diag_batch, lorentz_norm,
+                   witness_sequence)
 
 __all__ = [
     "EquivReport", "DichotomyReport", "DistinctnessReport",
@@ -329,8 +329,9 @@ def _sweep_report(check: str, seed: int, rows, count: int,
     ``sizes``, in order, ``pair(size, X)`` gets the nonzero sample rows X
     at that size and returns (lhs, rhs): vectors, or, with ``ts`` given,
     matrices whose column j is at t = ts[j].  A ratio counts where both
-    sides exceed 1e-300.  Trace rows run t-major within a size and carry t
-    when ``ts`` is given.  The caller sets the report's config and verdict.
+    sides exceed 1e-300, and a size left with none raises EmptyReportError.
+    Trace rows run t-major within a size and carry t when ``ts`` is given.
+    The caller sets the report's config and verdict.
     """
     samples = _sample_sweep(rows, count, sizes, seed)
     per_size = {}
@@ -352,6 +353,10 @@ def _sweep_report(check: str, seed: int, rows, count: int,
                               "ratio": float(r)}
                              for i, r in zip(idx[ok], columns[-1]))
         per_size[size] = np.concatenate(columns)
+        if not per_size[size].size:
+            raise EmptyReportError(
+                f"{check}: no ratio left at size {size} (each had a side "
+                f"that is NaN or not above 1e-300)")
     per_dim, lo, hi, total = _band_from_ratios(per_size)
     return EquivReport(check, seed, total, lo, hi, per_dim, {}, trace=trace)
 
@@ -566,7 +571,10 @@ def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
     pair (smaller p, then smaller q) diverges there and converges in the
     coarser ideal whenever p differs or q does; identical pairs report
     identical flags.  Ideal norms of the truncated witness diagonal operator
-    are tabulated alongside, at each length of ``norm_lengths``.
+    are tabulated alongside, at each length of ``norm_lengths``: the witness
+    is nonincreasing and positive, so it is that operator's own sequence of
+    approximation numbers, and its Lorentz norm is the ideal norm without
+    an L x L matrix or an SVD.
     """
     for key, values in (("p_list", p_list), ("q_list", q_list)):
         if not values:
@@ -590,10 +598,8 @@ def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
             eps, _ = witness_sequence(fine[0], fine[1], max(norm_lengths))
             entry["ideal_norms"] = {
                 str(L): {
-                    "fine": float(ideal_norm(diag_operator(eps[:L]),
-                                             LorentzParams(*fine))),
-                    "coarse": float(ideal_norm(diag_operator(eps[:L]),
-                                               LorentzParams(*coarse)))}
+                    "fine": lorentz_norm(eps[:L], LorentzParams(*fine)),
+                    "coarse": lorentz_norm(eps[:L], LorentzParams(*coarse))}
                 for L in norm_lengths}
             # distinct parameter pairs must separate, identical ones must not
             passed &= entry["separated"] == (fine != coarse)
@@ -607,6 +613,15 @@ def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
 # ---------------------------------------------------------------------------
 # oracle agreement (closed forms vs descent)
 # ---------------------------------------------------------------------------
+
+def _block_weighted_sup(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """max_j W[r % m, j] |A[r, j]| for each row r of A, m = len(W)."""
+    # A is column-major, so A.T is C-ordered and its reshape to
+    # (d, blocks, m) is a view
+    terms = np.abs(A).T.reshape(W.shape[1], -1, len(W))
+    terms *= W.T[:, None, :]
+    return np.max(terms, axis=0).reshape(-1)
+
 
 def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
                      budget: int = 4) -> dict:
@@ -650,10 +665,8 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
             exact = _weighted_sup_batch(X, T, W0, W1)
             # the descent stacks its starts as blocks of len(X) rows: the
             # weights broadcast over the blocks
-            n0 = lambda A: np.max(W0 * np.abs(A).reshape(-1, *W0.shape),
-                                  axis=2).reshape(-1)
-            n1 = lambda A: np.max(W1 * np.abs(A).reshape(-1, *W1.shape),
-                                  axis=2).reshape(-1)
+            n0 = lambda A: _block_weighted_sup(A, W0)
+            n1 = lambda A: _block_weighted_sup(A, W1)
         oracle = decomposition_infimum(X, T, n0, n1, budget=budget,
                                        seed=seed, scale0=W0, scale1=W1)
         keep = exact > 1e-300

@@ -316,6 +316,21 @@ class TestConfigErrors:
         *(pytest.param(check, {"n_min": 2, "n_max": 1}, "need n_min <= n_max",
                        id=f"{check}-empty-window")
           for check in ("sum-intersection", "konig", "reiteration")),
+        # 2^n leaves the positive normal floats
+        pytest.param("sum-intersection", {"n_min": -2000, "n_max": 2000},
+                     "n_min = -2000 is outside [-1022, 1023]",
+                     id="sum-intersection-n-min-underflows"),
+        pytest.param("sum-intersection", {"n_min": -20, "n_max": 1024},
+                     "n_max = 1024 is outside [-1022, 1023]",
+                     id="sum-intersection-n-max-overflows"),
+        pytest.param("konig", {"lengths": [4], "n_min": -1070,
+                               "n_max": 1070},
+                     "n_min = -1070 is outside [-1022, 1023]",
+                     id="konig-window-outside-normal-floats"),
+        # inside that range, but the left side underflows to 0 everywhere
+        pytest.param("reiteration", {"n_min": -1000, "n_max": -990},
+                     "reiteration: no ratio left at size 4",
+                     id="reiteration-no-ratio-at-a-size"),
     ])
     def test_refuses_inadmissible_parameters(self, check, config, message,
                                              tmp_path, capsys):
@@ -374,6 +389,32 @@ class TestConfigErrors:
                         "--seed", "0", "--out", str(out)]) == 0
         pair, = json.loads(out.read_text())["report"]["pairs"]
         assert sorted(pair["ideal_norms"]) == ["16", "2"]
+
+    def test_norm_length_beyond_a_dense_matrix(self, tmp_path):
+        # the norms read the witness itself, with no L x L operator
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"p_list": [2.0], "q_list": [1.0],
+                                   "N": 1024, "norm_lengths": [4, 2000000]}))
+        out = tmp_path / "x.json"
+        assert run_cli(["verify", "distinctness", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)]) == 0
+        pair, = json.loads(out.read_text())["report"]["pairs"]
+        assert sorted(pair["ideal_norms"]) == ["2000000", "4"]
+
+    @pytest.mark.parametrize("key, value", [("n_min", -2000),
+                                            ("n_max", 1024)])
+    def test_kprofile_window_outside_normal_floats(self, key, value,
+                                                   couple_config, tmp_path,
+                                                   capsys):
+        cfg = {**json.loads(couple_config.read_text()), key: value}
+        couple_config.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
+        code = run_cli(["kprofile", "--config", str(couple_config),
+                        "--out", str(out)])
+        assert code == 2
+        assert (f"{key} = {value} is outside [-1022, 1023]"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_witness_max_rows_below_one(self, tmp_path, capsys):
         for rows in ("0", "-3"):

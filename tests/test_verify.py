@@ -9,6 +9,8 @@ from interpk import (EmptyReportError, InterpParams, check_konig,
                      distinctness_demo, equivalence_report, l1_linf_couple,
                      oracle_agreement)
 from interpk.couples import WeightedNorm, vec
+from interpk.snum import (LorentzParams, diag_operator, ideal_norm,
+                          witness_sequence)
 from interpk.verify import (_nonincreasing_rows, _sample_rows, _sample_sweep,
                             couple_family, sample_dense,
                             sample_nonincreasing, vector_sampler)
@@ -274,6 +276,19 @@ class TestDistinctness:
         assert diff["separated"] is True
         assert diff["flag_fine"] == "diverging"
 
+    def test_norms_equal_the_diagonal_operator_route(self):
+        # the witness is its diagonal operator's approximation numbers
+        r = distinctness_demo([1.0, 4.0 / 3.0, 2.0, 3.0], [1.0, 2.5], 64,
+                              norm_lengths=(4, 16, 33, 64))
+        assert len(r.pairs) == 36
+        for entry in r.pairs:
+            eps, _ = witness_sequence(*entry["pair_a"], 64)
+            for L, norms in entry["ideal_norms"].items():
+                T = diag_operator(eps[:int(L)])
+                assert norms == {
+                    "fine": ideal_norm(T, LorentzParams(*entry["pair_a"])),
+                    "coarse": ideal_norm(T, LorentzParams(*entry["pair_b"]))}
+
     def test_distinct_p_separates(self):
         r = distinctness_demo([1.0, 2.0], [1.5], 2 ** 14)
         entry = [e for e in r.pairs if e["pair_a"] != e["pair_b"]][0]
@@ -301,6 +316,17 @@ class TestOracleAgreement:
         assert shapes == [(100, 8), (100, 8)]
         for kind, err in rep["worst_relative_error"].items():
             assert err <= 1e-6, f"{kind}: {err}"
+
+    def test_block_weighted_sup(self):
+        # against the C-order reshape form it replaced, on the column-major
+        # stacked blocks the descent hands it
+        from interpk.verify import _block_weighted_sup
+        rng = np.random.default_rng(7)
+        W = 2.0 ** rng.uniform(-3, 3, (5, 4))
+        A = np.asfortranarray(rng.standard_normal((35, 4)))
+        want = np.max(W * np.abs(A).reshape(-1, *W.shape), axis=2).reshape(-1)
+        assert np.array_equal(_block_weighted_sup(A, W), want)
+        assert np.array_equal(_block_weighted_sup(A[:5], W), want[:5])
 
     def test_needs_both_kinds(self):
         from interpk.errors import DomainError

@@ -3,10 +3,8 @@ ideal quasi-norms on finite index windows, with seeded verification
 experiments for their equivalence and dichotomy properties."""
 
 from .couples import (Couple, FiniteVector, KProfile, WeightedNorm,
-                      endpoint_norms, k_exact_l1_linf, k_oracle,
-                      k_power_coordinatewise, k_profile, k_sphere_sup,
-                      k_weighted_sup, l1_linf_couple, power_couple,
-                      quasi_norm, vec, weighted_sup_couple)
+                      k_profile, k_sphere_sup, l1_linf_couple, power_couple,
+                      vec, weighted_sup_couple)
 from .errors import (ConstructionError, DomainError, EmptyReportError,
                      InterpKError, InvariantError, ParamError, SizeError,
                      UnsupportedError, WindowError)

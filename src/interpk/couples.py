@@ -25,8 +25,12 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
 
   (``_power_batch``), exact for p = 1 and a surrogate with band
   [2^{-1/min(p,1)}, 2^{1/min(p,1)}] otherwise;
-* any other pair has no route: its K is a seeded multi-start descent over
-  decompositions (an upper approximation).
+* ``descent``       any other pair (``k_route`` returns None):
+  ``descent_route`` builds its K, a seeded multi-start descent over
+  decompositions (``_descent.decomposition_infimum``).  It is an upper
+  approximation, and it reports the band (1, 1) all the same.  It is the one
+  place that builds a descent K: ``oracle`` couples, ``sequence_couple_k``
+  and the derived couple call it with their own budget and seed.
 
 A route carries its band: ``band[0] <= K_route / K_true <= band[1]``, (1, 1)
 for the exact routes.  The strategy names select what a couple may use:
@@ -35,7 +39,7 @@ for the exact routes.  The strategy names select what a couple may use:
   the ``l1_linf``, ``weighted_sup`` and ``power`` routes, and the norms
   must have that route;
 * ``oracle`` takes any norm pair: it uses the route where the route is
-  exact and descends everywhere else.
+  exact and ``descent_route`` (budget 8, seed 0) everywhere else.
 
 K-profiles sample K(x, 2^n) over a dyadic window; they are the discrete
 object every interpolation norm downstream consumes.  ``Couple.profile_batch``
@@ -52,15 +56,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._descent import _t_matrix, decomposition_infimum
-from .errors import (DomainError, InvariantError, SizeError, WindowError)
+from .errors import DomainError, InvariantError, WindowError
 
 __all__ = [
     "FiniteVector", "WeightedNorm", "Couple", "KProfile", "KRoute", "k_route",
-    "EXACT_L1_LINF", "WEIGHTED_SUP_LP", "POWER_COORDINATEWISE", "ORACLE",
-    "quasi_norm", "k_exact_l1_linf", "k_weighted_sup",
-    "k_power_coordinatewise", "k_oracle", "k_profile", "endpoint_norms",
-    "k_sphere_sup", "l1_linf_couple", "weighted_sup_couple", "power_couple",
-    "geometric_weights",
+    "descent_route", "EXACT_L1_LINF", "WEIGHTED_SUP_LP",
+    "POWER_COORDINATEWISE", "ORACLE", "k_profile", "k_sphere_sup",
+    "l1_linf_couple", "weighted_sup_couple", "power_couple",
 ]
 
 EXACT_L1_LINF = "exact_l1_linf"
@@ -185,11 +187,6 @@ class WeightedNorm:
         return self.offset, self.offset + self.dim
 
     @property
-    def power_exponent(self) -> float:
-        """Aoki-Rolewicz exponent r = min(p, 1)."""
-        return min(self.p, 1.0)
-
-    @property
     def quasi_constant(self) -> float:
         return max(1.0, 2.0 ** (1.0 / self.p - 1.0))
 
@@ -220,16 +217,6 @@ class WeightedNorm:
     def from_json(data: dict, offset: int = 0) -> "WeightedNorm":
         return WeightedNorm(data["p"], int(data.get("offset", offset)),
                             np.asarray(data["weights"], dtype=float))
-
-
-def geometric_weights(base: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """Weights base^k for k = n_lo..n_hi inclusive."""
-    ks = np.arange(n_lo, n_hi + 1)
-    return float(base) ** ks
-
-
-def unit_weights(dim: int) -> np.ndarray:
-    return np.ones(dim)
 
 
 class KRoute(NamedTuple):
@@ -279,21 +266,33 @@ def k_route(norm0: WeightedNorm, norm1: WeightedNorm) -> KRoute | None:
     return route and _mirrored(route)
 
 
+def descent_route(dense0, dense1, *, budget: int, seed: int,
+                  scale0=None, scale1=None) -> KRoute:
+    """The ``descent`` route: K of the norm callables (dense0, dense1) by
+    ``_descent.decomposition_infimum`` with these knobs, an upper
+    approximation reported with band (1, 1).  The engine is looked up when
+    the kernel runs and gets the norms positionally, so a wrapper installed
+    on it (the benchmark's tracer counts norm calls) sees every descent."""
+    return KRoute("descent", lambda X, T: decomposition_infimum(
+        X, T, dense0, dense1, budget=budget, seed=seed, scale0=scale0,
+        scale1=scale1), exact=False)
+
+
 @dataclass(frozen=True)
 class Couple:
     """Two weighted quasi-norms on a shared window plus a K strategy.
 
-    ``route`` is the ``k_route`` the couple evaluates K through, or None
-    where it descends.  ``equiv_lo <= K_strategy / K_true <= equiv_hi`` is
-    the route's band, (1, 1) for the exact routes; a descending couple
-    reports (1, 1) too, although descent is an upper approximation.
+    ``route`` is the ``KRoute`` the couple evaluates K through: the
+    ``k_route`` of its norms, or ``descent_route`` for an ``oracle`` couple
+    whose norms have no exact route.  ``equiv_lo <= K_strategy / K_true <=
+    equiv_hi`` is the route's band, (1, 1) for the exact routes; descent
+    reports (1, 1) too, although it is an upper approximation.
     """
 
     norm0: WeightedNorm
     norm1: WeightedNorm
     strategy: str
-    oracle_budget: int = 8
-    route: KRoute | None = field(init=False, repr=False, compare=False)
+    route: KRoute = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.norm0.window != self.norm1.window:
@@ -301,7 +300,11 @@ class Couple:
         s = self.strategy
         route = k_route(self.norm0, self.norm1)
         if s == ORACLE:
-            route = route if route and route.exact else None
+            if not (route and route.exact):
+                route = descent_route(
+                    self.norm0.dense, self.norm1.dense, budget=8, seed=0,
+                    # norm(e_j) = w_j for every lp exponent
+                    scale0=self.norm0.weights, scale1=self.norm1.weights)
         elif s not in _STRATEGY_ROUTES:
             raise InvariantError(f"unknown strategy {s!r}")
         elif route is None or route.name != _STRATEGY_ROUTES[s]:
@@ -332,14 +335,14 @@ class Couple:
 
     @property
     def equiv_lo(self) -> float:
-        return self.route.band[0] if self.route else 1.0
+        return self.route.band[0]
 
     @property
     def equiv_hi(self) -> float:
-        return self.route.band[1] if self.route else 1.0
+        return self.route.band[1]
 
     def is_exact(self) -> bool:
-        return self.route is not None and self.route.exact
+        return self.route.exact
 
     def reversed(self) -> "Couple":
         """The couple (A1, A0); K relates by K(x,t;A1,A0) = t K(x,1/t;A0,A1)."""
@@ -354,7 +357,7 @@ class Couple:
         T = np.broadcast_to(np.asarray(T, dtype=float), (X.shape[0],))
         if np.any(T <= 0):
             raise DomainError("t must be positive")
-        return self._k_matrix(X, T[:, None])[:, 0]
+        return self.route.kernel(X, T[:, None])[:, 0]
 
     def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
         """K at every row of X and every t of ``t_grid``: (m, len(t_grid))."""
@@ -362,22 +365,7 @@ class Couple:
         grid = np.asarray(t_grid, dtype=float).reshape(1, -1)
         if np.any(grid <= 0):
             raise DomainError("t must be positive")
-        return self._k_matrix(X, grid)
-
-    def _k_matrix(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """K(X[i], T[i, j]) for T of shape (m, k), or (1, k) shared by rows."""
-        if self.route is not None:
-            return self.route.kernel(X, T)
-        # descent has no t-independent work to share: one call over every
-        # (row, t) pair, rows repeated in place
-        m, k = X.shape[0], T.shape[1]
-        values = decomposition_infimum(
-            np.repeat(X, k, axis=0), np.broadcast_to(T, (m, k)).reshape(-1),
-            self.norm0.dense, self.norm1.dense,
-            budget=self.oracle_budget, seed=0,
-            # norm(e_j) = w_j for every lp exponent
-            scale0=self.norm0.weights, scale1=self.norm1.weights)
-        return values.reshape(m, k)
+        return self.route.kernel(X, grid)
 
     def k(self, x: FiniteVector, t: float) -> float:
         return float(self.k_batch(self.embed(x)[None, :], t)[0])
@@ -639,78 +627,6 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
 # public operations
 # ---------------------------------------------------------------------------
 
-def quasi_norm(x: FiniteVector, norm: WeightedNorm) -> float:
-    """Evaluate the weighted lp quasi-norm of x on the norm's window."""
-    return norm(x)
-
-
-def k_exact_l1_linf(x: FiniteVector, t: float) -> float:
-    """Exact K(x, t) for the unweighted couple (l1, linf)."""
-    if not (t > 0):
-        raise DomainError("t must be positive")
-    return float(_l1_linf_batch(np.abs(x.entries)[None, :],
-                                np.asarray([t]))[0])
-
-
-def k_weighted_sup(x: FiniteVector, t: float, w0, w1) -> float:
-    """Exact K(x, t) for (linf(w0), linf(w1)); weights aligned with x."""
-    if not (t > 0):
-        raise DomainError("t must be positive")
-    w0 = np.asarray(w0, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
-    if len(x) == 0:
-        return 0.0
-    if not (np.all(w0 > 0) and np.all(w1 > 0)):
-        raise InvariantError("weights must be positive")
-    if w0.shape != x.entries.shape or w1.shape != x.entries.shape:
-        raise WindowError("weights must align with the vector window")
-    return float(_weighted_sup_batch(x.entries[None, :], np.asarray([t]),
-                                     w0, w1)[0])
-
-
-def k_power_coordinatewise(x: FiniteVector, t: float, p, w0, w1) -> float:
-    """Coordinatewise power functional K_p for (lp(w0), lp(w1)).
-
-    Exact for p = 1; otherwise within [2^{-|1-1/p|}, 2^{|1-1/p|}] of the true
-    K.  p = inf is rejected (use the weighted sup strategy).
-    """
-    if not (t > 0):
-        raise DomainError("t must be positive")
-    p = _parse_p(p)
-    if math.isinf(p):
-        raise DomainError("p = inf is not supported coordinatewise")
-    w0 = np.asarray(w0, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
-    if not (np.all(w0 > 0) and np.all(w1 > 0)):
-        raise InvariantError("weights must be positive")
-    if w0.shape != x.entries.shape or w1.shape != x.entries.shape:
-        raise WindowError("weights must align with the vector window")
-    return float(_power_batch(x.entries[None, :], np.asarray([t]),
-                              p, w0, w1)[0])
-
-
-def k_oracle(x: FiniteVector, t: float, couple: Couple,
-             budget: int = 8, seed: int = 0) -> float:
-    """Brute-force upper approximation of K(x, t) for any couple.
-
-    Multi-start coordinate descent with per-coordinate golden-section plus
-    clip-family line searches; deterministic for a fixed seed.  Guarded to
-    window dimension <= 16.
-    """
-    if couple.dim > ORACLE_MAX_DIM:
-        raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
-    if not (t > 0):
-        raise DomainError("t must be positive")
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    X = couple.embed(x)[None, :]
-    val = decomposition_infimum(
-        X, t, couple.norm0.dense, couple.norm1.dense, budget=budget,
-        # norm(e_j) = w_j for every lp exponent
-        seed=seed, scale0=couple.norm0.weights, scale1=couple.norm1.weights)
-    return float(val[0])
-
-
 def _n_window(n_min: int, n_max: int) -> np.ndarray:
     """The exponents n_min..n_max of a dyadic grid t = 2^n; DomainError
     when the window is empty or 2^n at an end is not a positive normal
@@ -731,14 +647,9 @@ def k_profile(x: FiniteVector, couple: Couple, n_min: int, n_max: int) -> KProfi
     grid = _n_window(n_min, n_max)
     values = couple.profile_batch(couple.embed(x), 2.0 ** grid.astype(float))
     prof = KProfile(n_min, n_max, values[0])
-    if couple.route is not None:
+    if couple.route.name != "descent":
         prof.validate(rel_tol=1e-9)
     return prof
-
-
-def endpoint_norms(x: FiniteVector, couple: Couple) -> tuple[float, float]:
-    """(sum norm, intersection norm) = (K(x, 1), max of the two norms)."""
-    return couple.k(x, 1.0), max(couple.norm0(x), couple.norm1(x))
 
 
 def k_sphere_sup(couple: Couple, t: float, samples: int, seed: int) -> float:

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._descent import decomposition_infimum
 from .couples import (ORACLE_MAX_DIM, Couple, FiniteVector, KProfile,
-                      WeightedNorm, k_profile, k_route, l1_linf_couple,
-                      stable_lp_sum)
+                      WeightedNorm, descent_route, k_profile, k_route,
+                      l1_linf_couple, stable_lp_sum)
 from .errors import DomainError, InvariantError, ParamError, SizeError
 
 __all__ = [
@@ -342,9 +341,6 @@ class DerivedSumIntCouple:
             raise InvariantError(
                 "derived couple needs a base couple with an exact strategy")
         self.base = base
-        m = base.quasi_constant
-        self.equiv_lo = 1.0 / (8.0 * m)
-        self.equiv_hi = 8.0 * m
         # the sum and intersection of (l1, linf), either order, are linf
         # and l1; other bases have no weighted-norm form, so no route
         self.route = (l1_linf_couple(base.dim).reversed().route
@@ -412,17 +408,17 @@ class DerivedSumIntCouple:
         ||x||_inf) is ||x||_1, so the derived couple is exactly (linf, l1)
         and ``k_route`` answers it (the ``l1_linf`` row of the route table
         in ``couples``); ``budget``/``seed`` are unused.  Other bases get
-        descent, an upper bound, limited to dimension ``ORACLE_MAX_DIM``.
-        ``T`` is one t per row, or an (m, k)/(1, k) grid answered by one
-        call with an (m, k) result, equal to k per-t calls.
+        ``couples.descent_route``, an upper bound, limited to dimension
+        ``ORACLE_MAX_DIM``.  ``T`` is one t per row, or an (m, k)/(1, k)
+        grid answered by one call with an (m, k) result, equal to k per-t
+        calls.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.route is not None:
-            return self.route.kernel(X, T)
-        if X.shape[1] > ORACLE_MAX_DIM:
+        route = self.route or descent_route(self.sum_dense, self.int_dense,
+                                            budget=budget, seed=seed)
+        if route.name == "descent" and X.shape[1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
-        return decomposition_infimum(X, T, self.sum_dense, self.int_dense,
-                                     budget=budget, seed=seed)
+        return route.kernel(X, T)
 
     def k_oracle(self, x: FiniteVector, t: float, budget: int = 8,
                  seed: int = 0) -> float:
@@ -443,7 +439,7 @@ class EndpointNorm:
     """Norm handle evaluating x -> interp_norm(x; theta, q) over the window.
 
     Its ``dense`` evaluates the norm of each row of a matrix, so it can be
-    handed, as a norm callable, to ``_descent.decomposition_infimum``.  It
+    handed, as a norm callable, to ``couples.descent_route``.  It
     is not a ``WeightedNorm`` (it has no exponent or weights), so it cannot
     be an endpoint of a ``Couple``.
     """
@@ -491,16 +487,15 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
     Rows of ``values`` are treated as independent sequences.  K is read
     from ``couples.k_route`` (its route table is in the ``couples`` module
     docstring; the ``power`` route is the coordinatewise surrogate), and
-    ``budget``/``seed`` are unused there; pairs without a route fall back to
-    seeded descent, an upper bound.  ``t`` is a scalar or one t per row (an
-    (m,) result), or an (m, k)/(1, k) grid (an (m, k) result); a grid is one
-    kernel or descent call and equals k per-t calls with the same seed.
+    ``budget``/``seed`` are unused there; pairs without a route take
+    ``couples.descent_route``, an upper bound.  ``t`` is a scalar or one t
+    per row (an (m,) result), or an (m, k)/(1, k) grid (an (m, k) result);
+    a grid is one kernel call and equals k per-t calls with the same seed.
     """
     V = np.atleast_2d(np.asarray(values, dtype=float))
     n0 = WeightedNorm(p0, 0, w0)
     n1 = WeightedNorm(p1, 0, w1)
-    route = k_route(n0, n1)
-    if route is not None:
-        return route.kernel(V, t)
-    return decomposition_infimum(V, t, n0.dense, n1.dense, budget=budget,
-                                 seed=seed, scale0=n0.weights, scale1=n1.weights)
+    route = k_route(n0, n1) or descent_route(
+        n0.dense, n1.dense, budget=budget, seed=seed, scale0=n0.weights,
+        scale1=n1.weights)
+    return route.kernel(V, t)

@@ -285,11 +285,10 @@ def couple_family(name: str, dim: int) -> Couple:
 def _derived_profile(base_profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Surrogate K of (A0+A1, A0 cap A1) at t = 2^n from the base profile.
 
-    Needs a symmetric grid: for n <= 0 the value is P_n + 2^n P_{-n}; for
-    n > 0 the monotone extension by the t = 1 value (2 P_0) applies.
+    Needs a symmetric grid (``check_sum_intersection`` refuses others): for
+    n <= 0 the value is P_n + 2^n P_{-n}; for n > 0 the monotone extension
+    by the t = 1 value (2 P_0) applies.
     """
-    if grid[0] != -grid[-1]:
-        raise DomainError("derived profile needs a symmetric n-window")
     P = base_profile
     out = np.empty_like(P)
     zero = np.searchsorted(grid, 0)
@@ -418,6 +417,10 @@ def check_sum_intersection(theta: float, p: float,
     """
     params = InterpParams(theta, _check_theta_q(theta, p, ("theta", "p")))
     grid = _n_window(n_min, n_max)
+    if n_min != -n_max:
+        raise DomainError(f"the derived profile needs a symmetric window "
+                          f"n_min = -n_max, got n_min = {n_min} and "
+                          f"n_max = {n_max}")
     low_half = grid <= 0
     w_theta = interp_weights(params, grid)
     w_mirror = interp_weights(InterpParams(1.0 - theta, p), grid)

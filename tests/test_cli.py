@@ -323,6 +323,10 @@ class TestConfigErrors:
         pytest.param("sum-intersection", {"n_min": -20, "n_max": 1024},
                      "n_max = 1024 is outside [-1022, 1023]",
                      id="sum-intersection-n-max-overflows"),
+        # the derived profile mirrors n to -n
+        pytest.param("sum-intersection", {"n_min": -20, "n_max": 19},
+                     "symmetric window n_min = -n_max, got n_min = -20 and "
+                     "n_max = 19", id="sum-intersection-asymmetric-window"),
         pytest.param("konig", {"lengths": [4], "n_min": -1070,
                                "n_max": 1070},
                      "n_min = -1070 is outside [-1022, 1023]",

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from interpk import (Couple, DomainError, InvariantError, SizeError,
-                     WeightedNorm, WindowError, endpoint_norms,
-                     k_exact_l1_linf, k_oracle, k_power_coordinatewise,
-                     k_profile, k_sphere_sup, k_weighted_sup, l1_linf_couple,
-                     power_couple, quasi_norm, weighted_sup_couple)
+from interpk import (Couple, DomainError, InvariantError, WeightedNorm,
+                     WindowError, k_profile, k_sphere_sup, l1_linf_couple,
+                     power_couple, weighted_sup_couple)
 from interpk._descent import decomposition_infimum
 from interpk.couples import (ORACLE, FiniteVector, _l1_linf_batch,
                              _l1_lp_batch, _power_batch, _weighted_sup_batch,
-                             k_route, vec)
+                             descent_route, k_route, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
 from interpk.snum import k_operator_diag_batch
 
@@ -127,32 +125,40 @@ def random_vector(rng, dim, offset=0):
     return FiniteVector(offset, rng.standard_normal(dim))
 
 
+def descend(x, t, c, budget=8, seed=0):
+    """K(x, t) on the couple's norms by the descent route."""
+    route = descent_route(c.norm0.dense, c.norm1.dense, budget=budget,
+                          seed=seed, scale0=c.norm0.weights,
+                          scale1=c.norm1.weights)
+    return float(route.kernel(c.embed(x)[None, :], t)[0])
+
+
 # ---------------------------------------------------------------------------
-# quasi_norm
+# the weighted quasi-norm
 # ---------------------------------------------------------------------------
 
 class TestQuasiNorm:
     def test_zero_vector(self):
         n = WeightedNorm(2.0, 0, [1.0, 1.0, 1.0])
-        assert quasi_norm(vec([0, 0, 0]), n) == 0.0
+        assert n(vec([0, 0, 0])) == 0.0
 
     def test_euclidean_345(self):
-        assert quasi_norm(vec([3, 4]), WeightedNorm(2.0, 0, [1, 1])) == pytest.approx(5.0)
+        assert WeightedNorm(2.0, 0, [1, 1])(vec([3, 4])) == pytest.approx(5.0)
 
     def test_half_exponent(self):
         # (|1|^{1/2} + |1|^{1/2})^2 = 4
-        assert quasi_norm(vec([1, 1]), WeightedNorm(0.5, 0, [1, 1])) == pytest.approx(4.0)
+        assert WeightedNorm(0.5, 0, [1, 1])(vec([1, 1])) == pytest.approx(4.0)
 
     def test_sup_norm(self):
         n = WeightedNorm(math.inf, 0, [1.0, 2.0])
-        assert quasi_norm(vec([3, -2]), n) == pytest.approx(4.0)
+        assert n(vec([3, -2])) == pytest.approx(4.0)
 
     def test_window_mismatch(self):
         n = WeightedNorm(1.0, 0, [1.0, 1.0])
         with pytest.raises(WindowError):
-            quasi_norm(vec([1, 2, 3]), n)
+            n(vec([1, 2, 3]))
         with pytest.raises(WindowError):
-            quasi_norm(vec([1], offset=-1), n)
+            n(vec([1], offset=-1))
 
     def test_nonpositive_weight(self):
         with pytest.raises(InvariantError):
@@ -162,15 +168,15 @@ class TestQuasiNorm:
 
     def test_weighted_offset_window(self):
         n = WeightedNorm(1.0, -2, [1.0, 2.0, 3.0])
-        assert quasi_norm(vec([5.0], offset=-1), n) == pytest.approx(10.0)
+        assert n(vec([5.0], offset=-1)) == pytest.approx(10.0)
 
     @given(st.floats(min_value=0.25, max_value=4.0),
            st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6))
     def test_homogeneous(self, lam, entries):
         n = WeightedNorm(1.5, 0, np.ones(len(entries)))
         x = vec(entries)
-        assert quasi_norm(x.scaled(lam), n) == pytest.approx(
-            lam * quasi_norm(x, n), rel=1e-12, abs=1e-12)
+        assert n(x.scaled(lam)) == pytest.approx(lam * n(x), rel=1e-12,
+                                                  abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -179,44 +185,44 @@ class TestQuasiNorm:
 
 class TestExactL1Linf:
     def test_spec_values(self):
-        x = vec([3, 1, 2])
-        assert k_exact_l1_linf(x, 1.0) == pytest.approx(clip_oracle_l1_linf([3, 1, 2], 1.0))
-        assert k_exact_l1_linf(x, 1.0) == pytest.approx(3.0)
-        assert k_exact_l1_linf(x, 2.0) == pytest.approx(5.0)
+        c, x = l1_linf_couple(3), vec([3, 1, 2])
+        assert c.k(x, 1.0) == pytest.approx(clip_oracle_l1_linf([3, 1, 2], 1.0))
+        assert c.k(x, 1.0) == pytest.approx(3.0)
+        assert c.k(x, 2.0) == pytest.approx(5.0)
 
     def test_single_coordinate_small_t(self):
-        assert k_exact_l1_linf(vec([7.0]), 0.5) == pytest.approx(3.5)
+        assert l1_linf_couple(1).k(vec([7.0]), 0.5) == pytest.approx(3.5)
 
     def test_saturates_at_l1(self):
-        assert k_exact_l1_linf(vec([3, 1, 2]), 4.0) == pytest.approx(6.0)
-        assert k_exact_l1_linf(vec([3, 1, 2]), 100.0) == pytest.approx(6.0)
+        c = l1_linf_couple(3)
+        assert c.k(vec([3, 1, 2]), 4.0) == pytest.approx(6.0)
+        assert c.k(vec([3, 1, 2]), 100.0) == pytest.approx(6.0)
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(DomainError):
-            k_exact_l1_linf(vec([1.0]), 0.0)
+            l1_linf_couple(1).k(vec([1.0]), 0.0)
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=7),
            st.floats(min_value=0.05, max_value=20.0))
     def test_matches_clip_oracle(self, entries, t):
-        got = k_exact_l1_linf(vec(entries), t)
+        got = l1_linf_couple(len(entries)).k(vec(entries), t)
         want = clip_oracle_l1_linf(entries, t)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestWeightedSup:
     def test_spec_vertex_values(self):
-        assert k_weighted_sup(vec([1, 1]), 1.0, [1, 1], [1, 2]) == pytest.approx(1.0)
-        assert k_weighted_sup(vec([0, 1]), 0.25, [1, 1], [1, 2]) == pytest.approx(0.5)
-
-    def test_empty_vector(self):
-        assert k_weighted_sup(vec([]), 1.0, [], []) == 0.0
+        c = weighted_sup_couple([1, 1], [1, 2])
+        assert c.k(vec([1, 1]), 1.0) == pytest.approx(1.0)
+        assert c.k(vec([0, 1]), 0.25) == pytest.approx(0.5)
 
     def test_zero_vector(self):
-        assert k_weighted_sup(vec([0.0, 0.0]), 3.0, [1, 1], [1, 1]) == 0.0
+        c = weighted_sup_couple([1, 1], [1, 1])
+        assert c.k(vec([0.0, 0.0]), 3.0) == 0.0
 
     def test_rejects_bad_weights(self):
         with pytest.raises(InvariantError):
-            k_weighted_sup(vec([1.0]), 1.0, [0.0], [1.0])
+            weighted_sup_couple([0.0], [1.0])
 
     @given(st.lists(st.floats(min_value=-8, max_value=8), min_size=1, max_size=6),
            st.floats(min_value=0.1, max_value=10.0),
@@ -226,7 +232,7 @@ class TestWeightedSup:
         d = len(entries)
         w0 = 2.0 ** rng.uniform(-2, 2, d)
         w1 = 2.0 ** rng.uniform(-2, 2, d)
-        got = k_weighted_sup(vec(entries), t, w0, w1)
+        got = weighted_sup_couple(w0, w1).k(vec(entries), t)
         want = breakpoint_oracle_weighted_sup(entries, t, w0, w1)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -379,13 +385,26 @@ class TestProfileBatch:
     def test_oracle_profile_is_one_descent_call_over_all_t(self):
         rng = np.random.default_rng(8)
         c = Couple(WeightedNorm(1.5, 0, 2.0 ** rng.uniform(-1, 1, 4)),
-                   WeightedNorm(3.0, 0, 2.0 ** rng.uniform(-1, 1, 4)), ORACLE,
-                   oracle_budget=2)
-        x = rng.standard_normal(4)
+                   WeightedNorm(3.0, 0, 2.0 ** rng.uniform(-1, 1, 4)), ORACLE)
+        x = vec(rng.standard_normal(4))
         grid = 2.0 ** np.arange(-3, 4).astype(float)
-        got = c.profile_batch(x, grid)[0]
-        want = c.k_batch(np.broadcast_to(x, (len(grid), 4)), grid)
-        assert np.array_equal(got, want)
+        got = c.profile_batch(c.embed(x), grid)[0]
+        assert got.tolist() == [c.k(x, t) for t in grid]
+
+    @pytest.mark.parametrize("p0, p1", [(0.5, 0.5), (1.0, 0.5), (2.0, 3.0)])
+    def test_oracle_profile_equals_its_per_t_k(self, p0, p1):
+        # a descending profile draws its random starts once per vector, as
+        # a single t does, so each profile value is that t's K bit for bit
+        rng = np.random.default_rng(65)
+        d = 5
+        c = Couple(WeightedNorm(p0, 0, 2.0 ** rng.uniform(-2, 2, d)),
+                   WeightedNorm(p1, 0, 2.0 ** rng.uniform(-2, 2, d)), ORACLE)
+        assert c.route.name == "descent"
+        grid = 2.0 ** np.arange(-4, 5).astype(float)
+        for _ in range(2):
+            x = vec(rng.standard_normal(d))
+            got = c.profile_batch(c.embed(x), grid)[0]
+            assert got.tolist() == [c.k(x, t) for t in grid]
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(DomainError):
@@ -463,9 +482,16 @@ class TestKRoute:
                   if weighted else (np.ones(3), np.ones(3)))
         n0, n1 = WeightedNorm(p0, 0, w0), WeightedNorm(p1, 0, w1)
         assert k_route(n0, n1) is None
-        c = Couple(n0, n1, ORACLE, oracle_budget=2)
-        assert c.route is None and not c.is_exact()
+        c = Couple(n0, n1, ORACLE)
+        assert (c.route.name, c.route.band) == ("descent", (1.0, 1.0))
+        assert not c.is_exact()
         V = np.abs(rng.standard_normal((2, 3)))
+        grid = DYADIC[None, 15:26]
+        got = c.route.kernel(V, grid)
+        want = decomposition_infimum(V, grid, n0.dense, n1.dense, budget=8,
+                                     seed=0, scale0=w0, scale1=w1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(c.profile_batch(V, grid[0]), want)
         got = sequence_couple_k(V, 0.5, p0, w0, p1, w1, budget=2, seed=4)
         want = decomposition_infimum(V, 0.5, n0.dense, n1.dense, budget=2,
                                      seed=4, scale0=w0, scale1=w1)
@@ -487,7 +513,7 @@ class TestKRoute:
                                                     w0, w1))
             x = FiniteVector(0, X[0])
             for t in (2.0 ** -3, 0.7, 1.0, 5.0):
-                descent = k_oracle(x, t, c, budget=4, seed=trial)
+                descent = descend(x, t, c, budget=4, seed=trial)
                 assert c.k(x, t) <= descent * (1 + 1e-12)
 
 
@@ -616,35 +642,36 @@ class TestL1LpKernel:
 
 class TestPowerCoordinatewise:
     def test_p1_is_exact_min(self):
-        got = k_power_coordinatewise(vec([1, 1]), 0.5, 1.0, [1, 1], [1, 1])
+        got = power_couple(1.0, [1, 1], [1, 1]).k(vec([1, 1]), 0.5)
         assert got == pytest.approx(1.0)
 
     def test_endpoint_optimum_small_p(self):
-        got = k_power_coordinatewise(vec([4.0]), 4.0, 0.5, [1], [1])
+        got = power_couple(0.5, [1], [1]).k(vec([4.0]), 4.0)
         assert got == pytest.approx(4.0)
 
     def test_p2_closed_form(self):
-        got = k_power_coordinatewise(vec([1.0]), 1.0, 2.0, [1], [1])
-        assert got == pytest.approx(1.0 / math.sqrt(2.0))
+        c = power_couple(2.0, [1], [1])
+        assert c.k(vec([1.0]), 1.0) == pytest.approx(1.0 / math.sqrt(2.0))
         # K_2 = |x| t / sqrt(1 + t^2)
         for t in (0.3, 1.7, 5.0):
-            got = k_power_coordinatewise(vec([2.0]), t, 2.0, [1], [1])
+            got = c.k(vec([2.0]), t)
             assert got == pytest.approx(2.0 * t / math.sqrt(1 + t * t), rel=1e-12)
 
     def test_rejects_inf_p(self):
         with pytest.raises(DomainError):
-            k_power_coordinatewise(vec([1.0]), 1.0, math.inf, [1], [1])
+            power_couple(math.inf, [1], [1])
         with pytest.raises(DomainError):
-            k_power_coordinatewise(vec([1.0]), 1.0, -1.0, [1], [1])
+            power_couple(-1.0, [1], [1])
 
     def test_no_overflow_at_large_exponent_and_scale(self):
         # |x|^p would overflow naively for p = 64 at this magnitude
+        c = power_couple(64.0, [1.0, 1.0], [1.0, 1.0])
         x = vec([2.7e9, 1.3e9])
-        got = k_power_coordinatewise(x, 0.5, 64.0, [1.0, 1.0], [1.0, 1.0])
+        got = c.k(x, 0.5)
         assert np.isfinite(got)
-        assert got <= quasi_norm(x, WeightedNorm(64.0, 0, [1.0, 1.0])) * (1 + 1e-9)
+        assert got <= c.norm0(x) * (1 + 1e-9)
         tiny = vec([1.1e-9, 0.7e-9])
-        got = k_power_coordinatewise(tiny, 2.0, 64.0, [1.0, 1.0], [1.0, 1.0])
+        got = c.k(tiny, 2.0)
         assert np.isfinite(got) and got > 0
 
     @given(st.floats(min_value=-6, max_value=6).filter(lambda v: abs(v) > 1e-3),
@@ -654,7 +681,7 @@ class TestPowerCoordinatewise:
     def test_single_coordinate_vs_grid(self, x, t, p, wseed):
         rng = np.random.default_rng(wseed)
         w0, w1 = 2.0 ** rng.uniform(-1.5, 1.5, 2)
-        got = k_power_coordinatewise(vec([x]), t, p, [w0], [w1])
+        got = power_couple(p, [w0], [w1]).k(vec([x]), t)
         want = grid_oracle_power_single(x, t, p, w0, w1)
         assert got == pytest.approx(want, rel=2e-4)
 
@@ -720,23 +747,13 @@ class TestPowerCoordinatewise:
 class TestOracle:
     def test_zero_vector(self):
         c = l1_linf_couple(4)
-        assert k_oracle(vec([0, 0, 0, 0]), 1.0, c) == 0.0
+        assert descend(vec([0, 0, 0, 0]), 1.0, c) == 0.0
 
     def test_single_coordinate_endpoint(self):
         # p0 = p1 = 1, unit weights: K = min(1, t)|c|
         c = power_couple(1.0, [1.0], [1.0])
         for t in (0.25, 1.0, 3.0):
-            assert k_oracle(vec([5.0]), t, c) == pytest.approx(min(1, t) * 5.0, rel=1e-9)
-
-    def test_dimension_guard(self):
-        c = l1_linf_couple(17)
-        with pytest.raises(SizeError):
-            k_oracle(FiniteVector(0, np.ones(17)), 1.0, c)
-
-    def test_budget_guard(self):
-        c = l1_linf_couple(2)
-        with pytest.raises(DomainError):
-            k_oracle(vec([1, 2]), 1.0, c, budget=0)
+            assert descend(vec([5.0]), t, c) == pytest.approx(min(1, t) * 5.0, rel=1e-9)
 
     def test_agreement_with_exact_strategies(self):
         # module-level contract: relative 1e-6 on dimensions <= 8
@@ -751,15 +768,15 @@ class TestOracle:
                 c = weighted_sup_couple(2.0 ** rng.uniform(-2, 2, d),
                                         2.0 ** rng.uniform(-2, 2, d))
             exact = c.k(x, t)
-            got = k_oracle(x, t, c, budget=4, seed=trial)
+            got = descend(x, t, c, budget=4, seed=trial)
             assert abs(got - exact) <= 1e-6 * max(exact, 1e-12)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(3)
         c = power_couple(2.0, 2.0 ** rng.uniform(-1, 1, 5), np.ones(5))
         x = random_vector(rng, 5)
-        a = k_oracle(x, 0.7, c, budget=6, seed=11)
-        b = k_oracle(x, 0.7, c, budget=6, seed=11)
+        a = descend(x, 0.7, c, budget=6, seed=11)
+        b = descend(x, 0.7, c, budget=6, seed=11)
         assert a == b
 
 
@@ -846,26 +863,28 @@ class TestKProfile:
                                  2.0 ** rng.uniform(-1, 1, d))
                 x = random_vector(rng, d)
                 t = float(2.0 ** rng.uniform(-3, 3))
-                ratio = c.k(x, t) / k_oracle(x, t, c, budget=4, seed=trial)
+                ratio = c.k(x, t) / descend(x, t, c, budget=4, seed=trial)
                 assert 1.0 / band <= ratio <= band
 
 
 class TestEndpoints:
+    """The sum norm K(x, 1) and the intersection norm max(|x|_A0, |x|_A1)."""
+
     def test_spec_values(self):
-        s, i = endpoint_norms(vec([3, 1, 2]), l1_linf_couple(3))
-        assert s == pytest.approx(3.0)
-        assert i == pytest.approx(6.0)
+        c, x = l1_linf_couple(3), vec([3, 1, 2])
+        assert c.k(x, 1.0) == pytest.approx(3.0)
+        assert max(c.norm0(x), c.norm1(x)) == pytest.approx(6.0)
 
     def test_zero(self):
-        assert endpoint_norms(vec([0, 0]), l1_linf_couple(2)) == (0.0, 0.0)
+        c, x = l1_linf_couple(2), vec([0, 0])
+        assert (c.k(x, 1.0), max(c.norm0(x), c.norm1(x))) == (0.0, 0.0)
 
     def test_ordered_couple_intersection_is_larger_norm(self):
         # norm1 >= norm0 pointwise: intersection norm equals norm1
         rng = np.random.default_rng(2)
         c = weighted_sup_couple(np.ones(4), np.full(4, 3.0))
         x = random_vector(rng, 4)
-        _, i = endpoint_norms(x, c)
-        assert i == pytest.approx(c.norm1(x))
+        assert max(c.norm0(x), c.norm1(x)) == pytest.approx(c.norm1(x))
 
 
 class TestSphereSup:
@@ -938,7 +957,7 @@ class TestCoupleValidation:
             assert np.all(prof.values > 0)
         c = Couple(WeightedNorm(2.0, 0, ones), WeightedNorm(2.0, 0, ones),
                    ORACLE)
-        assert c.route is None and not c.is_exact()
+        assert c.route.name == "descent" and not c.is_exact()
         assert (c.equiv_lo, c.equiv_hi) == (1.0, 1.0)
 
     def test_band_is_the_routes_and_read_only(self):
@@ -962,7 +981,7 @@ class TestCoupleValidation:
         c = l1_linf_couple(3).reversed()
         x = vec([3, 1, 2])
         # K(x, t; linf, l1) = t K(x, 1/t; l1, linf)
-        assert c.k(x, 0.5) == pytest.approx(0.5 * k_exact_l1_linf(x, 2.0))
+        assert c.k(x, 0.5) == pytest.approx(0.5 * l1_linf_couple(3).k(x, 2.0))
 
     def test_json_round_trip(self):
         c = weighted_sup_couple([1.0, 2.0], [2.0, 1.0], offset=-1)

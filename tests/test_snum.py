@@ -194,10 +194,11 @@ class TestKOperatorDiag:
         assert k_operator_diag([0.0, 0.0], 1.0, 1.0, 2.0) == 0.0
 
     def test_sup_pair_is_the_weighted_sup_kernel(self):
-        from interpk.couples import k_weighted_sup, vec
+        from interpk.couples import vec, weighted_sup_couple
         sigma = [4.0, 2.5, 1.0, 0.5]
+        c = weighted_sup_couple(np.ones(4), np.ones(4))
         for t in (0.125, 0.7, 1.0, 3.0):
-            want = k_weighted_sup(vec(sigma), t, np.ones(4), np.ones(4))
+            want = c.k(vec(sigma), t)
             assert k_operator_diag(sigma, t, math.inf, math.inf) == want
 
     def test_matches_full_descent_on_l1_l2(self):

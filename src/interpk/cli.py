@@ -45,7 +45,7 @@ from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams, LatticeParam,
                      truncation_terms)
 from .lethargy import DecaySpec, lift_sequence, strictness_sweep
 from .snum import (LorentzParams, MatrixOperator, approx_numbers, ideal_norm,
-                   witness_sequence, witness_trace)
+                   witness_samples)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -250,7 +250,7 @@ def _cmd_snumbers(args) -> int:
     with _parsing():
         T = MatrixOperator.from_json(_load_json(args.matrix))
     seq = approx_numbers(T)
-    rows = [(i + 1, float(v)) for i, v in enumerate(seq.values)]
+    rows = zip(range(1, len(seq) + 1), seq.values.tolist())
     _dump_csv(("n", "a_n"), rows, args.out,
               comments=(f"interpk {__version__} snumbers",))
     return EXIT_OK
@@ -271,19 +271,12 @@ def _cmd_witness(args) -> int:
         raise ConfigError(f"--max-rows must be >= 1, got {args.max_rows}")
     p_star = args.p if args.p_star is None else args.p_star
     q_star = args.q if args.q_star is None else args.q_star
-    _, report = witness_sequence(args.p, args.q, args.n,
-                                 probe_params=[(p_star, q_star)])
-    n, eps, summand, partial = witness_trace(args.p, args.q, args.n,
-                                             p_star, q_star)
-    probe = report.probes[0]
-    stride = max(1, args.n // args.max_rows)
-    idx = np.unique(np.concatenate([np.arange(0, args.n, stride),
-                                    [args.n - 1]]))
-    rows = [(int(n[i]), float(eps[i]), float(summand[i]), float(partial[i]))
-            for i in idx]
+    rows, report = witness_samples(args.p, args.q, args.n, p_star, q_star,
+                                   max(1, args.n // args.max_rows))
     _dump_csv(("n", "s_n", "summand", "partial_sum"), rows, args.out,
               comments=(f"interpk {__version__} witness p={args.p} q={args.q}",
-                        f"probe p={p_star} q={q_star} flag={probe.flag}"))
+                        f"probe p={p_star} q={q_star} "
+                        f"flag={report.probes[0].flag}"))
     return EXIT_OK
 
 
@@ -296,8 +289,8 @@ def _cmd_lift(args) -> int:
                          np.asarray(cfg["h"], dtype=int))
         N = int(cfg["N"])
     xi = lift_sequence(spec, N)
-    rows = [(i + 1, float(spec.epsilon[i]), float(xi[i]))
-            for i in range(len(xi))]
+    rows = zip(range(1, len(xi) + 1), spec.epsilon[:len(xi)].tolist(),
+               xi.tolist())
     _dump_csv(("n", "eps_n", "xi_n"), rows, args.out,
               comments=(f"interpk {__version__} lift",))
     return EXIT_OK

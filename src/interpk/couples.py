@@ -642,13 +642,33 @@ def _n_window(n_min: int, n_max: int) -> np.ndarray:
     return np.arange(n_min, n_max + 1)
 
 
+def _monotone_envelope(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The largest profile at or below ``values`` that is nondecreasing in t
+    with K/t nonincreasing: a running minimum from the right, then t times
+    the running minimum of K/t from the left.
+
+    The true K has both properties, so the envelope of an upper bound is
+    still an upper bound.  Values already monotone come back bit for bit.
+    """
+    upper = np.minimum.accumulate(values[::-1])[::-1]
+    ratio = upper / t
+    low = np.minimum.accumulate(ratio)
+    return np.where(low < ratio, t * low, upper)
+
+
 def k_profile(x: FiniteVector, couple: Couple, n_min: int, n_max: int) -> KProfile:
-    """Evaluate the couple's strategy at t = 2^n for n in [n_min, n_max]."""
+    """Evaluate the couple's strategy at t = 2^n for n in [n_min, n_max].
+
+    A descent profile is replaced by its ``_monotone_envelope``; every
+    profile is then validated.
+    """
     grid = _n_window(n_min, n_max)
-    values = couple.profile_batch(couple.embed(x), 2.0 ** grid.astype(float))
-    prof = KProfile(n_min, n_max, values[0])
-    if couple.route.name != "descent":
-        prof.validate(rel_tol=1e-9)
+    t = 2.0 ** grid.astype(float)
+    values = couple.profile_batch(couple.embed(x), t)[0]
+    if couple.route.name == "descent":
+        values = _monotone_envelope(values, t)
+    prof = KProfile(n_min, n_max, values)
+    prof.validate(rel_tol=1e-9)
     return prof
 
 

@@ -364,12 +364,6 @@ class DerivedSumIntCouple:
     def int_dense(self, X: np.ndarray) -> np.ndarray:
         return np.maximum(self.base.norm0.dense(X), self.base.norm1.dense(X))
 
-    def sum_norm(self, x: FiniteVector) -> float:
-        return float(self.sum_dense(self.embed(x)[None, :])[0])
-
-    def int_norm(self, x: FiniteVector) -> float:
-        return float(self.int_dense(self.embed(x)[None, :])[0])
-
     # --- route (i): surrogate from the base couple ------------------------
     def k_batch(self, X: np.ndarray, T) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -419,11 +413,6 @@ class DerivedSumIntCouple:
         if route.name == "descent" and X.shape[1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
         return route.kernel(X, T)
-
-    def k_oracle(self, x: FiniteVector, t: float, budget: int = 8,
-                 seed: int = 0) -> float:
-        return float(self.k_oracle_batch(self.embed(x)[None, :], t,
-                                         budget=budget, seed=seed)[0])
 
 
 def derived_sum_int_couple(couple: Couple) -> DerivedSumIntCouple:

@@ -12,6 +12,13 @@ numbers.  Witness sequences eps_n = n^{-1/p} (1 + ln n)^{-1/q} separate the
 ideals: their membership probes carry partial sums together with trend flags
 (finite data cannot prove summability, so the flags are indicators with
 fixed thresholds, not proofs).
+
+Every witness builder (``witness_sequence``, ``witness_trace``,
+``witness_samples``) reads one pass over blocks of ``_WITNESS_BLOCK``
+indices, with each probe's partial sum carried across blocks so that it
+equals one sequential cumsum bit for bit.  A witness's memory is its output
+(eps for ``witness_sequence``, the sampled rows for ``witness_samples``)
+plus a few blocks, not several N-length arrays.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ DIVERGENCE_INCREMENT = 0.05
 CONVERGENCE_TAIL_RATIO = 0.01
 
 K_DIAG_MAX_DIM = 128
+
+# indices per block of a witness pass
+_WITNESS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -183,6 +193,73 @@ class WitnessReport:
                 "probes": [pr.to_json() for pr in self.probes]}
 
 
+def _membership(p_star: float, q_star: float, half: float,
+                total: float) -> MembershipProbe:
+    """The probe with its trend flag, by the rule in ``witness_sequence``."""
+    increment = total - half
+    if increment >= DIVERGENCE_INCREMENT:
+        flag = DIVERGING
+    elif increment <= CONVERGENCE_TAIL_RATIO * total:
+        flag = CONVERGING
+    else:
+        flag = INDETERMINATE
+    return MembershipProbe(float(p_star), float(q_star), half, total, flag)
+
+
+class _WitnessPass:
+    """One pass over eps_n = n^{-1/p} (1 + ln n)^{-1/q}, n = 1..N, in blocks
+    of ``_WITNESS_BLOCK`` indices.
+
+    Iterating yields ``(start, eps, summands, partials)`` per block, for
+    n = start + 1, ..., start + len(eps): the block's eps_n and, for each
+    probe (p*, q*), its summands (n^{1/p* - 1/q*} eps_n)^{q*} and partial
+    sums.  Each probe's running sum is added to the next block's first
+    summand before ``np.cumsum``, so the partial sums equal one sequential
+    cumsum over 1..N bit for bit.  After the pass, ``report()`` reads each
+    probe's sums at n = N // 2 and n = N.
+    """
+
+    def __init__(self, p: float, q: float, N: int,
+                 probe_params: Sequence[tuple[float, float]]):
+        self.p, self.q, self.N = p, q, N
+        self.probe_params = list(probe_params)
+        self.half: list[float] = []
+        self.total: list[float] = []
+
+    def __iter__(self):
+        mid = self.N // 2 - 1
+        carry = [0.0] * len(self.probe_params)
+        for start in range(0, self.N, _WITNESS_BLOCK):
+            n = np.arange(start + 1, min(start + _WITNESS_BLOCK, self.N) + 1,
+                          dtype=float)
+            eps = n ** (-1.0 / self.p) * (1.0 + np.log(n)) ** (-1.0 / self.q)
+            summands = [(n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
+                        for p_star, q_star in self.probe_params]
+            partials = []
+            for summand, c in zip(summands, carry):
+                partial = summand.copy()
+                partial[0] += c
+                partials.append(np.cumsum(partial, out=partial))
+            carry = [float(s[-1]) for s in partials]
+            if start <= mid < start + len(n):
+                self.half = [float(s[mid - start]) for s in partials]
+            yield start, eps, summands, partials
+        self.total = carry
+
+    def report(self) -> WitnessReport:
+        probes = tuple(_membership(p_star, q_star, half, total)
+                       for (p_star, q_star), half, total
+                       in zip(self.probe_params, self.half, self.total))
+        return WitnessReport(float(self.p), float(self.q), int(self.N), probes)
+
+
+def _check_witness(p: float, q: float, N: int) -> None:
+    if not (p > 0 and q > 0):
+        raise DomainError("p and q must be positive")
+    if N < 4:
+        raise DomainError("need N >= 4")
+
+
 def witness_sequence(p: float, q: float, N: int,
                      probe_params: Sequence[tuple[float, float]] = ()):
     """The separating sequence eps_n = n^{-1/p} (1 + ln n)^{-1/q}, n = 1..N.
@@ -191,37 +268,48 @@ def witness_sequence(p: float, q: float, N: int,
     accumulated; a probe is flagged ``diverging`` when the second half of the
     range still adds at least 0.05 to the partial sum, ``converging`` when
     that tail is at most 1% of the total, and ``indeterminate`` in between.
+    One blocked pass builds it: besides ``eps`` it holds a few arrays of
+    ``_WITNESS_BLOCK`` terms, whatever N and the number of probes.
     """
-    if not (p > 0 and q > 0):
-        raise DomainError("p and q must be positive")
-    if N < 4:
-        raise DomainError("need N >= 4")
-    n = np.arange(1, N + 1, dtype=float)
-    eps = n ** (-1.0 / p) * (1.0 + np.log(n)) ** (-1.0 / q)
-    probes = []
-    for p_star, q_star in probe_params:
-        summand = (n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
-        csum = np.cumsum(summand)
-        total = float(csum[-1])
-        half = float(csum[N // 2 - 1])
-        increment = total - half
-        if increment >= DIVERGENCE_INCREMENT:
-            flag = DIVERGING
-        elif increment <= CONVERGENCE_TAIL_RATIO * total:
-            flag = CONVERGING
-        else:
-            flag = INDETERMINATE
-        probes.append(MembershipProbe(float(p_star), float(q_star),
-                                      half, total, flag))
-    return eps, WitnessReport(float(p), float(q), int(N), tuple(probes))
+    _check_witness(p, q, N)
+    witness = _WitnessPass(p, q, N, probe_params)
+    eps = np.empty(N)
+    for start, block, _, _ in witness:
+        eps[start:start + len(block)] = block
+    return eps, witness.report()
 
 
 def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):
     """Per-index trace (n, eps_n, summand, partial_sum) for CSV export."""
-    n = np.arange(1, N + 1, dtype=float)
-    eps = n ** (-1.0 / p) * (1.0 + np.log(n)) ** (-1.0 / q)
-    summand = (n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
-    return n.astype(int), eps, summand, np.cumsum(summand)
+    n = np.arange(1, N + 1)
+    eps, summand, partial = (np.empty(len(n)) for _ in range(3))
+    for start, e, (s,), (c,) in _WitnessPass(p, q, N, [(p_star, q_star)]):
+        stop = start + len(e)
+        eps[start:stop], summand[start:stop], partial[start:stop] = e, s, c
+    return n, eps, summand, partial
+
+
+def witness_samples(p: float, q: float, N: int, p_star: float, q_star: float,
+                    stride: int):
+    """The trace rows (n, eps_n, summand, partial_sum) at n = 1, 1 + stride,
+    1 + 2 stride, ... and n = N, as Python numbers, with the report of the
+    probe (p*, q*).
+
+    One blocked pass computes them and keeps only the sampled rows, so the
+    memory is the output's, not that of N-length arrays.
+    """
+    _check_witness(p, q, N)
+    witness = _WitnessPass(p, q, N, [(p_star, q_star)])
+    rows = []
+    for start, eps, (summand,), (partial,) in witness:
+        stop = start + len(eps)
+        idx = np.arange(-(-start // stride) * stride, stop, stride)
+        if stop == N and (N - 1) % stride:
+            idx = np.append(idx, N - 1)
+        local = idx - start
+        rows.extend(zip((idx + 1).tolist(), eps[local].tolist(),
+                        summand[local].tolist(), partial[local].tolist()))
+    return rows, witness.report()
 
 
 def k_operator_diag(sigma, t: float, p0: float, p1: float,

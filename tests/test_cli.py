@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import math
 import pathlib
@@ -6,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from interpk import cli, verify
@@ -660,3 +663,113 @@ class TestDeterminism:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+def _csv_text(comments, header, rows):
+    buf = io.StringIO(newline="")
+    for line in comments:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestWitnessCsv:
+    """``witness`` CSVs against a rendering of the whole-array witness."""
+
+    @staticmethod
+    def expected(p, q, N, p_star, q_star, max_rows):
+        n = np.arange(1, N + 1, dtype=float)
+        eps = n ** (-1.0 / p) * (1.0 + np.log(n)) ** (-1.0 / q)
+        summand = (n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
+        partial = np.cumsum(summand)
+        increment = float(partial[-1]) - float(partial[N // 2 - 1])
+        if increment >= 0.05:
+            flag = "diverging"
+        elif increment <= 0.01 * float(partial[-1]):
+            flag = "converging"
+        else:
+            flag = "indeterminate"
+        stride = max(1, N // max_rows)
+        idx = np.unique(np.concatenate([np.arange(0, N, stride), [N - 1]]))
+        rows = [(int(n[i]), float(eps[i]), float(summand[i]),
+                 float(partial[i])) for i in idx]
+        return _csv_text(
+            (f"interpk {cli.__version__} witness p={p} q={q}",
+             f"probe p={p_star} q={q_star} flag={flag}"),
+            ("n", "s_n", "summand", "partial_sum"), rows)
+
+    @pytest.mark.parametrize("p, q, N, star, max_rows", [
+        (2.0, 1.0, 65536, None, 256),           # README's call, default probe
+        (2.0, 1.0, 65536, (3.0, 2.0), 256),     # --p-star/--q-star given
+        (1.5, 2.0, 10000, None, 1),             # --max-rows 1
+        (1.5, 2.0, 5000, (1.5, 4.0), 6000),     # --max-rows > --n
+        (0.5, 0.7, 4097, None, 4097),           # --max-rows = --n
+        (4.0, 3.0, 12295, (4.0, 6.0), 37),      # stride 332 across blocks
+        (2.0, 1.0, 4, None, 256),
+    ], ids=["default-probe", "star", "max-rows-1", "max-rows-above-n",
+            "max-rows-n", "odd-stride", "n-4"])
+    def test_rows_equal_whole_array_rendering(self, tmp_path, p, q, N, star,
+                                              max_rows):
+        args = ["witness", "--p", str(p), "--q", str(q), "--n", str(N),
+                "--max-rows", str(max_rows), "--out", str(tmp_path / "w.csv")]
+        if star is not None:
+            args += ["--p-star", str(star[0]), "--q-star", str(star[1])]
+        assert run_cli(args) == 0
+        p_star, q_star = star or (p, q)
+        want = self.expected(p, q, N, p_star, q_star, max_rows)
+        got = (tmp_path / "w.csv").read_bytes()
+        assert got.splitlines(True) == want.encode().splitlines(True)
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--n", "64", "--max-rows", "0"], "--max-rows must be >= 1, got 0"),
+        (["--n", "3", "--max-rows", "0"], "--max-rows must be >= 1, got 0"),
+        (["--n", "3"], "need N >= 4"),
+        (["--n", "-5"], "need N >= 4"),
+        (["--n", "64", "--p", "0"], "p and q must be positive"),
+        (["--n", "64", "--q", "-1"], "p and q must be positive"),
+    ], ids=["max-rows-0", "max-rows-first", "n-3", "n-negative", "p-0",
+            "q-negative"])
+    def test_refusals_exit_two(self, tmp_path, capsys, extra, message):
+        args = ["witness", "--p", "2", "--q", "1", "--out",
+                str(tmp_path / "w.csv")] + extra
+        assert run_cli(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
+
+class TestRowsFromArrays:
+    """``lift`` and ``snumbers`` CSVs equal the per-cell rendering."""
+
+    def test_lift(self, tmp_path):
+        rng = np.random.default_rng(5)
+        eps = np.sort(rng.uniform(0.01, 1.0, 300))[::-1]
+        cfg = tmp_path / "l.json"
+        cfg.write_text(json.dumps({"epsilon": eps.tolist(),
+                                   "h": (2 * np.arange(1, 301)).tolist(),
+                                   "N": 300}))
+        out = tmp_path / "xi.csv"
+        assert run_cli(["lift", "--config", str(cfg), "--out", str(out)]) == 0
+        from interpk.lethargy import DecaySpec, lift_sequence
+        spec = DecaySpec(eps, 2 * np.arange(1, 301))
+        xi = lift_sequence(spec, 300)
+        rows = [(i + 1, float(spec.epsilon[i]), float(xi[i]))
+                for i in range(len(xi))]
+        assert out.read_bytes() == _csv_text(
+            (f"interpk {cli.__version__} lift",), ("n", "eps_n", "xi_n"),
+            rows).encode()
+
+    def test_snumbers(self, tmp_path):
+        A = np.random.default_rng(6).standard_normal((9, 5))
+        mat = tmp_path / "m.json"
+        mat.write_text(json.dumps({"rows": 9, "cols": 5,
+                                   "entries": A.tolist()}))
+        out = tmp_path / "a.csv"
+        assert run_cli(["snumbers", "--matrix", str(mat),
+                        "--out", str(out)]) == 0
+        values = np.linalg.svd(np.asarray(A.tolist()), compute_uv=False)
+        rows = [(i + 1, float(v)) for i, v in enumerate(values)]
+        assert out.read_bytes() == _csv_text(
+            (f"interpk {cli.__version__} snumbers",), ("n", "a_n"),
+            rows).encode()

@@ -9,9 +9,9 @@ from interpk import (Couple, DomainError, InvariantError, WeightedNorm,
                      WindowError, k_profile, k_sphere_sup, l1_linf_couple,
                      power_couple, weighted_sup_couple)
 from interpk._descent import decomposition_infimum
-from interpk.couples import (ORACLE, FiniteVector, _l1_linf_batch,
-                             _l1_lp_batch, _power_batch, _weighted_sup_batch,
-                             descent_route, k_route, vec)
+from interpk.couples import (ORACLE, FiniteVector, KProfile, _l1_linf_batch,
+                             _l1_lp_batch, _monotone_envelope, _power_batch,
+                             _weighted_sup_batch, descent_route, k_route, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
 from interpk.snum import k_operator_diag_batch
 
@@ -865,6 +865,47 @@ class TestKProfile:
                 t = float(2.0 ** rng.uniform(-3, 3))
                 ratio = c.k(x, t) / descend(x, t, c, budget=4, seed=trial)
                 assert 1.0 / band <= ratio <= band
+
+
+
+def _half_half_oracle(seed):
+    """A seeded (l0.5(w0), l0.5(w1)) oracle couple, a vector and the raw
+    descent profile on t = 2^-8 .. 2^8."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    c = Couple(WeightedNorm(0.5, 0, 2.0 ** rng.uniform(-2, 2, d)),
+               WeightedNorm(0.5, 0, 2.0 ** rng.uniform(-2, 2, d)), ORACLE)
+    x = vec(rng.standard_normal(d))
+    raw = c.profile_batch(c.embed(x), 2.0 ** np.arange(-8, 9).astype(float))
+    return c, x, raw[0]
+
+
+class TestMonotoneEnvelope:
+    # seed 2 has a raw K that decreases in t, seed 22 a raw K/t that grows
+    @pytest.mark.parametrize("seed", [2, 22])
+    def test_descent_profile_is_enveloped(self, seed):
+        c, x, raw = _half_half_oracle(seed)
+        assert c.route.name == "descent"
+        with pytest.raises(InvariantError):
+            KProfile(-8, 8, raw).validate(rel_tol=1e-9)
+        prof = k_profile(x, c, -8, 8)
+        prof.validate(rel_tol=0.0)
+        assert np.all(prof.values <= raw)
+        assert np.any(prof.values < raw)
+
+    def test_monotone_descent_profile_unchanged(self):
+        c, x, raw = _half_half_oracle(0)
+        KProfile(-8, 8, raw).validate(rel_tol=0.0)
+        assert k_profile(x, c, -8, 8).values.tobytes() == raw.tobytes()
+
+    def test_envelope_by_hand(self):
+        t = 2.0 ** np.arange(-1, 3).astype(float)       # 0.5, 1, 2, 4
+        values = np.array([1.0, 0.75, 3.0, 6.0])
+        # running minimum from the right: 0.75, 0.75, 3, 6; its K/t is
+        # 1.5, 0.75, 1.5, 1.5, with running minimum 1.5, 0.75, 0.75, 0.75
+        got = _monotone_envelope(values, t)
+        assert got.tolist() == [0.75, 0.75, 1.5, 3.0]
+        assert _monotone_envelope(got, t).tobytes() == got.tobytes()
 
 
 class TestEndpoints:

@@ -209,10 +209,12 @@ class TestDerivedCouple:
         # surrogate = 2t|x| for t < 1
         dc = derived_sum_int_couple(weighted_sup_couple([1.0], [1.0]))
         x = vec([2.0])
+        X = dc.embed(x)[None, :]
         for t in (0.125, 0.5):
+            oracle = float(dc.k_oracle_batch(X, t)[0])
             assert dc.k(x, t) == pytest.approx(2.0 * t * 2.0)
-            assert dc.k_oracle(x, t) == pytest.approx(min(1.0, t) * 2.0, rel=1e-9)
-            assert dc.k(x, t) / dc.k_oracle(x, t) == pytest.approx(2.0, rel=1e-9)
+            assert oracle == pytest.approx(min(1.0, t) * 2.0, rel=1e-9)
+            assert dc.k(x, t) / oracle == pytest.approx(2.0, rel=1e-9)
 
     def test_requires_exact_strategy(self):
         rng = np.random.default_rng(0)
@@ -275,8 +277,9 @@ class TestDerivedCouple:
         # sum norm = max |x|, intersection norm = l1 norm
         dc = derived_sum_int_couple(l1_linf_couple(3))
         x = vec([3.0, -1.0, 2.0])
-        assert dc.sum_norm(x) == pytest.approx(3.0)
-        assert dc.int_norm(x) == pytest.approx(6.0)
+        X = dc.embed(x)[None, :]
+        assert dc.sum_dense(X)[0] == pytest.approx(3.0)
+        assert dc.int_dense(X)[0] == pytest.approx(6.0)
 
     def test_profile_valid_and_monotone(self):
         dc = derived_sum_int_couple(l1_linf_couple(4))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from interpk import (DomainError, InvariantError, LorentzParams,
                      approx_numbers, diag_operator, ideal_norm,
                      k_operator_diag, lorentz_norm, witness_sequence)
 from interpk.errors import SizeError
-from interpk.snum import (CONVERGING, DIVERGING, k_operator_diag_batch,
-                          witness_trace)
+from interpk.snum import (_WITNESS_BLOCK, CONVERGENCE_TAIL_RATIO, CONVERGING,
+                          DIVERGENCE_INCREMENT, DIVERGING, INDETERMINATE,
+                          k_operator_diag_batch, witness_trace)
 
 
 class TestApproxNumbers:
@@ -182,6 +184,69 @@ class TestWitnessSequence:
         _, rep = witness_sequence(2.0, 1.0, 256, probe_params=[(2.0, 1.0)])
         assert partial[-1] == pytest.approx(rep.probes[0].total_sum)
         assert n[0] == 1 and len(eps) == 256
+
+
+def whole_witness(p, q, N, probe_params):
+    """The witness from whole N-length arrays: eps and, per probe, the
+    summands and their sequential cumsum."""
+    n = np.arange(1, N + 1, dtype=float)
+    eps = n ** (-1.0 / p) * (1.0 + np.log(n)) ** (-1.0 / q)
+    sums = []
+    for p_star, q_star in probe_params:
+        summand = (n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
+        sums.append((summand, np.cumsum(summand)))
+    return eps, sums
+
+
+def reference_flag(half, total):
+    if total - half >= DIVERGENCE_INCREMENT:
+        return DIVERGING
+    if total - half <= CONVERGENCE_TAIL_RATIO * total:
+        return CONVERGING
+    return INDETERMINATE
+
+
+B = _WITNESS_BLOCK
+STREAM_LENGTHS = [4, 5, B - 1, B, B + 1, 3 * B + 7, 2 ** 16]
+
+
+class TestStreamedWitness:
+    @pytest.mark.parametrize("N", STREAM_LENGTHS)
+    @pytest.mark.parametrize("probes", [
+        (), ((2.0, 1.0),), ((4 / 3, 2.0), (4 / 3, 4.0))],
+        ids=["no-probe", "one-probe", "two-probes"])
+    def test_sequence_equals_whole_arrays(self, N, probes):
+        eps, rep = witness_sequence(4 / 3, 2.0, N, probes)
+        want, sums = whole_witness(4 / 3, 2.0, N, probes)
+        assert eps.dtype == want.dtype and eps.tobytes() == want.tobytes()
+        assert (rep.p, rep.q, rep.length) == (4 / 3, 2.0, N)
+        assert len(rep.probes) == len(probes)
+        for probe, (p_star, q_star), (_, csum) in zip(rep.probes, probes,
+                                                      sums):
+            half, total = float(csum[N // 2 - 1]), float(csum[-1])
+            assert (probe.p, probe.q) == (p_star, q_star)
+            assert (probe.half_sum, probe.total_sum) == (half, total)
+            assert probe.flag == reference_flag(half, total)
+
+    @pytest.mark.parametrize("N", STREAM_LENGTHS)
+    def test_trace_equals_whole_arrays(self, N):
+        n, eps, summand, partial = witness_trace(1.5, 0.7, N, 2.5, 1.3)
+        want_eps, [(want_summand, want_partial)] = whole_witness(
+            1.5, 0.7, N, [(2.5, 1.3)])
+        want_n = np.arange(1, N + 1, dtype=float).astype(int)
+        for got, want in ((n, want_n), (eps, want_eps),
+                          (summand, want_summand), (partial, want_partial)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_memory_is_the_output(self):
+        # eps alone is 0.5 MiB; whole-array temporaries took 3.0 MiB
+        tracemalloc.start()
+        try:
+            witness_sequence(4 / 3, 2, 2 ** 16, [(4 / 3, 2), (4 / 3, 4)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
 
 class TestKOperatorDiag:

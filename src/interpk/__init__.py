@@ -7,7 +7,7 @@ from .couples import (Couple, FiniteVector, KProfile, WeightedNorm,
                       vec, weighted_sup_couple)
 from .errors import (ConstructionError, DomainError, EmptyReportError,
                      InterpKError, InvariantError, ParamError, SizeError,
-                     UnsupportedError, WindowError)
+                     WindowError)
 from .interp import (ConditionReport, InterpParams, LatticeParam, ParamSpace,
                      derived_sum_int_couple, endpoint_space, interp_norm,
                      lattice_norm, parameter_conditions, split_norm)

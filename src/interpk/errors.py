@@ -25,10 +25,6 @@ class ParamError(InterpKError):
     """An interpolation or lattice parameter fails its admissibility check."""
 
 
-class UnsupportedError(InterpKError):
-    """The operation is outside the supported scope (e.g. non-Euclidean s-numbers)."""
-
-
 class ConstructionError(InterpKError):
     """A certified construction failed its own certificate check."""
 

@@ -8,6 +8,10 @@ as a dyadic sum over t = 2^n, n in a finite window:
 with the sup for q = inf.  A constant normalization factor (ln 2) is dropped
 throughout since only two-sided equivalences are ever asserted.
 
+``dyadic_weights`` is the one place the weight 2^{-theta n} is computed and
+``dyadic_norm`` the one weighted lq sum over it; every norm on a dyadic grid
+here and in ``verify`` calls them.
+
 The module also provides:
 
 * lattice-parameter norms ||{K(x, 2^n)}||_E for weighted lr lattices E over
@@ -18,7 +22,8 @@ The module also provides:
 * the derived couple (A0+A1, A0 cap A1) whose K at t <= 1 is evaluated both
   by the surrogate K(x,t) + t K(x,1/t) and on the explicit sum and
   intersection norms (by ``k_route`` for an (l1, linf) base, by descent
-  otherwise);
+  otherwise); ``DerivedSumIntCouple.surrogate`` is the one implementation
+  of the surrogate, a gather from a base profile;
 * endpoint norm handles materializing (A0, A1)_{theta,q} for reiteration
   experiments.
 """
@@ -31,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couples import (ORACLE_MAX_DIM, Couple, FiniteVector, KProfile,
-                      WeightedNorm, descent_route, k_profile, k_route,
-                      l1_linf_couple, stable_lp_sum)
+                      WeightedNorm, _n_window, descent_route, k_profile,
+                      k_route, l1_linf_couple, stable_lp_sum)
 from .errors import DomainError, InvariantError, ParamError, SizeError
 
 __all__ = [
@@ -40,7 +45,7 @@ __all__ = [
     "ParamSpace", "ConditionReport", "interp_norm", "interp_norm_from_profile",
     "truncation_terms", "lattice_norm", "split_norm", "parameter_conditions",
     "DerivedSumIntCouple", "derived_sum_int_couple", "EndpointNorm",
-    "endpoint_space", "sequence_couple_k", "interp_weights",
+    "endpoint_space", "sequence_couple_k", "dyadic_weights", "dyadic_norm",
 ]
 
 DEFAULT_N_MIN = -20
@@ -106,7 +111,8 @@ class LatticeParam:
         return np.arange(self.n_min, self.n_max + 1)
 
     def norm_of(self, values: np.ndarray) -> float:
-        return float(_lq_combine(self.lattice_weights * np.abs(values), self.r))
+        return float(stable_lp_sum(self.lattice_weights * np.abs(values),
+                                   self.r))
 
     def k_nontrivial(self, rel_tol: float = 1e-9) -> bool:
         """Trend check that {min(1, 2^n)} has stable finite norm in E.
@@ -142,22 +148,23 @@ class ParamSpace:
         object.__setattr__(self, "p", float(self.p))
 
     def norm(self, grid: np.ndarray, values: np.ndarray) -> float:
-        w = 2.0 ** (-self.theta * grid.astype(float))
-        return float(_lq_combine(w * np.abs(values), self.p))
+        return float(dyadic_norm(np.abs(values), grid, self.theta, self.p))
 
 
-def _lq_combine(terms: np.ndarray, q: float):
-    """(sum terms^q)^(1/q) along the last axis, sup for q = inf; terms >= 0."""
-    return stable_lp_sum(np.asarray(terms, dtype=float), q)
+def dyadic_weights(theta: float, grid) -> np.ndarray:
+    """The weights 2^{-theta n} at the exponents n of ``grid``."""
+    return 2.0 ** (-theta * np.asarray(grid, dtype=float))
 
 
-def interp_weights(params: InterpParams, grid: np.ndarray) -> np.ndarray:
-    return 2.0 ** (-params.theta * grid.astype(float))
+def dyadic_norm(values, grid, theta: float, q: float):
+    """(sum_n (2^{-theta n} values_n)^q)^{1/q} along the last axis, the max
+    for q = inf, over the exponents n of ``grid``; values >= 0."""
+    return stable_lp_sum(dyadic_weights(theta, grid) * values, q)
 
 
 def interp_norm_from_profile(profile: KProfile, params: InterpParams) -> float:
-    w = interp_weights(params, profile.grid)
-    return float(_lq_combine(w * profile.values, params.q))
+    return float(dyadic_norm(profile.values, profile.grid, params.theta,
+                             params.q))
 
 
 def interp_norm(x: FiniteVector, couple: Couple, params: InterpParams,
@@ -168,8 +175,7 @@ def interp_norm(x: FiniteVector, couple: Couple, params: InterpParams,
 
 def truncation_terms(profile: KProfile, params: InterpParams) -> dict:
     """First/last weighted summands; grow the window while these matter."""
-    w = interp_weights(params, profile.grid)
-    terms = w * profile.values
+    terms = dyadic_weights(params.theta, profile.grid) * profile.values
     return {"first_term": float(terms[0]), "last_term": float(terms[-1])}
 
 
@@ -193,11 +199,9 @@ def split_norm(x: FiniteVector, couple: Couple, params: InterpParams,
     q-th power exactly (max for q = inf).
     """
     profile = k_profile(x, couple, n_min, n_max)
-    w = interp_weights(params, profile.grid)
-    terms = w * profile.values
-    mask_low = profile.grid <= 0
-    low = float(_lq_combine(terms[mask_low], params.q))
-    high = float(_lq_combine(terms[~mask_low], params.q))
+    low, high = (float(dyadic_norm(profile.values[mask], profile.grid[mask],
+                                   params.theta, params.q))
+                 for mask in (profile.grid <= 0, profile.grid > 0))
     return low, high
 
 
@@ -263,11 +267,9 @@ def _condition_constants(phi0: ParamSpace, phi1: ParamSpace,
                          grid: np.ndarray, U: np.ndarray) -> np.ndarray:
     low = grid < 0
     high = grid > 0
-    g = grid.astype(float)
 
     def phi_part(space: ParamSpace, values: np.ndarray, mask) -> np.ndarray:
-        w = 2.0 ** (-space.theta * g[mask])
-        return _lq_combine(w * values[:, mask], space.p)
+        return dyadic_norm(values[:, mask], grid[mask], space.theta, space.p)
 
     # t -> 1/t pulls the n > 0 samples onto n < 0 with an extra factor t
     V = np.zeros_like(U)
@@ -307,7 +309,7 @@ def parameter_conditions(phi0: ParamSpace, phi1: ParamSpace, probes: int,
     """
     if probes < 1:
         raise DomainError("probes must be >= 1")
-    grid = np.arange(n_min, n_max + 1)
+    grid = _n_window(n_min, n_max)
     consts = _condition_constants(phi0, phi1, grid,
                                   _condition_probes(grid, probes, seed))
     half = np.arange(n_min // 2, n_max // 2 + 1)
@@ -329,11 +331,12 @@ class DerivedSumIntCouple:
     """The ordered couple (A0+A1, A0 cap A1) derived from a base couple.
 
     Its K at t <= 1 is exposed along two routes: the surrogate
-    K(x, t) + t K(x, 1/t) built from the base couple, and K on the explicit
-    sum and intersection norms (``k_oracle_batch``).  Requests with t > 1
-    use the monotone extension by the value at t = 1; the true K is sandwiched
-    between K(., 1) and the sum norm there, so the extension stays inside
-    the surrogate band.
+    K(x, t) + t K(x, 1/t) built from the base couple (``surrogate`` gathers
+    it from a base profile; ``k_batch`` is its one-t-per-row form), and K
+    on the explicit sum and intersection norms (``k_oracle_batch``).
+    Requests with t > 1 use the monotone extension by the value at t = 1;
+    the true K is sandwiched between K(., 1) and the sum norm there, so the
+    extension stays inside the surrogate band.
     """
 
     def __init__(self, base: Couple):
@@ -373,20 +376,27 @@ class DerivedSumIntCouple:
         tc = np.minimum(T, 1.0)
         return self.base.k_batch(X, tc) + tc * self.base.k_batch(X, 1.0 / tc)
 
-    def k(self, x: FiniteVector, t: float) -> float:
-        return float(self.k_batch(self.embed(x)[None, :], t)[0])
+    @staticmethod
+    def surrogate(P: np.ndarray, grid: np.ndarray, t) -> np.ndarray:
+        """The surrogate K(x, s) + s K(x, 1/s), s = min(t, 1), at each t of
+        ``t``, gathered from a base profile P whose columns are at the
+        sorted t values ``grid``; every s and 1/s must be in ``grid``."""
+        s = np.minimum(np.asarray(t, dtype=float), 1.0)
+        return (P[:, np.searchsorted(grid, s)]
+                + s * P[:, np.searchsorted(grid, 1.0 / s)])
 
     def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
-        """Surrogate K at every row of X and every t of ``t_grid``."""
+        """Surrogate K at every row of X and every t of ``t_grid``, from one
+        base profile at every s = min(t, 1) and 1/s."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        tc = np.minimum(np.asarray(t_grid, dtype=float), 1.0)
-        if np.any(tc <= 0):
+        s = np.minimum(np.asarray(t_grid, dtype=float), 1.0)
+        if np.any(s <= 0):
             raise DomainError("t must be positive")
-        return (self.base.profile_batch(X, tc)
-                + tc * self.base.profile_batch(X, 1.0 / tc))
+        grid = np.sort(np.concatenate([s, 1.0 / s]))
+        return self.surrogate(self.base.profile_batch(X, grid), grid, s)
 
     def profile(self, x: FiniteVector, n_min: int, n_max: int) -> KProfile:
-        grid = np.arange(n_min, n_max + 1)
+        grid = _n_window(n_min, n_max)
         values = self.profile_batch(self.embed(x), 2.0 ** grid.astype(float))
         prof = KProfile(n_min, n_max, values[0])
         prof.validate(rel_tol=1e-9)
@@ -439,8 +449,7 @@ class EndpointNorm:
         self.params = params
         self.n_min = n_min
         self.n_max = n_max
-        self._grid = np.arange(n_min, n_max + 1)
-        self._weights = interp_weights(params, self._grid)
+        self._grid = _n_window(n_min, n_max)
 
     @property
     def offset(self) -> int:
@@ -453,7 +462,7 @@ class EndpointNorm:
     def dense(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         prof = self.couple.profile_batch(X, 2.0 ** self._grid.astype(float))
-        return _lq_combine(self._weights * prof, self.params.q)
+        return dyadic_norm(prof, self._grid, self.params.theta, self.params.q)
 
     def embed(self, x: FiniteVector) -> np.ndarray:
         return self.couple.embed(x)

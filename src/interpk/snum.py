@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .couples import stable_lp_sum
-from .errors import DomainError, InvariantError, SizeError, UnsupportedError
+from .errors import DomainError, InvariantError, SizeError
 from .interp import sequence_couple_k
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "diag_operator", "witness_sequence", "k_operator_diag",
     "DIVERGING", "CONVERGING", "INDETERMINATE",
 ]
-
-EUCLIDEAN = "euclidean"
 
 DIVERGING = "diverging"
 CONVERGING = "converging"
@@ -62,7 +60,6 @@ class MatrixOperator:
     """A matrix acting between finite Euclidean spaces."""
 
     entries: np.ndarray
-    norm_kind: str = EUCLIDEAN
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
@@ -134,9 +131,6 @@ class LorentzParams:
 
 def approx_numbers(T: MatrixOperator) -> SNumSeq:
     """Approximation numbers of T between Euclidean spaces (= singular values)."""
-    if T.norm_kind != EUCLIDEAN:
-        raise UnsupportedError(
-            "exact approximation numbers need Euclidean domain and codomain")
     if T.entries.size == 0:
         return SNumSeq(np.zeros(min(T.rows, T.cols)))
     return SNumSeq(np.linalg.svd(T.entries, compute_uv=False))
@@ -216,11 +210,13 @@ class _WitnessPass:
     sums.  Each probe's running sum is added to the next block's first
     summand before ``np.cumsum``, so the partial sums equal one sequential
     cumsum over 1..N bit for bit.  After the pass, ``report()`` reads each
-    probe's sums at n = N // 2 and n = N.
+    probe's sums at n = N // 2 and n = N.  Every witness builder constructs
+    one, so the refusals of ``_check_witness`` hold for all of them.
     """
 
     def __init__(self, p: float, q: float, N: int,
                  probe_params: Sequence[tuple[float, float]]):
+        _check_witness(p, q, N, probe_params)
         self.p, self.q, self.N = p, q, N
         self.probe_params = list(probe_params)
         self.half: list[float] = []
@@ -253,11 +249,19 @@ class _WitnessPass:
         return WitnessReport(float(self.p), float(self.q), int(self.N), probes)
 
 
-def _check_witness(p: float, q: float, N: int) -> None:
+def _check_witness(p: float, q: float, N: int,
+                   probe_params: Sequence[tuple[float, float]]) -> None:
+    """Refuse p, q <= 0, N < 4 and a probe exponent outside (0, inf), the
+    rule of ``LorentzParams``."""
     if not (p > 0 and q > 0):
         raise DomainError("p and q must be positive")
     if N < 4:
         raise DomainError("need N >= 4")
+    for p_star, q_star in probe_params:
+        for key, val in (("p_star", p_star), ("q_star", q_star)):
+            if not (0.0 < val < math.inf):
+                raise DomainError(f"probe exponent {key} must lie in "
+                                  f"(0, inf), got {val}")
 
 
 def witness_sequence(p: float, q: float, N: int,
@@ -271,7 +275,6 @@ def witness_sequence(p: float, q: float, N: int,
     One blocked pass builds it: besides ``eps`` it holds a few arrays of
     ``_WITNESS_BLOCK`` terms, whatever N and the number of probes.
     """
-    _check_witness(p, q, N)
     witness = _WitnessPass(p, q, N, probe_params)
     eps = np.empty(N)
     for start, block, _, _ in witness:
@@ -298,7 +301,6 @@ def witness_samples(p: float, q: float, N: int, p_star: float, q_star: float,
     One blocked pass computes them and keeps only the sampled rows, so the
     memory is the output's, not that of N-length arrays.
     """
-    _check_witness(p, q, N)
     witness = _WitnessPass(p, q, N, [(p_star, q_star)])
     rows = []
     for start, eps, (summand,), (partial,) in witness:

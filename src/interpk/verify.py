@@ -9,6 +9,14 @@ stays stable across a dimension sweep, and the counterpart of a distinctness
 theorem is a witness whose membership flags differ between two parameter
 pairs.
 
+A check computes both sides of its ratio from library functions (the
+couples' profiles and K routes, ``interp.dyadic_norm``,
+``DerivedSumIntCouple.surrogate``) and holds no formula of its own.  There
+are two exceptions: ``oracle_agreement`` runs the descent on norms it
+writes itself, since that descent is the reference the exact kernels are
+accepted against, and ``konig``'s right side writes the Lorentz sum over a
+batch of rows, which ``snum.lorentz_norm`` takes one row at a time.
+
 Every pass/fail threshold is a default in its check's signature
 (overridable per call), never in the check logic.  Every check is
 deterministic under (seed, config): sample i is drawn from a child generator
@@ -31,11 +39,11 @@ import numpy as np
 from ._descent import decomposition_infimum
 from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
                       _parse_p, _weighted_sup_batch, k_sphere_sup,
-                      l1_linf_couple, power_couple)
+                      l1_linf_couple, power_couple, stable_lp_sum)
 from .errors import DomainError, EmptyReportError, InvariantError
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams,
-                     _check_theta_q, derived_sum_int_couple, interp_weights,
-                     _lq_combine, sequence_couple_k)
+                     _check_theta_q, derived_sum_int_couple, dyadic_norm,
+                     dyadic_weights, sequence_couple_k)
 from .snum import (LorentzParams, k_operator_diag_batch, lorentz_norm,
                    witness_sequence)
 
@@ -282,25 +290,6 @@ def couple_family(name: str, dim: int) -> Couple:
     raise DomainError(f"unknown couple family {name!r}")
 
 
-def _derived_profile(base_profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Surrogate K of (A0+A1, A0 cap A1) at t = 2^n from the base profile.
-
-    Needs a symmetric grid (``check_sum_intersection`` refuses others): for
-    n <= 0 the value is P_n + 2^n P_{-n}; for n > 0 the monotone extension
-    by the t = 1 value (2 P_0) applies.
-    """
-    P = base_profile
-    out = np.empty_like(P)
-    zero = np.searchsorted(grid, 0)
-    for j, n in enumerate(grid):
-        if n <= 0:
-            mirror = np.searchsorted(grid, -n)
-            out[:, j] = P[:, j] + (2.0 ** float(n)) * P[:, mirror]
-        else:
-            out[:, j] = 2.0 * P[:, zero]
-    return out
-
-
 def _band_from_ratios(per_size: dict[int, np.ndarray]):
     per_dim = {}
     lo, hi = math.inf, 0.0
@@ -387,7 +376,7 @@ def check_mainlema(family: str = "l1_linf",
         derived = derived_sum_int_couple(couples[dim])
         oracle = derived.k_oracle_batch(X, np.reshape(ts, (1, -1)),
                                         budget=budget, seed=seed)
-        return oracle, np.stack([derived.k_batch(X, t) for t in ts], axis=1)
+        return oracle, derived.profile_batch(X, ts)
 
     report = _sweep_report("mainlema", seed, _sample_rows, count, dims, pair,
                            keep_trace, ts)
@@ -413,27 +402,33 @@ def check_sum_intersection(theta: float, p: float,
     The derived couple is ordered (intersection into sum), so its norm is
     equivalent to the t <= 1 half of the profile sum with dimension-free
     constants; the check evaluates that half, where the surrogate
-    K(x,t) + t K(x,1/t) is available.
+    K(x,t) + t K(x,1/t) is available, gathered by
+    ``DerivedSumIntCouple.surrogate`` from the base profile that the right
+    side also reads.
     """
-    params = InterpParams(theta, _check_theta_q(theta, p, ("theta", "p")))
+    _check_theta_q(theta, p, ("theta", "p"))
     grid = _n_window(n_min, n_max)
     if n_min != -n_max:
         raise DomainError(f"the derived profile needs a symmetric window "
                           f"n_min = -n_max, got n_min = {n_min} and "
                           f"n_max = {n_max}")
     low_half = grid <= 0
-    w_theta = interp_weights(params, grid)
-    w_mirror = interp_weights(InterpParams(1.0 - theta, p), grid)
-    couples = {dim: couple_family(family, dim) for dim in dims}
+    t = 2.0 ** grid.astype(float)
+    w_theta = dyadic_weights(theta, grid)
+    w_mirror = dyadic_weights(1.0 - theta, grid)
+    derived = {dim: derived_sum_int_couple(couple_family(family, dim))
+               for dim in dims}
 
     def pair(dim, X):
-        P = couples[dim].profile_batch(X, 2.0 ** grid.astype(float))
-        D = _derived_profile(P, grid)
-        lhs = _lq_combine((w_theta * D)[:, low_half], p)
+        # the window is symmetric, so the base profile P holds every s and
+        # 1/s the derived profile D gathers
+        P = derived[dim].base.profile_batch(X, t)
+        D = derived[dim].surrogate(P, t, t[low_half])
+        lhs = dyadic_norm(D, grid[low_half], theta, p)
         if theta < 0.5:
             return lhs, sequence_couple_k(P, 1.0, p, w_theta, p, w_mirror)
-        return lhs, np.maximum(_lq_combine(w_theta * P, p),
-                               _lq_combine(w_mirror * P, p))
+        return lhs, np.maximum(dyadic_norm(P, grid, theta, p),
+                               dyadic_norm(P, grid, 1.0 - theta, p))
 
     report = _sweep_report("sum_intersection", seed, _sample_rows, count,
                            dims, pair, keep_trace)
@@ -470,19 +465,18 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
                                   (("theta0", "p"), theta0, p),
                                   (("theta1", "q"), theta1, q)):
         _check_theta_q(theta, exponent, keys)
-    grid = _n_window(n_min, n_max).astype(float)
-    w0 = 2.0 ** (-theta0 * grid)
-    w1 = 2.0 ** (-theta1 * grid)
+    grid = _n_window(n_min, n_max)
+    w0 = dyadic_weights(theta0, grid)
+    w1 = dyadic_weights(theta1, grid)
     theta_bar = (1.0 - alpha) * theta0 + alpha * theta1
-    w_bar = 2.0 ** (-theta_bar * grid)
-    w_alpha = 2.0 ** (-alpha * grid)
-    t_grid = (2.0 ** grid)[None, :]
+    t_grid = (2.0 ** grid.astype(float))[None, :]
     couples = {dim: couple_family(family, dim) for dim in dims}
 
     def pair(dim, X):
         P = couples[dim].profile_batch(X, t_grid)
         KK = sequence_couple_k(P, t_grid, p, w0, q, w1, seed=seed)
-        return _lq_combine(w_alpha * KK, r), _lq_combine(w_bar * P, r)
+        return (dyadic_norm(KK, grid, alpha, r),
+                dyadic_norm(P, grid, theta_bar, r))
 
     report = _sweep_report("reiteration", seed, _sample_rows, count, dims,
                            pair, keep_trace)
@@ -511,16 +505,15 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
     inv_p = (1.0 - theta) / _parse_p(p0, "p0") + theta / _parse_p(p1, "p1")
     params = LorentzParams(1.0 / inv_p if inv_p else math.inf, q)
     p = params.p
-    grid = _n_window(n_min, n_max).astype(float)
-    w_theta = 2.0 ** (-theta * grid)
-    t_grid = (2.0 ** grid)[None, :]
+    grid = _n_window(n_min, n_max)
+    t_grid = (2.0 ** grid.astype(float))[None, :]
 
     def pair(length, S):
         KK = k_operator_diag_batch(S, t_grid, p0, p1, seed=seed)
         n_idx = np.arange(1, length + 1, dtype=float)
-        rhs = _lq_combine(
+        rhs = stable_lp_sum(
             np.broadcast_to(n_idx ** (1.0 / p - 1.0 / q), S.shape) * S, q)
-        return _lq_combine(w_theta * KK, q), rhs
+        return dyadic_norm(KK, grid, theta, q), rhs
 
     report = _sweep_report("konig", seed, _nonincreasing_rows, count,
                            lengths, pair, keep_trace)

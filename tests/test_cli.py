@@ -729,8 +729,13 @@ class TestWitnessCsv:
         (["--n", "-5"], "need N >= 4"),
         (["--n", "64", "--p", "0"], "p and q must be positive"),
         (["--n", "64", "--q", "-1"], "p and q must be positive"),
+        (["--n", "64", "--p-star", "0"], "p_star must lie in (0, inf)"),
+        (["--n", "64", "--q-star", "0"], "q_star must lie in (0, inf)"),
+        (["--n", "64", "--q-star", "-1"], "q_star must lie in (0, inf)"),
+        (["--n", "64", "--p-star", "inf"], "p_star must lie in (0, inf)"),
     ], ids=["max-rows-0", "max-rows-first", "n-3", "n-negative", "p-0",
-            "q-negative"])
+            "q-negative", "p-star-0", "q-star-0", "q-star-negative",
+            "p-star-inf"])
     def test_refusals_exit_two(self, tmp_path, capsys, extra, message):
         args = ["witness", "--p", "2", "--q", "1", "--out",
                 str(tmp_path / "w.csv")] + extra

@@ -9,9 +9,12 @@ from interpk import (DomainError, InterpParams, InvariantError, LatticeParam,
                      endpoint_space, interp_norm, l1_linf_couple,
                      lattice_norm, parameter_conditions, power_couple,
                      split_norm, weighted_sup_couple)
-from interpk.couples import FiniteVector, k_profile, vec
-from interpk.interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, interp_norm_from_profile,
+from interpk.couples import (Couple, FiniteVector, k_profile, stable_lp_sum,
+                             vec)
+from interpk.interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, dyadic_norm,
+                            dyadic_weights, interp_norm_from_profile,
                             sequence_couple_k, truncation_terms)
+from interpk.verify import couple_family
 
 
 def unit_coordinate_couple():
@@ -202,7 +205,7 @@ class TestParameterConditions:
 class TestDerivedCouple:
     def test_zero(self):
         dc = derived_sum_int_couple(l1_linf_couple(3))
-        assert dc.k(vec([0, 0, 0]), 0.5) == 0.0
+        assert dc.k_batch(np.zeros((1, 3)), 0.5)[0] == 0.0
 
     def test_single_coordinate_ratio_two(self):
         # base (linf, linf): sum = int = |x|, true K = min(1, t)|x|,
@@ -212,9 +215,10 @@ class TestDerivedCouple:
         X = dc.embed(x)[None, :]
         for t in (0.125, 0.5):
             oracle = float(dc.k_oracle_batch(X, t)[0])
-            assert dc.k(x, t) == pytest.approx(2.0 * t * 2.0)
+            surrogate = float(dc.k_batch(X, t)[0])
+            assert surrogate == pytest.approx(2.0 * t * 2.0)
             assert oracle == pytest.approx(min(1.0, t) * 2.0, rel=1e-9)
-            assert dc.k(x, t) / oracle == pytest.approx(2.0, rel=1e-9)
+            assert surrogate / oracle == pytest.approx(2.0, rel=1e-9)
 
     def test_requires_exact_strategy(self):
         rng = np.random.default_rng(0)
@@ -285,6 +289,100 @@ class TestDerivedCouple:
         dc = derived_sum_int_couple(l1_linf_couple(4))
         prof = dc.profile(vec([1.0, -0.5, 2.0, 0.1]), -6, 6)
         prof.validate(rel_tol=1e-9)
+
+
+# Reference implementations: the per-column derived profile, weights and lq
+# sum that ``verify`` and ``interp`` wrote out before ``surrogate``,
+# ``dyadic_weights`` and ``dyadic_norm`` replaced them, kept as written.
+
+def reference_derived_profile(base_profile, grid):
+    P = base_profile
+    out = np.empty_like(P)
+    zero = np.searchsorted(grid, 0)
+    for j, n in enumerate(grid):
+        if n <= 0:
+            mirror = np.searchsorted(grid, -n)
+            out[:, j] = P[:, j] + (2.0 ** float(n)) * P[:, mirror]
+        else:
+            out[:, j] = 2.0 * P[:, zero]
+    return out
+
+
+def reference_weights(params, grid):
+    return 2.0 ** (-params.theta * grid.astype(float))
+
+
+def reference_lq_combine(terms, q):
+    return stable_lp_sum(np.asarray(terms, dtype=float), q)
+
+
+FAMILY_DIMS = [("l1_linf", d) for d in range(1, 10)] + [
+    ("l1_geometric", d) for d in range(1, 10, 2)]
+
+
+class TestOneFormula:
+    """``surrogate`` and ``dyadic_norm`` equal the references bit for bit."""
+
+    @pytest.mark.parametrize("half", [4, 20])
+    @pytest.mark.parametrize("family, dim", FAMILY_DIMS)
+    def test_equal_to_reference(self, family, dim, half):
+        grid = np.arange(-half, half + 1)
+        t = 2.0 ** grid.astype(float)
+        X = np.random.default_rng(dim * 100 + half).standard_normal((12, dim))
+        derived = derived_sum_int_couple(couple_family(family, dim))
+        P = derived.base.profile_batch(X, t)
+        want = reference_derived_profile(P, grid)
+        assert np.array_equal(derived.surrogate(P, t, t), want)
+        assert np.array_equal(derived.profile_batch(X, t), want)
+        low = grid <= 0
+        for theta, q in ((0.3, 1.0), (0.5, 2.0), (0.7, 0.5), (0.4, math.inf)):
+            params = InterpParams(theta, q)
+            w = reference_weights(params, grid)
+            assert np.array_equal(dyadic_weights(theta, grid), w)
+            assert np.array_equal(
+                dyadic_norm(want[:, low], grid[low], theta, q),
+                reference_lq_combine((w * want)[:, low], q))
+            assert np.array_equal(dyadic_norm(P, grid, theta, q),
+                                  reference_lq_combine(w * P, q))
+
+    def test_profile_batch_calls_the_base_once(self, monkeypatch):
+        # an unsorted grid with t > 1: the surrogate there is 2 K(x, 1)
+        derived = derived_sum_int_couple(l1_linf_couple(5))
+        X = np.random.default_rng(3).standard_normal((4, 5))
+        s = np.array([0.25, 1.0, 0.5, 1.0])
+        want = (derived.base.profile_batch(X, s)
+                + s * derived.base.profile_batch(X, 1.0 / s))
+        calls = []
+        base_profile_batch = Couple.profile_batch
+
+        def counting(self, X, t_grid):
+            calls.append(np.size(t_grid))
+            return base_profile_batch(self, X, t_grid)
+
+        monkeypatch.setattr(Couple, "profile_batch", counting)
+        got = derived.profile_batch(X, [0.25, 3.0, 0.5, 1.0])
+        assert calls == [8]
+        assert np.array_equal(got, want)
+
+
+class TestWindowRefusals:
+    """Every dyadic window goes through ``couples._n_window``."""
+
+    @pytest.mark.parametrize("n_min, n_max, key", [
+        (-2000, 0, "n_min = -2000"), (3, 2, "need n_min <= n_max")])
+    @pytest.mark.parametrize("build", [
+        lambda n0, n1: derived_sum_int_couple(l1_linf_couple(3)).profile(
+            vec([1.0, 2.0, 0.5]), n0, n1),
+        lambda n0, n1: endpoint_space(l1_linf_couple(3),
+                                      InterpParams(0.5, 2.0),
+                                      n0, n1).dense(np.ones((1, 3))),
+        lambda n0, n1: parameter_conditions(ParamSpace(0.3, 1.0),
+                                            ParamSpace(0.7, 1.0), 3, 0,
+                                            n0, n1),
+    ], ids=["derived-profile", "endpoint-dense", "parameter-conditions"])
+    def test_refused(self, build, n_min, n_max, key):
+        with pytest.raises(DomainError, match=key):
+            build(n_min, n_max)
 
 
 class TestEndpointSpace:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from interpk import (DomainError, InvariantError, LorentzParams,
-                     MatrixOperator, SNumSeq, UnsupportedError,
-                     approx_numbers, diag_operator, ideal_norm,
-                     k_operator_diag, lorentz_norm, witness_sequence)
+                     MatrixOperator, SNumSeq, approx_numbers, diag_operator,
+                     ideal_norm, k_operator_diag, lorentz_norm,
+                     witness_sequence)
 from interpk.errors import SizeError
 from interpk.snum import (_WITNESS_BLOCK, CONVERGENCE_TAIL_RATIO, CONVERGING,
                           DIVERGENCE_INCREMENT, DIVERGING, INDETERMINATE,
-                          k_operator_diag_batch, witness_trace)
+                          k_operator_diag_batch, witness_samples,
+                          witness_trace)
 
 
 class TestApproxNumbers:
@@ -28,11 +29,6 @@ class TestApproxNumbers:
         for n in (1, 3, 6):
             a = approx_numbers(MatrixOperator(np.eye(n)))
             np.testing.assert_allclose(a.values, np.ones(n))
-
-    def test_non_euclidean_rejected(self):
-        T = MatrixOperator(np.eye(2), norm_kind="l1")
-        with pytest.raises(UnsupportedError):
-            approx_numbers(T)
 
     def test_rectangular_length(self):
         a = approx_numbers(MatrixOperator(np.ones((2, 5))))
@@ -178,6 +174,18 @@ class TestWitnessSequence:
     def test_requires_min_length(self):
         with pytest.raises(DomainError):
             witness_sequence(1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("p_star, q_star, key", [
+        (0.0, 1.0, "p_star"), (1.0, 0.0, "q_star"), (2.0, -1.0, "q_star"),
+        (math.inf, 1.0, "p_star"), (1.0, math.nan, "q_star")])
+    @pytest.mark.parametrize("build", [
+        lambda ps, qs: witness_sequence(2.0, 1.0, 100, [(2.0, 1.0), (ps, qs)]),
+        lambda ps, qs: witness_trace(2.0, 1.0, 100, ps, qs),
+        lambda ps, qs: witness_samples(2.0, 1.0, 100, ps, qs, 7),
+    ], ids=["sequence", "trace", "samples"])
+    def test_probe_exponents_refused(self, build, p_star, q_star, key):
+        with pytest.raises(DomainError, match=f"{key} must lie in"):
+            build(p_star, q_star)
 
     def test_trace_matches_report(self):
         n, eps, summand, partial = witness_trace(2.0, 1.0, 256, 2.0, 1.0)

@@ -18,9 +18,16 @@ Every successful run writes exactly one artifact.
 
 A JSON report holds the bytes of ``json.dumps(payload, sort_keys=True,
 indent=2)`` plus a newline; ``_json_text`` writes them without the stdlib's
-pure-Python indenting encoder.  Each call builds the parser of the invoked
-subcommand only, or of all of them when the arguments do not start with a
-command name; help, usage lines and errors read the same either way.
+pure-Python indenting encoder.
+
+A plain call, ``COMMAND [CHECK] --opt value ...`` with every option spelled
+in full and given once and every value valid, is read off ``_COMMANDS``
+into the namespace argparse would return, and builds no parser.  Any other
+call (help, ``--version``, abbreviations, ``--opt=value``, repeats, values
+starting with "-", a bad or missing value) goes to argparse, which builds
+the parser of the invoked subcommand only, or of all of them when the
+arguments do not start with a command name.  So argparse alone prints help,
+usage lines and errors, and they read the same either way.
 """
 
 from __future__ import annotations
@@ -152,7 +159,7 @@ def _json_text(value, pad: str = "") -> str:
             for k in sorted(value))
         return "{\n" + inner + body + "\n" + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        if all(type(x) in (int, float) for x in value):
+        if set(map(type, value)) <= {int, float}:
             body = json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
         else:
             body = (",\n" + inner).join(_json_text(x, inner) for x in value)
@@ -440,17 +447,65 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# the ``add_argument`` keywords whose meaning ``_plain_args`` reproduces
+_PLAIN_KEYWORDS = {"required", "default", "type", "choices", "help"}
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read off
+    ``_COMMANDS`` without building a parser, or None unless ``argv`` is
+    plain: ``COMMAND [POSITIONALS] --opt value ...`` with every option
+    spelled in full and given at most once, no value starting with "-",
+    each value passing its spec's ``type`` and ``choices``, every required
+    argument present and every spec keyword in ``_PLAIN_KEYWORDS``.
+    """
+    specs = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else ()
+    if not specs or any(kw.keys() - _PLAIN_KEYWORDS for _, kw in specs):
+        return None
+    options = {name for name, _ in specs if name.startswith("-")}
+    positionals = [name for name, _ in specs if name not in options]
+    k = 1 + len(positionals)
+    flags, values = argv[k::2], argv[k + 1::2]
+    if (len(flags) != len(values) or len(set(flags)) != len(flags)
+            or not set(flags) <= options):
+        return None
+    given = dict(zip(positionals, argv[1:k]))
+    given.update(zip(flags, values))
+    args = argparse.Namespace(command=argv[0])
+    for name, kw in specs:
+        if name in given:
+            value = given[name]
+            if value.startswith("-"):
+                return None
+        elif kw.get("required") or name not in options:
+            return None
+        else:
+            value = kw.get("default")
+        if isinstance(value, str):   # argparse converts a str default too
+            try:
+                value = kw.get("type", str)(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if (name in given and "choices" in kw
+                    and value not in kw["choices"]):
+                return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a leading command name fixes the subcommand: build only its parser
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage already; re-raise clean exits
-        if exc.code in (0, None):
-            return EXIT_OK
-        return EXIT_CONFIG
+    args = _plain_args(argv)
+    if args is None:
+        # a leading command name fixes the subcommand: build only its parser
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            args = build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad usage already; re-raise clean exits
+            if exc.code in (0, None):
+                return EXIT_OK
+            return EXIT_CONFIG
     try:
         return _COMMANDS[args.command][0](args)
     except (ConfigError, InterpKError) as exc:

@@ -23,8 +23,15 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
 
       K_p(x, t) = ( sum_i inf_{a+b=x_i} (w0_i |a|)^p + t^p (w1_i |b|)^p )^{1/p}
 
-  (``_power_batch``), exact for p = 1 and a surrogate with band
-  [2^{-1/min(p,1)}, 2^{1/min(p,1)}] otherwise;
+  (``_power_batch``), exact for p = 1 and a one-sided surrogate otherwise,
+  with band [2^{-(1-1/p)}, 1] for p > 1 and [1, 2^{1/p-1}] for p < 1.  For
+  one split with alpha = ||a||_{A0} and beta = t ||b||_{A1},
+
+      (alpha^p + beta^p)^{1/p} <= alpha + beta
+                               <= 2^{1-1/p} (alpha^p + beta^p)^{1/p}
+
+  when p >= 1, and both inequalities reverse when p < 1; K_p and K are the
+  infima of the outer and middle terms over splits;
 * ``descent``       any other pair (``k_route`` returns None):
   ``descent_route`` builds its K, a seeded multi-start descent over
   decompositions (``_descent.decomposition_infimum``).  It is an upper
@@ -257,9 +264,9 @@ def k_route(norm0: WeightedNorm, norm1: WeightedNorm) -> KRoute | None:
         return KRoute("weighted_sup",
                       lambda X, T: _weighted_sup_batch(X, T, w0, w1))
     if p0 == p1:
-        band = 1.0 if p0 == 1.0 else 2.0 ** (1.0 / min(p0, 1.0))
+        c = 2.0 ** (1.0 / p0 - 1.0)
         return KRoute("power", lambda X, T: _power_batch(X, T, p0, w0, w1),
-                      p0 == 1.0, (1.0 / band, band))
+                      p0 == 1.0, (min(c, 1.0), max(c, 1.0)))
     if p0 == 1.0:
         return _l1_route(p1, w0, w1)
     route = _l1_route(p0, w1, w0) if p1 == 1.0 else None

@@ -1,13 +1,16 @@
 """The CLI's report writer and parser against the stdlib and a frozen parser.
 
 ``_dump_json`` must write what ``json.dumps(payload, sort_keys=True,
-indent=2) + "\\n"`` writes, byte for byte.  ``main`` builds only the invoked
-subcommand's parser; everything argparse prints must read as it did when
-every subparser was built on every call, which ``_reference_parser`` (the
-earlier ``build_parser``, kept verbatim) pins.
+indent=2) + "\\n"`` writes, byte for byte.  ``main`` answers a plain argument
+list from the command table without building a parser, and must return what
+argparse returns for it; any other list builds only the invoked
+subcommand's parser, and everything argparse prints must read as it did
+when every subparser was built on every call, which ``_reference_parser``
+(the earlier ``build_parser``, kept verbatim) pins.
 """
 
 import argparse
+import itertools
 import json
 import math
 import typing
@@ -224,7 +227,83 @@ def test_single_parser_parses_like_the_full_one(command):
             == vars(_reference_parser().parse_args(argv)))
 
 
+def _fields(args) -> str:
+    # repr keeps the value types apart and makes nan equal to nan
+    return repr(sorted(vars(args).items()))
+
+
+def _pairs(command: str) -> tuple[list, list]:
+    """(positional head, option-value pairs) of ``VALID_ARGS[command]``."""
+    valid = VALID_ARGS[command]
+    head = valid[:1] if command == "verify" else []
+    return head, [valid[i:i + 2] for i in range(len(head), len(valid), 2)]
+
+
+OPTIONS = sorted({name for _, _, specs in cli._COMMANDS.values()
+                  for name, _ in specs if name.startswith("-")})
+TOKENS = (list(cli._COMMANDS) + OPTIONS + sorted(VERIFY_CHECKS)
+          + ["--conf", "--form", "--n-l", "--max", "--p-s", "--out=o.json",
+             "-h", "--help", "--version", "--", "c.json", "", "2", "-1",
+             "nan", "1e3", "0x10", "xml"])
+
+
+@st.composite
+def argvs(draw):
+    """A command and its valid arguments in a drawn order, then up to two
+    edits anywhere: tokens of ``TOKENS`` inserted or swapped in, a token
+    deleted, or two tokens repeated."""
+    command = draw(st.sampled_from(sorted(VALID_ARGS)))
+    head, pairs = _pairs(command)
+    tokens = [command, *head, *itertools.chain(*draw(st.permutations(pairs)))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        new = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=2))
+        edit = draw(st.sampled_from(("insert", "replace", "delete",
+                                     "repeat")))
+        if edit == "insert":
+            tokens[i:i] = new
+        elif edit == "replace":
+            tokens[i:i + 1] = new[:1]
+        elif edit == "delete":
+            del tokens[i:i + 1]
+        else:
+            tokens[i:i] = tokens[i:i + 2]
+    return tokens
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=argvs())
+def test_plain_path_parses_like_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        want = cli.build_parser(argv[0]).parse_args(argv)
+        assert _fields(plain) == _fields(want)
+
+
+def _no_parser(command=None):
+    raise AssertionError(f"parser built for {command}")
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS))
+def test_valid_args_take_the_plain_path(command, monkeypatch):
+    # every option order of a complete argument list builds no parser
+    head, pairs = _pairs(command)
+    calls = [[command, *head, *itertools.chain(*order)]
+             for order in itertools.permutations(pairs)]
+    want = [_fields(cli.build_parser(command).parse_args(a)) for a in calls]
+    seen = []
+    _, help_text, specs = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (lambda args: seen.append(_fields(args)) or 0,
+                         help_text, specs))
+    monkeypatch.setattr(cli, "build_parser", _no_parser)
+    assert [main(argv) for argv in calls] == [0] * len(calls)
+    assert seen == want
+
+
 def test_main_builds_only_the_invoked_parser(monkeypatch, tmp_path):
+    # a plain call builds no parser; any other call that starts with a
+    # command name builds that command's parser only
     built = []
     real = cli.build_parser
 
@@ -234,8 +313,14 @@ def test_main_builds_only_the_invoked_parser(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "build_parser", spy)
     out = tmp_path / "st.csv"
-    assert main(["strictness", "--theta", "0.5", "--q", "1", "--n-list",
-                 "2", "--out", str(out)]) == 0
+    argv = ["strictness", "--theta", "0.5", "--q", "1", "--n-list", "2",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert built == []
+    plain = out.read_bytes()
+    out.unlink()
+    assert main([*argv[:5], "--n-list=2", *argv[7:]]) == 0
+    assert out.read_bytes() == plain
     assert main(["--version"]) == 0
     assert built == ["strictness", None]
 

@@ -459,8 +459,10 @@ class TestKRoute:
             n0, n1 = WeightedNorm(p0, 0, w0), WeightedNorm(p1, 0, w1)
             route = k_route(n0, n1)
             assert (route.name, route.exact) == (name, exact)
-            r = 2.0 ** (1.0 / min(p0, 1.0))
-            assert route.band == ((1.0, 1.0) if exact else (1.0 / r, r))
+            # K_p / K lies in [1, 2^{1/p-1}] for p < 1, [2^{-(1-1/p)}, 1]
+            # for p > 1
+            bands = {0.5: (1.0, 2.0), 2.0: (2.0 ** -0.5, 1.0)}
+            assert route.band == ((1.0, 1.0) if exact else bands[p0])
             want = direct(V, grid, w0, w1)
             assert np.all(np.isfinite(want))
             for strategy in strategies + ((ORACLE,) if exact else ()):
@@ -1003,14 +1005,16 @@ class TestCoupleValidation:
 
     def test_band_is_the_routes_and_read_only(self):
         w = [1.0, 2.0]
-        for p, band in ((0.5, 4.0), (1.0, 1.0), (2.0, 2.0), (3.0, 2.0)):
+        for p, band in ((0.5, (1.0, 2.0)), (0.25, (1.0, 8.0)),
+                        (1.0, (1.0, 1.0)), (2.0, (2.0 ** -0.5, 1.0)),
+                        (3.0, (2.0 ** -(1.0 - 1.0 / 3.0), 1.0))):
             c = power_couple(p, w, w)
-            assert (c.equiv_lo, c.equiv_hi) == (1.0 / band, band)
+            assert (c.equiv_lo, c.equiv_hi) == band
             data = c.to_json()
-            assert (data["equiv_lo"], data["equiv_hi"]) == (1.0 / band, band)
+            assert (data["equiv_lo"], data["equiv_hi"]) == band
             data.update(equiv_lo=0.01, equiv_hi=100.0)     # ignored
             c2 = Couple.from_json(data)
-            assert (c2.equiv_lo, c2.equiv_hi) == (1.0 / band, band)
+            assert (c2.equiv_lo, c2.equiv_hi) == band
         c = weighted_sup_couple(w, w)
         assert (c.equiv_lo, c.equiv_hi) == (1.0, 1.0)
         with pytest.raises(AttributeError):

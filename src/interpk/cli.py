@@ -14,7 +14,21 @@ Exit codes: 0 success; 2 a config error: malformed JSON, an unknown, missing
 or wrongly typed key, or a value the library rejects; 3 a verify band
 failed.  Any other exception is a bug and propagates.  Reports are
 deterministic: identical (argv, config, seed) produce byte-identical files.
-Every successful run writes exactly one artifact.
+Every successful run writes exactly one artifact, plus the trace CSV with
+``verify --trace``.
+
+Every artifact (JSON report, CSV, ``verify --trace`` CSV) goes through
+``_artifact``: the path is opened for writing and created if missing, but
+without ``O_TRUNC``, so an existing file is overwritten in place; once the
+artifact is written, a regular file is trimmed to the bytes written.  A
+device, FIFO or tty (``/dev/null``) is only written.  The bytes, the mode
+of a new or existing file, symlinks and hard links and the mtime update are
+those of ``open(path, "w")``.  The reason is ext4: with its default
+``auto_da_alloc`` it forces writeback when a file truncated to zero is
+closed, which made rerunning onto the same ``--out`` several times dearer
+than writing the same bytes in place.  Neither way is atomic and neither
+syncs; a crash in mid-write may now leave the old file's tail after the new
+bytes, where truncating first would leave a short file.
 
 A JSON report holds the bytes of ``json.dumps(payload, sort_keys=True,
 indent=2)`` plus a newline; ``_json_text`` writes them without the stdlib's
@@ -38,6 +52,8 @@ import contextlib
 import csv
 import inspect
 import json
+import os
+import stat
 import sys
 import types
 import typing
@@ -167,16 +183,37 @@ def _json_text(value, pad: str = "") -> str:
     return json.dumps(value)
 
 
+def _no_trunc(path, flags):
+    """``os.open`` as ``open(path, "w")`` calls it (mode 0o666), but
+    without ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def _artifact(path: str, newline: str | None = None):
+    """``open(path, "w", encoding="utf-8", newline=newline)``, except that
+    an existing file is overwritten in place, not truncated first.  On the
+    way out a regular file is trimmed to where the writing stopped; any
+    other file (a device, a FIFO) is only written."""
+    with open(path, "w", encoding="utf-8", newline=newline,
+              opener=_no_trunc) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _dump_json(payload: dict, out_path: str) -> None:
     """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
     byte for byte, through the faster ``_json_text``."""
     text = _json_text(payload)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _artifact(out_path) as fh:
         fh.write(text + "\n")
 
 
 def _dump_csv(header, rows, out_path: str, comments=()):
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with _artifact(out_path, newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
@@ -355,6 +392,8 @@ def verify_schema(check: str) -> tuple[dict, tuple]:
 def _cmd_verify(args) -> int:
     check = getattr(verify, VERIFY_CHECKS[args.check])
     defaults, required, hints, run_keys = _check_schema(check)
+    if "seed" in run_keys and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     # each value must fit its parameter's annotation; a None default (such
     # as reiteration's p = r) is left to the check and not echoed
     cfg = _take(_load_json(args.config) if args.config else {},

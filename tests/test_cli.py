@@ -3,8 +3,10 @@ import inspect
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -778,3 +780,211 @@ class TestRowsFromArrays:
         assert out.read_bytes() == _csv_text(
             (f"interpk {cli.__version__} snumbers",), ("n", "a_n"),
             rows).encode()
+
+
+@pytest.mark.parametrize("check", ["mainlema", "sum-intersection",
+                                   "reiteration", "konig", "dichotomy"])
+def test_negative_seed_is_a_config_error(check, tmp_path, capsys):
+    path, out = tmp_path / "c.json", tmp_path / "r.json"
+    path.write_text(json.dumps(SMALL_CONFIGS[check]))
+    code = run_cli(["verify", check, "--config", str(path), "--seed", "-1",
+                    "--out", str(out)])
+    assert code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seedless_check_takes_any_seed(tmp_path):
+    # distinctness has no seed parameter: --seed is only echoed
+    path, out = tmp_path / "c.json", tmp_path / "r.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["distinctness"]))
+    assert run_cli(["verify", "distinctness", "--config", str(path),
+                    "--seed", "-1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == -1
+
+
+# every command's argument list, and verify's with --trace; OUT and TRACE
+# stand for the artifact paths
+ARTIFACT_INPUTS = {
+    "couple.json": {
+        "couple": {"norm0": {"p": 1, "weights": [1, 1, 1]},
+                   "norm1": {"p": "inf", "weights": [1, 1, 1]},
+                   "strategy": "exact_l1_linf", "offset": 0},
+        "vector": {"offset": 0, "entries": [3, 1, 2]},
+        "n_min": -4, "n_max": 4},
+    "interp.json": {
+        "couple": {"norm0": {"p": 1, "weights": [1, 2]},
+                   "norm1": {"p": 1, "weights": [2, 1]},
+                   "strategy": "power_coordinatewise"},
+        "vector": {"offset": 0, "entries": [1.0, 0.5]},
+        "theta": 0.5, "q": 2},
+    "lattice.json": {
+        "couple": {"norm0": {"p": 1, "weights": [1, 1, 1]},
+                   "norm1": {"p": "inf", "weights": [1, 1, 1]},
+                   "strategy": "exact_l1_linf", "offset": 0},
+        "vector": {"offset": 0, "entries": [3, 1, 2]},
+        "r": 1, "lattice_weights": [1, 0.5, 0.25], "n_min": -1},
+    "matrix.json": {"rows": 3, "cols": 2,
+                    "entries": [[2, 1], [1, 3], [0.5, -1]]},
+    "lift.json": {"epsilon": [1.0, 0.5, 1 / 3, 0.25, 0.2, 1 / 6],
+                  "h": [2, 4, 6, 8, 10, 12], "N": 4},
+    "dichotomy.json": {"family": "l1_geometric", "t": 0.25, "sizes": [9]},
+    "mainlema.json": {"dims": [2], "count": 10, "budget": 1},
+}
+ARTIFACT_ARGVS = {
+    "kprofile": ["kprofile", "--config", "couple.json", "--out", "OUT"],
+    "kprofile-csv": ["kprofile", "--config", "couple.json", "--out", "OUT",
+                     "--format", "csv"],
+    "interp-norm": ["interp-norm", "--config", "interp.json", "--out", "OUT"],
+    "lattice-norm": ["lattice-norm", "--config", "lattice.json",
+                     "--out", "OUT"],
+    "snumbers": ["snumbers", "--matrix", "matrix.json", "--out", "OUT"],
+    "ideal-norm": ["ideal-norm", "--matrix", "matrix.json", "--p", "2",
+                   "--q", "1", "--out", "OUT"],
+    "witness": ["witness", "--p", "2", "--q", "1", "--n", "4096",
+                "--out", "OUT"],
+    "lift": ["lift", "--config", "lift.json", "--out", "OUT"],
+    "strictness": ["strictness", "--theta", "0.5", "--q", "1",
+                   "--n-list", "2,4,8", "--out", "OUT"],
+    "verify": ["verify", "dichotomy", "--config", "dichotomy.json",
+               "--seed", "7", "--out", "OUT"],
+    "verify-trace": ["verify", "mainlema", "--config", "mainlema.json",
+                     "--seed", "3", "--out", "OUT", "--trace", "TRACE"],
+}
+LONGER, SHORTER = b"x" * 65536, b"x"
+
+
+class TestArtifactOverwrite:
+    """An artifact written over an existing path reads as a fresh write.
+
+    The writer overwrites in place and trims a regular file to the bytes
+    written; the path's links, mode and kind of file are kept.
+    """
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        folder = tmp_path / "inputs"
+        folder.mkdir()
+        for name, data in ARTIFACT_INPUTS.items():
+            (folder / name).write_text(json.dumps(data))
+        return folder
+
+    @staticmethod
+    def run(inputs, command, paths):
+        """Exit code of ``command`` with its inputs in ``inputs`` and its
+        artifacts at ``paths`` (OUT, and TRACE where it takes one)."""
+        names = {**{name: str(inputs / name) for name in ARTIFACT_INPUTS},
+                 **{key: str(path) for key, path in paths.items()}}
+        return run_cli([names.get(arg, arg) for arg in ARTIFACT_ARGVS[command]])
+
+    @classmethod
+    def written(cls, inputs, command, folder, prefill=None):
+        """(exit code, {OUT/TRACE: bytes}) of ``command`` writing into
+        ``folder``, over files holding ``prefill`` unless it is None."""
+        folder.mkdir(exist_ok=True)
+        paths = {key: folder / key for key in ("OUT", "TRACE")
+                 if key in ARTIFACT_ARGVS[command]}
+        if prefill is not None:
+            for path in paths.values():
+                path.write_bytes(prefill)
+        code = cls.run(inputs, command, paths)
+        return code, {key: path.read_bytes() for key, path in paths.items()}
+
+    @pytest.mark.parametrize("prefill", [LONGER, SHORTER],
+                             ids=["longer", "shorter"])
+    @pytest.mark.parametrize("command", ARTIFACT_ARGVS)
+    def test_overwrite_equals_fresh_write(self, command, prefill, inputs,
+                                          tmp_path):
+        # the same paths both times: verify echoes its trace path
+        fresh = self.written(inputs, command, tmp_path / "out")
+        assert fresh[0] == 0
+        assert self.written(inputs, command, tmp_path / "out",
+                            prefill) == fresh
+
+    @pytest.mark.parametrize("command", ["kprofile", "strictness"])
+    def test_symlink_stays_and_target_holds_report(self, command, inputs,
+                                                   tmp_path):
+        _, fresh = self.written(inputs, command, tmp_path / "fresh")
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(LONGER)
+        link.symlink_to(target)
+        assert self.run(inputs, command, {"OUT": link}) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh["OUT"]
+
+    @pytest.mark.parametrize("command", ["kprofile", "strictness"])
+    def test_hard_link_keeps_inode(self, command, inputs, tmp_path):
+        _, fresh = self.written(inputs, command, tmp_path / "fresh")
+        other, out = tmp_path / "other", tmp_path / "out"
+        other.write_bytes(LONGER)
+        os.link(other, out)
+        inode = out.stat().st_ino
+        assert self.run(inputs, command, {"OUT": out}) == 0
+        assert out.stat().st_ino == inode
+        assert other.read_bytes() == fresh["OUT"]
+
+    @pytest.mark.parametrize("command", ["kprofile", "strictness"])
+    def test_modes_of_new_and_existing_files(self, command, inputs,
+                                             tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        new, old = tmp_path / "new", tmp_path / "old"
+        old.write_bytes(LONGER)
+        old.chmod(0o640)
+        for out in (new, old):
+            assert self.run(inputs, command, {"OUT": out}) == 0
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull),
+                        reason=f"no {os.devnull}")
+    @pytest.mark.parametrize("command", ARTIFACT_ARGVS)
+    def test_dev_null(self, command, inputs):
+        devnull = pathlib.Path(os.devnull)
+        assert self.run(inputs, command,
+                        {"OUT": devnull, "TRACE": devnull}) == 0
+
+    @pytest.mark.parametrize("command", ["kprofile", "strictness"])
+    def test_directory_raises(self, command, inputs, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            self.run(inputs, command, {"OUT": tmp_path})
+
+    @pytest.mark.parametrize("command", ["kprofile", "strictness"])
+    def test_read_only_file_as_plain_open_finds_it(self, command, inputs,
+                                                   tmp_path):
+        # what ``open(path, "w")`` does with a read-only file: refused,
+        # unless the user may write anyway (root)
+        _, fresh = self.written(inputs, command, tmp_path / "fresh")
+        probe, out = tmp_path / "probe", tmp_path / "out"
+        for path in (probe, out):
+            path.write_bytes(LONGER)
+            path.chmod(0o444)
+        try:
+            open(probe, "w").close()
+        except PermissionError:
+            with pytest.raises(PermissionError):
+                self.run(inputs, command, {"OUT": out})
+            assert out.read_bytes() == LONGER
+        else:
+            assert self.run(inputs, command, {"OUT": out}) == 0
+            assert out.read_bytes() == fresh["OUT"]
+        assert stat.S_IMODE(out.stat().st_mode) == 0o444
+
+    def test_no_artifact_is_opened_with_o_trunc(self, inputs, tmp_path,
+                                                monkeypatch):
+        opened, os_open = [], os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        paths = []
+        for command in ARTIFACT_ARGVS:
+            code, artifacts = self.written(inputs, command, tmp_path / command,
+                                           LONGER)
+            assert code == 0
+            paths += [str(tmp_path / command / key) for key in artifacts]
+        created = {path for path, flags in opened if flags & os.O_CREAT}
+        assert created >= set(paths)
+        assert not [path for path, flags in opened if flags & os.O_TRUNC]

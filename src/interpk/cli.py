@@ -11,11 +11,13 @@
     interpk verify CHECK  --config c.json --seed S --out out.json
 
 Exit codes: 0 success; 2 a config error: malformed JSON, an unknown, missing
-or wrongly typed key, or a value the library rejects; 3 a verify band
-failed.  Any other exception is a bug and propagates.  Reports are
-deterministic: identical (argv, config, seed) produce byte-identical files.
-Every successful run writes exactly one artifact, plus the trace CSV with
-``verify --trace``.
+or wrongly typed key, a value the library rejects, or an artifact path that
+cannot be written (the message names it); 3 a verify band failed.  Any
+other exception is a bug and propagates.  Reports are deterministic:
+identical (argv, config, seed) produce byte-identical files.  Every
+successful run writes exactly one artifact, plus the trace CSV with
+``verify --trace``; the report is opened before the trace is written, and
+when either cannot be written, neither is left behind as a new file.
 
 Every artifact (JSON report, CSV, ``verify --trace`` CSV) goes through
 ``_artifact``: the path is opened for writing and created if missing, but
@@ -194,14 +196,33 @@ def _artifact(path: str, newline: str | None = None):
     """``open(path, "w", encoding="utf-8", newline=newline)``, except that
     an existing file is overwritten in place, not truncated first.  On the
     way out a regular file is trimmed to where the writing stopped; any
-    other file (a device, a FIFO) is only written."""
-    with open(path, "w", encoding="utf-8", newline=newline,
-              opener=_no_trunc) as fh:
-        try:
+    other file (a device, a FIFO) is only written.
+
+    A path that cannot be opened or written is a ConfigError that names
+    it.  If the body raises (say, another artifact written while this one
+    is open fails), nothing is trimmed and a file this call created is
+    removed again.
+    """
+    created = not os.path.lexists(path)
+    try:
+        fh = open(path, "w", encoding="utf-8", newline=newline,
+                  opener=_no_trunc)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}"
+                          ) from exc
+    try:
+        with fh:
             yield fh
-        finally:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
+    except BaseException as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: "
+                              f"{exc.strerror or exc}") from exc
+        raise
 
 
 def _dump_json(payload: dict, out_path: str) -> None:
@@ -405,15 +426,22 @@ def _cmd_verify(args) -> int:
     report = check(**cfg, **run)
     body = report.to_json()
     if run.get("keep_trace"):
-        cols = sorted(report.trace[0]) if report.trace else ["size", "index",
-                                                             "ratio", "t"]
-        rows = [tuple(row.get(c, "") for c in cols) for row in report.trace]
-        _dump_csv(cols, rows, args.trace,
-                  comments=(f"interpk {__version__} trace verify {args.check}",))
         body["trace_path"] = args.trace
     payload = _report_payload(f"verify {args.check}",
                               {"seed": args.seed, **cfg}, body)
-    _dump_json(payload, args.out)
+    text = _json_text(payload)
+    # the report is opened before the trace is written, so a --out that
+    # cannot be written leaves no trace CSV behind
+    with _artifact(args.out) as fh:
+        if run.get("keep_trace"):
+            cols = (sorted(report.trace[0]) if report.trace
+                    else ["size", "index", "ratio", "t"])
+            rows = [tuple(row.get(c, "") for c in cols)
+                    for row in report.trace]
+            _dump_csv(cols, rows, args.trace,
+                      comments=(f"interpk {__version__} trace verify "
+                                f"{args.check}",))
+        fh.write(text + "\n")
     return EXIT_OK if report.passed else EXIT_FAILED_BAND
 
 

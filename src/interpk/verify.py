@@ -19,13 +19,16 @@ batch of rows, which ``snum.lorentz_norm`` takes one row at a time.
 
 Every pass/fail threshold is a default in its check's signature
 (overridable per call), never in the check logic.  Every check is
-deterministic under (seed, config): sample i is drawn from a child generator
-keyed by (seed, i), so doubling the sample count extends the sample set and
-can only widen the observed band.  One such generator serves sample i at
-every dimension of a sweep, and each dimension still sees the stream it
-would get from a generator of its own: Gaussian draws are prefix-stable, so
-dimension d takes the first d of one stream; draws whose count depends on d
-restart from the generator's saved state.
+deterministic under (seed, config): sample i draws the stream of
+``default_rng(SeedSequence([seed, i]))``, so doubling the sample count
+extends the sample set and can only widen the observed band.  That stream
+serves sample i at every dimension of a sweep, and each dimension still sees
+the stream it would get from a generator of its own: Gaussian draws are
+prefix-stable, so dimension d takes the first d of one stream; draws whose
+count depends on d restart the stream.  No generator is built per sample:
+one vectorized pass (``_seeding.pcg64_states``) gives the PCG64 state numpy
+would seed for each index, and one generator restarted from each state
+draws the same streams.
 """
 
 from __future__ import annotations
@@ -37,10 +40,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._descent import decomposition_infimum
+from ._seeding import generator, pcg64_states
 from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
                       _parse_p, _weighted_sup_batch, k_sphere_sup,
                       l1_linf_couple, power_couple, stable_lp_sum)
-from .errors import DomainError, EmptyReportError, InvariantError
+from .errors import (DomainError, EmptyReportError, InvariantError,
+                     SizeError)
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams,
                      _check_theta_q, derived_sum_int_couple, dyadic_norm,
                      dyadic_weights, sequence_couple_k)
@@ -129,42 +134,54 @@ class DistinctnessReport:
 # seeded samplers
 # ---------------------------------------------------------------------------
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+# A sweep holds count x (sum of its distinct sizes) float64 sample cells
+# at once, and every check then evaluates K of each sample row on a t-grid
+# (41 points on the default window), tens of times the sample matrix.  So a
+# sweep of more than 2^22 cells (32 MiB of samples, over a GiB downstream)
+# is refused before anything is drawn or allocated; the acceptance configs
+# use under 2^15.
+_SWEEP_MAX_CELLS = 2 ** 22
 
 
-def _sample_rows(index: int, seed: int, dims: Sequence[int]) -> dict:
-    """Sample ``index`` of the standard mix at every dim of ``dims``.
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` for scalar bounds: numpy's own formula,
+    so the same double from the same draw, without its argument
+    handling."""
+    return low + (high - low) * rng.random()
+
+
+def _sample_rows(index: int, rng: np.random.Generator, state: dict,
+                 dims: Sequence[int]) -> dict:
+    """Sample ``index`` of the standard mix at every dim of ``dims``;
+    ``rng`` restarted from ``state`` is the sample's generator.
 
     The mix is flat, spike, Gaussian, sparse, witness.  Index 0 is always
     the flat vector (the strictness witness shape) and index 1 the first
     basis spike, so the extreme shapes are represented at every sample
-    count.  One generator keyed by (seed, index) serves every dim: the
-    Gaussian kind takes the first d draws of one stream (normal draws are
-    prefix-stable), the sparse kind, whose draws depend on d, restarts from
-    the generator's saved state at each dim, and the witness kind draws the
-    same two values at any d.
+    count.  One stream serves every dim: the Gaussian kind takes the first
+    d draws of one stream (normal draws are prefix-stable), the sparse
+    kind, whose draws depend on d, restarts from ``state`` at each dim, and
+    the witness kind draws the same two values at any d.
     """
     if index == 0:
         return {d: np.full(d, 1.0 / d) for d in dims}
     if index == 1:
         return {d: np.eye(1, d).reshape(-1) for d in dims}
-    rng = _sample_rng(seed, index)
     kind = index % 3
-    if kind == 0:
-        z = rng.standard_normal(max(dims))
-        return {d: z[:d] for d in dims}
     if kind == 1:
-        state = rng.bit_generator.state
         out = {}
         for d in dims:
             rng.bit_generator.state = state
             row = np.zeros(d)
             support = rng.choice(d, size=max(1, d // 4), replace=False)
             row[support] = rng.standard_normal(len(support)) * (
-                2.0 ** rng.uniform(-5.0, 5.0))
+                2.0 ** _uniform(rng, -5.0, 5.0))
             out[d] = row
         return out
+    rng.bit_generator.state = state
+    if kind == 0:
+        z = rng.standard_normal(max(dims))
+        return {d: z[:d] for d in dims}
     scale = 2.0 ** rng.integers(-3, 4)
     if rng.integers(0, 2):
         return {d: np.full(d, scale / d) for d in dims}
@@ -174,7 +191,7 @@ def _sample_rows(index: int, seed: int, dims: Sequence[int]) -> dict:
 
 def sample_dense(dim: int, index: int, seed: int) -> np.ndarray:
     """Sample ``index`` of the standard mix at one dimension."""
-    return _sample_rows(index, seed, (dim,))[dim]
+    return _sample_sweep(_sample_rows, 1, (dim,), seed, start=index)[dim][0]
 
 
 def vector_sampler(dim: int, seed: int, offset: int = 0) -> Callable[[int], FiniteVector]:
@@ -186,11 +203,10 @@ def vector_sampler(dim: int, seed: int, offset: int = 0) -> Callable[[int], Fini
     return sample
 
 
-def _nonincreasing_rows(index: int, seed: int, lengths: Sequence[int]) -> dict:
+def _nonincreasing_rows(index: int, rng: np.random.Generator, state: dict,
+                        lengths: Sequence[int]) -> dict:
     """Sample ``index`` of the nonincreasing mix at every length of
-    ``lengths``; one generator, restarted from its saved state per length."""
-    rng = _sample_rng(seed, index)
-    state = rng.bit_generator.state
+    ``lengths``; ``rng`` restarts from ``state`` at each length."""
     kind = index % 3
     out = {}
     for length in lengths:
@@ -198,33 +214,47 @@ def _nonincreasing_rows(index: int, seed: int, lengths: Sequence[int]) -> dict:
         if kind == 0:
             vals = np.sort(np.abs(rng.standard_normal(length)))[::-1]
         elif kind == 1:
-            rate = rng.uniform(0.1, 1.5)
+            rate = _uniform(rng, 0.1, 1.5)
             vals = 2.0 ** (-rate * np.arange(length, dtype=float))
         else:
             n = np.arange(1, length + 1, dtype=float)
-            vals = n ** (-rng.uniform(0.3, 2.0))
+            vals = n ** (-_uniform(rng, 0.3, 2.0))
         out[length] = vals * 2.0 ** rng.integers(-2, 3)
     return out
 
 
 def sample_nonincreasing(length: int, index: int, seed: int) -> np.ndarray:
     """Seeded nonincreasing nonnegative sequences of mixed decay shapes."""
-    return _nonincreasing_rows(index, seed, (length,))[length]
+    return _sample_sweep(_nonincreasing_rows, 1, (length,), seed,
+                         start=index)[length][0]
 
 
-def _sample_sweep(rows, count: int, sizes: Sequence[int],
-                  seed: int) -> dict[int, np.ndarray]:
-    """{size: (count, size) matrix} whose row i is ``rows(i, seed, ...)``
-    at that size, one ``rows`` call per index for the whole sweep."""
+def _sample_sweep(rows, count: int, sizes: Sequence[int], seed: int,
+                  start: int = 0) -> dict[int, np.ndarray]:
+    """{size: (count, size) matrix} whose row i is sample start + i at
+    that size, one ``rows(index, rng, state, sizes)`` call per index for
+    the whole sweep.
+
+    Sample i's stream is that of ``default_rng(SeedSequence([seed, i]))``.
+    ``_seeding.pcg64_states`` computes those generators' starting states
+    in one vectorized pass per block of indices, and one generator,
+    restarted from each state, draws every sample, so the streams are
+    numpy's own at a fraction of the cost of a generator per sample.
+    """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if not sizes or min(sizes) < 1:
         raise DomainError(f"the sweep needs one or more dimensions or "
                           f"lengths, each >= 1, got {list(sizes)}")
     sizes = sorted(set(sizes))
+    if count * sum(sizes) > _SWEEP_MAX_CELLS:
+        raise SizeError(f"count {count} times the summed sizes "
+                        f"{sum(sizes)} exceeds the sweep limit of "
+                        f"{_SWEEP_MAX_CELLS} sample cells; lower count")
     out = {size: np.empty((count, size)) for size in sizes}
-    for i in range(count):
-        for size, row in rows(i, seed, sizes).items():
+    rng = generator()
+    for i, state in enumerate(pcg64_states(seed, start, start + count)):
+        for size, row in rows(start + i, rng, state, sizes).items():
             out[size][i] = row
     return out
 
@@ -631,10 +661,11 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
         raise DomainError(f"count must be >= 2 (samples alternate between "
                           f"the two kinds), got {count}")
     specs = {"l1_linf": [], "weighted_sup": []}
-    for i in range(count):
-        rng = _sample_rng(seed, i)
+    rng = generator()
+    for i, state in enumerate(pcg64_states(seed, 0, count)):
+        rng.bit_generator.state = state
         dim = int(rng.integers(1, max_dim + 1))
-        t = float(2.0 ** rng.uniform(-6.0, 6.0))
+        t = float(2.0 ** _uniform(rng, -6.0, 6.0))
         x = rng.standard_normal(dim)
         kind = "l1_linf" if i % 2 == 0 else "weighted_sup"
         w0 = 2.0 ** rng.uniform(-3.0, 3.0, size=dim)

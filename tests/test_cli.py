@@ -286,6 +286,18 @@ class TestConfigErrors:
         assert code == 2
         assert "count must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_huge_sample_count(self, tmp_path, capsys):
+        # 10^12 samples would be a 29 TiB matrix: refused, not allocated
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"theta": 0.3, "p": 1.0, "dims": [4],
+                                   "count": 10 ** 12}))
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", "sum-intersection", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert "count 1000000000000" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("check, config", [
         ("mainlema", {"dims": []}),
         ("sum-intersection", {"theta": 0.3, "p": 1.0, "dims": []}),
@@ -945,9 +957,57 @@ class TestArtifactOverwrite:
                         {"OUT": devnull, "TRACE": devnull}) == 0
 
     @pytest.mark.parametrize("command", ["kprofile", "strictness"])
-    def test_directory_raises(self, command, inputs, tmp_path):
-        with pytest.raises(IsADirectoryError):
-            self.run(inputs, command, {"OUT": tmp_path})
+    def test_directory_is_refused(self, command, inputs, tmp_path, capsys):
+        assert self.run(inputs, command, {"OUT": tmp_path}) == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["kprofile", "verify"])
+    def test_permission_denied_is_refused(self, command, inputs, tmp_path,
+                                          capsys, monkeypatch):
+        # as a non-root user sees a read-only file, whoever runs the test
+        out, os_open = tmp_path / "out", os.open
+        out.write_bytes(LONGER)
+
+        def denying_open(path, flags, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                raise PermissionError(13, "Permission denied", str(path))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", denying_open)
+        assert self.run(inputs, command, {"OUT": out}) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: Permission denied" in err
+        assert out.read_bytes() == LONGER
+
+    @pytest.mark.parametrize("prefill", [None, LONGER], ids=["new", "old"])
+    def test_unwritable_report_leaves_no_trace(self, prefill, inputs,
+                                               tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        if prefill is not None:
+            trace.write_bytes(prefill)
+        code = self.run(inputs, "verify-trace",
+                        {"OUT": tmp_path, "TRACE": trace})
+        assert code == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+        if prefill is None:
+            assert not trace.exists()
+        else:
+            assert trace.read_bytes() == prefill
+
+    @pytest.mark.parametrize("prefill", [None, LONGER], ids=["new", "old"])
+    def test_unwritable_trace_leaves_no_report(self, prefill, inputs,
+                                               tmp_path, capsys):
+        out = tmp_path / "out.json"
+        if prefill is not None:
+            out.write_bytes(prefill)
+        code = self.run(inputs, "verify-trace",
+                        {"OUT": out, "TRACE": tmp_path})
+        assert code == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+        if prefill is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == prefill
 
     @pytest.mark.parametrize("command", ["kprofile", "strictness"])
     def test_read_only_file_as_plain_open_finds_it(self, command, inputs,
@@ -962,8 +1022,7 @@ class TestArtifactOverwrite:
         try:
             open(probe, "w").close()
         except PermissionError:
-            with pytest.raises(PermissionError):
-                self.run(inputs, command, {"OUT": out})
+            assert self.run(inputs, command, {"OUT": out}) == 2
             assert out.read_bytes() == LONGER
         else:
             assert self.run(inputs, command, {"OUT": out}) == 0

@@ -135,6 +135,37 @@ class TestSamplers:
             assert got[n].tobytes() == frozen.tobytes()
 
 
+    def test_single_index_far_out(self):
+        # indices of two uint32 words, as the single-index samplers allow
+        for index in (2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1):
+            assert (sample_dense(12, index, 5).tobytes()
+                    == frozen_sample_dense(12, index, 5).tobytes())
+            assert (sample_nonincreasing(12, index, 5).tobytes()
+                    == frozen_sample_nonincreasing(12, index, 5).tobytes())
+
+    def test_huge_sweep_refused_before_allocating(self):
+        import tracemalloc
+        from interpk.errors import SizeError
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="count 1000000000000"):
+                _sample_sweep(_sample_rows, 10 ** 12, (4,), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_sweep_cell_limit_is_inclusive(self, monkeypatch):
+        from interpk import verify
+        from interpk.errors import SizeError
+        monkeypatch.setattr(verify, "_SWEEP_MAX_CELLS", 60)
+        # dims 4 and 8 (a repeat counts once): 12 cells per sample
+        got = _sample_sweep(_sample_rows, 5, (4, 8, 4), seed=0)
+        assert got[8].shape == (5, 8)
+        with pytest.raises(SizeError):
+            _sample_sweep(_sample_rows, 6, (4, 8, 4), seed=0)
+
+
 class TestCheckMainlema:
     def test_small_run_band_and_determinism(self):
         r1 = check_mainlema(dims=(2, 4), count=40, seed=5, budget=2)
@@ -327,6 +358,44 @@ class TestOracleAgreement:
         want = np.max(W * np.abs(A).reshape(-1, *W.shape), axis=2).reshape(-1)
         assert np.array_equal(_block_weighted_sup(A, W), want)
         assert np.array_equal(_block_weighted_sup(A[:5], W), want[:5])
+
+    def test_specs_equal_a_generator_per_index(self, monkeypatch):
+        # the rows, t's and weights handed to the descents are those a
+        # fresh numpy generator per index draws
+        from interpk import verify
+        calls = []
+        descent = verify.decomposition_infimum
+
+        def recorded(X, T, n0, n1, **kwargs):
+            calls.append((X, T, kwargs["scale0"], kwargs["scale1"]))
+            return descent(X, T, n0, n1, **kwargs)
+
+        monkeypatch.setattr(verify, "decomposition_infimum", recorded)
+        count, max_dim, seed = 200, 8, 101
+        oracle_agreement(count, max_dim, seed, 4)
+        specs = {0: [], 1: []}
+        for i in range(count):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+            dim = int(rng.integers(1, max_dim + 1))
+            t = float(2.0 ** rng.uniform(-6.0, 6.0))
+            x = rng.standard_normal(dim)
+            w0 = 2.0 ** rng.uniform(-3.0, 3.0, size=dim)
+            w1 = 2.0 ** rng.uniform(-3.0, 3.0, size=dim)
+            specs[i % 2].append((dim, t, x, w0, w1))
+        for (X, T, W0, W1), items in zip(calls, specs.values()):
+            n = max(item[0] for item in items)
+            want_x, want_w0, want_w1 = (np.zeros((len(items), n)),
+                                        np.ones((len(items), n)),
+                                        np.ones((len(items), n)))
+            for row, (dim, _, x, w0, w1) in enumerate(items):
+                want_x[row, :dim] = x
+                want_w0[row, :dim], want_w1[row, :dim] = w0, w1
+            assert X.tobytes() == want_x.tobytes()
+            assert T.tobytes() == np.array([it[1] for it in items]).tobytes()
+            if W0.ndim == 2:                    # the weighted_sup kind
+                assert W0.tobytes() == want_w0.tobytes()
+                assert W1.tobytes() == want_w1.tobytes()
+        assert len(calls) == 2 and calls[1][2].ndim == 2
 
     def test_needs_both_kinds(self):
         from interpk.errors import DomainError

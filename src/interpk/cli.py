@@ -94,8 +94,9 @@ def _load_json(path: str) -> dict:
     return data
 
 
-# JSON values each annotated Python type accepts (bool is no number)
-_JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
+# the types of the JSON values each annotated Python type accepts (json
+# gives exact types, and a bool is no number)
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, dict: {dict}}
 
 
 def _fits(value, hint) -> bool:
@@ -109,13 +110,15 @@ def _fits(value, hint) -> bool:
     if origin in (types.UnionType, typing.Union):
         return any(_fits(value, arg) for arg in args)
     if origin is collections.abc.Sequence:
-        return isinstance(value, list) and all(_fits(v, args[0])
-                                               for v in value)
+        if not isinstance(value, list):
+            return False
+        if args[0] in _JSON_TYPES:    # a list of scalars: its types at once
+            return set(map(type, value)) <= _JSON_TYPES[args[0]]
+        return all(_fits(v, args[0]) for v in value)
     if hint is type(None):
         return value is None
     expected = _JSON_TYPES.get(hint)
-    return expected is None or (isinstance(value, expected)
-                                and not isinstance(value, bool))
+    return expected is None or type(value) in expected
 
 
 def _take(config: dict, allowed: dict, required: tuple = (),
@@ -151,7 +154,7 @@ def _parsing():
     """
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -345,10 +348,13 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
+_LIFT_KEYS = {"epsilon": collections.abc.Sequence[float],
+              "h": collections.abc.Sequence[int], "N": int}
+
+
 def _cmd_lift(args) -> int:
-    cfg = _take(_load_json(args.config),
-                {"epsilon": None, "h": None, "N": None},
-                required=("epsilon", "h", "N"))
+    cfg = _take(_load_json(args.config), dict.fromkeys(_LIFT_KEYS),
+                required=tuple(_LIFT_KEYS), hints=_LIFT_KEYS)
     with _parsing():
         spec = DecaySpec(np.asarray(cfg["epsilon"], dtype=float),
                          np.asarray(cfg["h"], dtype=int))

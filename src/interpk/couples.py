@@ -70,6 +70,7 @@ __all__ = [
     "descent_route", "EXACT_L1_LINF", "WEIGHTED_SUP_LP",
     "POWER_COORDINATEWISE", "ORACLE", "k_profile", "k_sphere_sup",
     "l1_linf_couple", "weighted_sup_couple", "power_couple",
+    "validate_profiles",
 ]
 
 EXACT_L1_LINF = "exact_l1_linf"
@@ -419,21 +420,29 @@ class KProfile:
         return 2.0 ** self.grid
 
     def validate(self, rel_tol: float = 1e-9) -> None:
-        v = self.values
-        scale = max(float(np.max(v, initial=0.0)), 1e-300)
-        slack = rel_tol * scale
-        if np.any(v < -slack):
-            raise InvariantError("profile values must be nonnegative")
-        if np.any(np.diff(v) < -slack):
-            raise InvariantError("K(x, t) must be nondecreasing in t")
-        ratios = v / self.t_values
-        rslack = rel_tol * max(float(np.max(ratios, initial=0.0)), 1e-300)
-        if np.any(np.diff(ratios) > rslack):
-            raise InvariantError("K(x, t)/t must be nonincreasing in t")
+        validate_profiles(self.values[None, :], self.t_values, rel_tol)
 
     def to_json(self) -> dict:
         return {"n_min": self.n_min, "n_max": self.n_max,
                 "values": self.values.tolist()}
+
+
+def validate_profiles(P: np.ndarray, t, rel_tol: float = 1e-9) -> None:
+    """Check the ``KProfile`` invariants on every row of P, the values of K
+    at the increasing t of ``t``; each row's slack is ``rel_tol`` times its
+    own largest value (of K, then of K/t).  InvariantError on a violation.
+    """
+    def slack(V):
+        return rel_tol * V.max(axis=1, initial=1e-300, keepdims=True)
+
+    floor = -slack(P)
+    if (P < floor).any():
+        raise InvariantError("profile values must be nonnegative")
+    if (P[:, 1:] - P[:, :-1] < floor).any():
+        raise InvariantError("K(x, t) must be nondecreasing in t")
+    ratios = P / t
+    if (ratios[:, 1:] - ratios[:, :-1] > slack(ratios)).any():
+        raise InvariantError("K(x, t)/t must be nonincreasing in t")
 
 
 # ---------------------------------------------------------------------------

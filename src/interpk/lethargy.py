@@ -10,36 +10,42 @@ Three concrete constructions with exactly checkable certificates:
       rho(m, n) = min{k >= 0 : h^k(m) >= n},
 
   with unreachable (m, n) pairs excluded; all three postconditions follow
-  pointwise and are verified exactly, not approximately.
+  pointwise and are verified exactly, not approximately.  As xi is
+  nonincreasing it reduces to xi_n = max(eps_n, xi_{c(n)} / 2) with
+  c(n) = min{c < n : h(c) >= n}: one binary search over h for every c(n),
+  O(N log N), then one O(N) loop.
 
 * ``slow_k_witness`` places eps on the diagonal of the couple
   (linf(1), linf(2^k)) where the exact LP strategy certifies the lower
   bound K(x, 2^{-n}) >= eps_n: the K-profile decays no faster than eps no
   matter how fast t does.
 
-* ``strictness_witness`` evaluates the flat vectors y_N = (1/N, ..., 1/N)
+* ``strictness_sweep`` evaluates the flat vectors y_N = (1/N, ..., 1/N)
   in (l1, linf), whose intersection norm stays 1 while the sum norm is 1/N;
   across a doubling sweep the (theta, q) norm decays like
-  N^{-min(theta, 1-theta)}, strictly between the endpoints.
+  N^{-min(theta, 1-theta)}, strictly between the endpoints.  The y_N are
+  the zero-padded rows of one matrix per block, each block one pass of
+  the (l1, linf) kernel.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .couples import (FiniteVector, KProfile, l1_linf_couple,
-                      weighted_sup_couple)
-from .errors import ConstructionError, DomainError, InvariantError
-from .interp import InterpParams, interp_norm
+from .couples import (FiniteVector, KProfile, _n_window, l1_linf_couple,
+                      validate_profiles, weighted_sup_couple)
+from .errors import ConstructionError, DomainError, InvariantError, SizeError
+from .interp import InterpParams, dyadic_norm
 from .snum import MatrixOperator, diag_operator
 
 __all__ = [
     "DecaySpec", "StrictnessReport", "lift_sequence", "slow_k_witness",
     "slow_snumber_witness", "strictness_witness", "strictness_sweep",
+    "STRICTNESS_MAX_N",
 ]
 
 
@@ -84,23 +90,21 @@ def lift_sequence(spec: DecaySpec, N: int) -> np.ndarray:
 
         xi_n = max(eps_n, 1/2 max{xi_c : c < n <= h(c)}).
 
-    As h is nondecreasing, the admissible c form a window sliding right with
-    n, whose maximum a monotone deque tracks: O(N) in all.
+    As h is nondecreasing, the admissible c are the run c(n) <= c < n with
+    c(n) = min{c < n : h(c) >= n}, and as xi is nonincreasing their maximum
+    is xi_{c(n)}.  One ``np.searchsorted`` over h(1..N) finds every c(n),
+    O(N log N); the recurrence is then one O(N) loop.  Only h(1..N) is read.
     """
     if N < 1 or N > len(spec.epsilon):
         raise DomainError("need 1 <= N <= len(epsilon)")
     xi = spec.epsilon[:N].tolist()
-    h = spec.h[:N].tolist()
-    window = deque()      # 0-based c, xi[c] strictly decreasing front to back
-    for n in range(1, N):
-        c = n - 1
-        while window and xi[window[-1]] <= xi[c]:
-            window.pop()
-        window.append(c)
-        while window and h[window[0]] <= n:
-            window.popleft()  # 1-based h(c + 1) < n + 1: c cannot reach n
-        if window:
-            xi[n] = max(xi[n], 0.5 * xi[window[0]])
+    # 0-based: c(n) is the first c with h[c] > n, and c(n) <= n as h[n] > n
+    first = np.searchsorted(spec.h[:N], np.arange(1, N), side="right")
+    for n, c in enumerate(first.tolist(), start=1):
+        if c < n:
+            half = 0.5 * xi[c]
+            if half > xi[n]:
+                xi[n] = half
     return np.array(xi)
 
 
@@ -149,6 +153,14 @@ class StrictnessReport:
 
 STRICTNESS_N_MIN = -40
 STRICTNESS_N_MAX = 40
+# The largest N a sweep takes.  A block of one row of length N holds a few
+# N-length float arrays at once (the row, its absolute values, the sorted
+# copy and its prefix sums): about 640 MiB of tracemalloc peak at 2^24.
+STRICTNESS_MAX_N = 2 ** 24
+# cells (rows x padded length) per block of a sweep; a block holds one row
+# at least, so a sweep needs the memory of this many cells or of its
+# longest y_N alone, whichever is more
+_SWEEP_BLOCK_CELLS = 2 ** 16
 
 
 def strictness_witness(N: int, params: InterpParams,
@@ -160,19 +172,55 @@ def strictness_witness(N: int, params: InterpParams,
     ratio of the two endpoint norms collapses while the interpolation norm
     sits strictly between them.  K(y_N, t) saturates at 1 for t >= N and the
     weighted tail 2^{-theta n} dies slowly, so the default window here is
-    wider than elsewhere.
+    wider than elsewhere.  It is ``strictness_sweep`` of [N].
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    couple = l1_linf_couple(N)
-    y = FiniteVector(0, np.full(N, 1.0 / N))
-    int_norm = max(couple.norm0(y), couple.norm1(y))
-    sum_norm = couple.k(y, 1.0)
-    val = interp_norm(y, couple, params, n_min, n_max)
-    return StrictnessReport(N, float(int_norm), float(sum_norm), float(val))
+    return strictness_sweep([N], params, n_min, n_max)[0]
 
 
 def strictness_sweep(N_list: Sequence[int], params: InterpParams,
                      n_min: int = STRICTNESS_N_MIN,
                      n_max: int = STRICTNESS_N_MAX) -> list[StrictnessReport]:
-    return [strictness_witness(N, params, n_min, n_max) for N in N_list]
+    """``strictness_witness`` of every N of ``N_list``, in its order.
+
+    The distinct N are sorted and grouped into blocks of at most
+    ``_SWEEP_BLOCK_CELLS`` cells (one N at least).  A block's y_N are the
+    rows of one matrix, zero-padded to its largest N, and one call each of
+    the endpoint norms, K(., 1), the profile over t = 2^n_min .. 2^n_max,
+    its validation and the (theta, q) norm answers the block.  The padding
+    leaves every bit as it is for y_N alone: ||y||_1 is 1/N times a sum of
+    exact ones, the kernel's prefix sums are sequential so trailing zeros
+    add exact zeros, and ||y||_inf and every K(y, 2^n) read the same
+    entries.  Any N < 1 is refused with DomainError and any N above
+    ``STRICTNESS_MAX_N`` with SizeError, before anything is allocated.
+    """
+    Ns = sorted({operator.index(N) for N in N_list})
+    if not Ns:
+        return []
+    if Ns[0] < 1:
+        raise DomainError("N must be >= 1")
+    if Ns[-1] > STRICTNESS_MAX_N:
+        raise SizeError(f"N = {Ns[-1]} exceeds the strictness sweep's cap "
+                        f"{STRICTNESS_MAX_N}")
+    grid = _n_window(n_min, n_max)
+    t = 2.0 ** grid.astype(float)
+    reports = {}
+    start = 0
+    while start < len(Ns):
+        stop = start + 1
+        while (stop < len(Ns)
+               and (stop + 1 - start) * Ns[stop] <= _SWEEP_BLOCK_CELLS):
+            stop += 1
+        block = Ns[start:stop]
+        col = np.array(block)[:, None]
+        couple = l1_linf_couple(block[-1])
+        Y = np.where(np.arange(block[-1]) < col, 1.0 / col, 0.0)
+        int_norm = np.maximum(couple.norm0.dense(Y), couple.norm1.dense(Y))
+        sum_norm = couple.k_batch(Y, 1.0)
+        P = couple.profile_batch(Y, t)
+        validate_profiles(P, t)
+        val = dyadic_norm(P, grid, params.theta, params.q)
+        reports.update(zip(block, map(StrictnessReport, block,
+                                      int_norm.tolist(), sum_norm.tolist(),
+                                      val.tolist())))
+        start = stop
+    return [reports[N] for N in N_list]

@@ -446,6 +446,43 @@ class TestConfigErrors:
             assert "--max-rows" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("h", [2.5, 3.9, 4.2, 5.0]), ("N", 3.7), ("N", 3.0), ("N", True),
+        ("h", [True, 3, 4, 5]), ("h", "2345"), ("epsilon", [1, "a", 0.3, 0.1]),
+        ("epsilon", [1, True, 0.3, 0.1]), ("epsilon", 1.0)])
+    def test_lift_refuses_wrongly_typed_keys(self, key, value, tmp_path,
+                                             capsys):
+        # non-integer h and N were truncated, and true read as 1
+        cfg = {"epsilon": [1.0, 0.5, 0.25, 0.125], "h": [2, 3, 4, 5], "N": 3,
+               key: value}
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "xi.csv"
+        assert run_cli(["lift", "--config", str(path), "--out", str(out)]) == 2
+        assert f"wrongly typed config key {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lift_h_too_large_for_an_index(self, tmp_path, capsys):
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps({"epsilon": [1.0, 0.5], "h": [2, 10 ** 30],
+                                    "N": 2}))
+        out = tmp_path / "xi.csv"
+        assert run_cli(["lift", "--config", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_list, message", [
+        ("0", "N must be >= 1"), ("4,-2", "N must be >= 1"),
+        ("1000000000000", "cap 16777216"), ("2,16777217", "cap 16777216")])
+    def test_strictness_refuses_n_outside_range(self, n_list, message,
+                                                tmp_path, capsys):
+        # N = 10^12 raised numpy's _ArrayMemoryError out of cli.main
+        out = tmp_path / "st.csv"
+        assert run_cli(["strictness", "--theta", "0.5", "--q", "1",
+                        "--n-list", n_list, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, extra", [
         ("kprofile", {}),
         ("interp-norm", {"theta": 0.5, "q": 2}),

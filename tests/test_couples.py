@@ -11,7 +11,8 @@ from interpk import (Couple, DomainError, InvariantError, WeightedNorm,
 from interpk._descent import decomposition_infimum
 from interpk.couples import (ORACLE, FiniteVector, KProfile, _l1_linf_batch,
                              _l1_lp_batch, _monotone_envelope, _power_batch,
-                             _weighted_sup_batch, descent_route, k_route, vec)
+                             _weighted_sup_batch, descent_route, k_route,
+                             validate_profiles, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
 from interpk.snum import k_operator_diag_batch
 
@@ -880,6 +881,39 @@ def _half_half_oracle(seed):
     x = vec(rng.standard_normal(d))
     raw = c.profile_batch(c.embed(x), 2.0 ** np.arange(-8, 9).astype(float))
     return c, x, raw[0]
+
+
+class TestValidateProfiles:
+    T = 2.0 ** np.arange(-2, 3).astype(float)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1e-6, 2e-6, 3e-6, -1e-12, 4e-6], "nonnegative"),
+        ([1e-6, 2e-6, 2e-6 - 1e-12, 3e-6, 4e-6], "nondecreasing"),
+        ([1e-6, 2e-6, 4e-6, 8e-6 + 1e-12, 16e-6], "nonincreasing")])
+    def test_each_row_has_its_own_slack(self, bad, message):
+        # each violation is within 1e-9 of the large row's scale, so a
+        # shared slack would let it pass
+        large = np.minimum(self.T, 1.0) * 1e6
+        validate_profiles(np.array([large]), self.T)
+        with pytest.raises(InvariantError, match=message):
+            validate_profiles(np.array([large, bad]), self.T)
+        with pytest.raises(InvariantError, match=message):
+            KProfile(-2, 2, np.array(bad)).validate()
+
+    def test_rows_agree_with_kprofile(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            P = np.cumsum(rng.uniform(-0.2, 1.0, (1, 5)), axis=1)
+            try:
+                KProfile(-2, 2, P[0]).validate()
+                ok = True
+            except InvariantError:
+                ok = False
+            try:
+                validate_profiles(P, self.T)
+                assert ok
+            except InvariantError:
+                assert not ok
 
 
 class TestMonotoneEnvelope:

@@ -1,11 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from interpk import couples
+from interpk import couples, lethargy
 from interpk import (ConstructionError, DecaySpec, DomainError, InterpParams,
-                     InvariantError, lift_sequence, slow_k_witness,
+                     InvariantError, SizeError, lift_sequence, slow_k_witness,
                      slow_snumber_witness, strictness_sweep,
                      strictness_witness)
+from interpk.couples import FiniteVector, l1_linf_couple
+from interpk.interp import interp_norm
 from interpk.snum import approx_numbers
 
 
@@ -193,3 +198,104 @@ class TestStrictnessWitness:
             bound = 2.0 ** (-min(theta, 1.0 - theta)) + 0.05
             for a, b in zip(reps, reps[1:]):
                 assert b.interp_norm / a.interp_norm <= bound
+
+
+def frozen_strictness_witness(N, params, n_min=-40, n_max=40):
+    """The per-N strictness witness as it was before the batched sweep:
+    one couple, two norms, one K(y, 1) and one validated profile per N."""
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    couple = l1_linf_couple(N)
+    y = FiniteVector(0, np.full(N, 1.0 / N))
+    int_norm = max(couple.norm0(y), couple.norm1(y))
+    sum_norm = couple.k(y, 1.0)
+    val = interp_norm(y, couple, params, n_min, n_max)
+    return lethargy.StrictnessReport(N, float(int_norm), float(sum_norm),
+                                     float(val))
+
+
+SWEEP_LISTS = [
+    [2 ** k for k in range(1, 11)],
+    [1],
+    [7, 3, 7, 1, 1000, 49, 3, 2, 513],      # unsorted, with duplicates
+    list(range(1, 40)),
+    [4096, 1, 65536, 65537, 3, 100000],      # rows longer than a block
+]
+
+
+class TestStrictnessSweepBatched:
+    @pytest.mark.parametrize("cells", [None, 64, 1])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
+    def test_equals_per_n_reference_bit_for_bit(self, cells, theta, q,
+                                                monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(lethargy, "_SWEEP_BLOCK_CELLS", cells)
+        params = InterpParams(theta, q)
+        for N_list in SWEEP_LISTS:
+            want = [frozen_strictness_witness(N, params) for N in N_list]
+            assert strictness_sweep(N_list, params) == want
+
+    def test_other_window_bit_for_bit(self):
+        params = InterpParams(0.4, 3.0)
+        want = [frozen_strictness_witness(N, params, -6, 9) for N in (5, 2)]
+        assert strictness_sweep([5, 2], params, -6, 9) == want
+
+    def test_report_order_follows_n_list(self, monkeypatch):
+        monkeypatch.setattr(lethargy, "_SWEEP_BLOCK_CELLS", 64)
+        N_list = [9, 2, 100, 2, 1, 33, 9]
+        reps = strictness_sweep(N_list, InterpParams(0.5, 1.0))
+        assert [r.N for r in reps] == N_list
+        assert all(type(r.N) is int for r in reps)
+
+    def test_witness_is_the_sweep_of_one(self):
+        params = InterpParams(0.3, 2.0)
+        assert strictness_witness(12, params) == strictness_sweep(
+            [12], params)[0]
+
+    def test_empty_list(self):
+        assert strictness_sweep([], InterpParams(0.5, 1.0)) == []
+
+    @pytest.mark.parametrize("N_list", [[0], [4, -1], [3, 0, 2]])
+    def test_n_below_one_refused(self, N_list):
+        with pytest.raises(DomainError, match="N must be >= 1"):
+            strictness_sweep(N_list, InterpParams(0.5, 1.0))
+
+    def test_witness_n_below_one_refused(self):
+        with pytest.raises(DomainError, match="N must be >= 1"):
+            strictness_witness(0, InterpParams(0.5, 1.0))
+
+    @pytest.mark.parametrize("N", [lethargy.STRICTNESS_MAX_N + 1, 10 ** 12])
+    def test_n_above_cap_refused_before_allocating(self, N):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=str(N)):
+                strictness_sweep([2, N], InterpParams(0.5, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_non_integer_n_refused(self):
+        with pytest.raises(TypeError):
+            strictness_sweep([2.5], InterpParams(0.5, 1.0))
+
+
+class TestLiftReadsOnlyItsPrefix:
+    def test_h_beyond_n_is_not_read(self):
+        rng = np.random.default_rng(52)
+        for _ in range(100):
+            spec = random_spec(rng, max_len=80)
+            n = len(spec.epsilon)
+            N = int(rng.integers(1, n + 1))
+            xi = lift_sequence(spec, N)
+            # any admissible tail: the largest h keeps h nondecreasing
+            tail = np.maximum(spec.h[N:], 10 ** 9)
+            other = DecaySpec(spec.epsilon,
+                              np.concatenate([spec.h[:N], tail]))
+            assert np.array_equal(lift_sequence(other, N), xi)
+            # and the least admissible tail
+            tail = np.maximum(np.arange(N + 1, n + 1), spec.h[N - 1])
+            other = DecaySpec(spec.epsilon,
+                              np.concatenate([spec.h[:N], tail]))
+            assert np.array_equal(lift_sequence(other, N), xi)

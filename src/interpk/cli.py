@@ -103,18 +103,17 @@ def _fits(value, hint) -> bool:
     """Whether a JSON value fits a type annotation.
 
     ``int`` takes a JSON integer, ``float`` any JSON number, ``str`` a
-    string and ``dict`` an object; ``Sequence[X]`` takes a list of X, and
-    ``X | None`` also null.  Any other annotation takes any value.
+    string and ``dict`` an object; ``Sequence[X]``, for one of these scalar
+    types X, takes a list of X, and ``X | None`` also null.  Any other
+    annotation, or list element type, takes any value.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (types.UnionType, typing.Union):
         return any(_fits(value, arg) for arg in args)
-    if origin is collections.abc.Sequence:
-        if not isinstance(value, list):
-            return False
-        if args[0] in _JSON_TYPES:    # a list of scalars: its types at once
-            return set(map(type, value)) <= _JSON_TYPES[args[0]]
-        return all(_fits(v, args[0]) for v in value)
+    if origin is collections.abc.Sequence:    # its element types at once
+        expected = _JSON_TYPES.get(args[0])
+        return isinstance(value, list) and (
+            expected is None or set(map(type, value)) <= expected)
     if hint is type(None):
         return value is None
     expected = _JSON_TYPES.get(hint)

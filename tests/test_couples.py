@@ -900,21 +900,6 @@ class TestValidateProfiles:
         with pytest.raises(InvariantError, match=message):
             KProfile(-2, 2, np.array(bad)).validate()
 
-    def test_rows_agree_with_kprofile(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            P = np.cumsum(rng.uniform(-0.2, 1.0, (1, 5)), axis=1)
-            try:
-                KProfile(-2, 2, P[0]).validate()
-                ok = True
-            except InvariantError:
-                ok = False
-            try:
-                validate_profiles(P, self.T)
-                assert ok
-            except InvariantError:
-                assert not ok
-
 
 class TestMonotoneEnvelope:
     # seed 2 has a raw K that decreases in t, seed 22 a raw K/t that grows

@@ -34,7 +34,14 @@ bytes, where truncating first would leave a short file.
 
 A JSON report holds the bytes of ``json.dumps(payload, sort_keys=True,
 indent=2)`` plus a newline; ``_json_text`` writes them without the stdlib's
-pure-Python indenting encoder.
+pure-Python indenting encoder.  It writes a ``str`` key or value with the
+stdlib's ASCII string escaper, an exact ``int`` or finite exact ``float``
+with ``repr`` (what ``json`` writes for them), and an all-finite list of
+plain numbers with one ``join``; any other leaf (NaN, infinities, numpy
+scalars, booleans, None) and a dict with a non-``str`` key go to
+``json.dumps``.  A CSV whose rows are all exact ints and floats is written
+as ``repr`` fields joined by commas, the bytes ``csv.writer`` writes for
+them; any other CSV goes through ``csv.writer``.
 
 A plain call, ``COMMAND [CHECK] --opt value ...`` with every option spelled
 in full and given once and every value valid, is read off ``_COMMANDS``
@@ -53,7 +60,9 @@ import collections.abc
 import contextlib
 import csv
 import inspect
+import itertools
 import json
+import math
 import os
 import stat
 import sys
@@ -145,8 +154,9 @@ def _take(config: dict, allowed: dict, required: tuple = (),
 
 
 @contextlib.contextmanager
-def _parsing():
-    """Turn the errors of converting config values into ConfigError.
+def _parsing(key: str | None = None):
+    """Turn the errors of converting config values into ConfigError; with
+    ``key`` given, the message names that config key.
 
     Only the parse step runs under it, so the same exception types raised
     while computing still surface as bugs.
@@ -154,18 +164,31 @@ def _parsing():
     try:
         yield
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"config key {key}: {exc}" if key else str(exc)
+                          ) from exc
+
+
+# json's own escaper for str keys and values (``ensure_ascii`` is on)
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, pad: str = "") -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
     it, nested at indent ``pad``.
 
-    That call always runs the pure-Python encoder.  Here a list of plain
-    ints and floats goes through the C encoder in one call, with its
-    ``", "`` separators turned into line breaks, and every other leaf is
+    That call always runs the pure-Python encoder.  Here a ``str`` is
+    escaped as ``json`` escapes it, an exact ``int`` or finite exact
+    ``float`` is its ``repr`` (``json`` writes ``int.__repr__`` and
+    ``float.__repr__``), and a list of them is one ``join``.  Every other
+    leaf (NaN, infinities, numpy scalars, booleans, None), a list of plain
+    numbers holding a NaN or infinity, and a dict with a non-``str`` key is
     one ``json.dumps`` call.
     """
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
     inner = pad + "  "
     if isinstance(value, dict):
         if not all(isinstance(k, str) for k in value):
@@ -175,12 +198,14 @@ def _json_text(value, pad: str = "") -> str:
         if not value:
             return "{}"
         body = (",\n" + inner).join(
-            f"{json.dumps(k)}: {_json_text(value[k], inner)}"
+            f"{_json_str(k)}: {_json_text(value[k], inner)}"
             for k in sorted(value))
         return "{\n" + inner + body + "\n" + pad + "}"
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) <= {int, float}:
-            body = json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
+            body = (",\n" + inner).join(map(repr, value))
+            if "n" in body:     # a nan or inf; finite reprs have no "n"
+                body = json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
         else:
             body = (",\n" + inner).join(_json_text(x, inner) for x in value)
         return "[\n" + inner + body + "\n" + pad + "]"
@@ -236,12 +261,27 @@ def _dump_json(payload: dict, out_path: str) -> None:
 
 
 def _dump_csv(header, rows, out_path: str, comments=()):
+    """Write ``comments`` as "# " lines, then ``header`` and ``rows`` as
+    ``csv.writer`` writes them.
+
+    When every field is an exact ``int`` or ``float`` the rows are written
+    directly: ``csv.writer`` writes such a field as its ``repr`` (``nan``,
+    ``inf`` and ``-0.0`` included), which never needs quoting, and ends a
+    row with "\\r\\n".  Any other row set, and the header, goes through
+    ``csv.writer``.
+    """
+    rows = list(rows)
+    numeric = set(map(type, itertools.chain.from_iterable(rows))
+                  ) <= {int, float}
     with _artifact(out_path, newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if numeric:
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        else:
+            writer.writerows(rows)
 
 
 def _report_payload(command: str, config: dict, body: dict) -> dict:
@@ -354,9 +394,14 @@ _LIFT_KEYS = {"epsilon": collections.abc.Sequence[float],
 def _cmd_lift(args) -> int:
     cfg = _take(_load_json(args.config), dict.fromkeys(_LIFT_KEYS),
                 required=tuple(_LIFT_KEYS), hints=_LIFT_KEYS)
+    # the lists are typed, so only an entry beyond the float or int64
+    # range fails to convert
+    with _parsing("epsilon"):
+        epsilon = np.asarray(cfg["epsilon"], dtype=float)
+    with _parsing("h"):
+        h = np.asarray(cfg["h"], dtype=int)
     with _parsing():
-        spec = DecaySpec(np.asarray(cfg["epsilon"], dtype=float),
-                         np.asarray(cfg["h"], dtype=int))
+        spec = DecaySpec(epsilon, h)
         N = int(cfg["N"])
     xi = lift_sequence(spec, N)
     rows = zip(range(1, len(xi) + 1), spec.epsilon[:len(xi)].tolist(),
@@ -398,8 +443,11 @@ _RUN_KEYS = ("seed", "keep_trace")
 
 def _check_schema(check) -> tuple[dict, tuple, dict, set]:
     """(config key -> default, required keys, config key -> annotation,
-    run keys taken) of a verify check function, from one signature read."""
-    params = inspect.signature(check, eval_str=True).parameters
+    run keys taken) of a verify check function, from one signature read.
+
+    ``verify`` does not postpone its annotations, so they are the objects
+    its import built, and the read evaluates no annotation string."""
+    params = inspect.signature(check).parameters
     keys = [p for name, p in params.items() if name not in _RUN_KEYS]
     defaults = {p.name: None if p.default is p.empty else p.default
                 for p in keys}

@@ -611,7 +611,11 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     and K_p is the lp sum of the amplitudes.  A grid of t is evaluated in
     blocks of columns of at most ``_POWER_CHUNK_CELLS`` (row, t, coordinate)
     cells (one column at least), so memory stays flat in the grid size;
-    every value is computed as it would be alone.
+    every value is computed as it would be alone.  The weight factor
+    min(u, v) or (u^-s + v^-s)^{-1/s} is built once for the whole grid of
+    k t values when it fits one block (k*d cells for shared weights and a
+    shared grid, m*k*d otherwise), and per block otherwise, so no call
+    holds more than one block of it.
     """
     X = np.atleast_2d(X)
     m, d = X.shape
@@ -625,17 +629,23 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     out = np.zeros(T.shape)
     absx = np.abs(X)[:, None, :]
     u = np.broadcast_to(w0, (n, d))[:, None, :]
-    step = max(1, _POWER_CHUNK_CELLS // max(m * d, 1))
-    for j in range(0, T.shape[1] if d else 0, step):
-        v = T[:n, j:j + step, None] * np.broadcast_to(w1, (n, d))[:, None, :]
+    W1 = np.broadcast_to(w1, (n, d))[:, None, :]
+
+    def factor(t):
+        v = t[:, :, None] * W1
         if p <= 1.0:
-            amp = np.minimum(u, v) * absx
-        else:
-            s = p / (p - 1.0)
-            # harmonic-type mean of the weights, evaluated in log space
-            mean = np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
-            amp = absx * mean
-        out[:, j:j + step] = stable_lp_sum(amp, p)
+            return np.minimum(u, v)
+        s = p / (p - 1.0)
+        # harmonic-type mean of the weights, evaluated in log space
+        return np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
+
+    k = T.shape[1] if d else 0
+    whole = factor(T[:n]) if n * k * d <= _POWER_CHUNK_CELLS else None
+    step = max(1, _POWER_CHUNK_CELLS // max(m * d, 1))
+    for j in range(0, k, step):
+        f = (factor(T[:n, j:j + step]) if whole is None
+             else whole[:, j:j + step])
+        out[:, j:j + step] = stable_lp_sum(absx * f, p)
     return out[:, 0] if per_row else out
 
 

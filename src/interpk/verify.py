@@ -29,13 +29,16 @@ count depends on d restart the stream.  No generator is built per sample:
 one vectorized pass (``_seeding.pcg64_states``) gives the PCG64 state numpy
 would seed for each index, and one generator restarted from each state
 draws the same streams.
-"""
 
-from __future__ import annotations
+This module does not postpone its annotations (no ``from __future__ import
+annotations``): the CLI reads each check's config keys, defaults and types
+off its signature on every call, and evaluated annotations spare that read
+compiling every annotation string again.
+"""
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -143,50 +146,79 @@ class DistinctnessReport:
 _SWEEP_MAX_CELLS = 2 ** 22
 
 
-def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+# rng's annotation is a string: evaluated at import, it would load
+# numpy.random (about 5 MB of RSS) in every process that imports interpk
+def _uniform(rng: "np.random.Generator", low: float, high: float) -> float:
     """``rng.uniform(low, high)`` for scalar bounds: numpy's own formula,
     so the same double from the same draw, without its argument
     handling."""
     return low + (high - low) * rng.random()
 
 
-def _sample_rows(index: int, rng: np.random.Generator, state: dict,
-                 dims: Sequence[int]) -> dict:
-    """Sample ``index`` of the standard mix at every dim of ``dims``;
-    ``rng`` restarted from ``state`` is the sample's generator.
+def _columns(pairs: list) -> list:
+    """[(a, b, ...), ...] as the arrays [array of a's, array of b's, ...];
+    [] for no pairs."""
+    return [np.array(column) for column in zip(*pairs)]
+
+
+def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
+    """Fill row i of each (count, d) zero matrix ``out[d]`` (keys
+    ascending) with sample start + i of the standard mix at dim d;
+    ``states`` are the samples' starting states, in order.
 
     The mix is flat, spike, Gaussian, sparse, witness.  Index 0 is always
     the flat vector (the strictness witness shape) and index 1 the first
     basis spike, so the extreme shapes are represented at every sample
-    count.  One stream serves every dim: the Gaussian kind takes the first
-    d draws of one stream (normal draws are prefix-stable), the sparse
-    kind, whose draws depend on d, restarts from ``state`` at each dim, and
-    the witness kind draws the same two values at any d.
+    count.  One pass over the samples only draws, one stream serving every
+    dim: the Gaussian kind takes the first d draws of one stream (normal
+    draws are prefix-stable), the sparse kind, whose draws depend on d,
+    restarts at each dim, and the witness kind draws the same two values at
+    any d.  Each matrix is then filled kind by kind, and the witness kind's
+    halving row 2^(-j/2) is built once per dim.
     """
-    if index == 0:
-        return {d: np.full(d, 1.0 / d) for d in dims}
-    if index == 1:
-        return {d: np.eye(1, d).reshape(-1) for d in dims}
-    kind = index % 3
-    if kind == 1:
-        out = {}
-        for d in dims:
-            rng.bit_generator.state = state
-            row = np.zeros(d)
-            support = rng.choice(d, size=max(1, d // 4), replace=False)
-            row[support] = rng.standard_normal(len(support)) * (
-                2.0 ** _uniform(rng, -5.0, 5.0))
-            out[d] = row
-        return out
-    rng.bit_generator.state = state
-    if kind == 0:
-        z = rng.standard_normal(max(dims))
-        return {d: z[:d] for d in dims}
-    scale = 2.0 ** rng.integers(-3, 4)
-    if rng.integers(0, 2):
-        return {d: np.full(d, scale / d) for d in dims}
-    return {d: scale * 2.0 ** (-np.arange(d, dtype=float) / 2.0)
-            for d in dims}
+    dims = list(out)
+    rng = generator()
+    gauss, flat, halving = [], [], []     # (row, draws) of each kind
+    sparse, sparse_draws = [], {d: [] for d in dims}
+    for i, state in enumerate(states):
+        index = start + i
+        if index < 2:
+            continue
+        if index % 3 == 1:
+            sparse.append(i)
+            for d in dims:
+                rng.bit_generator.state = state
+                support = rng.choice(d, size=max(1, d // 4), replace=False)
+                z = rng.standard_normal(len(support))
+                sparse_draws[d].append(
+                    (support, z, 2.0 ** _uniform(rng, -5.0, 5.0)))
+            continue
+        rng.bit_generator.state = state
+        if index % 3 == 0:
+            gauss.append((i, rng.standard_normal(dims[-1])))
+        else:
+            scale = 2.0 ** rng.integers(-3, 4)
+            (flat if rng.integers(0, 2) else halving).append((i, scale))
+    gauss, flat, halving = map(_columns, (gauss, flat, halving))
+    for d in dims:
+        M = out[d]
+        if start == 0:
+            M[0] = 1.0 / d
+        if start <= 1 < start + len(M):
+            M[1 - start, 0] = 1.0
+        if gauss:
+            rows, z = gauss
+            M[rows] = z[:, :d]
+        if sparse:
+            support, z, scale = _columns(sparse_draws[d])
+            M[np.array(sparse)[:, None], support] = z * scale[:, None]
+        if flat:
+            rows, scale = flat
+            M[rows] = (scale / d)[:, None]
+        if halving:
+            rows, scale = halving
+            M[rows] = scale[:, None] * 2.0 ** (-np.arange(d, dtype=float)
+                                               / 2.0)
 
 
 def sample_dense(dim: int, index: int, seed: int) -> np.ndarray:
@@ -203,24 +235,53 @@ def vector_sampler(dim: int, seed: int, offset: int = 0) -> Callable[[int], Fini
     return sample
 
 
-def _nonincreasing_rows(index: int, rng: np.random.Generator, state: dict,
-                        lengths: Sequence[int]) -> dict:
-    """Sample ``index`` of the nonincreasing mix at every length of
-    ``lengths``; ``rng`` restarts from ``state`` at each length."""
-    kind = index % 3
-    out = {}
-    for length in lengths:
-        rng.bit_generator.state = state
+def _nonincreasing_rows(out: dict, start: int,
+                        states: Iterable[dict]) -> None:
+    """Fill row i of each (count, length) matrix ``out[length]`` with
+    sample start + i of the nonincreasing mix at that length; ``states``
+    are the samples' starting states, in order.
+
+    The sorted Gaussian kind, whose draws depend on the length, restarts
+    its stream at each length; the geometric and power kinds draw the same
+    two values at any length, so they draw once.  Each matrix is then
+    filled kind by kind.
+    """
+    lengths = list(out)
+    rng = generator()
+    geometric, power = [], []     # (row, exponent draw, scale) of each kind
+    gauss, gauss_draws = [], {n: [] for n in lengths}
+    for i, state in enumerate(states):
+        kind = (start + i) % 3
         if kind == 0:
-            vals = np.sort(np.abs(rng.standard_normal(length)))[::-1]
-        elif kind == 1:
-            rate = _uniform(rng, 0.1, 1.5)
-            vals = 2.0 ** (-rate * np.arange(length, dtype=float))
+            gauss.append(i)
+            for length in lengths:
+                rng.bit_generator.state = state
+                z = rng.standard_normal(length)
+                gauss_draws[length].append((z, 2.0 ** rng.integers(-2, 3)))
+            continue
+        rng.bit_generator.state = state
+        # the exponent is drawn before the scale
+        if kind == 1:
+            geometric.append((i, _uniform(rng, 0.1, 1.5),
+                              2.0 ** rng.integers(-2, 3)))
         else:
+            power.append((i, _uniform(rng, 0.3, 2.0),
+                          2.0 ** rng.integers(-2, 3)))
+    geometric, power = map(_columns, (geometric, power))
+    for length in lengths:
+        M = out[length]
+        if gauss:
+            z, scale = _columns(gauss_draws[length])
+            M[gauss] = (np.sort(np.abs(z), axis=1)[:, ::-1]
+                        * scale[:, None])
+        if geometric:
+            rows, rate, scale = geometric
+            M[rows] = (2.0 ** (-rate[:, None] * np.arange(length, dtype=float))
+                       * scale[:, None])
+        if power:
+            rows, exponent, scale = power
             n = np.arange(1, length + 1, dtype=float)
-            vals = n ** (-_uniform(rng, 0.3, 2.0))
-        out[length] = vals * 2.0 ** rng.integers(-2, 3)
-    return out
+            M[rows] = n ** (-exponent[:, None]) * scale[:, None]
 
 
 def sample_nonincreasing(length: int, index: int, seed: int) -> np.ndarray:
@@ -232,14 +293,17 @@ def sample_nonincreasing(length: int, index: int, seed: int) -> np.ndarray:
 def _sample_sweep(rows, count: int, sizes: Sequence[int], seed: int,
                   start: int = 0) -> dict[int, np.ndarray]:
     """{size: (count, size) matrix} whose row i is sample start + i at
-    that size, one ``rows(index, rng, state, sizes)`` call per index for
-    the whole sweep.
+    that size, filled by one ``rows(out, start, states)`` call for the
+    whole sweep.
 
     Sample i's stream is that of ``default_rng(SeedSequence([seed, i]))``.
     ``_seeding.pcg64_states`` computes those generators' starting states
     in one vectorized pass per block of indices, and one generator,
     restarted from each state, draws every sample, so the streams are
     numpy's own at a fraction of the cost of a generator per sample.
+    ``rows`` draws sample by sample and then fills each size's matrix kind
+    by kind in a few vectorized writes; every value is the one a sample
+    drawn and built alone gets.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -251,11 +315,8 @@ def _sample_sweep(rows, count: int, sizes: Sequence[int], seed: int,
         raise SizeError(f"count {count} times the summed sizes "
                         f"{sum(sizes)} exceeds the sweep limit of "
                         f"{_SWEEP_MAX_CELLS} sample cells; lower count")
-    out = {size: np.empty((count, size)) for size in sizes}
-    rng = generator()
-    for i, state in enumerate(pcg64_states(seed, start, start + count)):
-        for size, row in rows(start + i, rng, state, sizes).items():
-            out[size][i] = row
+    out = {size: np.zeros((count, size)) for size in sizes}
+    rows(out, start, pcg64_states(seed, start, start + count))
     return out
 
 

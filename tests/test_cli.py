@@ -1,4 +1,5 @@
 import csv
+import functools
 import inspect
 import io
 import json
@@ -12,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interpk import cli, verify
 from interpk.cli import main
@@ -468,7 +471,16 @@ class TestConfigErrors:
                                     "N": 2}))
         out = tmp_path / "xi.csv"
         assert run_cli(["lift", "--config", str(path), "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: config key h:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lift_epsilon_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps({"epsilon": [10 ** 400, 0.5],
+                                    "h": [2, 2], "N": 2}))
+        out = tmp_path / "xi.csv"
+        assert run_cli(["lift", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: config key epsilon:" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_list, message", [
@@ -588,6 +600,36 @@ def test_wrongly_typed_verify_value(check, tmp_path, capsys):
         key = list(config)[-1]
         assert f"wrongly typed config key {key}:" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_rebound_check_is_called_with_the_same_bytes(tmp_path, monkeypatch):
+    # a tracer rebinds the check on ``verify`` with a functools.wraps
+    # wrapper: the CLI must call it, read its schema through __wrapped__
+    # (keep_trace included) and write what the bare check writes
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"dims": [2, 4], "count": 12,
+                               "t_grid": [0.25], "budget": 1}))
+
+    def run(name):
+        out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert run_cli(["verify", "mainlema", "--config", str(cfg), "--seed",
+                        "3", "--out", str(out), "--trace", str(trace)]) == 0
+        return out.read_bytes(), trace.read_bytes()
+
+    plain = run("plain")
+    original = verify.check_mainlema
+    calls = []
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_mainlema", wrapper)
+    report, trace = run("wrapped")
+    assert len(calls) == 1 and calls[0]["keep_trace"] is True
+    assert report.replace(b"wrapped.csv", b"plain.csv") == plain[0]
+    assert trace == plain[1]
 
 
 def test_typed_values_are_echoed_unchanged(tmp_path):
@@ -716,6 +758,17 @@ class TestDeterminism:
         assert out.exists()
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # verify's annotations are evaluated at import; one naming np.random
+    # would load numpy.random (about 5 MB of RSS) in every CLI process,
+    # also in those that draw nothing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, interpk.cli; "
+         "sys.exit('numpy.random' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _csv_text(comments, header, rows):
     buf = io.StringIO(newline="")
     for line in comments:
@@ -724,6 +777,56 @@ def _csv_text(comments, header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+CSV_EDGE = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1,
+            2 ** 63, -2 ** 63 - 1, 2 ** 64 + 7, 10 ** 30)
+csv_numbers = (st.integers() | st.integers(min_value=2 ** 63)
+               | st.floats() | st.sampled_from(CSV_EDGE))
+csv_rows = st.lists(st.lists(csv_numbers, max_size=5), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=csv_rows, text_row=st.none() | st.lists(
+    csv_numbers | st.sampled_from(("", "x", "a,b", 'say "hi"', "é")),
+    min_size=1, max_size=4))
+def test_dump_csv_matches_csv_writer(rows, text_row, tmp_path_factory):
+    # numeric rows of mixed length take the direct path; one row with a
+    # text field sends the whole set through csv.writer
+    if text_row is not None:
+        rows = rows + [text_row]
+    out = tmp_path_factory.getbasetemp() / "rows.csv"
+    cli._dump_csv(("a", "b c", ""), iter(rows), str(out), comments=("c",))
+    assert out.read_bytes() == _csv_text(("c",), ("a", "b c", ""),
+                                         rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("rows, direct", [
+    ([(1, 0.5), (2 ** 70, math.nan), (), (-0.0,)], True),
+    ([(1, "")], False), ([(1, None)], False), ([(1, True)], False),
+    ([(1, np.float64(0.5))], False), ([(np.int64(1), 0.5)], False)])
+def test_dump_csv_direct_path_only_for_plain_numbers(rows, direct, tmp_path,
+                                                     monkeypatch):
+    writerows = []
+
+    class Writer:
+        def __init__(self, fh):
+            self.inner = csv_writer(fh)
+
+        def writerow(self, row):
+            self.inner.writerow(row)
+
+        def writerows(self, rows):
+            writerows.append(rows)
+            self.inner.writerows(rows)
+
+    csv_writer = csv.writer
+    monkeypatch.setattr(cli.csv, "writer", Writer)
+    out = tmp_path / "rows.csv"
+    cli._dump_csv(("x", "y"), rows, str(out))
+    monkeypatch.undo()
+    assert bool(writerows) is not direct
+    assert out.read_bytes() == _csv_text((), ("x", "y"), rows).encode()
 
 
 class TestWitnessCsv:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from interpk import (Couple, DomainError, InvariantError, WeightedNorm,
                      WindowError, k_profile, k_sphere_sup, l1_linf_couple,
                      power_couple, weighted_sup_couple)
+from interpk import couples
 from interpk._descent import decomposition_infimum
 from interpk.couples import (ORACLE, FiniteVector, KProfile, _l1_linf_batch,
                              _l1_lp_batch, _monotone_envelope, _power_batch,
@@ -724,6 +725,34 @@ class TestPowerCoordinatewise:
         want = np.stack([_power_batch(X, T[:, j], p, w0, w1)
                          for j in range(5)], axis=1)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("weights", ["shared", "per_row"])
+    @pytest.mark.parametrize("T", ["grid", "row_grid", "per_row"])
+    def test_factor_paths_are_bit_identical(self, p, weights, T,
+                                            monkeypatch):
+        # at its value the grid's weight factor fits one block and is built
+        # once; at 1 every block is one column, and at k*d - 1 the factor
+        # no longer fits and is built per block of several columns
+        rng = np.random.default_rng(40)
+        m, d = 6, 9
+        X = rng.standard_normal((m, d)) * 2.0 ** rng.uniform(-8, 8, (m, d))
+        w0 = 2.0 ** rng.uniform(-4, 4, d if weights == "shared" else (m, d))
+        w1 = 2.0 ** rng.uniform(-4, 4, d if weights == "shared" else (m, d))
+        T = {"grid": DYADIC[None, :],
+             "row_grid": 2.0 ** rng.uniform(-6, 6, (m, len(DYADIC))),
+             "per_row": 2.0 ** rng.uniform(-6, 6, m)}[T]
+        k = 1 if T.ndim == 1 else T.shape[1]
+        assert k * d <= couples._POWER_CHUNK_CELLS
+        want = _power_batch(X, T, p, w0, w1)
+        if T.ndim == 2:
+            alone = np.stack([_power_batch(X, T[:, j] if len(T) == m
+                                           else T[0, j], p, w0, w1)
+                              for j in range(k)], axis=1)
+            assert alone.tobytes() == want.tobytes()
+        for cells in (1, k * d - 1):
+            monkeypatch.setattr(couples, "_POWER_CHUNK_CELLS", cells)
+            assert _power_batch(X, T, p, w0, w1).tobytes() == want.tobytes()
 
     def test_grid_memory_stays_flat(self):
         # the reiteration shape: 160 profiles of 41 values on a 41-point grid

@@ -400,10 +400,8 @@ def _cmd_lift(args) -> int:
         epsilon = np.asarray(cfg["epsilon"], dtype=float)
     with _parsing("h"):
         h = np.asarray(cfg["h"], dtype=int)
-    with _parsing():
-        spec = DecaySpec(epsilon, h)
-        N = int(cfg["N"])
-    xi = lift_sequence(spec, N)
+    spec = DecaySpec(epsilon, h)
+    xi = lift_sequence(spec, cfg["N"])
     rows = zip(range(1, len(xi) + 1), spec.epsilon[:len(xi)].tolist(),
                xi.tolist())
     _dump_csv(("n", "eps_n", "xi_n"), rows, args.out,

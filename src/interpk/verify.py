@@ -170,15 +170,17 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
     the flat vector (the strictness witness shape) and index 1 the first
     basis spike, so the extreme shapes are represented at every sample
     count.  One pass over the samples only draws, one stream serving every
-    dim: the Gaussian kind takes the first d draws of one stream (normal
-    draws are prefix-stable), the sparse kind, whose draws depend on d,
-    restarts at each dim, and the witness kind draws the same two values at
-    any d.  Each matrix is then filled kind by kind, and the witness kind's
+    dim: the Gaussian kind writes its draws into the largest dim's matrix
+    and each smaller dim takes their first d (normal draws are
+    prefix-stable), the sparse kind, whose draws depend on d, restarts at
+    each dim, and the witness kind draws the same two values at any d.
+    Each matrix is then filled kind by kind, and the witness kind's
     halving row 2^(-j/2) is built once per dim.
     """
     dims = list(out)
+    big = out[dims[-1]]
     rng = generator()
-    gauss, flat, halving = [], [], []     # (row, draws) of each kind
+    gauss, flat, halving = [], [], []     # gauss: rows; others: (row, scale)
     sparse, sparse_draws = [], {d: [] for d in dims}
     for i, state in enumerate(states):
         index = start + i
@@ -195,20 +197,20 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
             continue
         rng.bit_generator.state = state
         if index % 3 == 0:
-            gauss.append((i, rng.standard_normal(dims[-1])))
+            gauss.append(i)
+            big[i] = rng.standard_normal(dims[-1])
         else:
             scale = 2.0 ** rng.integers(-3, 4)
             (flat if rng.integers(0, 2) else halving).append((i, scale))
-    gauss, flat, halving = map(_columns, (gauss, flat, halving))
+    flat, halving = _columns(flat), _columns(halving)
     for d in dims:
         M = out[d]
         if start == 0:
             M[0] = 1.0 / d
         if start <= 1 < start + len(M):
             M[1 - start, 0] = 1.0
-        if gauss:
-            rows, z = gauss
-            M[rows] = z[:, :d]
+        if gauss and M is not big:
+            M[gauss] = big[gauss, :d]
         if sparse:
             support, z, scale = _columns(sparse_draws[d])
             M[np.array(sparse)[:, None], support] = z * scale[:, None]

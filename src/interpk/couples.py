@@ -111,10 +111,10 @@ def stable_lp_sum(terms: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     if terms.shape[axis] == 0:
         return np.zeros(np.delete(terms.shape, axis))
     if math.isinf(p):
-        return np.max(terms, axis=axis)
-    peak = np.max(terms, axis=axis, keepdims=True)
+        return np.maximum.reduce(terms, axis=axis)
+    peak = np.maximum.reduce(terms, axis=axis, keepdims=True)
     safe = np.where(peak > 0, peak, 1.0)
-    return np.squeeze(peak, axis=axis) * np.sum(
+    return np.squeeze(peak, axis=axis) * np.add.reduce(
         (terms / safe) ** p, axis=axis) ** (1.0 / p)
 
 

@@ -37,7 +37,7 @@ __all__ = [
     "MatrixOperator", "SNumSeq", "LorentzParams", "MembershipProbe",
     "WitnessReport", "approx_numbers", "lorentz_norm", "ideal_norm",
     "diag_operator", "witness_sequence", "k_operator_diag",
-    "DIVERGING", "CONVERGING", "INDETERMINATE",
+    "DIVERGING", "CONVERGING", "INDETERMINATE", "WITNESS_MAX_N",
 ]
 
 DIVERGING = "diverging"
@@ -53,6 +53,12 @@ K_DIAG_MAX_DIM = 128
 
 # indices per block of a witness pass
 _WITNESS_BLOCK = 4096
+# The longest witness any builder takes.  ``witness_sequence`` returns its
+# N terms (128 MiB at 2^24), and a pass is N / 4096 blocks of numpy calls,
+# about 0.4 s for the sampled rows of ``interpk witness`` at 2^24 and 0.6 s
+# for ``witness_sequence`` with two probes (2 vCPUs).  A larger N is refused
+# with SizeError before anything is allocated.
+WITNESS_MAX_N = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -251,12 +257,15 @@ class _WitnessPass:
 
 def _check_witness(p: float, q: float, N: int,
                    probe_params: Sequence[tuple[float, float]]) -> None:
-    """Refuse p, q <= 0, N < 4 and a probe exponent outside (0, inf), the
-    rule of ``LorentzParams``."""
+    """Refuse p, q <= 0, N < 4, N above ``WITNESS_MAX_N`` and a probe
+    exponent outside (0, inf), the rule of ``LorentzParams``."""
     if not (p > 0 and q > 0):
         raise DomainError("p and q must be positive")
     if N < 4:
         raise DomainError("need N >= 4")
+    if N > WITNESS_MAX_N:
+        raise SizeError(f"witness length N = {N} exceeds the cap "
+                        f"{WITNESS_MAX_N}")
     for p_star, q_star in probe_params:
         for key, val in (("p_star", p_star), ("q_star", q_star)):
             if not (0.0 < val < math.inf):
@@ -284,9 +293,10 @@ def witness_sequence(p: float, q: float, N: int,
 
 def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):
     """Per-index trace (n, eps_n, summand, partial_sum) for CSV export."""
+    witness = _WitnessPass(p, q, N, [(p_star, q_star)])
     n = np.arange(1, N + 1)
     eps, summand, partial = (np.empty(len(n)) for _ in range(3))
-    for start, e, (s,), (c,) in _WitnessPass(p, q, N, [(p_star, q_star)]):
+    for start, e, (s,), (c,) in witness:
         stop = start + len(e)
         eps[start:stop], summand[start:stop], partial[start:stop] = e, s, c
     return n, eps, summand, partial

@@ -28,7 +28,13 @@ prefix-stable, so dimension d takes the first d of one stream; draws whose
 count depends on d restart the stream.  No generator is built per sample:
 one vectorized pass (``_seeding.pcg64_states``) gives the PCG64 state numpy
 would seed for each index, and one generator restarted from each state
-draws the same streams.
+draws the same streams.  The sparse kind's supports, numpy's
+``Generator.choice`` draws, come from one more vectorized pass
+(``_floyd_supports``): the raw words that choice would read from each
+sparse sample's stream run through numpy's Floyd-and-shuffle rule for all
+samples and dims at once.  Choice itself still draws above d = 10000,
+where numpy shuffles instead, for the rare row where numpy would reject a
+draw, and where the pass costs more than the calls (``_floyd_pays``).
 
 This module does not postpone its annotations (no ``from __future__ import
 annotations``): the CLI reads each check's config keys, defaults and types
@@ -161,6 +167,98 @@ def _columns(pairs: list) -> list:
     return [np.array(column) for column in zip(*pairs)]
 
 
+# Generator.choice(d, k, replace=False) takes k distinct values by Floyd's
+# algorithm when d <= 10000, and above that by shuffling the tail of
+# arange(d); ``_floyd_supports`` runs the first only.
+_FLOYD_MAX_DIM = 10000
+
+
+def _floyd_pays(samples: int, k: int) -> bool:
+    """Whether one Floyd pass (``_floyd_supports``) at support size k is
+    cheaper than ``samples`` choice calls.
+
+    Measured on 2 vCPUs (numpy 2.4, Python 3.11), in units of one choice
+    call's cost over restarting the stream (about 7 us): the pass costs
+    about 6 to set up, and each of its 2k - 1 steps about 0.35 plus 0.006
+    per sample.  So one sample never pays, and neither does a support of
+    more than 83 values, whatever the sample count.
+    """
+    return samples >= 6 + (2 * k - 1) * (0.35 + 0.006 * samples)
+
+
+def _floyd_supports(words: np.ndarray, dims: list) -> list:
+    """[(support, rejected), ...], one pair per d of ``dims`` (descending,
+    each in [2, 10000]): row s of the (S, k) ``support`` is
+    ``Generator.choice(d, k, replace=False)``, k = max(1, d // 4), on the
+    stream whose first raw words are row s of ``words`` (S, k of dims[0]),
+    wherever ``rejected[s]`` is not set.
+
+    This is numpy's own draw, run as numpy ops over all rows at once.
+    Floyd's algorithm draws val uniform on [0, j] for j = d - k, ..., d - 1
+    and takes j instead when val is already taken; a shuffle then swaps
+    position i with one uniform on [0, i], for i = k - 1, ..., 1.  Each of
+    these 2k - 1 draws on [0, r] is Lemire's: the next uint32 u (the low
+    half of a word, then its high half) gives (u (r + 1)) >> 32, redrawn
+    while the low 32 bits of u (r + 1) are below 2^32 mod (r + 1).  The pass
+    takes one u per draw and flags the rows where numpy would redraw
+    (about 1 row in 350 at d = 10000, 1 in 9 million at d = 64); choice
+    must draw those again.  The draws read 2k - 1 uint32, so choice leaves
+    the stream k words on.
+    """
+    S = len(words)
+    d = np.repeat(np.array(dims), S)
+    k = np.maximum(d // 4, 1)
+    top = int(k[0])
+    kc = k[:, None]
+    t = np.arange(2 * top - 1)
+    # draw t of a row is bounded by Floyd's j for t < k, then by the
+    # shuffle's i, and past the row's 2k - 1 draws by 0, which never rejects
+    r = np.where(t < kc, (d - k)[:, None] + t, np.maximum(2 * kc - 1 - t, 0))
+    r = r.astype(np.uint64) + np.uint64(1)
+    u = words.astype("<u8", copy=False).view("<u4")[:, :len(t)]
+    m = np.tile(u, (len(dims), 1)) * r
+    vals = (m >> np.uint64(32)).astype(np.intp)
+    rejected = ((m & np.uint64(0xFFFFFFFF)) < np.uint64(2 ** 32) % r).any(1)
+    # rows run by k, descending, so the rows still drawing at step s are
+    # the first live[s]
+    live = np.searchsorted(-k, -np.arange(1, top + 1), side="right")
+    # Floyd: each row's d cells of one flat taken-mask start at off
+    off = np.cumsum(d) - d
+    taken = np.zeros(int(d.sum()), dtype=bool)
+    pos = vals[:, :top] + off[:, None]
+    first_j = off + d - k
+    idx = np.empty((len(d), top), dtype=np.intp)
+    for s in range(top):
+        n = live[s]
+        v = pos[:n, s]
+        pick = np.where(taken[v], first_j[:n] + s, v)
+        taken[pick] = True
+        idx[:n, s] = pick
+    idx -= off[:, None]
+    # the shuffle, on positions in the flattened idx
+    base = np.arange(len(d)) * top
+    swap = np.take_along_axis(
+        vals, np.minimum(kc + np.arange(top - 1), len(t) - 1), axis=1)
+    swap += base[:, None]
+    last = base + k - 1
+    flat = idx.reshape(-1)
+    for s in range(top - 1):
+        n = live[s + 1]
+        i, j = last[:n] - s, swap[:n, s]
+        flat[i], flat[j] = flat[j], flat[i]
+    return [(idx[b * S:(b + 1) * S, :max(1, dim // 4)],
+             rejected[b * S:(b + 1) * S]) for b, dim in enumerate(dims)]
+
+
+def _choice_draws(rng: "np.random.Generator", state: dict, d: int,
+                  k: int) -> tuple:
+    """(support, Gaussian values, scale) of the sparse kind at dim d, by
+    ``Generator.choice`` on the stream restarted at ``state``."""
+    rng.bit_generator.state = state
+    support = rng.choice(d, size=k, replace=False)
+    return support, rng.standard_normal(k), 2.0 ** _uniform(rng, -5.0, 5.0)
+
+
 def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
     """Fill row i of each (count, d) zero matrix ``out[d]`` (keys
     ascending) with sample start + i of the standard mix at dim d;
@@ -176,26 +274,55 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
     each dim, and the witness kind draws the same two values at any d.
     Each matrix is then filled kind by kind, and the witness kind's
     halving row 2^(-j/2) is built once per dim.
+
+    The sparse kind's support is ``Generator.choice(d, max(1, d // 4),
+    replace=False)``.  Where ``_floyd_pays``, the pass reads the words that
+    choice would read from each sample's stream instead (one
+    ``random_raw`` per sample and dim, which leaves the stream where choice
+    leaves it), and ``_floyd_supports`` turns the largest dim's words into
+    the supports of every such dim in one vectorized run of numpy's
+    Floyd-and-shuffle rule over all sparse samples.  Choice itself still
+    draws at d = 1, where it reads no word, above 10000, where numpy
+    shuffles instead, at dims where the pass would cost more than the
+    calls, and for the rows of a rejected draw.
     """
     dims = list(out)
     big = out[dims[-1]]
     rng = generator()
+    bits = rng.bit_generator
+    # rows of the sparse kind: index % 3 == 1, but index 1 is the spike
+    first = (1 - start) % 3
+    if start + first == 1:
+        first += 3
+    sparse = np.arange(first, len(big), 3)
+    # (d, k, Floyd pass or not) per dim; ascending, so the last words read
+    # in a sample are those of the largest dim in the pass
+    plan = []
+    for d in dims:
+        k = max(1, d // 4)
+        plan.append((d, k, 2 <= d <= _FLOYD_MAX_DIM
+                     and _floyd_pays(len(sparse), k)))
     gauss, flat, halving = [], [], []     # gauss: rows; others: (row, scale)
-    sparse, sparse_draws = [], {d: [] for d in dims}
+    sparse_states, words, draws = [], [], {d: [] for d in dims}
     for i, state in enumerate(states):
         index = start + i
         if index < 2:
             continue
         if index % 3 == 1:
-            sparse.append(i)
-            for d in dims:
-                rng.bit_generator.state = state
-                support = rng.choice(d, size=max(1, d // 4), replace=False)
-                z = rng.standard_normal(len(support))
-                sparse_draws[d].append(
-                    (support, z, 2.0 ** _uniform(rng, -5.0, 5.0)))
+            sparse_states.append(state)
+            raw = None
+            for d, k, floyd in plan:
+                if not floyd:
+                    draws[d].append(_choice_draws(rng, state, d, k))
+                    continue
+                bits.state = state
+                raw = bits.random_raw(k)
+                draws[d].append((rng.standard_normal(k),
+                                 2.0 ** _uniform(rng, -5.0, 5.0)))
+            if raw is not None:
+                words.append(raw)
             continue
-        rng.bit_generator.state = state
+        bits.state = state
         if index % 3 == 0:
             gauss.append(i)
             big[i] = rng.standard_normal(dims[-1])
@@ -203,7 +330,11 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
             scale = 2.0 ** rng.integers(-3, 4)
             (flat if rng.integers(0, 2) else halving).append((i, scale))
     flat, halving = _columns(flat), _columns(halving)
-    for d in dims:
+    floyd_dims = [d for d, _, floyd in reversed(plan) if floyd]
+    supports = (dict(zip(floyd_dims,
+                         _floyd_supports(np.array(words), floyd_dims)))
+                if words else {})
+    for d, k, floyd in plan:
         M = out[d]
         if start == 0:
             M[0] = 1.0 / d
@@ -211,9 +342,16 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
             M[1 - start, 0] = 1.0
         if gauss and M is not big:
             M[gauss] = big[gauss, :d]
-        if sparse:
-            support, z, scale = _columns(sparse_draws[d])
-            M[np.array(sparse)[:, None], support] = z * scale[:, None]
+        if len(sparse):
+            if floyd:
+                z, scale = _columns(draws[d])
+                support, rejected = supports[d]
+                for s in np.flatnonzero(rejected):
+                    support[s], z[s], scale[s] = _choice_draws(
+                        rng, sparse_states[s], d, k)
+            else:
+                support, z, scale = _columns(draws[d])
+            M[sparse[:, None], support] = z * scale[:, None]
         if flat:
             rows, scale = flat
             M[rows] = (scale / d)[:, None]
@@ -608,10 +746,12 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
             np.broadcast_to(n_idx ** (1.0 / p - 1.0 / q), S.shape) * S, q)
         return dyadic_norm(KK, grid, theta, q), rhs
 
-    report = _sweep_report("konig", seed, _nonincreasing_rows, count,
-                           lengths, pair, keep_trace)
+    # the witness first: a witness_length above snum.WITNESS_MAX_N is
+    # refused before the sweep draws anything
     _, witness = witness_sequence(p, q, witness_length,
                                   probe_params=[(p, q), (p, 2.0 * q)])
+    report = _sweep_report("konig", seed, _nonincreasing_rows, count,
+                           lengths, pair, keep_trace)
     flags = [probe.flag for probe in witness.probes]
     report.passed = (_spreads_stable(report.per_dimension, spread_growth)
                      and flags == ["diverging", "converging"])
@@ -709,7 +849,7 @@ def _block_weighted_sup(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     # (d, blocks, m) is a view
     terms = np.abs(A).T.reshape(W.shape[1], -1, len(W))
     terms *= W.T[:, None, :]
-    return np.max(terms, axis=0).reshape(-1)
+    return np.maximum.reduce(terms, axis=0).reshape(-1)
 
 
 def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
@@ -748,8 +888,8 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
         T = np.asarray([item[1] for item in items])
         if kind == "l1_linf":
             exact = _l1_linf_batch(X, T)
-            n0 = lambda A: np.sum(np.abs(A), axis=1)
-            n1 = lambda A: np.max(np.abs(A), axis=1)
+            n0 = lambda A: np.add.reduce(np.abs(A), axis=1)
+            n1 = lambda A: np.maximum.reduce(np.abs(A), axis=1)
             W0 = W1 = np.ones(n)
         else:
             exact = _weighted_sup_batch(X, T, W0, W1)

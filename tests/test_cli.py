@@ -901,6 +901,39 @@ class TestWitnessCsv:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--p", "2", "--q", "1", "--n", str(2 ** 40)],
+        ["verify", "distinctness", "--seed", "0", "--config",
+         {"p_list": [2.0], "q_list": [1.0], "N": 2 ** 40}],
+        ["verify", "distinctness", "--seed", "0", "--config",
+         {"p_list": [2.0], "q_list": [1.0], "N": 1024,
+          "norm_lengths": [4, 2 ** 40]}],
+        ["verify", "konig", "--seed", "0", "--config",
+         {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0,
+          "witness_length": 2 ** 40}],
+    ], ids=["witness", "distinctness-N", "distinctness-norm-length",
+            "konig-witness-length"])
+    def test_witness_length_above_cap(self, tmp_path, capsys, argv):
+        # refused with exit 2 before the witness (or konig's sweep)
+        # allocates anything; the traceback used to come from np.empty(N)
+        import tracemalloc
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + [str(cfg)]
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run_cli(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert (f"witness length N = {2 ** 40} exceeds the cap"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert peak < 2 ** 20
+
 
 class TestRowsFromArrays:
     """``lift`` and ``snumbers`` CSVs equal the per-cell rendering."""

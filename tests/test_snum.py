@@ -10,10 +10,11 @@ from interpk import (DomainError, InvariantError, LorentzParams,
                      ideal_norm, k_operator_diag, lorentz_norm,
                      witness_sequence)
 from interpk.errors import SizeError
+from interpk import snum
 from interpk.snum import (_WITNESS_BLOCK, CONVERGENCE_TAIL_RATIO, CONVERGING,
                           DIVERGENCE_INCREMENT, DIVERGING, INDETERMINATE,
-                          k_operator_diag_batch, witness_samples,
-                          witness_trace)
+                          WITNESS_MAX_N, k_operator_diag_batch,
+                          witness_samples, witness_trace)
 
 
 class TestApproxNumbers:
@@ -174,6 +175,29 @@ class TestWitnessSequence:
     def test_requires_min_length(self):
         with pytest.raises(DomainError):
             witness_sequence(1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("N", [WITNESS_MAX_N + 1, 2 ** 40])
+    @pytest.mark.parametrize("build", [
+        lambda N: witness_sequence(2.0, 1.0, N, [(2.0, 1.0)]),
+        lambda N: witness_trace(2.0, 1.0, N, 2.0, 1.0),
+        lambda N: witness_samples(2.0, 1.0, N, 2.0, 1.0, 256),
+    ], ids=["sequence", "trace", "samples"])
+    def test_length_above_cap_refused_before_allocating(self, build, N):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=str(N)):
+                build(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_length_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(snum, "WITNESS_MAX_N", 64)
+        eps, _ = witness_sequence(2.0, 1.0, 64)
+        assert len(eps) == 64
+        with pytest.raises(SizeError, match="65"):
+            witness_sequence(2.0, 1.0, 65)
 
     @pytest.mark.parametrize("p_star, q_star, key", [
         (0.0, 1.0, "p_star"), (1.0, 0.0, "q_star"), (2.0, -1.0, "q_star"),

@@ -11,9 +11,12 @@ from interpk import (EmptyReportError, InterpParams, check_konig,
 from interpk.couples import WeightedNorm, vec
 from interpk.snum import (LorentzParams, diag_operator, ideal_norm,
                           witness_sequence)
-from interpk.verify import (_nonincreasing_rows, _sample_rows, _sample_sweep,
-                            couple_family, sample_dense,
-                            sample_nonincreasing, vector_sampler)
+from interpk import verify
+from interpk._seeding import generator, pcg64_states
+from interpk.verify import (_floyd_supports, _nonincreasing_rows,
+                            _sample_rows, _sample_sweep, couple_family,
+                            sample_dense, sample_nonincreasing,
+                            vector_sampler)
 
 
 def frozen_sample_dense(dim, index, seed):
@@ -164,6 +167,101 @@ class TestSamplers:
         assert got[8].shape == (5, 8)
         with pytest.raises(SizeError):
             _sample_sweep(_sample_rows, 6, (4, 8, 4), seed=0)
+
+
+def choice_support(rng, state, dim):
+    """The sparse kind's support at ``dim`` by numpy's own choice."""
+    rng.bit_generator.state = state
+    return rng.choice(dim, size=max(1, dim // 4), replace=False)
+
+
+# the states of indices 0..299 at seed 7, taken 100 at a time
+SUPPORT_STATES = list(pcg64_states(7, 0, 300))
+# each group is one padded pass, its dims descending
+SUPPORT_DIM_GROUPS = ([tuple(range(hi, hi - 20, -1))
+                       for hi in range(200, 20, -20)]
+                      + [tuple(range(20, 1, -1)), (10000, 4096, 1000, 255)])
+
+
+class TestFloydSupports:
+    """``_floyd_supports`` against ``Generator.choice``.  d = 1 draws
+    nothing and stays with choice; the sweep tests below cover it."""
+
+    @pytest.mark.parametrize("dims", SUPPORT_DIM_GROUPS,
+                             ids=lambda dims: f"{dims[-1]}-{dims[0]}")
+    def test_supports_equal_choice(self, dims):
+        rng = generator()
+        top = max(1, dims[0] // 4)
+        rejected_at = []
+        for lo in range(0, len(SUPPORT_STATES), 100):
+            states = SUPPORT_STATES[lo:lo + 100]
+            words = []
+            for state in states:
+                rng.bit_generator.state = state
+                words.append(rng.bit_generator.random_raw(top))
+            got = _floyd_supports(np.array(words), list(dims))
+            for d, (support, rejected) in zip(dims, got):
+                assert support.shape == (len(states), max(1, d // 4))
+                for s, state in enumerate(states):
+                    want = choice_support(rng, state, d)
+                    if rejected[s]:
+                        rejected_at.append((lo + s, d))
+                        # the first draw of a rejected row is not numpy's
+                        assert not np.array_equal(support[s], want)
+                    else:
+                        assert np.array_equal(support[s], want)
+        # numpy redraws in one row only: seed 7, index 232, d = 10000
+        assert rejected_at == ([(232, 10000)] if 10000 in dims else [])
+
+    @pytest.fixture
+    def choice_calls(self, monkeypatch):
+        """The dims at which ``_sample_rows`` calls choice, in order."""
+        calls = []
+        draw = verify._choice_draws
+
+        def spy(rng, state, d, k):
+            calls.append(d)
+            return draw(rng, state, d, k)
+
+        monkeypatch.setattr(verify, "_choice_draws", spy)
+        return calls
+
+    @pytest.mark.parametrize("forced", [False, True],
+                             ids=["by-cost", "pass-forced"])
+    def test_sweep_equals_frozen_at_large_dims(self, monkeypatch,
+                                               choice_calls, forced):
+        # sample 232 at seed 7 rejects a draw at d = 10000; d = 10001 is
+        # numpy's tail shuffle and d = 1 draws nothing, so both stay with
+        # choice even when the pass is forced
+        if forced:
+            monkeypatch.setattr(verify, "_floyd_pays", lambda samples, k: True)
+        dims = (1, 4, 64, 10000, 10001)
+        got = _sample_sweep(_sample_rows, 6, dims, seed=7, start=232)
+        for d in dims:
+            frozen = np.stack([frozen_sample_dense(d, i, 7)
+                               for i in range(232, 238)])
+            assert got[d].tobytes() == frozen.tobytes()
+        # the sparse samples are 232 and 235
+        if forced:
+            assert choice_calls == [1, 10001, 1, 10001, 10000]
+        else:
+            assert choice_calls == [*dims, *dims]
+
+    def test_rejected_row_is_drawn_by_choice(self, monkeypatch,
+                                             choice_calls):
+        monkeypatch.setattr(verify, "_floyd_pays", lambda samples, k: True)
+        got = _sample_sweep(_sample_rows, 1, (10000,), seed=7, start=232)
+        assert choice_calls == [10000]
+        assert (got[10000][0].tobytes()
+                == frozen_sample_dense(10000, 232, 7).tobytes())
+
+    def test_pass_runs_where_it_pays(self, choice_calls):
+        # the acceptance sum-intersection sweep: 53 sparse samples at
+        # d <= 64 take the pass; a single sample never does
+        _sample_sweep(_sample_rows, 160, (4, 8, 16, 32, 64), seed=505)
+        assert choice_calls == []
+        sample_dense(64, 4, seed=7)
+        assert choice_calls == [64]
 
 
 class TestCheckMainlema:

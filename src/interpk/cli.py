@@ -47,10 +47,8 @@ A plain call, ``COMMAND [CHECK] --opt value ...`` with every option spelled
 in full and given once and every value valid, is read off ``_COMMANDS``
 into the namespace argparse would return, and builds no parser.  Any other
 call (help, ``--version``, abbreviations, ``--opt=value``, repeats, values
-starting with "-", a bad or missing value) goes to argparse, which builds
-the parser of the invoked subcommand only, or of all of them when the
-arguments do not start with a command name.  So argparse alone prints help,
-usage lines and errors, and they read the same either way.
+starting with "-", a bad or missing value) goes to the full argparse parser,
+so argparse alone prints help, usage lines and errors.
 """
 
 from __future__ import annotations
@@ -293,20 +291,19 @@ def _report_payload(command: str, config: dict, body: dict) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_COUPLE_VECTOR = {"couple": dict, "vector": dict}
+# the keys of a couple, a vector and an n-window that must fit their types
+_PROFILE_HINTS = {"couple": dict, "vector": dict, "n_min": int, "n_max": int}
 
 
 def _cmd_kprofile(args) -> int:
     cfg = _take(_load_json(args.config),
                 {"couple": None, "vector": None,
                  "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
-                required=("couple", "vector"),
-                hints=_COUPLE_VECTOR)
+                required=("couple", "vector"), hints=_PROFILE_HINTS)
     with _parsing():
         couple = Couple.from_json(cfg["couple"])
         x = FiniteVector.from_json(cfg["vector"])
-        n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
-    prof = k_profile(x, couple, n_min, n_max)
+    prof = k_profile(x, couple, cfg["n_min"], cfg["n_max"])
     if args.format == "csv":
         rows = [(int(n), float(t), float(v))
                 for n, t, v in zip(prof.grid, prof.t_values, prof.values)]
@@ -322,13 +319,12 @@ def _cmd_interp_norm(args) -> int:
                 {"couple": None, "vector": None, "theta": None, "q": None,
                  "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
                 required=("couple", "vector", "theta", "q"),
-                hints=_COUPLE_VECTOR)
+                hints=_PROFILE_HINTS)
     with _parsing():
         couple = Couple.from_json(cfg["couple"])
         x = FiniteVector.from_json(cfg["vector"])
         params = InterpParams.from_json({"theta": cfg["theta"], "q": cfg["q"]})
-        n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
-    prof = k_profile(x, couple, n_min, n_max)
+    prof = k_profile(x, couple, cfg["n_min"], cfg["n_max"])
     value = interp_norm_from_profile(prof, params)
     body = {"value": value, "truncation": truncation_terms(prof, params)}
     _dump_json(_report_payload("interp-norm", cfg, body), args.out)
@@ -340,12 +336,12 @@ def _cmd_lattice_norm(args) -> int:
                 {"couple": None, "vector": None, "r": None,
                  "lattice_weights": None, "n_min": DEFAULT_N_MIN},
                 required=("couple", "vector", "r", "lattice_weights"),
-                hints=_COUPLE_VECTOR)
+                hints=_PROFILE_HINTS)
     with _parsing():
         couple = Couple.from_json(cfg["couple"])
         x = FiniteVector.from_json(cfg["vector"])
         r = float("inf") if cfg["r"] == "inf" else float(cfg["r"])
-        E = LatticeParam(r, int(cfg["n_min"]),
+        E = LatticeParam(r, cfg["n_min"],
                          np.asarray(cfg["lattice_weights"], dtype=float))
     value = lattice_norm(x, couple, E)
     _dump_json(_report_payload("lattice-norm", cfg, {"value": value}),
@@ -539,26 +535,17 @@ _COMMANDS = {
                      "help": "also write the per-sample ratio trace CSV "
                              "here"}))),
 }
-# what argparse writes for the command choices when all are registered
-_COMMAND_METAVAR = "{" + ",".join(_COMMANDS) + "}"
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: a subparser for every command, or for ``command``
-    only.  On arguments that start with ``command`` both parse alike and
-    print the same help, usage lines and errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="interpk",
         description="K-functionals, interpolation norms and s-number ideals "
                     "on finite windows")
     parser.add_argument("--version", action="version", version=__version__)
-    # the metavar is needed only when the choices are not all registered;
-    # with it set, a missing or invalid command would be named by it
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else _COMMAND_METAVAR)
-    for name in _COMMANDS if command is None else (command,):
-        _, help_text, specs = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, specs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for arg, kwargs in specs:
             p.add_argument(arg, **kwargs)
@@ -615,10 +602,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
     if args is None:
-        # a leading command name fixes the subcommand: build only its parser
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
         try:
-            args = build_parser(command).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on bad usage already; re-raise clean exits
             if exc.code in (0, None):

@@ -32,9 +32,9 @@ draws the same streams.  The sparse kind's supports, numpy's
 ``Generator.choice`` draws, come from one more vectorized pass
 (``_floyd_supports``): the raw words that choice would read from each
 sparse sample's stream run through numpy's Floyd-and-shuffle rule for all
-samples and dims at once.  Choice itself still draws above d = 10000,
-where numpy shuffles instead, for the rare row where numpy would reject a
-draw, and where the pass costs more than the calls (``_floyd_pays``).
+samples and dims at once.  Choice itself still draws at d = 1, where it
+reads no word, above d = 10000, where numpy shuffles instead, and for the
+rare row where numpy would reject a draw.
 
 This module does not postpone its annotations (no ``from __future__ import
 annotations``): the CLI reads each check's config keys, defaults and types
@@ -92,10 +92,6 @@ class EquivReport:
     def __post_init__(self):
         if not (0 < self.min_ratio <= self.max_ratio):
             raise InvariantError("need 0 < min_ratio <= max_ratio")
-
-    @property
-    def spread(self) -> float:
-        return self.max_ratio / self.min_ratio
 
     def to_json(self) -> dict:
         out = {"check": self.check, "seed": self.seed,
@@ -171,19 +167,6 @@ def _columns(pairs: list) -> list:
 # algorithm when d <= 10000, and above that by shuffling the tail of
 # arange(d); ``_floyd_supports`` runs the first only.
 _FLOYD_MAX_DIM = 10000
-
-
-def _floyd_pays(samples: int, k: int) -> bool:
-    """Whether one Floyd pass (``_floyd_supports``) at support size k is
-    cheaper than ``samples`` choice calls.
-
-    Measured on 2 vCPUs (numpy 2.4, Python 3.11), in units of one choice
-    call's cost over restarting the stream (about 7 us): the pass costs
-    about 6 to set up, and each of its 2k - 1 steps about 0.35 plus 0.006
-    per sample.  So one sample never pays, and neither does a support of
-    more than 83 values, whatever the sample count.
-    """
-    return samples >= 6 + (2 * k - 1) * (0.35 + 0.006 * samples)
 
 
 def _floyd_supports(words: np.ndarray, dims: list) -> list:
@@ -276,15 +259,15 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
     halving row 2^(-j/2) is built once per dim.
 
     The sparse kind's support is ``Generator.choice(d, max(1, d // 4),
-    replace=False)``.  Where ``_floyd_pays``, the pass reads the words that
-    choice would read from each sample's stream instead (one
-    ``random_raw`` per sample and dim, which leaves the stream where choice
-    leaves it), and ``_floyd_supports`` turns the largest dim's words into
-    the supports of every such dim in one vectorized run of numpy's
-    Floyd-and-shuffle rule over all sparse samples.  Choice itself still
-    draws at d = 1, where it reads no word, above 10000, where numpy
-    shuffles instead, at dims where the pass would cost more than the
-    calls, and for the rows of a rejected draw.
+    replace=False)``.  The draw pass reads the words that choice would read
+    from each sample's stream instead (one ``random_raw`` per sample and
+    dim, which leaves the stream where choice leaves it), and
+    ``_floyd_supports`` turns the largest dim's words into the supports of
+    every dim in [2, 10000] in one vectorized run of numpy's
+    Floyd-and-shuffle rule over all sparse samples.  Afterwards choice
+    itself draws the rows that run cannot: every row at d = 1, where choice
+    reads no word, and above 10000, where numpy shuffles instead, and each
+    row of a rejected draw.
     """
     dims = list(out)
     big = out[dims[-1]]
@@ -295,31 +278,23 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
     if start + first == 1:
         first += 3
     sparse = np.arange(first, len(big), 3)
-    # (d, k, Floyd pass or not) per dim; ascending, so the last words read
-    # in a sample are those of the largest dim in the pass
-    plan = []
-    for d in dims:
-        k = max(1, d // 4)
-        plan.append((d, k, 2 <= d <= _FLOYD_MAX_DIM
-                     and _floyd_pays(len(sparse), k)))
+    # ascending, so the last words read in a sample are the largest dim's
+    floyd_dims = [d for d in dims if 2 <= d <= _FLOYD_MAX_DIM]
     gauss, flat, halving = [], [], []     # gauss: rows; others: (row, scale)
-    sparse_states, words, draws = [], [], {d: [] for d in dims}
+    sparse_states, words, draws = [], [], {d: [] for d in floyd_dims}
     for i, state in enumerate(states):
         index = start + i
         if index < 2:
             continue
         if index % 3 == 1:
             sparse_states.append(state)
-            raw = None
-            for d, k, floyd in plan:
-                if not floyd:
-                    draws[d].append(_choice_draws(rng, state, d, k))
-                    continue
+            for d in floyd_dims:
+                k = max(1, d // 4)
                 bits.state = state
                 raw = bits.random_raw(k)
                 draws[d].append((rng.standard_normal(k),
                                  2.0 ** _uniform(rng, -5.0, 5.0)))
-            if raw is not None:
+            if floyd_dims:
                 words.append(raw)
             continue
         bits.state = state
@@ -330,11 +305,11 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
             scale = 2.0 ** rng.integers(-3, 4)
             (flat if rng.integers(0, 2) else halving).append((i, scale))
     flat, halving = _columns(flat), _columns(halving)
-    floyd_dims = [d for d, _, floyd in reversed(plan) if floyd]
+    floyd_dims.reverse()
     supports = (dict(zip(floyd_dims,
                          _floyd_supports(np.array(words), floyd_dims)))
                 if words else {})
-    for d, k, floyd in plan:
+    for d in dims:
         M = out[d]
         if start == 0:
             M[0] = 1.0 / d
@@ -343,14 +318,18 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
         if gauss and M is not big:
             M[gauss] = big[gauss, :d]
         if len(sparse):
-            if floyd:
+            k = max(1, d // 4)
+            if d in supports:
                 z, scale = _columns(draws[d])
                 support, rejected = supports[d]
-                for s in np.flatnonzero(rejected):
-                    support[s], z[s], scale[s] = _choice_draws(
-                        rng, sparse_states[s], d, k)
+                redraw = np.flatnonzero(rejected)
             else:
-                support, z, scale = _columns(draws[d])
+                support = np.empty((len(sparse), k), dtype=np.intp)
+                z, scale = np.empty((len(sparse), k)), np.empty(len(sparse))
+                redraw = range(len(sparse))
+            for s in redraw:
+                support[s], z[s], scale[s] = _choice_draws(
+                    rng, sparse_states[s], d, k)
             M[sparse[:, None], support] = z * scale[:, None]
         if flat:
             rows, scale = flat
@@ -772,9 +751,14 @@ def dichotomy_sweep(family: str, t: float, sizes: Sequence[int],
     For the non-ordered family the estimate must stay >= ``lower`` (the sum
     space differs from both endpoints, so the normalized K cannot drop); for
     the ordered family it must stay below t (consistent with A0+A1 = A1).
+    The ordered family's gate holds for t <= 1 only, so a larger t is
+    refused.
     """
     if not sizes:
         raise DomainError("sizes needs one or more window sizes, got []")
+    if family == "l1_linf" and t > 1:
+        raise DomainError(f"t must be <= 1 for the ordered family l1_linf, "
+                          f"got {t}")
     values = []
     for size in sizes:
         couple = couple_family(family, size)

@@ -274,6 +274,26 @@ class TestConfigErrors:
         assert code == 2
         assert "got 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", [2, 4, 1.0000001])
+    def test_dichotomy_refuses_ordered_t_above_one(self, t, tmp_path, capsys,
+                                                   monkeypatch):
+        # the ordered family's gate min(1, t) (1 + upper_slack) bounds K
+        # for t <= 1 only; every t > 1 failed with exit 3
+        def no_k(*args):
+            raise AssertionError("K computed")
+
+        monkeypatch.setattr(verify, "k_sphere_sup", no_k)
+        cfg = tmp_path / "d.json"
+        cfg.write_text(json.dumps({"family": "l1_linf", "t": t,
+                                   "sizes": [4, 8], "samples": 8}))
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", "dichotomy", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert f"t must be <= 1 for the ordered family l1_linf, got {t}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("check, config", [
         ("mainlema", {}),
         ("sum-intersection", {"theta": 0.3, "p": 1.0}),
@@ -513,6 +533,31 @@ class TestConfigErrors:
                         "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert f"wrongly typed config key {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra, key, value", [
+        (command, extra, key, value)
+        for command, extra in (
+            ("kprofile", {}),
+            ("interp-norm", {"theta": 0.5, "q": 2}),
+            ("lattice-norm", {"r": 1, "lattice_weights": [1, 1, 1]}))
+        for key, value in (("n_min", 1.5), ("n_min", "-3"), ("n_min", True),
+                           ("n_min", -20.7), ("n_max", 2.0), ("n_max", "2"))
+        if command != "lattice-norm" or key == "n_min"])
+    def test_window_keys_must_be_integers(self, command, extra, key, value,
+                                          couple_config, tmp_path, capsys):
+        # they were converted with int(): 1.5 ran as 1, "-3" as -3 and true
+        # as 1, and lattice-norm echoed -20.7 but profiled from -20
+        cfg = {**json.loads(couple_config.read_text()), **extra, key: value}
+        if command == "lattice-norm":
+            del cfg["n_max"]
+        couple_config.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
+        code = run_cli([command, "--config", str(couple_config),
+                        "--out", str(out)])
+        assert code == 2
+        assert (f"wrongly typed config key {key}: {json.dumps(value)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def _readme_required_keys() -> dict:

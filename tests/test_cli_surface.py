@@ -3,10 +3,9 @@
 ``_dump_json`` must write what ``json.dumps(payload, sort_keys=True,
 indent=2) + "\\n"`` writes, byte for byte.  ``main`` answers a plain argument
 list from the command table without building a parser, and must return what
-argparse returns for it; any other list builds only the invoked
-subcommand's parser, and everything argparse prints must read as it did
-when every subparser was built on every call, which ``_reference_parser``
-(the earlier ``build_parser``, kept verbatim) pins.
+argparse returns for it; any other list builds the full parser, and
+everything argparse prints must read as ``_reference_parser`` (an earlier
+``build_parser``, kept verbatim) prints it.
 """
 
 import argparse
@@ -83,9 +82,9 @@ def test_writer_matches_stdlib_on_fixed_payloads(payload, tmp_path):
 # parser
 # ---------------------------------------------------------------------------
 
-def _reference_parser(command=None) -> argparse.ArgumentParser:
-    """``build_parser`` as it was when every call built every subparser;
-    ``command``, which ``main`` passes, is ignored."""
+def _reference_parser() -> argparse.ArgumentParser:
+    """An earlier ``build_parser``, one ``add_argument`` call per option,
+    kept verbatim."""
     parser = argparse.ArgumentParser(
         prog="interpk",
         description="K-functionals, interpolation norms and s-number ideals "
@@ -222,8 +221,7 @@ def test_every_command_is_in_the_reference():
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))
 def test_single_parser_parses_like_the_full_one(command):
     argv = [command, *VALID_ARGS[command]]
-    assert (vars(cli.build_parser(command).parse_args(argv))
-            == vars(cli.build_parser().parse_args(argv))
+    assert (vars(cli.build_parser().parse_args(argv))
             == vars(_reference_parser().parse_args(argv)))
 
 
@@ -276,12 +274,12 @@ def argvs(draw):
 def test_plain_path_parses_like_argparse(argv):
     plain = cli._plain_args(argv)
     if plain is not None:
-        want = cli.build_parser(argv[0]).parse_args(argv)
+        want = cli.build_parser().parse_args(argv)
         assert _fields(plain) == _fields(want)
 
 
-def _no_parser(command=None):
-    raise AssertionError(f"parser built for {command}")
+def _no_parser():
+    raise AssertionError("parser built")
 
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))
@@ -290,7 +288,7 @@ def test_valid_args_take_the_plain_path(command, monkeypatch):
     head, pairs = _pairs(command)
     calls = [[command, *head, *itertools.chain(*order)]
              for order in itertools.permutations(pairs)]
-    want = [_fields(cli.build_parser(command).parse_args(a)) for a in calls]
+    want = [_fields(cli.build_parser().parse_args(a)) for a in calls]
     seen = []
     _, help_text, specs = cli._COMMANDS[command]
     monkeypatch.setitem(cli._COMMANDS, command,
@@ -301,15 +299,16 @@ def test_valid_args_take_the_plain_path(command, monkeypatch):
     assert seen == want
 
 
-def test_main_builds_only_the_invoked_parser(monkeypatch, tmp_path):
-    # a plain call builds no parser; any other call that starts with a
-    # command name builds that command's parser only
+def test_main_builds_the_full_parser_on_fallback(monkeypatch, tmp_path):
+    # a plain call builds no parser; any other call builds the full parser
+    # once
     built = []
     real = cli.build_parser
 
-    def spy(command=None):
-        built.append(command)
-        return real(command)
+    def spy():
+        parser = real()
+        built.append(parser)
+        return parser
 
     monkeypatch.setattr(cli, "build_parser", spy)
     out = tmp_path / "st.csv"
@@ -321,8 +320,12 @@ def test_main_builds_only_the_invoked_parser(monkeypatch, tmp_path):
     out.unlink()
     assert main([*argv[:5], "--n-list=2", *argv[7:]]) == 0
     assert out.read_bytes() == plain
+    assert len(built) == 1
     assert main(["--version"]) == 0
-    assert built == ["strictness", None]
+    assert len(built) == 2
+    full = list(cli._COMMANDS)
+    for parser in built:
+        assert list(parser._subparsers._group_actions[0].choices) == full
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, tmp_path, capsys):

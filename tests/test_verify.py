@@ -226,15 +226,10 @@ class TestFloydSupports:
         monkeypatch.setattr(verify, "_choice_draws", spy)
         return calls
 
-    @pytest.mark.parametrize("forced", [False, True],
-                             ids=["by-cost", "pass-forced"])
-    def test_sweep_equals_frozen_at_large_dims(self, monkeypatch,
-                                               choice_calls, forced):
+    def test_sweep_equals_frozen_at_large_dims(self, choice_calls):
         # sample 232 at seed 7 rejects a draw at d = 10000; d = 10001 is
-        # numpy's tail shuffle and d = 1 draws nothing, so both stay with
-        # choice even when the pass is forced
-        if forced:
-            monkeypatch.setattr(verify, "_floyd_pays", lambda samples, k: True)
+        # numpy's tail shuffle and d = 1 draws nothing, so those rows stay
+        # with choice, which draws them after the pass, dim by dim
         dims = (1, 4, 64, 10000, 10001)
         got = _sample_sweep(_sample_rows, 6, dims, seed=7, start=232)
         for d in dims:
@@ -242,26 +237,22 @@ class TestFloydSupports:
                                for i in range(232, 238)])
             assert got[d].tobytes() == frozen.tobytes()
         # the sparse samples are 232 and 235
-        if forced:
-            assert choice_calls == [1, 10001, 1, 10001, 10000]
-        else:
-            assert choice_calls == [*dims, *dims]
+        assert choice_calls == [1, 1, 10000, 10001, 10001]
 
-    def test_rejected_row_is_drawn_by_choice(self, monkeypatch,
-                                             choice_calls):
-        monkeypatch.setattr(verify, "_floyd_pays", lambda samples, k: True)
+    def test_rejected_row_is_drawn_by_choice(self, choice_calls):
         got = _sample_sweep(_sample_rows, 1, (10000,), seed=7, start=232)
         assert choice_calls == [10000]
         assert (got[10000][0].tobytes()
                 == frozen_sample_dense(10000, 232, 7).tobytes())
 
-    def test_pass_runs_where_it_pays(self, choice_calls):
-        # the acceptance sum-intersection sweep: 53 sparse samples at
-        # d <= 64 take the pass; a single sample never does
+    def test_pass_draws_every_dim_it_can(self, choice_calls):
+        # the acceptance sum-intersection sweep (53 sparse samples at
+        # d <= 64) and a single sample both take the pass only
         _sample_sweep(_sample_rows, 160, (4, 8, 16, 32, 64), seed=505)
         assert choice_calls == []
-        sample_dense(64, 4, seed=7)
-        assert choice_calls == [64]
+        assert (sample_dense(64, 4, seed=7).tobytes()
+                == frozen_sample_dense(64, 4, 7).tobytes())
+        assert choice_calls == []
 
 
 class TestCheckMainlema:

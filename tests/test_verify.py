@@ -226,10 +226,17 @@ class TestFloydSupports:
         monkeypatch.setattr(verify, "_choice_draws", spy)
         return calls
 
-    def test_sweep_equals_frozen_at_large_dims(self, choice_calls):
+    # by-cost: the pass covers no dim, so choice draws every row, as it did
+    # for so few samples under the former cost model; pass-forced: the
+    # pass as it runs now, on every sparse sample set
+    @pytest.mark.parametrize("floyd_max", [1, verify._FLOYD_MAX_DIM],
+                             ids=["by-cost", "pass-forced"])
+    def test_sweep_equals_frozen_at_large_dims(self, monkeypatch,
+                                               choice_calls, floyd_max):
         # sample 232 at seed 7 rejects a draw at d = 10000; d = 10001 is
         # numpy's tail shuffle and d = 1 draws nothing, so those rows stay
         # with choice, which draws them after the pass, dim by dim
+        monkeypatch.setattr(verify, "_FLOYD_MAX_DIM", floyd_max)
         dims = (1, 4, 64, 10000, 10001)
         got = _sample_sweep(_sample_rows, 6, dims, seed=7, start=232)
         for d in dims:
@@ -237,7 +244,10 @@ class TestFloydSupports:
                                for i in range(232, 238)])
             assert got[d].tobytes() == frozen.tobytes()
         # the sparse samples are 232 and 235
-        assert choice_calls == [1, 1, 10000, 10001, 10001]
+        if floyd_max == 1:
+            assert choice_calls == [d for d in dims for _ in range(2)]
+        else:
+            assert choice_calls == [1, 1, 10000, 10001, 10001]
 
     def test_rejected_row_is_drawn_by_choice(self, choice_calls):
         got = _sample_sweep(_sample_rows, 1, (10000,), seed=7, start=232)

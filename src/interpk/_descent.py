@@ -97,16 +97,27 @@ def _golden_min(objective: Callable[[np.ndarray], np.ndarray],
     return arg, best
 
 
-def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
-    """T as an (m, k) matrix, and whether it was given as one t per row.
+def _t_grid(T) -> tuple[np.ndarray, bool]:
+    """T as a 2-d array, unbroadcast, and whether it was given as one t per
+    row.
 
-    Scalars and 1-d arrays hold one t per row (k = 1); a 2-d array holds k
-    values of t per row, or one (1, k) grid shared by every row.
+    A scalar is a (1, 1) grid shared by every row and a 1-d array an
+    (m, 1) column; a 2-d array is one (1, k) grid shared by every row or k
+    values of t per row.  The exact K kernels of ``couples`` do their per-t
+    arithmetic on this array, so a shared grid is worked once, not once per
+    row; the descent, which stacks one row per (row, t), broadcasts it
+    (``_t_matrix``).
     """
     T = np.asarray(T, dtype=float)
     if T.ndim < 2:
-        return np.broadcast_to(T.reshape(-1, 1), (m, 1)), True
-    return np.broadcast_to(T, (m, T.shape[1])), False
+        return T.reshape(-1, 1), True
+    return T, False
+
+
+def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
+    """``_t_grid`` broadcast to an (m, k) matrix."""
+    T, per_row = _t_grid(T)
+    return np.broadcast_to(T, (m, T.shape[1])), per_row
 
 
 def probe_scales(norm: BatchNorm, dim: int) -> np.ndarray:

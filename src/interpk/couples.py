@@ -31,7 +31,10 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
                                <= 2^{1-1/p} (alpha^p + beta^p)^{1/p}
 
   when p >= 1, and both inequalities reverse when p < 1; K_p and K are the
-  infima of the outer and middle terms over splits;
+  infima of the outer and middle terms over splits.  The kernel takes p-th
+  powers per coordinate, not per (row, t, coordinate) cell: a row table of
+  |x_i|^p and a factor table of the weight factors' p-th powers per t,
+  joined by one length-d dot product per (row, t);
 * ``descent``       any other pair (``k_route`` returns None):
   ``descent_route`` builds its K, a seeded multi-start descent over
   decompositions (``_descent.decomposition_infimum``).  It is an upper
@@ -52,6 +55,10 @@ K-profiles sample K(x, 2^n) over a dyadic window; they are the discrete
 object every interpolation norm downstream consumes.  ``Couple.profile_batch``
 evaluates a whole grid of t per vector in one kernel call, so the exact
 kernels sort (or build their vertex chain) once per vector, not once per t.
+A grid shared by every row, and a scalar t (``Couple.k_batch`` passes it as
+a (1, 1) grid), reaches the kernels unbroadcast, so their per-t arithmetic
+runs once per t, not once per (row, t); the result is the same bit for bit
+as for the grid given per row.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._descent import _t_matrix, decomposition_infimum
+from ._descent import _t_grid, decomposition_infimum
 from .errors import DomainError, InvariantError, WindowError
 
 __all__ = [
@@ -84,8 +91,13 @@ _STRATEGY_ROUTES = {EXACT_L1_LINF: "l1_linf", WEIGHTED_SUP_LP: "weighted_sup",
 
 ORACLE_MAX_DIM = 16
 
-# cells (rows x t values x coordinates) per block of a power-kernel grid
+# cells (table rows x t values x coordinates) per block of the power
+# kernel's factor table
 _POWER_CHUNK_CELLS = 2 ** 14
+
+# the least positive float: a floor for a divisor that leaves every
+# positive value as it is
+_SMALLEST = 5e-324
 
 
 def _parse_p(p, key: str = "exponent p") -> float:
@@ -360,12 +372,16 @@ class Couple:
         return self.norm0.embed(x)
 
     def k_batch(self, X: np.ndarray, T) -> np.ndarray:
-        """K at each row of X (dense over the window); T scalar or per-row."""
+        """K at each row of X (dense over the window); T scalar or per-row.
+        A scalar reaches the kernel as a (1, 1) grid shared by every row,
+        a per-row T as an (m, 1) column."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        T = np.broadcast_to(np.asarray(T, dtype=float), (X.shape[0],))
+        T = np.asarray(T, dtype=float)
+        T = (T.reshape(1, 1) if T.ndim == 0
+             else np.broadcast_to(T, (X.shape[0],))[:, None])
         if np.any(T <= 0):
             raise DomainError("t must be positive")
-        return self.route.kernel(X, T[:, None])[:, 0]
+        return self.route.kernel(X, T)[:, 0]
 
     def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
         """K at every row of X and every t of ``t_grid``: (m, len(t_grid))."""
@@ -449,28 +465,39 @@ def validate_profiles(P: np.ndarray, t, rel_tol: float = 1e-9) -> None:
 # batch strategy kernels
 # ---------------------------------------------------------------------------
 
+def _take_columns(V: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """V[r, index[r, j]] for an (m, k) index, or V[r, index[0, j]] for a
+    shared (1, k) one: a C-ordered (m, k) result either way, so a reduction
+    along its rows adds in the same order as for any other kernel output."""
+    if len(index) == 1:
+        return np.take(V, index[0], axis=1)
+    return np.take_along_axis(V, index, axis=1)
+
+
 def _l1_linf_batch(X: np.ndarray, T) -> np.ndarray:
     """Exact K for the unweighted (l1, linf) couple, rowwise.
 
     K(x, t) = sum_{k<=floor(t)} x*_k + (t - floor(t)) x*_{floor(t)+1} with x*
     the nonincreasing rearrangement of |x| (zero beyond the support).  Each
     row is sorted and prefix-summed once and read off at all of its t.
+    floor(t), its fraction and the read positions are worked out on T as
+    given, once per t of a shared grid, and gathered by column.
     """
     X = np.atleast_2d(X)
     m, d = X.shape
-    T, per_row = _t_matrix(T, m)
+    T, per_row = _t_grid(T)
     if d == 0:
-        out = np.zeros(T.shape)
+        out = np.zeros((m, T.shape[1]))
     else:
         star = np.sort(np.abs(X), axis=1)[:, ::-1]
         prefix = np.zeros((m, d + 1))
         np.cumsum(star, axis=1, out=prefix[:, 1:])
         floor = np.floor(T)
         whole = np.minimum(floor, d).astype(int)
+        # zero where t >= d, so the clamped read of star adds nothing there
         frac = np.where(floor < d, T - floor, 0.0)
-        head = np.take_along_axis(prefix, whole, axis=1)
-        nxt = np.take_along_axis(star, np.minimum(whole, d - 1), axis=1)
-        out = head + frac * np.where(whole < d, nxt, 0.0)
+        out = (_take_columns(prefix, whole)
+               + frac * _take_columns(star, np.minimum(whole, d - 1)))
     return out[:, 0] if per_row else out
 
 
@@ -494,9 +521,10 @@ def _l1_lp_batch(X: np.ndarray, T, p: float, w0, w1) -> np.ndarray:
     """
     X = np.atleast_2d(X)
     m, d = X.shape
-    T, per_row = _t_matrix(T, m)
+    T, per_row = _t_grid(T)
+    k = T.shape[1]
     if d == 0:
-        out = np.zeros(T.shape)
+        out = np.zeros((m, k))
         return out[:, 0] if per_row else out
     q = p / (p - 1.0)
     W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
@@ -524,8 +552,8 @@ def _l1_lp_batch(X: np.ndarray, T, p: float, w0, w1) -> np.ndarray:
         log_f = np.where(absx > 0, np.logaddexp(
             np.log(A[:, 1:]) - p * log_r, logB[:, 1:]), np.inf)
     level = q * np.log(T)
-    lo = np.zeros(T.shape, dtype=np.intp)
-    hi = np.full(T.shape, d, dtype=np.intp)
+    lo = np.zeros((m, k), dtype=np.intp)
+    hi = np.full((m, k), d, dtype=np.intp)
     for _ in range(d.bit_length()):
         mid = (lo + hi) // 2
         below = np.take_along_axis(log_f, np.minimum(mid, d - 1), axis=1) < level
@@ -556,7 +584,7 @@ def _weighted_sup_batch(X, T, w0, w1) -> np.ndarray:
     """
     X = np.atleast_2d(X)
     m, d = X.shape
-    T, per_row = _t_matrix(T, m)
+    T, per_row = _t_grid(T)
     r = np.abs(X)
     W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
     W1 = np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
@@ -605,47 +633,82 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     """Coordinatewise power functional K_p for a shared exponent, rowwise.
 
     Per coordinate, with u = w0_i and v = t*w1_i, the amplitude
-    c_i = (inf_{a+b=x_i} (u|a|)^p + (v|b|)^p)^{1/p} is:
-      p <= 1:  min(u, v) |x_i|            (endpoint optimum);
-      p > 1:   |x_i| (u^-s + v^-s)^{-1/s}, s = p/(p-1)  (stationarity),
-    and K_p is the lp sum of the amplitudes.  A grid of t is evaluated in
-    blocks of columns of at most ``_POWER_CHUNK_CELLS`` (row, t, coordinate)
-    cells (one column at least), so memory stays flat in the grid size;
-    every value is computed as it would be alone.  The weight factor
-    min(u, v) or (u^-s + v^-s)^{-1/s} is built once for the whole grid of
-    k t values when it fits one block (k*d cells for shared weights and a
-    shared grid, m*k*d otherwise), and per block otherwise, so no call
-    holds more than one block of it.
+    c_i = (inf_{a+b=x_i} (u|a|)^p + (v|b|)^p)^{1/p} is |x_i| f_i(t) with
+    the weight factor
+      p <= 1:  f_i = min(u, v)                              (endpoint optimum);
+      p > 1:   f_i = (u^-s + v^-s)^{-1/s}, s = p/(p-1)      (stationarity),
+    and K_p is the lp sum of the amplitudes.  Since c_i^p = |x_i|^p f_i^p,
+    no power is taken per (row, t, coordinate) cell:
+
+    * the row table (|x_i| / a)^p, one row per vector, with a its largest
+      |x_i|;
+    * the factor table (f_i / b)^p per t, with b the largest f_i at that t,
+      built for one row when the weights and the grid are shared by every
+      row, for every row otherwise; for p > 1 it is exp((1-p)(L_i - min L))
+      with L_i = -s log f_i, kept in log space;
+    * one length-d dot product S per (row, t) cell, and K_p = a b S^{1/p};
+      at p = 1 the tables are |x| and f themselves, and K_1 = S.
+
+    Both tables peak at 1, so nothing overflows.  A cell whose S falls
+    below 2^{-960 min(p, 1)}, where S or S^{1/p} would lose digits to
+    underflow, is recomputed by ``stable_lp_sum`` of its amplitudes; zero
+    rows come out as exact zeros.  Each cell is the same dot product
+    whatever the batch, so a grid gives the bits of its per-t calls and a
+    row alone those it has in a batch.  Memory is m*d for the row table,
+    m*k for the results and n*k*d for a factor table of n rows; that table
+    is built in blocks of t values of at most ``_POWER_CHUNK_CELLS`` cells
+    (one t at least), so it stays flat in the grid size.
     """
     X = np.atleast_2d(X)
     m, d = X.shape
+    T, per_row = _t_grid(T)
+    k = T.shape[1]
     w0 = np.asarray(w0, dtype=float)
     w1 = np.asarray(w1, dtype=float)
-    # shared weights and a t shared by every row: the weight factor depends
-    # on (t, i) only, so it is computed for one row and broadcast
-    n = 1 if (w0.ndim == w1.ndim == 1
-              and (np.ndim(T) == 0 or np.shape(T)[0] == 1)) else m
-    T, per_row = _t_matrix(T, m)
-    out = np.zeros(T.shape)
-    absx = np.abs(X)[:, None, :]
-    u = np.broadcast_to(w0, (n, d))[:, None, :]
-    W1 = np.broadcast_to(w1, (n, d))[:, None, :]
-
-    def factor(t):
-        v = t[:, :, None] * W1
-        if p <= 1.0:
-            return np.minimum(u, v)
+    n = 1 if w0.ndim == w1.ndim == 1 and len(T) == 1 else m
+    out = np.zeros((m, k))
+    if d == 0:
+        return out[:, 0] if per_row else out
+    absx = np.abs(X)
+    if p == 1.0:
+        rows = absx
+    else:
+        a = np.maximum.reduce(absx, axis=1, keepdims=True)
+        rows = (absx / np.maximum(a, _SMALLEST)) ** p
+        floor = 2.0 ** (-960.0 * min(p, 1.0))
+    # each (row, t) cell is one dot of a row-table row and a factor column
+    rows = rows[:, None, None, :]
+    if p > 1.0:
         s = p / (p - 1.0)
-        # harmonic-type mean of the weights, evaluated in log space
-        return np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
-
-    k = T.shape[1] if d else 0
-    whole = factor(T[:n]) if n * k * d <= _POWER_CHUNK_CELLS else None
-    step = max(1, _POWER_CHUNK_CELLS // max(m * d, 1))
+        A = (-s * np.log(w0))[..., None, :]
+        B = (-s * np.log(w1))[..., None, :]
+    else:
+        u = w0[..., None, :]
+        W1 = w1[..., None, :]
+    step = max(1, _POWER_CHUNK_CELLS // max(n * d, 1))
     for j in range(0, k, step):
-        f = (factor(T[:n, j:j + step]) if whole is None
-             else whole[:, j:j + step])
-        out[:, j:j + step] = stable_lp_sum(absx * f, p)
+        t = T[:, j:j + step, None]
+        if p > 1.0:
+            L = np.logaddexp(A, -s * np.log(t) + B)
+            L_min = np.minimum.reduce(L, axis=2, keepdims=True)
+            F = np.exp((1.0 - p) * (L - L_min))
+            b = np.exp(L_min / -s)
+        else:
+            f = np.minimum(u, t * W1)
+            if p == 1.0:
+                out[:, j:j + step] = np.matmul(rows, f[..., None])[..., 0, 0]
+                continue
+            b = np.maximum.reduce(f, axis=2, keepdims=True)
+            F = (f / np.maximum(b, _SMALLEST)) ** p
+        S = np.matmul(rows, F[..., None])[..., 0, 0]
+        K = a * b[..., 0] * S ** (1.0 / p)
+        low = S < floor
+        if low.any():
+            r, c = np.nonzero(low)
+            cells = (r if len(F) > 1 else 0, c)
+            f_cells = np.exp(L[cells] / -s) if p > 1.0 else f[cells]
+            K[r, c] = stable_lp_sum(absx[r] * f_cells, p)
+        out[:, j:j + step] = K
     return out[:, 0] if per_row else out
 
 

@@ -370,9 +370,12 @@ class DerivedSumIntCouple:
     # --- route (i): surrogate from the base couple ------------------------
     def k_batch(self, X: np.ndarray, T) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        T = np.broadcast_to(np.asarray(T, dtype=float), (X.shape[0],))
+        T = np.asarray(T, dtype=float)
+        if T.ndim:
+            T = np.broadcast_to(T, (X.shape[0],))
         if np.any(T <= 0):
             raise DomainError("t must be positive")
+        # a scalar t stays a scalar: the base kernels get one shared t
         tc = np.minimum(T, 1.0)
         return self.base.k_batch(X, tc) + tc * self.base.k_batch(X, 1.0 / tc)
 

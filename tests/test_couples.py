@@ -13,7 +13,7 @@ from interpk._descent import decomposition_infimum
 from interpk.couples import (ORACLE, FiniteVector, KProfile, _l1_linf_batch,
                              _l1_lp_batch, _monotone_envelope, _power_batch,
                              _weighted_sup_batch, descent_route, k_route,
-                             validate_profiles, vec)
+                             stable_lp_sum, validate_profiles, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
 from interpk.snum import k_operator_diag_batch
 
@@ -104,6 +104,31 @@ def grid_oracle_power_single(x, t, p, w0, w1):
     a = np.linspace(-2 * abs(x), 2 * abs(x), 40001)
     vals = (w0 * np.abs(a)) ** p + t ** p * (w1 * np.abs(x - a)) ** p
     return float(np.min(vals)) ** (1.0 / p)
+
+
+def cell_oracle_power(X, T, p, w0, w1):
+    """K_p as the lp sum of the amplitudes |x_i| f_i(t), with every
+    (row, t, coordinate) cell raised to the power p: the power kernel's
+    formula before it split the cells into row and factor tables.  Shared
+    (d,) weights; T is a (1, k) or (m, k) grid."""
+    u = np.asarray(w0, dtype=float)
+    v = np.asarray(T, dtype=float)[:, :, None] * np.asarray(w1, dtype=float)
+    if p <= 1.0:
+        f = np.minimum(u, v)
+    else:
+        s = p / (p - 1.0)
+        f = np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
+    return stable_lp_sum(np.abs(X)[:, None, :] * f, p)
+
+
+def prefix_oracle_l1_linf(x, t):
+    """Exact K for (l1, linf) read off the sorted prefix sums one by one:
+    the floor(t) largest |x_i| plus the fraction of t times the next."""
+    star = sorted((abs(float(v)) for v in x), reverse=True)
+    whole = math.floor(t)
+    if whole >= len(star):
+        return sum(star)
+    return sum(star[:whole]) + (t - whole) * star[whole]
 
 
 def scan_oracle_l1_lp(x, t, p, w0, w1, reverse=False, n=20001):
@@ -210,6 +235,28 @@ class TestExactL1Linf:
         got = l1_linf_couple(len(entries)).k(vec(entries), t)
         want = clip_oracle_l1_linf(entries, t)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 4, 9, 33])
+    def test_shared_grid_per_row_grid_and_scalars_agree(self, d):
+        # a (1, k) grid is worked once per t and gathered by column; the
+        # same grid given per row, and each t alone, give the same bytes,
+        # and each value is the sorted-prefix sum
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((6, d)) * 2.0 ** rng.uniform(-8, 8, (6, d))
+        X[1] = 0.0
+        X[2, ::2] = 1.5
+        grid = np.concatenate([DYADIC, [0.7, 1.0, 2.5, d - 0.5, d, d + 0.25,
+                                        3.0 * d]])
+        shared = _l1_linf_batch(X, grid[None, :])
+        per_row = _l1_linf_batch(X, np.tile(grid, (len(X), 1)))
+        alone = np.stack([_l1_linf_batch(X, t) for t in grid], axis=1)
+        assert shared.shape == (len(X), len(grid))
+        # C order, so a reduction along a row adds as for any kernel output
+        assert shared.flags["C_CONTIGUOUS"]
+        assert per_row.tobytes() == shared.tobytes()
+        assert alone.tobytes() == shared.tobytes()
+        want = [[prefix_oracle_l1_linf(x, t) for t in grid] for x in X]
+        assert np.array_equal(shared, want)
 
 
 class TestWeightedSup:
@@ -475,6 +522,42 @@ class TestKRoute:
             if np.all(w0 == 1.0) and np.all(w1 == 1.0):
                 got = k_operator_diag_batch(V, grid, p0, p1)
                 assert np.array_equal(got, want), case
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_TABLE))
+    def test_scalar_t_is_a_shared_grid(self, case):
+        # k_batch hands a scalar t to the kernel as a (1, 1) grid and a
+        # per-row T as an (m, 1) column; both give the same bytes
+        (p0, p1), name, exact, strategies, direct = ROUTE_TABLE[case]
+        rng = np.random.default_rng(64)
+        m, d = 7, 9
+        X = rng.standard_normal((m, d)) * 2.0 ** rng.uniform(-4, 4, (m, d))
+        X[1] = 0.0
+        w0, w1 = ((np.ones(d), np.ones(d)) if name == "l1_linf" else
+                  (2.0 ** rng.uniform(-3, 3, d), 2.0 ** rng.uniform(-3, 3, d)))
+        c = Couple(WeightedNorm(p0, 0, w0), WeightedNorm(p1, 0, w1),
+                   (strategies or (ORACLE,))[0])
+        assert c.route.name == name
+        seen = []
+
+        def kernel(X, T, route=c.route):
+            seen.append(np.shape(T))
+            return route.kernel(X, T)
+
+        object.__setattr__(c, "route", c.route._replace(kernel=kernel))
+        for t in (2.0 ** -7, 0.3, 1.0, 5.0, 2.0 ** 9):
+            got = c.k_batch(X, t)
+            want = c.k_batch(X, np.full(m, t))
+            assert got.shape == (m,)
+            assert got.tobytes() == want.tobytes(), (case, t)
+            assert got.tobytes() == direct(X, np.full((m, 1), t), w0,
+                                           w1)[:, 0].tobytes()
+        assert seen == [(1, 1), (m, 1)] * 5
+        if exact:
+            derived = derived_sum_int_couple(c)
+            for t in (0.3, 1.0, 5.0):
+                got = derived.k_batch(X, t)
+                want = derived.k_batch(X, np.full(m, t))
+                assert got.tobytes() == want.tobytes(), (case, t)
 
     @pytest.mark.parametrize("p0, p1, weighted", [
         (1.0, math.inf, True), (math.inf, 1.0, True), (1.0, 0.5, False),
@@ -754,6 +837,62 @@ class TestPowerCoordinatewise:
             monkeypatch.setattr(couples, "_POWER_CHUNK_CELLS", cells)
             assert _power_batch(X, T, p, w0, w1).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 3.0, 20.0, 60.0])
+    def test_tables_match_the_cell_oracle(self, p, monkeypatch):
+        # entries over 2^+-60 and weights over 2^+-30, so that at large p
+        # the tables underflow.  In the last two rows the largest entry
+        # meets a factor 2^-60 below the largest, and the entry 2^-40 or
+        # 2^-60 meets the largest factor, so S underflows from p = 24 and
+        # p = 16 on and stable_lp_sum recomputes those cells
+        rng = np.random.default_rng(42)
+        m, d = 14, 9
+        X = rng.standard_normal((m, d)) * 2.0 ** rng.uniform(-60, 60, (m, d))
+        X[3] = 0.0
+        w0 = 2.0 ** rng.uniform(-30, 30, d)
+        w1 = 2.0 ** rng.uniform(-30, 30, d)
+        w0[:2] = w1[:2] = 2.0 ** -30, 2.0 ** 30
+        X[-2:] = 0.0
+        X[-2:, 0] = 1.0
+        X[-2:, 1] = 2.0 ** -40, 2.0 ** -60
+        fallback = []
+
+        def stable(terms, p):
+            fallback.append(np.count_nonzero(terms.any(axis=1)))
+            return stable_lp_sum(terms, p)
+
+        monkeypatch.setattr(couples, "stable_lp_sum", stable)
+        for T in (DYADIC[None, :], 2.0 ** rng.uniform(-20, 20, (m, 5))):
+            got = _power_batch(X, T, p, w0, w1)
+            want = cell_oracle_power(X, T, p, w0, w1)
+            assert np.all(want[3] == 0.0) and np.all(got[3] == 0.0)
+            assert np.all(want[np.arange(m) != 3] > 0)
+            gap = np.abs(got - want) / np.where(want > 0, want, 1.0)
+            assert gap.max() <= 1e-13, (p, gap.max())
+        # cells of nonzero rows recomputed
+        assert (sum(fallback) > 0) == (p >= 16.0)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 60.0])
+    @pytest.mark.parametrize("weights", ["shared", "per_row"])
+    def test_row_alone_is_bit_identical_to_its_batch_row(self, p, weights):
+        rng = np.random.default_rng(43)
+        m, d = 10, 13
+        X = rng.standard_normal((m, d)) * 2.0 ** rng.uniform(-60, 60, (m, d))
+        X[2] = 0.0
+        shape = d if weights == "shared" else (m, d)
+        w0 = 2.0 ** rng.uniform(-30, 30, shape)
+        w1 = 2.0 ** rng.uniform(-30, 30, shape)
+        for T in (DYADIC[None, :], 0.7, 2.0 ** rng.uniform(-20, 20, m),
+                  2.0 ** rng.uniform(-20, 20, (m, 5))):
+            got = _power_batch(X, T, p, w0, w1)
+            for r in range(m):
+                own = np.ndim(T) and len(T) == m
+                alone = _power_batch(X[r:r + 1], T[r:r + 1] if own else T, p,
+                                     w0 if weights == "shared"
+                                     else w0[r:r + 1],
+                                     w1 if weights == "shared"
+                                     else w1[r:r + 1])
+                assert alone.tobytes() == got[r:r + 1].tobytes(), (r, T)
+
     def test_grid_memory_stays_flat(self):
         # the reiteration shape: 160 profiles of 41 values on a 41-point grid
         rng = np.random.default_rng(39)
@@ -767,8 +906,9 @@ class TestPowerCoordinatewise:
             tracemalloc.stop()
             return out
 
-        # blocks of two t values peak at about twice one t's peak; one
-        # (160, 41, 41) block peaks at about 30 times
+        # the grid holds (160, 41) tables and results and a (1, 41, 41)
+        # factor table, about 2.5 times one t's peak; a (160, 41, 41)
+        # array of cells would peak at about 30 times
         assert peak(DYADIC[None, :]) <= 4 * peak(1.0)
 
 

@@ -761,37 +761,31 @@ def k_profile(x: FiniteVector, couple: Couple, n_min: int, n_max: int) -> KProfi
     return prof
 
 
-def k_sphere_sup(couple: Couple, t: float, samples: int, seed: int) -> float:
-    """Max of K(x, t) over seeded directions normalized to K(x, 1) = 1.
+def k_sphere_sup(couple: Couple, t: float) -> float:
+    """Max of K(e_k, t) / K(e_k, 1) over the window's basis spikes e_k.
 
-    A lower bound for the sup over the whole sum-space sphere.  The sampled
-    directions always include every basis spike e_k of the window, plus
-    ``samples`` random directions (alternating dense Gaussian and sparse).
-    Always <= max(1, t).
+    Two ``k_batch`` calls on the d x d identity.  The value is the sup of
+    K(x, t) over the sum-space sphere K(x, 1) = 1 wherever the ratio is a
+    weighted mean of per-coordinate ratios, which peaks at a spike:
+
+    * the ``power`` route, at any p: with y = |x|^p >= 0 and the weight
+      factors f_i of ``_power_batch``, K_p(x, t)^p / K_p(x, 1)^p is
+      sum y_i A_i / sum y_i B_i, A_i = f_i(t)^p and B_i = f_i(1)^p > 0,
+      a weighted mean of the A_i / B_i;
+    * (l1, linf) at t <= 1, where K(x, t) = t ||x||_linf and the ratio is
+      t for every x != 0.
+
+    Those are ``verify.dichotomy_sweep``'s two families.  On every other
+    route it is a lower bound for that sup.  Always <= max(1, t).
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
     if not (t > 0):
         raise DomainError("t must be positive")
-    d = couple.dim
-    rng = np.random.default_rng(seed)
-    dirs = [np.eye(d)]
-    rand = np.zeros((samples, d))
-    for i in range(samples):
-        if i % 2 == 0:
-            rand[i] = rng.standard_normal(d)
-        else:
-            support = rng.choice(d, size=max(1, d // 4), replace=False)
-            rand[i, support] = rng.standard_normal(len(support)) * (
-                2.0 ** rng.integers(-4, 5))
-    dirs.append(rand)
-    X = np.vstack(dirs)
-    k_one = couple.k_batch(X, 1.0)
+    spikes = np.eye(couple.dim)
+    k_one = couple.k_batch(spikes, 1.0)
     keep = k_one > 1e-300
     if not np.any(keep):
         return 0.0
-    k_t = couple.k_batch(X[keep], t)
-    return float(np.max(k_t / k_one[keep]))
+    return float(np.max(couple.k_batch(spikes[keep], t) / k_one[keep]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ accepted against, and ``konig``'s right side writes the Lorentz sum over a
 batch of rows, which ``snum.lorentz_norm`` takes one row at a time.
 
 Every pass/fail threshold is a default in its check's signature
-(overridable per call), never in the check logic.  Every check is
-deterministic under (seed, config): sample i draws the stream of
+(overridable per call), never in the check logic.  ``dichotomy_sweep`` and
+``distinctness_demo`` draw nothing and take no seed: their reports are
+deterministic under the config alone.  Every other check is deterministic
+under (seed, config): sample i draws the stream of
 ``default_rng(SeedSequence([seed, i]))``, so doubling the sample count
 extends the sample set and can only widen the observed band.  That stream
 serves sample i at every dimension of a sweep, and each dimension still sees
@@ -111,14 +113,13 @@ class DichotomyReport:
     t: float
     sizes: list
     values: list
-    seed: int
     config: dict
     passed: bool
 
     def to_json(self) -> dict:
         return {"check": self.check, "family": self.family, "t": self.t,
                 "sizes": list(self.sizes), "values": list(self.values),
-                "seed": self.seed, "config": self.config, "pass": self.passed}
+                "config": self.config, "pass": self.passed}
 
 
 @dataclass
@@ -744,25 +745,24 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
 
 
 def dichotomy_sweep(family: str, t: float, sizes: Sequence[int],
-                    samples: int = 32, seed: int = 0, lower: float = 0.99,
+                    lower: float = 0.99,
                     upper_slack: float = 1e-9) -> DichotomyReport:
     """Sphere sup of K(., t) across growing windows.
 
-    For the non-ordered family the estimate must stay >= ``lower`` (the sum
-    space differs from both endpoints, so the normalized K cannot drop); for
-    the ordered family it must stay below t (consistent with A0+A1 = A1).
-    The ordered family's gate holds for t <= 1 only, so a larger t is
-    refused.
+    Each value is ``k_sphere_sup`` of the family's couple, the max of
+    K(e_k, t) / K(e_k, 1) over the window's spikes; on both families that
+    is the sup over the whole sum-space sphere, so nothing is drawn.  For
+    the non-ordered family it must stay >= ``lower`` (the sum space differs
+    from both endpoints, so the normalized K cannot drop); for the ordered
+    family it must stay below t (consistent with A0+A1 = A1).  The ordered
+    family's gate holds for t <= 1 only, so a larger t is refused.
     """
     if not sizes:
         raise DomainError("sizes needs one or more window sizes, got []")
     if family == "l1_linf" and t > 1:
         raise DomainError(f"t must be <= 1 for the ordered family l1_linf, "
                           f"got {t}")
-    values = []
-    for size in sizes:
-        couple = couple_family(family, size)
-        values.append(k_sphere_sup(couple, t, samples, seed))
+    values = [k_sphere_sup(couple_family(family, size), t) for size in sizes]
     if family == "l1_geometric":
         passed = all(v >= lower for v in values)
     else:
@@ -770,9 +770,9 @@ def dichotomy_sweep(family: str, t: float, sizes: Sequence[int],
         bound = min(1.0, t) * (1.0 + upper_slack)
         passed = all(v <= bound for v in values)
     config = {"family": family, "t": t, "sizes": list(sizes),
-              "samples": samples, "lower": lower, "upper_slack": upper_slack}
-    return DichotomyReport("dichotomy", family, t, list(sizes),
-                           [float(v) for v in values], seed, config, passed)
+              "lower": lower, "upper_slack": upper_slack}
+    return DichotomyReport("dichotomy", family, t, list(sizes), values,
+                           config, passed)
 
 
 def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
@@ -783,11 +783,14 @@ def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
     For each unordered pair of parameters, the witness built from the finer
     pair (smaller p, then smaller q) diverges there and converges in the
     coarser ideal whenever p differs or q does; identical pairs report
-    identical flags.  Ideal norms of the truncated witness diagonal operator
+    identical flags.  One witness pass runs per distinct fine pair, probing
+    the fine pair and each of its coarse partners once; a probe's sums do
+    not depend on the other probes, so each flag is the one a pass of its
+    own would give.  Ideal norms of the truncated witness diagonal operator
     are tabulated alongside, at each length of ``norm_lengths``: the witness
     is nonincreasing and positive, so it is that operator's own sequence of
     approximation numbers, and its Lorentz norm is the ideal norm without
-    an L x L matrix or an SVD.
+    an L x L matrix or an SVD.  Nothing is drawn.
     """
     for key, values in (("p_list", p_list), ("q_list", q_list)):
         if not values:
@@ -797,26 +800,36 @@ def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
         raise DomainError(f"norm_lengths needs entries >= 1, the largest "
                           f">= 4, got {list(norm_lengths)}")
     pairs_all = [(float(p), float(q)) for p in p_list for q in q_list]
+    pairs = [tuple(sorted((a, b)))
+             for i, a in enumerate(pairs_all) for b in pairs_all[i:]]
+    # fine pair -> the probes of its witness: itself, then its partners
+    probes: dict = {}
+    for fine, coarse in pairs:
+        probes.setdefault(fine, {fine: None})[coarse] = None
+    flags, witnesses = {}, {}
+    for fine, params in probes.items():
+        _, report = witness_sequence(fine[0], fine[1], N,
+                                     probe_params=list(params))
+        flags.update(((fine, param), probe.flag)
+                     for param, probe in zip(params, report.probes))
+        witnesses[fine], _ = witness_sequence(fine[0], fine[1],
+                                              max(norm_lengths))
     results = []
     passed = True
-    for i, a in enumerate(pairs_all):
-        for b in pairs_all[i:]:
-            fine, coarse = sorted((a, b))
-            _, report = witness_sequence(fine[0], fine[1], N,
-                                         probe_params=[fine, coarse])
-            flag_fine, flag_coarse = (pr.flag for pr in report.probes)
-            entry = {"pair_a": list(fine), "pair_b": list(coarse),
-                     "flag_fine": flag_fine, "flag_coarse": flag_coarse,
-                     "separated": flag_fine != flag_coarse}
-            eps, _ = witness_sequence(fine[0], fine[1], max(norm_lengths))
-            entry["ideal_norms"] = {
-                str(L): {
-                    "fine": lorentz_norm(eps[:L], LorentzParams(*fine)),
-                    "coarse": lorentz_norm(eps[:L], LorentzParams(*coarse))}
-                for L in norm_lengths}
-            # distinct parameter pairs must separate, identical ones must not
-            passed &= entry["separated"] == (fine != coarse)
-            results.append(entry)
+    for fine, coarse in pairs:
+        flag_fine, flag_coarse = flags[fine, fine], flags[fine, coarse]
+        entry = {"pair_a": list(fine), "pair_b": list(coarse),
+                 "flag_fine": flag_fine, "flag_coarse": flag_coarse,
+                 "separated": flag_fine != flag_coarse}
+        eps = witnesses[fine]
+        entry["ideal_norms"] = {
+            str(L): {
+                "fine": lorentz_norm(eps[:L], LorentzParams(*fine)),
+                "coarse": lorentz_norm(eps[:L], LorentzParams(*coarse))}
+            for L in norm_lengths}
+        # distinct parameter pairs must separate, identical ones must not
+        passed &= entry["separated"] == (fine != coarse)
+        results.append(entry)
     config = {"p_list": [float(p) for p in p_list],
               "q_list": [float(q) for q in q_list], "N": N,
               "norm_lengths": list(norm_lengths)}

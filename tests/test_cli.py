@@ -285,7 +285,7 @@ class TestConfigErrors:
         monkeypatch.setattr(verify, "k_sphere_sup", no_k)
         cfg = tmp_path / "d.json"
         cfg.write_text(json.dumps({"family": "l1_linf", "t": t,
-                                   "sizes": [4, 8], "samples": 8}))
+                                   "sizes": [4, 8]}))
         out = tmp_path / "x.json"
         code = run_cli(["verify", "dichotomy", "--config", str(cfg),
                         "--seed", "0", "--out", str(out)])
@@ -628,7 +628,7 @@ WRONG_TYPES = {
               {"p0": 1.0, "p1": 2.0, "theta": 0.5, "q": 1.0,
                "witness_length": True}],
     "dichotomy": [{"family": "l1_linf", "t": 0.25, "sizes": [9],
-                   "samples": "8"},
+                   "lower": "0.99"},
                   {"family": "l1_linf", "sizes": [9], "t": {"v": 1}}],
     "distinctness": [{"p_list": [2.0], "q_list": [1.0], "N": 1024.0},
                      {"p_list": [2.0], "N": 1024, "q_list": ["1"]}],
@@ -709,7 +709,7 @@ def test_trace_ignored_without_keep_trace(check, config, tmp_path):
 
 @pytest.mark.parametrize("check, config, echoed", [
     ("dichotomy", {"family": "l1_geometric", "t": 0.25, "sizes": [9]},
-     {"samples": 32, "lower": 0.99, "upper_slack": 1e-9}),
+     {"lower": 0.99, "upper_slack": 1e-9}),
     ("distinctness", {"p_list": [2.0], "q_list": [1.0], "N": 1024},
      {"norm_lengths": [16, 64]}),
     ("sum-intersection", {"theta": 0.3, "p": 1.0, "dims": [4], "count": 4},
@@ -1017,7 +1017,7 @@ class TestRowsFromArrays:
 
 
 @pytest.mark.parametrize("check", ["mainlema", "sum-intersection",
-                                   "reiteration", "konig", "dichotomy"])
+                                   "reiteration", "konig"])
 def test_negative_seed_is_a_config_error(check, tmp_path, capsys):
     path, out = tmp_path / "c.json", tmp_path / "r.json"
     path.write_text(json.dumps(SMALL_CONFIGS[check]))
@@ -1029,12 +1029,16 @@ def test_negative_seed_is_a_config_error(check, tmp_path, capsys):
 
 
 def test_seedless_check_takes_any_seed(tmp_path):
-    # distinctness has no seed parameter: --seed is only echoed
-    path, out = tmp_path / "c.json", tmp_path / "r.json"
-    path.write_text(json.dumps(SMALL_CONFIGS["distinctness"]))
-    assert run_cli(["verify", "distinctness", "--config", str(path),
-                    "--seed", "-1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["seed"] == -1
+    # distinctness and dichotomy have no seed parameter: --seed is only
+    # echoed, and the report body carries none
+    for check in ("distinctness", "dichotomy"):
+        path, out = tmp_path / "c.json", tmp_path / f"{check}.json"
+        path.write_text(json.dumps(SMALL_CONFIGS[check]))
+        assert run_cli(["verify", check, "--config", str(path),
+                        "--seed", "-1", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["seed"] == -1
+        assert "seed" not in payload["report"]
 
 
 # every command's argument list, and verify's with --trace; OUT and TRACE

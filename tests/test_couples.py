@@ -1121,17 +1121,17 @@ class TestEndpoints:
 class TestSphereSup:
     def test_normalization_at_t_one(self):
         c = l1_linf_couple(5)
-        assert k_sphere_sup(c, 1.0, samples=8, seed=0) == pytest.approx(1.0)
+        assert k_sphere_sup(c, 1.0) == pytest.approx(1.0)
 
     def test_nonordered_family_stays_near_one(self):
         ks = np.arange(-8, 9, dtype=float)
         c = power_couple(1.0, 2.0 ** ks, 2.0 ** (-ks), offset=-8)
-        assert k_sphere_sup(c, 0.25, samples=16, seed=3) >= 0.99
+        assert k_sphere_sup(c, 0.25) >= 0.99
 
     def test_ordered_family_bounded_by_t(self):
         c = l1_linf_couple(6)
         t = 0.25
-        val = k_sphere_sup(c, t, samples=16, seed=3)
+        val = k_sphere_sup(c, t)
         assert val <= t * (1 + 1e-12)
 
     def test_bounded_by_max_one_t(self):
@@ -1139,7 +1139,39 @@ class TestSphereSup:
         for t in (0.1, 1.0, 7.0):
             c = weighted_sup_couple(2.0 ** rng.uniform(-2, 2, 5),
                                     2.0 ** rng.uniform(-2, 2, 5))
-            assert k_sphere_sup(c, t, samples=8, seed=1) <= max(1.0, t) * (1 + 1e-12)
+            assert k_sphere_sup(c, t) <= max(1.0, t) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("t", [2.0 ** -6, 0.25, 1.0, 3.0, 2.0 ** 6])
+    def test_geometric_family_is_its_best_spike(self, t):
+        # at p = 1 a spike's K is its weight factor min(w0_k, t w1_k)
+        for dim in range(1, 34, 2):
+            half = (dim - 1) // 2
+            ks = range(-half, half + 1)
+            w0 = [2.0 ** k for k in ks]
+            w1 = [2.0 ** -k for k in ks]
+            c = power_couple(1.0, w0, w1, offset=-half)
+            assert k_sphere_sup(c, t) == max(
+                min(a, t * b) / min(a, b) for a, b in zip(w0, w1))
+
+    @pytest.mark.parametrize("t", [2.0 ** -5, 0.3, 1.0])
+    def test_l1_linf_ratio_is_t(self, t):
+        for dim in (1, 4, 9):
+            assert k_sphere_sup(l1_linf_couple(dim), t) == t
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_power_directions_stay_below_the_spikes(self, p):
+        # K_p(x, t)^p / K_p(x, 1)^p is a weighted mean of the spikes'
+        # ratios, so no direction beats the best spike beyond rounding
+        rng = np.random.default_rng(22)
+        for t in 2.0 ** np.arange(-5, 6):
+            d = int(rng.integers(2, 10))
+            c = power_couple(p, 2.0 ** rng.uniform(-3, 3, d),
+                             2.0 ** rng.uniform(-3, 3, d))
+            X = rng.standard_normal((500, d)) * 2.0 ** rng.uniform(
+                -4, 4, (500, d))
+            ratios = c.k_batch(X, t) / c.k_batch(X, 1.0)
+            top = k_sphere_sup(c, t)
+            assert np.max(ratios) <= top * (1 + 2e-15)
 
 
 # ---------------------------------------------------------------------------

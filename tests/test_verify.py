@@ -10,7 +10,7 @@ from interpk import (EmptyReportError, InterpParams, check_konig,
                      oracle_agreement)
 from interpk.couples import WeightedNorm, vec
 from interpk.snum import (LorentzParams, diag_operator, ideal_norm,
-                          witness_sequence)
+                          lorentz_norm, witness_sequence)
 from interpk import verify
 from interpk._seeding import generator, pcg64_states
 from interpk.verify import (_floyd_supports, _nonincreasing_rows,
@@ -380,18 +380,23 @@ class TestCheckKonig:
 
 class TestDichotomy:
     def test_nonordered_family(self):
-        r = dichotomy_sweep("l1_geometric", 0.25, [9, 13, 17], seed=3)
+        r = dichotomy_sweep("l1_geometric", 0.25, [9, 13, 17])
         assert r.passed
         assert all(v >= 0.99 for v in r.values)
 
     def test_t_one_exact(self):
-        r = dichotomy_sweep("l1_geometric", 1.0, [9], seed=3)
+        r = dichotomy_sweep("l1_geometric", 1.0, [9])
         assert r.values[0] == pytest.approx(1.0)
 
     def test_ordered_family_bounded(self):
-        r = dichotomy_sweep("l1_linf", 0.25, [4, 8], seed=3)
+        r = dichotomy_sweep("l1_linf", 0.25, [4, 8])
         assert r.passed
         assert all(v <= 0.25 * (1 + 1e-9) for v in r.values)
+
+    def test_geometric_family_stays_at_max_one_t(self):
+        # sampled directions rounded this sweep to 3.0000000000000004,
+        # above the proven bound max(1, t)
+        assert dichotomy_sweep("l1_geometric", 3.0, [5]).values == [3.0]
 
 
 class TestDistinctness:
@@ -418,6 +423,32 @@ class TestDistinctness:
                 assert norms == {
                     "fine": ideal_norm(T, LorentzParams(*entry["pair_a"])),
                     "coarse": ideal_norm(T, LorentzParams(*entry["pair_b"]))}
+
+    def test_report_equals_one_pass_per_pair(self):
+        # oracle: one witness pass per unordered pair, probing its fine and
+        # coarse pairs, and one norm witness per pair
+        p_list, q_list, N = [1.0, 4.0 / 3.0, 2.0], [0.5, 1.0, 2.0], 2 ** 12
+        pairs_all = [(p, q) for p in p_list for q in q_list]
+        results = []
+        for i, a in enumerate(pairs_all):
+            for b in pairs_all[i:]:
+                fine, coarse = sorted((a, b))
+                _, report = witness_sequence(fine[0], fine[1], N,
+                                             probe_params=[fine, coarse])
+                flag_fine, flag_coarse = (pr.flag for pr in report.probes)
+                eps, _ = witness_sequence(fine[0], fine[1], 64)
+                results.append({
+                    "pair_a": list(fine), "pair_b": list(coarse),
+                    "flag_fine": flag_fine, "flag_coarse": flag_coarse,
+                    "separated": flag_fine != flag_coarse,
+                    "ideal_norms": {str(L): {
+                        "fine": lorentz_norm(eps[:L], LorentzParams(*fine)),
+                        "coarse": lorentz_norm(eps[:L],
+                                               LorentzParams(*coarse))}
+                        for L in (16, 64)}})
+        r = distinctness_demo(p_list, q_list, N)
+        assert r.pairs == results
+        assert len(results) == 45
 
     def test_distinct_p_separates(self):
         r = distinctness_demo([1.0, 2.0], [1.5], 2 ** 14)

@@ -55,6 +55,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 
 # golden-section iterations per coordinate and per clip-level line search
@@ -99,16 +101,19 @@ def _golden_min(objective: Callable[[np.ndarray], np.ndarray],
 
 def _t_grid(T) -> tuple[np.ndarray, bool]:
     """T as a 2-d array, unbroadcast, and whether it was given as one t per
-    row.
+    row; DomainError unless every t is positive, so NaN is refused too.
 
     A scalar is a (1, 1) grid shared by every row and a 1-d array an
     (m, 1) column; a 2-d array is one (1, k) grid shared by every row or k
     values of t per row.  The exact K kernels of ``couples`` do their per-t
     arithmetic on this array, so a shared grid is worked once, not once per
     row; the descent, which stacks one row per (row, t), broadcasts it
-    (``_t_matrix``).
+    (``_t_matrix``).  Every K kernel and the descent read their t through
+    here, so this is the one place that checks it.
     """
     T = np.asarray(T, dtype=float)
+    if not np.all(T > 0):
+        raise DomainError("t must be positive")
     if T.ndim < 2:
         return T.reshape(-1, 1), True
     return T, False

@@ -51,8 +51,16 @@ for the exact routes.  The strategy names select what a couple may use:
 * ``oracle`` takes any norm pair: it uses the route where the route is
   exact and ``descent_route`` (budget 8, seed 0) everywhere else.
 
+K is defined for t > 0 only.  ``_descent._t_grid`` is the one rule for t:
+every kernel of the route table, the descent and the mirror identity read
+their t through it, and it refuses t <= 0 and NaN with DomainError, so no
+entry point (``Couple``, ``k_sphere_sup``, ``interp``'s derived couple and
+``sequence_couple_k``, ``snum``'s diagonal K) keeps a copy of the check.
+
 K-profiles sample K(x, 2^n) over a dyadic window; they are the discrete
-object every interpolation norm downstream consumes.  ``Couple.profile_batch``
+object every interpolation norm downstream consumes.  ``_n_window`` checks
+a window and returns its exponents n and the grid's t = 2^n, the one place
+that builds a dyadic t-grid.  ``Couple.profile_batch``
 evaluates a whole grid of t per vector in one kernel call, so the exact
 kernels sort (or build their vertex chain) once per vector, not once per t.
 A grid shared by every row, and a scalar t (``Couple.k_batch`` passes it as
@@ -253,8 +261,9 @@ class KRoute(NamedTuple):
 def _mirrored(route: KRoute) -> KRoute:
     """The route of (A1, A0) from that of (A0, A1)."""
     def kernel(X, T):
-        T = np.asarray(T, dtype=float)
-        return T * route.kernel(X, 1.0 / T)
+        T, per_row = _t_grid(T)
+        out = T * route.kernel(X, 1.0 / T)
+        return out[:, 0] if per_row else out
     return route._replace(kernel=kernel)
 
 
@@ -379,16 +388,12 @@ class Couple:
         T = np.asarray(T, dtype=float)
         T = (T.reshape(1, 1) if T.ndim == 0
              else np.broadcast_to(T, (X.shape[0],))[:, None])
-        if np.any(T <= 0):
-            raise DomainError("t must be positive")
         return self.route.kernel(X, T)[:, 0]
 
     def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
         """K at every row of X and every t of ``t_grid``: (m, len(t_grid))."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         grid = np.asarray(t_grid, dtype=float).reshape(1, -1)
-        if np.any(grid <= 0):
-            raise DomainError("t must be positive")
         return self.route.kernel(X, grid)
 
     def k(self, x: FiniteVector, t: float) -> float:
@@ -716,10 +721,10 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _n_window(n_min: int, n_max: int) -> np.ndarray:
-    """The exponents n_min..n_max of a dyadic grid t = 2^n; DomainError
-    when the window is empty or 2^n at an end is not a positive normal
-    float (n outside [-1022, 1023])."""
+def _n_window(n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents n = n_min..n_max of a dyadic grid and its t = 2^n;
+    DomainError when the window is empty or 2^n at an end is not a positive
+    normal float (n outside [-1022, 1023])."""
     lo, hi = np.finfo(float).minexp, np.finfo(float).maxexp - 1
     for key, n in (("n_min", n_min), ("n_max", n_max)):
         if not lo <= n <= hi:
@@ -728,7 +733,8 @@ def _n_window(n_min: int, n_max: int) -> np.ndarray:
     if n_min > n_max:
         raise DomainError(f"need n_min <= n_max, got n_min = {n_min} and "
                           f"n_max = {n_max}")
-    return np.arange(n_min, n_max + 1)
+    n = np.arange(n_min, n_max + 1)
+    return n, 2.0 ** n.astype(float)
 
 
 def _monotone_envelope(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -751,8 +757,7 @@ def k_profile(x: FiniteVector, couple: Couple, n_min: int, n_max: int) -> KProfi
     A descent profile is replaced by its ``_monotone_envelope``; every
     profile is then validated.
     """
-    grid = _n_window(n_min, n_max)
-    t = 2.0 ** grid.astype(float)
+    _, t = _n_window(n_min, n_max)
     values = couple.profile_batch(couple.embed(x), t)[0]
     if couple.route.name == "descent":
         values = _monotone_envelope(values, t)
@@ -778,14 +783,14 @@ def k_sphere_sup(couple: Couple, t: float) -> float:
     Those are ``verify.dichotomy_sweep``'s two families.  On every other
     route it is a lower bound for that sup.  Always <= max(1, t).
     """
-    if not (t > 0):
-        raise DomainError("t must be positive")
     spikes = np.eye(couple.dim)
+    # t first, so a t the kernels refuse is refused before any other work
+    k_t = couple.k_batch(spikes, t)
     k_one = couple.k_batch(spikes, 1.0)
     keep = k_one > 1e-300
     if not np.any(keep):
         return 0.0
-    return float(np.max(couple.k_batch(spikes[keep], t) / k_one[keep]))
+    return float(np.max(k_t[keep] / k_one[keep]))
 
 
 # ---------------------------------------------------------------------------

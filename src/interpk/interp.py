@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._descent import _t_grid
 from .couples import (ORACLE_MAX_DIM, Couple, FiniteVector, KProfile,
                       WeightedNorm, _n_window, descent_route, k_profile,
                       k_route, l1_linf_couple, stable_lp_sum)
@@ -73,9 +74,6 @@ class InterpParams:
     def __post_init__(self):
         object.__setattr__(self, "q", _check_theta_q(self.theta, self.q))
 
-    def to_json(self) -> dict:
-        return {"theta": self.theta, "q": "inf" if math.isinf(self.q) else self.q}
-
     @staticmethod
     def from_json(data: dict) -> "InterpParams":
         q = data["q"]
@@ -99,16 +97,14 @@ class LatticeParam:
         w = np.asarray(self.lattice_weights, dtype=float)
         if w.ndim != 1 or len(w) == 0 or not np.all(w > 0):
             raise InvariantError("lattice weights must be positive")
+        if not np.all(np.isfinite(w)):
+            raise InvariantError("lattice weights must be finite")
         object.__setattr__(self, "lattice_weights", w)
         object.__setattr__(self, "n_min", int(self.n_min))
 
     @property
     def n_max(self) -> int:
         return self.n_min + len(self.lattice_weights) - 1
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_max + 1)
 
     def norm_of(self, values: np.ndarray) -> float:
         return float(stable_lp_sum(self.lattice_weights * np.abs(values),
@@ -119,18 +115,15 @@ class LatticeParam:
 
         On a finite window the norm is always finite; divergence of the
         infinite sum shows up as the weighted summand growing toward a
-        window edge, which is what this flags.
+        window edge, which is what this flags.  The window must be one that
+        ``couples._n_window`` admits, as for the profile it weighs.
         """
-        g = self.lattice_weights * np.minimum(1.0, 2.0 ** self.grid.astype(float))
+        g = self.lattice_weights * np.minimum(
+            1.0, _n_window(self.n_min, self.n_max)[1])
         if len(g) < 2:
             return True
         tol = 1.0 + rel_tol
         return g[0] <= g[1] * tol and g[-1] <= g[-2] * tol
-
-    def to_json(self) -> dict:
-        return {"r": "inf" if math.isinf(self.r) else self.r,
-                "n_min": self.n_min,
-                "lattice_weights": self.lattice_weights.tolist()}
 
 
 @dataclass(frozen=True)
@@ -309,7 +302,7 @@ def parameter_conditions(phi0: ParamSpace, phi1: ParamSpace, probes: int,
     """
     if probes < 1:
         raise DomainError("probes must be >= 1")
-    grid = _n_window(n_min, n_max)
+    grid, _ = _n_window(n_min, n_max)
     consts = _condition_constants(phi0, phi1, grid,
                                   _condition_probes(grid, probes, seed))
     half = np.arange(n_min // 2, n_max // 2 + 1)
@@ -373,9 +366,8 @@ class DerivedSumIntCouple:
         T = np.asarray(T, dtype=float)
         if T.ndim:
             T = np.broadcast_to(T, (X.shape[0],))
-        if np.any(T <= 0):
-            raise DomainError("t must be positive")
-        # a scalar t stays a scalar: the base kernels get one shared t
+        # a scalar t stays a scalar: the base kernels get one shared t; the
+        # left base call refuses a t <= 0 or NaN before 1/t is taken
         tc = np.minimum(T, 1.0)
         return self.base.k_batch(X, tc) + tc * self.base.k_batch(X, 1.0 / tc)
 
@@ -392,15 +384,13 @@ class DerivedSumIntCouple:
         """Surrogate K at every row of X and every t of ``t_grid``, from one
         base profile at every s = min(t, 1) and 1/s."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        s = np.minimum(np.asarray(t_grid, dtype=float), 1.0)
-        if np.any(s <= 0):
-            raise DomainError("t must be positive")
+        s = np.minimum(_t_grid(t_grid)[0].ravel(), 1.0)
         grid = np.sort(np.concatenate([s, 1.0 / s]))
         return self.surrogate(self.base.profile_batch(X, grid), grid, s)
 
     def profile(self, x: FiniteVector, n_min: int, n_max: int) -> KProfile:
-        grid = _n_window(n_min, n_max)
-        values = self.profile_batch(self.embed(x), 2.0 ** grid.astype(float))
+        _, t = _n_window(n_min, n_max)
+        values = self.profile_batch(self.embed(x), t)
         prof = KProfile(n_min, n_max, values[0])
         prof.validate(rel_tol=1e-9)
         return prof
@@ -452,7 +442,7 @@ class EndpointNorm:
         self.params = params
         self.n_min = n_min
         self.n_max = n_max
-        self._grid = _n_window(n_min, n_max)
+        self._grid, self._t = _n_window(n_min, n_max)
 
     @property
     def offset(self) -> int:
@@ -464,7 +454,7 @@ class EndpointNorm:
 
     def dense(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        prof = self.couple.profile_batch(X, 2.0 ** self._grid.astype(float))
+        prof = self.couple.profile_batch(X, self._t)
         return dyadic_norm(prof, self._grid, self.params.theta, self.params.q)
 
     def embed(self, x: FiniteVector) -> np.ndarray:

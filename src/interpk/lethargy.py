@@ -66,6 +66,8 @@ class DecaySpec:
             raise InvariantError("epsilon must be a nonempty 1-d array")
         if not np.all(eps > 0):
             raise InvariantError("epsilon must be positive")
+        if not np.all(np.isfinite(eps)):
+            raise InvariantError("epsilon must be finite")
         if np.any(np.diff(eps) > 0):
             raise InvariantError("epsilon must be nonincreasing")
         harr = np.asarray(self.h, dtype=int)
@@ -146,10 +148,6 @@ class StrictnessReport:
     sum_norm: float
     interp_norm: float
 
-    def to_json(self) -> dict:
-        return {"N": self.N, "int_norm": self.int_norm,
-                "sum_norm": self.sum_norm, "interp_norm": self.interp_norm}
-
 
 STRICTNESS_N_MIN = -40
 STRICTNESS_N_MAX = 40
@@ -201,8 +199,7 @@ def strictness_sweep(N_list: Sequence[int], params: InterpParams,
     if Ns[-1] > STRICTNESS_MAX_N:
         raise SizeError(f"N = {Ns[-1]} exceeds the strictness sweep's cap "
                         f"{STRICTNESS_MAX_N}")
-    grid = _n_window(n_min, n_max)
-    t = 2.0 ** grid.astype(float)
+    grid, t = _n_window(n_min, n_max)
     reports = {}
     start = 0
     while start < len(Ns):

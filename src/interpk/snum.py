@@ -13,12 +13,16 @@ ideals: their membership probes carry partial sums together with trend flags
 (finite data cannot prove summability, so the flags are indicators with
 fixed thresholds, not proofs).
 
-Every witness builder (``witness_sequence``, ``witness_trace``,
-``witness_samples``) reads one pass over blocks of ``_WITNESS_BLOCK``
-indices, with each probe's partial sum carried across blocks so that it
-equals one sequential cumsum bit for bit.  A witness's memory is its output
-(eps for ``witness_sequence``, the sampled rows for ``witness_samples``)
-plus a few blocks, not several N-length arrays.
+Every witness builder (``witness_sequence``, ``witness_report``,
+``witness_trace``, ``witness_samples``) reads one pass over blocks of
+``_WITNESS_BLOCK`` indices, with each probe's partial sum carried across
+blocks so that it equals one sequential cumsum bit for bit.  A witness's
+memory is its output (eps for ``witness_sequence``, the sampled rows for
+``witness_samples``) plus a few blocks, not several N-length arrays.
+``witness_report`` is the storage-free probe pass: it keeps no term, only
+each probe's sums at N // 2 and N, so the callers that read only the
+membership flags (``verify``'s ``konig`` and ``distinctness``) hold a few
+blocks whatever N.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._descent import _t_grid
 from .couples import stable_lp_sum
 from .errors import DomainError, InvariantError, SizeError
 from .interp import sequence_couple_k
@@ -36,7 +41,7 @@ from .interp import sequence_couple_k
 __all__ = [
     "MatrixOperator", "SNumSeq", "LorentzParams", "MembershipProbe",
     "WitnessReport", "approx_numbers", "lorentz_norm", "ideal_norm",
-    "diag_operator", "witness_sequence", "k_operator_diag",
+    "diag_operator", "witness_sequence", "witness_report", "k_operator_diag",
     "DIVERGING", "CONVERGING", "INDETERMINATE", "WITNESS_MAX_N",
 ]
 
@@ -54,9 +59,10 @@ K_DIAG_MAX_DIM = 128
 # indices per block of a witness pass
 _WITNESS_BLOCK = 4096
 # The longest witness any builder takes.  ``witness_sequence`` returns its
-# N terms (128 MiB at 2^24), and a pass is N / 4096 blocks of numpy calls,
-# about 0.4 s for the sampled rows of ``interpk witness`` at 2^24 and 0.6 s
-# for ``witness_sequence`` with two probes (2 vCPUs).  A larger N is refused
+# N terms (128 MiB at 2^24; ``witness_report`` stores none), and a pass is
+# N / 4096 blocks of numpy calls, about 0.4 s for the sampled rows of
+# ``interpk witness`` at 2^24 and 0.6 s for ``witness_sequence`` with two
+# probes (2 vCPUs).  A larger N is refused
 # with SizeError before anything is allocated.
 WITNESS_MAX_N = 2 ** 24
 
@@ -87,10 +93,6 @@ class MatrixOperator:
         if self.entries.size == 0:
             return 0.0
         return float(np.linalg.svd(self.entries, compute_uv=False)[0])
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": self.entries.tolist()}
 
     @staticmethod
     def from_json(data: dict) -> "MatrixOperator":
@@ -176,10 +178,6 @@ class MembershipProbe:
     total_sum: float
     flag: str
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "half_sum": self.half_sum,
-                "total_sum": self.total_sum, "flag": self.flag}
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -187,10 +185,6 @@ class WitnessReport:
     q: float
     length: int
     probes: tuple[MembershipProbe, ...]
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "length": self.length,
-                "probes": [pr.to_json() for pr in self.probes]}
 
 
 def _membership(p_star: float, q_star: float, half: float,
@@ -291,6 +285,17 @@ def witness_sequence(p: float, q: float, N: int,
     return eps, witness.report()
 
 
+def witness_report(p: float, q: float, N: int,
+                   probe_params: Sequence[tuple[float, float]] = ()
+                   ) -> WitnessReport:
+    """The report of ``witness_sequence(p, q, N, probe_params)`` without
+    its eps: the same pass, keeping no term, only each probe's two sums."""
+    witness = _WitnessPass(p, q, N, probe_params)
+    for _ in witness:
+        pass
+    return witness.report()
+
+
 def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):
     """Per-index trace (n, eps_n, summand, partial_sum) for CSV export."""
     witness = _WitnessPass(p, q, N, [(p_star, q_star)])
@@ -340,9 +345,8 @@ def k_operator_diag(sigma, t: float, p0: float, p1: float,
     """
     seq = SNumSeq(np.asarray(sigma, dtype=float))
     x = seq.values
-    if not (t > 0):
-        raise DomainError("t must be positive")
     if len(x) == 0:
+        _t_grid(t)  # no kernel reads t here, so refuse a bad one directly
         return 0.0
     if len(x) > K_DIAG_MAX_DIM:
         raise SizeError(f"diagonal K limited to length {K_DIAG_MAX_DIM}")

@@ -61,7 +61,7 @@ from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams,
                      _check_theta_q, derived_sum_int_couple, dyadic_norm,
                      dyadic_weights, sequence_couple_k)
 from .snum import (LorentzParams, k_operator_diag_batch, lorentz_norm,
-                   witness_sequence)
+                   witness_report, witness_sequence)
 
 __all__ = [
     "EquivReport", "DichotomyReport", "DistinctnessReport",
@@ -88,7 +88,6 @@ class EquivReport:
     per_dimension: dict
     config: dict
     passed: bool | None = None
-    notes: str = ""
     trace: list | None = None
 
     def __post_init__(self):
@@ -96,14 +95,12 @@ class EquivReport:
             raise InvariantError("need 0 < min_ratio <= max_ratio")
 
     def to_json(self) -> dict:
-        out = {"check": self.check, "seed": self.seed,
-               "sample_count": self.sample_count,
-               "min_ratio": self.min_ratio, "max_ratio": self.max_ratio,
-               "per_dimension": {str(k): v for k, v in self.per_dimension.items()},
-               "config": self.config, "pass": self.passed}
-        if self.notes:
-            out["notes"] = self.notes
-        return out
+        return {"check": self.check, "seed": self.seed,
+                "sample_count": self.sample_count,
+                "min_ratio": self.min_ratio, "max_ratio": self.max_ratio,
+                "per_dimension": {str(k): v
+                                  for k, v in self.per_dimension.items()},
+                "config": self.config, "pass": self.passed}
 
 
 @dataclass
@@ -618,13 +615,12 @@ def check_sum_intersection(theta: float, p: float,
     side also reads.
     """
     _check_theta_q(theta, p, ("theta", "p"))
-    grid = _n_window(n_min, n_max)
+    grid, t = _n_window(n_min, n_max)
     if n_min != -n_max:
         raise DomainError(f"the derived profile needs a symmetric window "
                           f"n_min = -n_max, got n_min = {n_min} and "
                           f"n_max = {n_max}")
     low_half = grid <= 0
-    t = 2.0 ** grid.astype(float)
     w_theta = dyadic_weights(theta, grid)
     w_mirror = dyadic_weights(1.0 - theta, grid)
     derived = {dim: derived_sum_int_couple(couple_family(family, dim))
@@ -676,11 +672,11 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
                                   (("theta0", "p"), theta0, p),
                                   (("theta1", "q"), theta1, q)):
         _check_theta_q(theta, exponent, keys)
-    grid = _n_window(n_min, n_max)
+    grid, t = _n_window(n_min, n_max)
     w0 = dyadic_weights(theta0, grid)
     w1 = dyadic_weights(theta1, grid)
     theta_bar = (1.0 - alpha) * theta0 + alpha * theta1
-    t_grid = (2.0 ** grid.astype(float))[None, :]
+    t_grid = t[None, :]
     couples = {dim: couple_family(family, dim) for dim in dims}
 
     def pair(dim, X):
@@ -716,8 +712,8 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
     inv_p = (1.0 - theta) / _parse_p(p0, "p0") + theta / _parse_p(p1, "p1")
     params = LorentzParams(1.0 / inv_p if inv_p else math.inf, q)
     p = params.p
-    grid = _n_window(n_min, n_max)
-    t_grid = (2.0 ** grid.astype(float))[None, :]
+    grid, t = _n_window(n_min, n_max)
+    t_grid = t[None, :]
 
     def pair(length, S):
         KK = k_operator_diag_batch(S, t_grid, p0, p1, seed=seed)
@@ -728,8 +724,8 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
 
     # the witness first: a witness_length above snum.WITNESS_MAX_N is
     # refused before the sweep draws anything
-    _, witness = witness_sequence(p, q, witness_length,
-                                  probe_params=[(p, q), (p, 2.0 * q)])
+    witness = witness_report(p, q, witness_length,
+                             probe_params=[(p, q), (p, 2.0 * q)])
     report = _sweep_report("konig", seed, _nonincreasing_rows, count,
                            lengths, pair, keep_trace)
     flags = [probe.flag for probe in witness.probes]
@@ -808,8 +804,8 @@ def distinctness_demo(p_list: Sequence[float], q_list: Sequence[float],
         probes.setdefault(fine, {fine: None})[coarse] = None
     flags, witnesses = {}, {}
     for fine, params in probes.items():
-        _, report = witness_sequence(fine[0], fine[1], N,
-                                     probe_params=list(params))
+        report = witness_report(fine[0], fine[1], N,
+                                probe_params=list(params))
         flags.update(((fine, param), probe.flag)
                      for param, probe in zip(params, report.probes))
         witnesses[fine], _ = witness_sequence(fine[0], fine[1],

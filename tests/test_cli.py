@@ -494,6 +494,26 @@ class TestConfigErrors:
         assert "error: config key h:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config", [
+        ("lattice-norm", {"couple": {"norm0": {"p": 1, "weights": [1, 1, 1]},
+                                     "norm1": {"p": "inf",
+                                               "weights": [1, 1, 1]},
+                                     "strategy": "exact_l1_linf"},
+                          "vector": {"entries": [3, 1, 2]}, "r": 2,
+                          "n_min": -2, "lattice_weights": ["BIG"] * 5}),
+        ("lift", {"epsilon": ["BIG", 1.0], "h": [2, 2], "N": 2})])
+    def test_float_overflow_to_inf_is_refused(self, command, config,
+                                              tmp_path, capsys):
+        # JSON 1e400 reads as inf: lattice-norm wrote "value": NaN and lift
+        # inf rows, both with exit 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config).replace('"BIG"', "1e400"))
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(path), "--out",
+                        str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lift_epsilon_too_large_for_a_float(self, tmp_path, capsys):
         path = tmp_path / "l.json"
         path.write_text(json.dumps({"epsilon": [10 ** 400, 0.5],

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -604,6 +605,76 @@ class TestKRoute:
                 assert c.k(x, t) <= descent * (1 + 1e-12)
 
 
+BAD_T = [0.0, -1.0, math.nan]
+
+# pairs that no route answers: sequence_couple_k descends on them
+DESCENT_PAIRS = [(1.0, 0.5), (2.0, 3.0), (math.inf, 2.0)]
+
+
+def refuses_t(call):
+    """``call()`` raises the one t refusal, before any RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="t must be positive"):
+            call()
+
+
+def t_forms(bad):
+    """A bad t as a scalar, inside a per-row vector of two rows, and inside
+    a (1, k) grid."""
+    return [bad, np.array([1.0, bad]), np.array([[0.5, bad, 2.0]])]
+
+
+class TestTRule:
+    """Every K entry point refuses t <= 0 and NaN with DomainError, whatever
+    the route, as a scalar or anywhere in a vector or grid of t."""
+
+    @pytest.mark.parametrize("bad", BAD_T)
+    @pytest.mark.parametrize("case", sorted(ROUTE_TABLE) + ["descent"])
+    def test_couple_entry_points(self, case, bad):
+        (p0, p1), _, _, strategies, _ = ROUTE_TABLE.get(
+            case, ((1.0, 0.5), None, None, (), None))
+        c = Couple(WeightedNorm(p0, 0, np.ones(3)),
+                   WeightedNorm(p1, 0, np.ones(3)),
+                   (strategies or (ORACLE,))[0])
+        X = np.ones((2, 3))
+        refuses_t(lambda: c.k_batch(X, bad))
+        refuses_t(lambda: c.k_batch(X, [1.0, bad]))
+        refuses_t(lambda: c.profile_batch(X, [0.5, bad, 2.0]))
+        refuses_t(lambda: k_sphere_sup(c, bad))
+
+    @pytest.mark.parametrize("bad", BAD_T)
+    @pytest.mark.parametrize("family", ["l1_linf", "l1_geometric"])
+    def test_derived_couple(self, family, bad):
+        from interpk.verify import couple_family
+        derived = derived_sum_int_couple(couple_family(family, 3))
+        X = np.ones((2, 3))
+        refuses_t(lambda: derived.k_batch(X, bad))
+        refuses_t(lambda: derived.k_batch(X, [1.0, bad]))
+        refuses_t(lambda: derived.profile_batch(X, [0.5, bad, 2.0]))
+        for T in t_forms(bad):
+            refuses_t(lambda: derived.k_oracle_batch(X, T))
+
+    @pytest.mark.parametrize("bad", BAD_T)
+    @pytest.mark.parametrize("pair", [ROUTE_TABLE[case][0]
+                                      for case in sorted(ROUTE_TABLE)]
+                             + DESCENT_PAIRS)
+    def test_sequence_couple_k_and_diagonal_operators(self, pair, bad):
+        from interpk.snum import k_operator_diag
+        p0, p1 = pair
+        # unit weights keep the (l1, linf) rows on their route
+        w1 = np.ones(3) if {p0, p1} == {1.0, math.inf} else np.full(3, 2.0)
+        n0, n1 = WeightedNorm(p0, 0, np.ones(3)), WeightedNorm(p1, 0, w1)
+        assert (k_route(n0, n1) is None) == (pair in DESCENT_PAIRS)
+        V = np.ones((2, 3))
+        for T in t_forms(bad):
+            refuses_t(lambda: sequence_couple_k(V, T, p0, np.ones(3), p1,
+                                                w1))
+            refuses_t(lambda: k_operator_diag_batch(V, T, p0, p1))
+        refuses_t(lambda: k_operator_diag([1.0, 0.5], bad, p0, p1))
+        refuses_t(lambda: k_operator_diag([], bad, p0, p1))
+
+
 class TestL1LpKernel:
     """The closed form for (l1(w0), lp(w1)), 1 < p < inf."""
 
@@ -974,6 +1045,14 @@ class TestKProfile:
     def test_bad_window(self):
         with pytest.raises(DomainError):
             k_profile(vec([1.0]), l1_linf_couple(1), 2, 1)
+
+    def test_window_t_is_exactly_two_to_the_n(self):
+        # the widest window: its ends are the least and largest normal
+        # powers of two
+        n, t = couples._n_window(-1022, 1023)
+        assert n.tolist() == list(range(-1022, 1024))
+        assert t.tobytes() == (2.0 ** n.astype(float)).tobytes()
+        assert t.tolist() == [math.ldexp(1.0, k) for k in range(-1022, 1024)]
 
     def test_concavity_in_t_exact_strategies(self):
         rng = np.random.default_rng(9)

@@ -97,6 +97,12 @@ class TestLatticeNorm:
         E = LatticeParam(2.0, -5, np.ones(11))
         assert lattice_norm(vec([0.0]), unit_coordinate_couple(), E) == 0.0
 
+    def test_infinite_weights_rejected(self):
+        # JSON 1e400 reads as inf; the norm came out nan
+        with pytest.raises(InvariantError,
+                           match="lattice weights must be finite"):
+            LatticeParam(2.0, -2, [1.0, math.inf, 1.0])
+
     def test_k_nontriviality_rejected(self):
         # weights growing like 2^{-2n} blow up the min(1, 2^n) norm
         grid = np.arange(-8, 9, dtype=float)

@@ -114,6 +114,11 @@ class TestLiftSequence:
         with pytest.raises(InvariantError):
             DecaySpec([1.0, -0.5], [1, 2])     # nonpositive eps
 
+    def test_infinite_epsilon_rejected(self):
+        # JSON 1e400 reads as inf; lift wrote inf rows from it
+        with pytest.raises(InvariantError, match="epsilon must be finite"):
+            DecaySpec([math.inf, 1.0], [1, 2])
+
     def test_bad_length(self):
         spec = DecaySpec([1.0, 0.5], [1, 2])
         with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from interpk import snum
 from interpk.snum import (_WITNESS_BLOCK, CONVERGENCE_TAIL_RATIO, CONVERGING,
                           DIVERGENCE_INCREMENT, DIVERGING, INDETERMINATE,
                           WITNESS_MAX_N, k_operator_diag_batch,
-                          witness_samples, witness_trace)
+                          witness_report, witness_samples, witness_trace)
 
 
 class TestApproxNumbers:
@@ -259,6 +259,14 @@ class TestStreamedWitness:
             assert (probe.p, probe.q) == (p_star, q_star)
             assert (probe.half_sum, probe.total_sum) == (half, total)
             assert probe.flag == reference_flag(half, total)
+
+    @pytest.mark.parametrize("N", STREAM_LENGTHS)
+    @pytest.mark.parametrize("probes", [
+        (), ((2.0, 1.0),), ((4 / 3, 2.0), (4 / 3, 4.0))],
+        ids=["no-probe", "one-probe", "two-probes"])
+    def test_report_equals_the_sequence_report(self, N, probes):
+        assert witness_report(4 / 3, 2.0, N, probes) == witness_sequence(
+            4 / 3, 2.0, N, probes)[1]
 
     @pytest.mark.parametrize("N", STREAM_LENGTHS)
     def test_trace_equals_whole_arrays(self, N):

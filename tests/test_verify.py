@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,16 @@ class TestDistinctness:
         r = distinctness_demo(p_list, q_list, N)
         assert r.pairs == results
         assert len(results) == 45
+
+    def test_flag_pass_stores_no_witness(self):
+        # the length-N pass stored its 2^22 terms: 32.2 MiB
+        tracemalloc.start()
+        try:
+            distinctness_demo([2.0], [1.0], 2 ** 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_distinct_p_separates(self):
         r = distinctness_demo([1.0, 2.0], [1.5], 2 ** 14)

@@ -51,6 +51,7 @@ the last bits.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -107,9 +108,9 @@ def _t_grid(T) -> tuple[np.ndarray, bool]:
     (m, 1) column; a 2-d array is one (1, k) grid shared by every row or k
     values of t per row.  The exact K kernels of ``couples`` do their per-t
     arithmetic on this array, so a shared grid is worked once, not once per
-    row; the descent, which stacks one row per (row, t), broadcasts it
-    (``_t_matrix``).  Every K kernel and the descent read their t through
-    here, so this is the one place that checks it.
+    row; the descent, which stacks one row per (row, t), broadcasts it.
+    Every K kernel and the descent read their t through here (``k_kernel``),
+    so this is the one place that checks it.
     """
     T = np.asarray(T, dtype=float)
     if not np.all(T > 0):
@@ -123,6 +124,27 @@ def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
     """``_t_grid`` broadcast to an (m, k) matrix."""
     T, per_row = _t_grid(T)
     return np.broadcast_to(T, (m, T.shape[1])), per_row
+
+
+def k_kernel(core):
+    """The K call contract around ``core(X, T, *args, **kwargs)``.
+
+    The adapted kernel takes X as an (m, d) array or one (d,) row, and T as
+    a scalar, one t per row, or an (m, k)/(1, k) grid.  It turns X into a
+    2-d float array, reads T through ``_t_grid`` (so a bad t is refused at
+    d = 0 too), answers d = 0 with zeros without calling ``core``, and
+    returns an (m,) result for one t per row and (m, k) for a grid.  So
+    ``core`` sees a 2-d X with d >= 1 and the unbroadcast 2-d T of
+    ``_t_grid``, and returns (m, k).
+    """
+    @functools.wraps(core)
+    def kernel(X, T, *args, **kwargs):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        T, per_row = _t_grid(T)
+        out = (core(X, T, *args, **kwargs) if X.shape[1]
+               else np.zeros((len(X), T.shape[1])))
+        return out[:, 0] if per_row else out
+    return kernel
 
 
 def probe_scales(norm: BatchNorm, dim: int) -> np.ndarray:
@@ -156,6 +178,7 @@ def _clip_search(X, T, pay_clip, pay_rest, scale, iters):
     return clip, val
 
 
+@k_kernel
 def decomposition_infimum(
     X: np.ndarray,
     T,
@@ -169,12 +192,17 @@ def decomposition_infimum(
 ):
     """Upper approximation of inf{norm0(a) + t*norm1(x-a)} for each row of X.
 
-    ``T`` follows ``_t_matrix``: a scalar or a 1-d array gives one t per row
-    and an (m,) result; an (m, k) array, or a (1, k) grid shared by every
+    ``X`` and ``T`` follow ``k_kernel``: a scalar or a 1-d T gives one t per
+    row and an (m,) result; an (m, k) array, or a (1, k) grid shared by every
     row, gives an (m, k) result.  ``scale0``/``scale1`` are the
     per-coordinate amplitude scales of the two norms used by the clip
     families, shared (d,) or per row (m, d); they default to probing the
     norms on basis vectors.
+
+    The engine has no size guard of its own: every K entry point descends
+    through ``couples.descent_route``, which refuses rows wider than
+    ``couples.ORACLE_MAX_DIM``; ``verify.oracle_agreement`` calls the engine
+    directly with its own ``max_dim``.
 
     The norms see stacked rows: row r belongs to X row ``(r % (m*k)) // k``
     and to its t number ``r % k``, and each block of m*k rows is one start.
@@ -184,13 +212,8 @@ def decomposition_infimum(
     values of t, so one (m, k) call equals k per-t calls with the same seed
     bit for bit.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
-    T, per_row = _t_matrix(T, m)
     k = T.shape[1]
-    if d == 0:
-        out = np.zeros((m, k))
-        return out[:, 0] if per_row else out
     if scale0 is None:
         scale0 = probe_scales(norm0, d)
     if scale1 is None:
@@ -201,7 +224,7 @@ def decomposition_infimum(
     scale0, scale1 = (_repeat_rows(np.where(s > 0, s, 1.0), m, k)
                       for s in (scale0, scale1))
     X = _repeat_rows(X, m, k)
-    T = T.reshape(-1)
+    T = np.broadcast_to(T, (m, k)).reshape(-1)
 
     best = np.minimum(norm0(X), T * norm1(X))
 
@@ -251,4 +274,4 @@ def decomposition_infimum(
     for val in objective(A).reshape(len(starts), -1):
         best = np.minimum(best, val)
 
-    return best if per_row else best.reshape(m, k)
+    return best.reshape(m, k)

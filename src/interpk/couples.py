@@ -40,7 +40,9 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
   decompositions (``_descent.decomposition_infimum``).  It is an upper
   approximation, and it reports the band (1, 1) all the same.  It is the one
   place that builds a descent K: ``oracle`` couples, ``sequence_couple_k``
-  and the derived couple call it with their own budget and seed.
+  (so ``snum``'s diagonal K) and the derived couple call it with their own
+  budget and seed.  Its kernel refuses rows of more than ``ORACLE_MAX_DIM``
+  (16) coordinates with SizeError before the engine runs.
 
 A route carries its band: ``band[0] <= K_route / K_true <= band[1]``, (1, 1)
 for the exact routes.  The strategy names select what a couple may use:
@@ -51,11 +53,18 @@ for the exact routes.  The strategy names select what a couple may use:
 * ``oracle`` takes any norm pair: it uses the route where the route is
   exact and ``descent_route`` (budget 8, seed 0) everywhere else.
 
-K is defined for t > 0 only.  ``_descent._t_grid`` is the one rule for t:
-every kernel of the route table, the descent and the mirror identity read
-their t through it, and it refuses t <= 0 and NaN with DomainError, so no
-entry point (``Couple``, ``k_sphere_sup``, ``interp``'s derived couple and
+Every kernel of the route table, the descent engine and the mirror
+identity share one call contract, the adapter ``_descent.k_kernel``: X is
+an (m, d) array or one (d,) row, and T a scalar or one t per row (an (m,)
+result) or an (m, k)/(1, k) grid (an (m, k) result).  The adapter turns X
+into a 2-d float array, answers d = 0 with zeros and unwraps the result
+for one t per row, so a kernel is only its 2-d core.  K is defined for
+t > 0 only, and the adapter reads T through ``_descent._t_grid``, the one
+rule for t: it refuses t <= 0 and NaN with DomainError, so no entry point
+(``Couple``, ``k_sphere_sup``, ``interp``'s derived couple and
 ``sequence_couple_k``, ``snum``'s diagonal K) keeps a copy of the check.
+K refuses rows that do not span the window with WindowError
+(``Couple.window_rows``; ``sequence_couple_k`` checks its weights).
 
 K-profiles sample K(x, 2^n) over a dyadic window; they are the discrete
 object every interpolation norm downstream consumes.  ``_n_window`` checks
@@ -77,8 +86,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._descent import _t_grid, decomposition_infimum
-from .errors import DomainError, InvariantError, WindowError
+from ._descent import decomposition_infimum, k_kernel
+from .errors import DomainError, InvariantError, SizeError, WindowError
 
 __all__ = [
     "FiniteVector", "WeightedNorm", "Couple", "KProfile", "KRoute", "k_route",
@@ -260,11 +269,8 @@ class KRoute(NamedTuple):
 
 def _mirrored(route: KRoute) -> KRoute:
     """The route of (A1, A0) from that of (A0, A1)."""
-    def kernel(X, T):
-        T, per_row = _t_grid(T)
-        out = T * route.kernel(X, 1.0 / T)
-        return out[:, 0] if per_row else out
-    return route._replace(kernel=kernel)
+    return route._replace(
+        kernel=k_kernel(lambda X, T: T * route.kernel(X, 1.0 / T)))
 
 
 def _l1_route(p: float, w0, w1) -> KRoute | None:
@@ -299,12 +305,17 @@ def descent_route(dense0, dense1, *, budget: int, seed: int,
                   scale0=None, scale1=None) -> KRoute:
     """The ``descent`` route: K of the norm callables (dense0, dense1) by
     ``_descent.decomposition_infimum`` with these knobs, an upper
-    approximation reported with band (1, 1).  The engine is looked up when
+    approximation reported with band (1, 1).  Its kernel refuses rows wider
+    than ``ORACLE_MAX_DIM`` with SizeError before the engine runs; this is
+    the one size guard of every descent K.  The engine is looked up when
     the kernel runs and gets the norms positionally, so a wrapper installed
     on it (the benchmark's tracer counts norm calls) sees every descent."""
-    return KRoute("descent", lambda X, T: decomposition_infimum(
-        X, T, dense0, dense1, budget=budget, seed=seed, scale0=scale0,
-        scale1=scale1), exact=False)
+    def kernel(X, T):
+        if np.shape(X)[-1] > ORACLE_MAX_DIM:
+            raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
+        return decomposition_infimum(X, T, dense0, dense1, budget=budget,
+                                     seed=seed, scale0=scale0, scale1=scale1)
+    return KRoute("descent", kernel, exact=False)
 
 
 @dataclass(frozen=True)
@@ -380,11 +391,20 @@ class Couple:
     def embed(self, x: FiniteVector) -> np.ndarray:
         return self.norm0.embed(x)
 
+    def window_rows(self, X) -> np.ndarray:
+        """X as a 2-d float array whose rows are dense over the window;
+        WindowError when their width is not the window's."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.dim:
+            raise WindowError(f"rows of {X.shape[1]} entries on a window of "
+                              f"{self.dim}")
+        return X
+
     def k_batch(self, X: np.ndarray, T) -> np.ndarray:
         """K at each row of X (dense over the window); T scalar or per-row.
         A scalar reaches the kernel as a (1, 1) grid shared by every row,
         a per-row T as an (m, 1) column."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self.window_rows(X)
         T = np.asarray(T, dtype=float)
         T = (T.reshape(1, 1) if T.ndim == 0
              else np.broadcast_to(T, (X.shape[0],))[:, None])
@@ -392,9 +412,8 @@ class Couple:
 
     def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
         """K at every row of X and every t of ``t_grid``: (m, len(t_grid))."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         grid = np.asarray(t_grid, dtype=float).reshape(1, -1)
-        return self.route.kernel(X, grid)
+        return self.route.kernel(self.window_rows(X), grid)
 
     def k(self, x: FiniteVector, t: float) -> float:
         return float(self.k_batch(self.embed(x)[None, :], t)[0])
@@ -479,6 +498,7 @@ def _take_columns(V: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(V, index, axis=1)
 
 
+@k_kernel
 def _l1_linf_batch(X: np.ndarray, T) -> np.ndarray:
     """Exact K for the unweighted (l1, linf) couple, rowwise.
 
@@ -488,24 +508,19 @@ def _l1_linf_batch(X: np.ndarray, T) -> np.ndarray:
     floor(t), its fraction and the read positions are worked out on T as
     given, once per t of a shared grid, and gathered by column.
     """
-    X = np.atleast_2d(X)
     m, d = X.shape
-    T, per_row = _t_grid(T)
-    if d == 0:
-        out = np.zeros((m, T.shape[1]))
-    else:
-        star = np.sort(np.abs(X), axis=1)[:, ::-1]
-        prefix = np.zeros((m, d + 1))
-        np.cumsum(star, axis=1, out=prefix[:, 1:])
-        floor = np.floor(T)
-        whole = np.minimum(floor, d).astype(int)
-        # zero where t >= d, so the clamped read of star adds nothing there
-        frac = np.where(floor < d, T - floor, 0.0)
-        out = (_take_columns(prefix, whole)
-               + frac * _take_columns(star, np.minimum(whole, d - 1)))
-    return out[:, 0] if per_row else out
+    star = np.sort(np.abs(X), axis=1)[:, ::-1]
+    prefix = np.zeros((m, d + 1))
+    np.cumsum(star, axis=1, out=prefix[:, 1:])
+    floor = np.floor(T)
+    whole = np.minimum(floor, d).astype(int)
+    # zero where t >= d, so the clamped read of star adds nothing there
+    frac = np.where(floor < d, T - floor, 0.0)
+    return (_take_columns(prefix, whole)
+            + frac * _take_columns(star, np.minimum(whole, d - 1)))
 
 
+@k_kernel
 def _l1_lp_batch(X: np.ndarray, T, p: float, w0, w1) -> np.ndarray:
     """Exact K for (l1(w0), lp(w1)) with 1 < p < inf, rowwise.
 
@@ -524,13 +539,8 @@ def _l1_lp_batch(X: np.ndarray, T, p: float, w0, w1) -> np.ndarray:
     overflow for p near 1; rows are scaled by a power of two.  Weights may
     be shared (d,) or per-row (m, d).
     """
-    X = np.atleast_2d(X)
     m, d = X.shape
-    T, per_row = _t_grid(T)
     k = T.shape[1]
-    if d == 0:
-        out = np.zeros((m, k))
-        return out[:, 0] if per_row else out
     q = p / (p - 1.0)
     W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
     W1 = np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
@@ -571,10 +581,10 @@ def _l1_lp_batch(X: np.ndarray, T, p: float, w0, w1) -> np.ndarray:
 
     # (t^{p'} - B_j)^{1/p'} = t (1 - B_j / t^{p'})^{1/p'}
     rest = at(A) ** (1.0 / p) * T * (-np.expm1(at(logB) - level)) ** (1.0 / q)
-    out = scale[:, None] * (at(C) + rest)
-    return out[:, 0] if per_row else out
+    return scale[:, None] * (at(C) + rest)
 
 
+@k_kernel
 def _weighted_sup_batch(X, T, w0, w1) -> np.ndarray:
     """Exact K for (linf(w0), linf(w1)) on each row's vertex chain.
 
@@ -587,9 +597,7 @@ def _weighted_sup_batch(X, T, w0, w1) -> np.ndarray:
     memory, and every t of the row reads them.  Weights may be shared (d,)
     or per-row (m, d).
     """
-    X = np.atleast_2d(X)
     m, d = X.shape
-    T, per_row = _t_grid(T)
     r = np.abs(X)
     W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
     W1 = np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
@@ -630,10 +638,10 @@ def _weighted_sup_batch(X, T, w0, w1) -> np.ndarray:
     L1 = np.zeros((m, n_vert))
     L0[filled] = l0s
     L1[filled] = l1s
-    out = np.min(L0[:, :, None] + T[:, None, :] * L1[:, :, None], axis=1)
-    return out[:, 0] if per_row else out
+    return np.min(L0[:, :, None] + T[:, None, :] * L1[:, :, None], axis=1)
 
 
+@k_kernel
 def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     """Coordinatewise power functional K_p for a shared exponent, rowwise.
 
@@ -664,16 +672,12 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     is built in blocks of t values of at most ``_POWER_CHUNK_CELLS`` cells
     (one t at least), so it stays flat in the grid size.
     """
-    X = np.atleast_2d(X)
     m, d = X.shape
-    T, per_row = _t_grid(T)
     k = T.shape[1]
     w0 = np.asarray(w0, dtype=float)
     w1 = np.asarray(w1, dtype=float)
     n = 1 if w0.ndim == w1.ndim == 1 and len(T) == 1 else m
     out = np.zeros((m, k))
-    if d == 0:
-        return out[:, 0] if per_row else out
     absx = np.abs(X)
     if p == 1.0:
         rows = absx
@@ -714,7 +718,7 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
             f_cells = np.exp(L[cells] / -s) if p > 1.0 else f[cells]
             K[r, c] = stable_lp_sum(absx[r] * f_cells, p)
         out[:, j:j + step] = K
-    return out[:, 0] if per_row else out
+    return out
 
 
 # ---------------------------------------------------------------------------

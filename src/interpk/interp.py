@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._descent import _t_grid
-from .couples import (ORACLE_MAX_DIM, Couple, FiniteVector, KProfile,
-                      WeightedNorm, _n_window, descent_route, k_profile,
-                      k_route, l1_linf_couple, stable_lp_sum)
-from .errors import DomainError, InvariantError, ParamError, SizeError
+from .couples import (Couple, FiniteVector, KProfile, WeightedNorm,
+                      _n_window, descent_route, k_profile, k_route,
+                      l1_linf_couple, stable_lp_sum)
+from .errors import DomainError, InvariantError, ParamError, WindowError
 
 __all__ = [
     "DEFAULT_N_MIN", "DEFAULT_N_MAX", "InterpParams", "LatticeParam",
@@ -362,10 +362,7 @@ class DerivedSumIntCouple:
 
     # --- route (i): surrogate from the base couple ------------------------
     def k_batch(self, X: np.ndarray, T) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
-        if T.ndim:
-            T = np.broadcast_to(T, (X.shape[0],))
         # a scalar t stays a scalar: the base kernels get one shared t; the
         # left base call refuses a t <= 0 or NaN before 1/t is taken
         tc = np.minimum(T, 1.0)
@@ -383,7 +380,6 @@ class DerivedSumIntCouple:
     def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
         """Surrogate K at every row of X and every t of ``t_grid``, from one
         base profile at every s = min(t, 1) and 1/s."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         s = np.minimum(_t_grid(t_grid)[0].ravel(), 1.0)
         grid = np.sort(np.concatenate([s, 1.0 / s]))
         return self.surrogate(self.base.profile_batch(X, grid), grid, s)
@@ -405,17 +401,15 @@ class DerivedSumIntCouple:
         ||x||_inf) is ||x||_1, so the derived couple is exactly (linf, l1)
         and ``k_route`` answers it (the ``l1_linf`` row of the route table
         in ``couples``); ``budget``/``seed`` are unused.  Other bases get
-        ``couples.descent_route``, an upper bound, limited to dimension
-        ``ORACLE_MAX_DIM``.  ``T`` is one t per row, or an (m, k)/(1, k)
-        grid answered by one call with an (m, k) result, equal to k per-t
-        calls.
+        ``couples.descent_route``, an upper bound, whose kernel holds the
+        one size guard: more than ``couples.ORACLE_MAX_DIM`` (16)
+        coordinates raise SizeError.  Rows must span the base window
+        (WindowError).  ``T`` is one t per row, or an (m, k)/(1, k) grid
+        answered by one call with an (m, k) result, equal to k per-t calls.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         route = self.route or descent_route(self.sum_dense, self.int_dense,
                                             budget=budget, seed=seed)
-        if route.name == "descent" and X.shape[1] > ORACLE_MAX_DIM:
-            raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
-        return route.kernel(X, T)
+        return route.kernel(self.base.window_rows(X), T)
 
 
 def derived_sum_int_couple(couple: Couple) -> DerivedSumIntCouple:
@@ -453,7 +447,6 @@ class EndpointNorm:
         return self.couple.dim
 
     def dense(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         prof = self.couple.profile_batch(X, self._t)
         return dyadic_norm(prof, self._grid, self.params.theta, self.params.q)
 
@@ -479,13 +472,19 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
     from ``couples.k_route`` (its route table is in the ``couples`` module
     docstring; the ``power`` route is the coordinatewise surrogate), and
     ``budget``/``seed`` are unused there; pairs without a route take
-    ``couples.descent_route``, an upper bound.  ``t`` is a scalar or one t
-    per row (an (m,) result), or an (m, k)/(1, k) grid (an (m, k) result);
-    a grid is one kernel call and equals k per-t calls with the same seed.
+    ``couples.descent_route``, an upper bound whose kernel refuses sequences
+    longer than ``couples.ORACLE_MAX_DIM`` (16) with SizeError.  ``t`` is a
+    scalar or one t per row (an (m,) result), or an (m, k)/(1, k) grid (an
+    (m, k) result); a grid is one kernel call and equals k per-t calls with
+    the same seed.  WindowError unless the rows are as long as both weight
+    vectors.
     """
     V = np.atleast_2d(np.asarray(values, dtype=float))
     n0 = WeightedNorm(p0, 0, w0)
     n1 = WeightedNorm(p1, 0, w1)
+    if not V.shape[1] == n0.dim == n1.dim:
+        raise WindowError(f"sequences of length {V.shape[1]} with weights "
+                          f"of lengths {n0.dim} and {n1.dim}")
     route = k_route(n0, n1) or descent_route(
         n0.dense, n1.dense, budget=budget, seed=seed, scale0=n0.weights,
         scale1=n1.weights)

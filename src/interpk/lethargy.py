@@ -45,7 +45,7 @@ from .snum import MatrixOperator, diag_operator
 __all__ = [
     "DecaySpec", "StrictnessReport", "lift_sequence", "slow_k_witness",
     "slow_snumber_witness", "strictness_witness", "strictness_sweep",
-    "STRICTNESS_MAX_N",
+    "STRICTNESS_MAX_N", "SLOW_K_MAX_N",
 ]
 
 
@@ -110,13 +110,21 @@ def lift_sequence(spec: DecaySpec, N: int) -> np.ndarray:
     return np.array(xi)
 
 
+# the largest N whose weight 2^N in ``slow_k_witness`` is a finite float
+SLOW_K_MAX_N = np.finfo(float).maxexp - 1
+
+
 def slow_k_witness(epsilon: Sequence[float], N: int):
     """Element of (linf(1), linf(2^k)) whose K-profile dominates eps.
 
     Returns (x, profile) with x_k = eps_k on the window k = 0..N and the
     LP-certified bound K(x, 2^{-n}) >= eps_n for every n = 0..N.  The
-    profile stores K(x, 2^n) for n = -N..0.
+    profile stores K(x, 2^n) for n = -N..0.  N is at most 1023, so that the
+    weight 2^N is a finite float; a larger N raises DomainError.
     """
+    if N > SLOW_K_MAX_N:
+        raise DomainError(f"N = {N} exceeds {SLOW_K_MAX_N}, where the "
+                          f"weight 2^N overflows a float")
     eps = np.asarray(epsilon, dtype=float)
     if np.any(np.diff(eps) > 0) or np.any(eps < 0):
         raise InvariantError("epsilon must be nonincreasing and nonnegative")

@@ -341,7 +341,9 @@ def k_operator_diag(sigma, t: float, p0: float, p1: float,
     1 < p < inf and p0 = p1 = 1, the coordinatewise power surrogate for
     other equal exponents, and the seeded descent upper bound for every
     other pair (including (1, p) with p < 1, where the clip family is not
-    optimal).
+    optimal).  Sequences longer than ``K_DIAG_MAX_DIM`` are refused here on
+    every route; the descent's own limit of ``couples.ORACLE_MAX_DIM`` (16)
+    lives in ``couples.descent_route``.  Both raise SizeError.
     """
     seq = SNumSeq(np.asarray(sigma, dtype=float))
     x = seq.values
@@ -359,7 +361,9 @@ def k_operator_diag_batch(X: np.ndarray, T, p0: float, p1: float,
     """Batched form of k_operator_diag over rows of nonnegative sequences.
 
     ``T`` is a scalar or one t per row (an (m,) result), or an (m, k)/(1, k)
-    grid (an (m, k) result) answered by one kernel or descent call.
+    grid (an (m, k) result) answered by one kernel or descent call.  Pairs
+    that descend refuse rows longer than ``couples.ORACLE_MAX_DIM``
+    (``couples.descent_route``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     ones = np.ones(X.shape[1])

@@ -57,6 +57,23 @@ class TestRouting:
         assert lines[1] == "n,t,K"
         assert lines[2] == "0,1.0,3.0"
 
+    def test_kprofile_descent_over_sixteen_coordinates(self, tmp_path,
+                                                        capsys):
+        # an oracle couple without an exact route descends, and the descent
+        # refuses a window of more than 16 coordinates before it runs
+        d = 17
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({
+            "couple": {"norm0": {"p": 2, "weights": [1.0] * d},
+                       "norm1": {"p": 3, "weights": [2.0] * d},
+                       "strategy": "oracle", "offset": 0},
+            "vector": {"offset": 0, "entries": [1.0] * d}}))
+        out = tmp_path / "oracle.out.json"
+        assert run_cli(["kprofile", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert "oracle limited to dimension 16" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_interp_norm(self, tmp_path):
         cfg = {
             "couple": {"norm0": {"p": 1, "weights": [1]},

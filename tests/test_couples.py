@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from interpk import (Couple, DomainError, InvariantError, WeightedNorm,
-                     WindowError, k_profile, k_sphere_sup, l1_linf_couple,
-                     power_couple, weighted_sup_couple)
+from interpk import (Couple, DomainError, InvariantError, SizeError,
+                     WeightedNorm, WindowError, k_profile, k_sphere_sup,
+                     l1_linf_couple, power_couple, weighted_sup_couple)
 from interpk import couples
 from interpk._descent import decomposition_infimum
 from interpk.couples import (ORACLE, FiniteVector, KProfile, _l1_linf_batch,
@@ -16,7 +16,7 @@ from interpk.couples import (ORACLE, FiniteVector, KProfile, _l1_linf_batch,
                              _weighted_sup_batch, descent_route, k_route,
                              stable_lp_sum, validate_profiles, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
-from interpk.snum import k_operator_diag_batch
+from interpk.snum import k_operator_diag, k_operator_diag_batch
 
 DYADIC = 2.0 ** np.arange(-20, 21).astype(float)   # the default profile grid
 
@@ -673,6 +673,145 @@ class TestTRule:
             refuses_t(lambda: k_operator_diag_batch(V, T, p0, p1))
         refuses_t(lambda: k_operator_diag([1.0, 0.5], bad, p0, p1))
         refuses_t(lambda: k_operator_diag([], bad, p0, p1))
+
+
+# every route-table row through the kernel ``k_route`` builds, so the
+# mirrored rows go through ``_mirrored``; the descent through
+# ``descent_route`` on a pair without a route, and the engine itself
+CONTRACT_CASES = sorted(ROUTE_TABLE) + ["descent_route", "descent_engine"]
+
+
+def contract_kernel(case):
+    """The K kernel of a ``CONTRACT_CASES`` case on three coordinates."""
+    if case == "descent_engine":
+        norm = lambda A: np.sum(np.abs(A), axis=1)
+        return lambda X, T: decomposition_infimum(X, T, norm, norm, budget=2)
+    p0, p1 = ROUTE_TABLE[case][0] if case in ROUTE_TABLE else (2.0, 3.0)
+    n0, n1 = WeightedNorm(p0, 0, np.ones(3)), WeightedNorm(p1, 0, np.ones(3))
+    route = k_route(n0, n1) or descent_route(n0.dense, n1.dense, budget=2,
+                                             seed=0)
+    return route.kernel
+
+
+class TestCallContract:
+    """The one call contract of every K kernel (``_descent.k_kernel``)."""
+
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_empty_window_gives_zeros_of_the_t_shape(self, case):
+        kernel = contract_kernel(case)
+        m, k = 3, len(DYADIC)
+        X = np.zeros((m, 0))
+        for T, shape in ((0.5, (m,)), (np.full(m, 0.5), (m,)),
+                         (DYADIC[None, :], (m, k)),
+                         (np.tile(DYADIC, (m, 1)), (m, k))):
+            got = kernel(X, T)
+            assert got.shape == shape and np.all(got == 0.0), (case, shape)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_empty_window_still_refuses_a_bad_t(self, case, bad):
+        kernel = contract_kernel(case)
+        for T in t_forms(bad):
+            refuses_t(lambda: kernel(np.zeros((2, 0)), T))
+
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_one_row_is_its_one_row_matrix(self, case):
+        kernel = contract_kernel(case)
+        for row in (np.zeros(0), np.array([1.5, -0.25, 3.0])):
+            for T in (0.5, DYADIC[None, 15:26]):
+                got, want = kernel(row, T), kernel(row[None, :], T)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (case, len(row))
+
+
+class TestDescentSizeGuard:
+    """``descent_route`` refuses rows wider than ``ORACLE_MAX_DIM`` before
+    the engine runs, whichever K entry point descends."""
+
+    @staticmethod
+    def entry_points(p0, p1, d):
+        ones = np.ones(d)
+        c = Couple(WeightedNorm(p0, 0, ones), WeightedNorm(p1, 0, 2.0 * ones),
+                   ORACLE)
+        assert c.route.name == "descent"
+        ks = np.arange(d) - d // 2
+        geometric = derived_sum_int_couple(
+            power_couple(1.0, 2.0 ** ks, 2.0 ** -ks))
+        X = np.ones((1, d))
+        return [
+            lambda: c.k_batch(X, 0.5),
+            lambda: c.profile_batch(X, [0.5, 2.0]),
+            lambda: sequence_couple_k(X, 0.5, p0, ones, p1, 2.0 * ones,
+                                      budget=0),
+            lambda: k_operator_diag_batch(X, 0.5, p0, p1, budget=0),
+            lambda: k_operator_diag(ones, 0.5, p0, p1, budget=0),
+            lambda: geometric.k_oracle_batch(X, 0.5, budget=0),
+        ]
+
+    @pytest.mark.parametrize("p0, p1", [(2.0, 3.0), (1.0, 0.5)])
+    def test_every_entry_point_reaches_the_guard(self, p0, p1, monkeypatch):
+        engine = couples.decomposition_infimum
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the engine ran past the size guard")
+
+        monkeypatch.setattr(couples, "decomposition_infimum", refused)
+        for call in self.entry_points(p0, p1, couples.ORACLE_MAX_DIM + 1):
+            with pytest.raises(SizeError,
+                               match="oracle limited to dimension 16"):
+                call()
+        widths = []
+
+        def recorded(X, *args, **kwargs):
+            widths.append(np.shape(X)[-1])
+            return engine(X, *args, **kwargs)
+
+        monkeypatch.setattr(couples, "decomposition_infimum", recorded)
+        for call in self.entry_points(p0, p1, couples.ORACLE_MAX_DIM):
+            assert np.all(np.isfinite(call()))
+        assert widths == [couples.ORACLE_MAX_DIM] * 6
+
+
+class TestRowWidth:
+    """K refuses rows that do not span the window with WindowError, on
+    every route, where it used to answer over the wrong entries or fail
+    inside numpy."""
+
+    @pytest.mark.parametrize("width", [2, 5])
+    @pytest.mark.parametrize("case", sorted(ROUTE_TABLE) + ["descent"])
+    def test_couple_rows(self, case, width):
+        (p0, p1), _, _, strategies, _ = ROUTE_TABLE.get(
+            case, ((1.0, 0.5), None, None, (), None))
+        c = Couple(WeightedNorm(p0, 0, np.ones(3)),
+                   WeightedNorm(p1, 0, np.ones(3)),
+                   (strategies or (ORACLE,))[0])
+        X = np.ones((2, width))
+        for call in (lambda: c.k_batch(X, 4.0),
+                     lambda: c.profile_batch(X, [0.5, 4.0]),
+                     lambda: c.k_batch(X[0], 4.0)):
+            with pytest.raises(WindowError, match=f"rows of {width} entries"):
+                call()
+
+    @pytest.mark.parametrize("family", ["l1_linf", "l1_geometric"])
+    def test_derived_couple_rows(self, family):
+        from interpk.verify import couple_family
+        derived = derived_sum_int_couple(couple_family(family, 3))
+        X = np.ones((1, 5))
+        for call in (lambda: derived.k_batch(X, 0.25),
+                     lambda: derived.profile_batch(X, [0.25, 1.0]),
+                     lambda: derived.k_oracle_batch(X, 0.25)):
+            with pytest.raises(WindowError):
+                call()
+
+    @pytest.mark.parametrize("widths", [(3, 4, 4), (4, 3, 4), (4, 4, 3)])
+    @pytest.mark.parametrize("pair", [ROUTE_TABLE[case][0]
+                                      for case in sorted(ROUTE_TABLE)]
+                             + DESCENT_PAIRS)
+    def test_sequence_rows(self, pair, widths):
+        n, n0, n1 = widths
+        with pytest.raises(WindowError, match="sequences of length"):
+            sequence_couple_k(np.ones((2, n)), 4.0, pair[0], np.ones(n0),
+                              pair[1], np.ones(n1))
 
 
 class TestL1LpKernel:

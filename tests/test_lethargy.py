@@ -149,6 +149,17 @@ class TestSlowKWitness:
         with pytest.raises(InvariantError):
             slow_k_witness([1.0, 0.5], 2)
 
+    def test_n_above_the_float_range_is_refused(self):
+        # the weight 2^N overflows from N = 1024 on; the refusal names N and
+        # comes before any RuntimeWarning, and N = 1023 still runs
+        eps = 1.0 / np.arange(1, 1200)
+        for N in (1024, 1100):
+            with pytest.raises(DomainError, match=f"N = {N} exceeds 1023"):
+                slow_k_witness(eps, N)
+        x, prof = slow_k_witness(eps, 1023)
+        assert len(x) == 1024
+        assert np.all(prof.values[::-1] >= eps[:1024] * (1 - 1e-12))
+
     def test_failed_certificate_raises(self, monkeypatch):
         kernel = couples._weighted_sup_batch
         monkeypatch.setattr(couples, "_weighted_sup_batch",

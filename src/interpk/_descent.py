@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 
@@ -132,8 +132,9 @@ def k_kernel(core):
     The adapted kernel takes X as an (m, d) array or one (d,) row, and T as
     a scalar, one t per row, or an (m, k)/(1, k) grid.  It turns X into a
     2-d float array, reads T through ``_t_grid`` (so a bad t is refused at
-    d = 0 too), answers d = 0 with zeros without calling ``core``, and
-    returns an (m,) result for one t per row and (m, k) for a grid.  So
+    d = 0 too), refuses a T with neither 1 nor m rows (InvariantError
+    naming both counts), answers d = 0 with zeros without calling ``core``,
+    and returns an (m,) result for one t per row and (m, k) for a grid.  So
     ``core`` sees a 2-d X with d >= 1 and the unbroadcast 2-d T of
     ``_t_grid``, and returns (m, k).
     """
@@ -141,6 +142,9 @@ def k_kernel(core):
     def kernel(X, T, *args, **kwargs):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T, per_row = _t_grid(T)
+        if len(T) not in (1, len(X)):
+            raise InvariantError(f"{len(T)} rows of t for {len(X)} rows "
+                                 f"of X")
         out = (core(X, T, *args, **kwargs) if X.shape[1]
                else np.zeros((len(X), T.shape[1])))
         return out[:, 0] if per_row else out

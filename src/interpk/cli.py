@@ -41,7 +41,9 @@ plain numbers with one ``join``; any other leaf (NaN, infinities, numpy
 scalars, booleans, None) and a dict with a non-``str`` key go to
 ``json.dumps``.  A CSV whose rows are all exact ints and floats is written
 as ``repr`` fields joined by commas, the bytes ``csv.writer`` writes for
-them; any other CSV goes through ``csv.writer``.
+them; ``lift`` hands its rows over already joined, calling ``repr`` once
+for xi_n and eps_n where the two are equal; any other CSV goes through
+``csv.writer``.
 
 A plain call, ``COMMAND [CHECK] --opt value ...`` with every option spelled
 in full and given once and every value valid, is read off ``_COMMANDS``
@@ -258,26 +260,28 @@ def _dump_json(payload: dict, out_path: str) -> None:
         fh.write(text + "\n")
 
 
-def _dump_csv(header, rows, out_path: str, comments=()):
+def _dump_csv(header, rows, out_path: str, comments=(), rendered=False):
     """Write ``comments`` as "# " lines, then ``header`` and ``rows`` as
     ``csv.writer`` writes them.
 
     When every field is an exact ``int`` or ``float`` the rows are written
     directly: ``csv.writer`` writes such a field as its ``repr`` (``nan``,
     ``inf`` and ``-0.0`` included), which never needs quoting, and ends a
-    row with "\\r\\n".  Any other row set, and the header, goes through
+    row with "\\r\\n".  ``rendered`` rows are such lines already, without
+    the "\\r\\n".  Any other row set, and the header, goes through
     ``csv.writer``.
     """
     rows = list(rows)
-    numeric = set(map(type, itertools.chain.from_iterable(rows))
-                  ) <= {int, float}
+    if not rendered and set(map(type, itertools.chain.from_iterable(rows))
+                            ) <= {int, float}:
+        rows, rendered = (",".join(map(repr, row)) for row in rows), True
     with _artifact(out_path, newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        if numeric:
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        if rendered:
+            fh.writelines(row + "\r\n" for row in rows)
         else:
             writer.writerows(rows)
 
@@ -397,11 +401,17 @@ def _cmd_lift(args) -> int:
     with _parsing("h"):
         h = np.asarray(cfg["h"], dtype=int)
     spec = DecaySpec(epsilon, h)
-    xi = lift_sequence(spec, cfg["N"])
-    rows = zip(range(1, len(xi) + 1), spec.epsilon[:len(xi)].tolist(),
-               xi.tolist())
+    xi = lift_sequence(spec, cfg["N"]).tolist()
+    eps = spec.epsilon[:len(xi)].tolist()
+    # eps_n and xi_n are positive and finite, so where they are equal they
+    # have the same bits and one repr serves both
+    eps_text = list(map(repr, eps))
+    xi_text = [text if x == e else repr(x)
+               for text, e, x in zip(eps_text, eps, xi)]
+    rows = map(",".join, zip(map(str, range(1, len(xi) + 1)), eps_text,
+                             xi_text))
     _dump_csv(("n", "eps_n", "xi_n"), rows, args.out,
-              comments=(f"interpk {__version__} lift",))
+              comments=(f"interpk {__version__} lift",), rendered=True)
     return EXIT_OK
 
 

@@ -57,8 +57,9 @@ Every kernel of the route table, the descent engine and the mirror
 identity share one call contract, the adapter ``_descent.k_kernel``: X is
 an (m, d) array or one (d,) row, and T a scalar or one t per row (an (m,)
 result) or an (m, k)/(1, k) grid (an (m, k) result).  The adapter turns X
-into a 2-d float array, answers d = 0 with zeros and unwraps the result
-for one t per row, so a kernel is only its 2-d core.  K is defined for
+into a 2-d float array, refuses a T with neither 1 nor m rows
+(InvariantError), answers d = 0 with zeros and unwraps the result for one
+t per row, so a kernel is only its 2-d core.  K is defined for
 t > 0 only, and the adapter reads T through ``_descent._t_grid``, the one
 rule for t: it refuses t <= 0 and NaN with DomainError, so no entry point
 (``Couple``, ``k_sphere_sup``, ``interp``'s derived couple and
@@ -403,12 +404,16 @@ class Couple:
     def k_batch(self, X: np.ndarray, T) -> np.ndarray:
         """K at each row of X (dense over the window); T scalar or per-row.
         A scalar reaches the kernel as a (1, 1) grid shared by every row,
-        a per-row T as an (m, 1) column."""
+        a per-row T as an (m, 1) column.  A grid, or a T whose length is
+        neither 1 nor the row count (``k_kernel``), raises InvariantError
+        naming both."""
         X = self.window_rows(X)
         T = np.asarray(T, dtype=float)
-        T = (T.reshape(1, 1) if T.ndim == 0
-             else np.broadcast_to(T, (X.shape[0],))[:, None])
-        return self.route.kernel(X, T)[:, 0]
+        if T.ndim > 1:
+            raise InvariantError(f"t of shape {T.shape} for {len(X)} rows "
+                                 f"of X: k_batch takes a scalar or one t "
+                                 f"per row")
+        return self.route.kernel(X, T.reshape(-1, 1))[:, 0]
 
     def profile_batch(self, X: np.ndarray, t_grid) -> np.ndarray:
         """K at every row of X and every t of ``t_grid``: (m, len(t_grid))."""

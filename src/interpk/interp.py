@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._descent import _t_grid
+from ._descent import _t_grid, k_kernel
 from .couples import (Couple, FiniteVector, KProfile, WeightedNorm,
                       _n_window, descent_route, k_profile, k_route,
                       l1_linf_couple, stable_lp_sum)
@@ -477,9 +477,14 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
     scalar or one t per row (an (m,) result), or an (m, k)/(1, k) grid (an
     (m, k) result); a grid is one kernel call and equals k per-t calls with
     the same seed.  WindowError unless the rows are as long as both weight
-    vectors.
+    vectors.  Rows of no entries with no weights have K = 0: zeros of the
+    kernels' d = 0 shape, after t is checked.
     """
     V = np.atleast_2d(np.asarray(values, dtype=float))
+    if V.shape[1] == 0 and np.size(w0) == np.size(w1) == 0:
+        # no norm exists to build; ``k_kernel`` answers d = 0 before its
+        # core would run
+        return k_kernel(lambda X, T: None)(V, t)
     n0 = WeightedNorm(p0, 0, w0)
     n1 = WeightedNorm(p1, 0, w1)
     if not V.shape[1] == n0.dim == n1.dim:

@@ -15,14 +15,18 @@ fixed thresholds, not proofs).
 
 Every witness builder (``witness_sequence``, ``witness_report``,
 ``witness_trace``, ``witness_samples``) reads one pass over blocks of
-``_WITNESS_BLOCK`` indices, with each probe's partial sum carried across
-blocks so that it equals one sequential cumsum bit for bit.  A witness's
-memory is its output (eps for ``witness_sequence``, the sampled rows for
+``_WITNESS_BLOCK`` indices.  A probe's summand is taken in closed form,
+n^a (1 + ln n)^b with a = q*(1/p* - 1/p) - 1 and b = -q*/q, and eps_n only
+where a builder returns it.  Each probe's block sum is one ``np.add.reduce``
+added to the sum carried across blocks (split at N // 2), so the probe sums
+at N // 2 and N follow one rule in every builder; the returned partial sums
+are the carry plus a cumsum within the block.  A witness's memory is its
+output (eps for ``witness_sequence``, the sampled rows for
 ``witness_samples``) plus a few blocks, not several N-length arrays.
-``witness_report`` is the storage-free probe pass: it keeps no term, only
-each probe's sums at N // 2 and N, so the callers that read only the
-membership flags (``verify``'s ``konig`` and ``distinctness``) hold a few
-blocks whatever N.
+``witness_report`` is the storage-free probe pass: it computes no eps and
+keeps no term, only each probe's sums at N // 2 and N, so the callers that
+read only the membership flags (``verify``'s ``konig`` and
+``distinctness``) hold a few blocks whatever N.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._descent import _t_grid
 from .couples import stable_lp_sum
 from .errors import DomainError, InvariantError, SizeError
 from .interp import sequence_couple_k
@@ -60,10 +63,10 @@ K_DIAG_MAX_DIM = 128
 _WITNESS_BLOCK = 4096
 # The longest witness any builder takes.  ``witness_sequence`` returns its
 # N terms (128 MiB at 2^24; ``witness_report`` stores none), and a pass is
-# N / 4096 blocks of numpy calls, about 0.4 s for the sampled rows of
-# ``interpk witness`` at 2^24 and 0.6 s for ``witness_sequence`` with two
-# probes (2 vCPUs).  A larger N is refused
-# with SizeError before anything is allocated.
+# N / 4096 blocks of numpy calls.  At 2^24 the sampled rows of ``interpk
+# witness`` take about 0.14 s, ``witness_report`` with one probe 0.13 s and
+# ``witness_sequence`` with two probes 0.41 s (2 vCPUs, numpy 2.4).  A
+# larger N is refused with SizeError before anything is allocated.
 WITNESS_MAX_N = 2 ** 24
 
 
@@ -201,17 +204,20 @@ def _membership(p_star: float, q_star: float, half: float,
 
 
 class _WitnessPass:
-    """One pass over eps_n = n^{-1/p} (1 + ln n)^{-1/q}, n = 1..N, in blocks
-    of ``_WITNESS_BLOCK`` indices.
+    """One pass over n = 1..N in blocks of ``_WITNESS_BLOCK`` indices.
 
-    Iterating yields ``(start, eps, summands, partials)`` per block, for
-    n = start + 1, ..., start + len(eps): the block's eps_n and, for each
-    probe (p*, q*), its summands (n^{1/p* - 1/q*} eps_n)^{q*} and partial
-    sums.  Each probe's running sum is added to the next block's first
-    summand before ``np.cumsum``, so the partial sums equal one sequential
-    cumsum over 1..N bit for bit.  After the pass, ``report()`` reads each
-    probe's sums at n = N // 2 and n = N.  Every witness builder constructs
-    one, so the refusals of ``_check_witness`` hold for all of them.
+    Iterating yields ``(start, n, G, summands, carries)`` per block, for
+    n = start + 1, ..., start + len(n): G = 1 + ln n, each probe's summands
+    and each probe's sum over 1..start.  The summand of a probe (p*, q*),
+    (n^{1/p* - 1/q*} eps_n)^{q*}, is taken in closed form as n^a G^b with
+    a = q*(1/p* - 1/p) - 1 and b = -q*/q, so the default probe p* = p has
+    a = -1 exactly.  ``eps(n, G)`` is eps_n at any of the block's indices,
+    for the builders that return it.  Each probe's block sum is one
+    ``np.add.reduce`` added to the carry (the block holding n = N // 2 is
+    reduced in two parts, split there), so ``report()`` reads the sums at
+    n = N // 2 and n = N by the same rule whichever builder iterates.
+    Every witness builder constructs one, so the refusals of
+    ``_check_witness`` hold for all of them.
     """
 
     def __init__(self, p: float, q: float, N: int,
@@ -222,25 +228,31 @@ class _WitnessPass:
         self.half: list[float] = []
         self.total: list[float] = []
 
+    def eps(self, n: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """eps_n = n^{-1/p} G^{-1/q} at the indices n, with G = 1 + ln n."""
+        return n ** (-1.0 / self.p) * G ** (-1.0 / self.q)
+
     def __iter__(self):
-        mid = self.N // 2 - 1
-        carry = [0.0] * len(self.probe_params)
+        mid = self.N // 2
+        powers = [(q_star * (1.0 / p_star - 1.0 / self.p) - 1.0,
+                   -q_star / self.q) for p_star, q_star in self.probe_params]
+        carries = [0.0] * len(powers)
         for start in range(0, self.N, _WITNESS_BLOCK):
             n = np.arange(start + 1, min(start + _WITNESS_BLOCK, self.N) + 1,
                           dtype=float)
-            eps = n ** (-1.0 / self.p) * (1.0 + np.log(n)) ** (-1.0 / self.q)
-            summands = [(n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
-                        for p_star, q_star in self.probe_params]
-            partials = []
-            for summand, c in zip(summands, carry):
-                partial = summand.copy()
-                partial[0] += c
-                partials.append(np.cumsum(partial, out=partial))
-            carry = [float(s[-1]) for s in partials]
-            if start <= mid < start + len(n):
-                self.half = [float(s[mid - start]) for s in partials]
-            yield start, eps, summands, partials
-        self.total = carry
+            G = 1.0 + np.log(n)
+            summands = [n ** a * G ** b for a, b in powers]
+            yield start, n, G, summands, carries
+            cut = mid - start
+            if 0 < cut <= len(n):
+                self.half = [c + float(np.add.reduce(s[:cut]))
+                             for c, s in zip(carries, summands)]
+                carries = [h + float(np.add.reduce(s[cut:]))
+                           for h, s in zip(self.half, summands)]
+            else:
+                carries = [c + float(np.add.reduce(s))
+                           for c, s in zip(carries, summands)]
+        self.total = carries
 
     def report(self) -> WitnessReport:
         probes = tuple(_membership(p_star, q_star, half, total)
@@ -280,8 +292,8 @@ def witness_sequence(p: float, q: float, N: int,
     """
     witness = _WitnessPass(p, q, N, probe_params)
     eps = np.empty(N)
-    for start, block, _, _ in witness:
-        eps[start:start + len(block)] = block
+    for start, n, G, _, _ in witness:
+        eps[start:start + len(n)] = witness.eps(n, G)
     return eps, witness.report()
 
 
@@ -289,7 +301,8 @@ def witness_report(p: float, q: float, N: int,
                    probe_params: Sequence[tuple[float, float]] = ()
                    ) -> WitnessReport:
     """The report of ``witness_sequence(p, q, N, probe_params)`` without
-    its eps: the same pass, keeping no term, only each probe's two sums."""
+    its eps: the same pass, computing no eps_n and keeping no term, only
+    each probe's two sums."""
     witness = _WitnessPass(p, q, N, probe_params)
     for _ in witness:
         pass
@@ -297,14 +310,17 @@ def witness_report(p: float, q: float, N: int,
 
 
 def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):
-    """Per-index trace (n, eps_n, summand, partial_sum) for CSV export."""
+    """Per-index trace (n, eps_n, summand, partial_sum) for CSV export.
+
+    A block's partial sums are the carry plus the block's ``np.cumsum``:
+    ``witness_samples`` at stride 1."""
     witness = _WitnessPass(p, q, N, [(p_star, q_star)])
-    n = np.arange(1, N + 1)
-    eps, summand, partial = (np.empty(len(n)) for _ in range(3))
-    for start, e, (s,), (c,) in witness:
-        stop = start + len(e)
-        eps[start:stop], summand[start:stop], partial[start:stop] = e, s, c
-    return n, eps, summand, partial
+    eps, summand, partial = (np.empty(N) for _ in range(3))
+    for start, n, G, (s,), (carry,) in witness:
+        stop = start + len(n)
+        eps[start:stop], summand[start:stop] = witness.eps(n, G), s
+        partial[start:stop] = carry + np.cumsum(s)
+    return np.arange(1, N + 1), eps, summand, partial
 
 
 def witness_samples(p: float, q: float, N: int, p_star: float, q_star: float,
@@ -314,18 +330,29 @@ def witness_samples(p: float, q: float, N: int, p_star: float, q_star: float,
     probe (p*, q*).
 
     One blocked pass computes them and keeps only the sampled rows, so the
-    memory is the output's, not that of N-length arrays.
+    memory is the output's, not that of N-length arrays; eps_n is computed
+    at the sampled rows only.  A sampled partial sum is the block's carry
+    plus the ``np.cumsum`` of the ``np.add.reduceat`` sums of the block's
+    runs that end at each sampled row.
     """
     witness = _WitnessPass(p, q, N, [(p_star, q_star)])
-    rows = []
-    for start, eps, (summand,), (partial,) in witness:
-        stop = start + len(eps)
-        idx = np.arange(-(-start // stride) * stride, stop, stride)
-        if stop == N and (N - 1) % stride:
-            idx = np.append(idx, N - 1)
-        local = idx - start
-        rows.extend(zip((idx + 1).tolist(), eps[local].tolist(),
-                        summand[local].tolist(), partial[local].tolist()))
+    idx = np.arange(0, N, stride)
+    if (N - 1) % stride:
+        idx = np.append(idx, N - 1)
+    picks = []   # per block: G, summand and partial sum at its sampled rows
+    lo = 0
+    for start, n, G, (summand,), (carry,) in witness:
+        hi = int(np.searchsorted(idx, start + len(n)))
+        if hi > lo:
+            local = idx[lo:hi] - start
+            runs = np.add.reduceat(summand[:local[-1] + 1],
+                                   np.concatenate(([0], local[:-1] + 1)))
+            picks.append((G[local], summand[local],
+                          carry + np.cumsum(runs)))
+        lo = hi
+    G, summand, partial = map(np.concatenate, zip(*picks))
+    rows = list(zip((idx + 1).tolist(), witness.eps(idx + 1.0, G).tolist(),
+                    summand.tolist(), partial.tolist()))
     return rows, witness.report()
 
 
@@ -345,11 +372,7 @@ def k_operator_diag(sigma, t: float, p0: float, p1: float,
     every route; the descent's own limit of ``couples.ORACLE_MAX_DIM`` (16)
     lives in ``couples.descent_route``.  Both raise SizeError.
     """
-    seq = SNumSeq(np.asarray(sigma, dtype=float))
-    x = seq.values
-    if len(x) == 0:
-        _t_grid(t)  # no kernel reads t here, so refuse a bad one directly
-        return 0.0
+    x = SNumSeq(np.asarray(sigma, dtype=float)).values
     if len(x) > K_DIAG_MAX_DIM:
         raise SizeError(f"diagonal K limited to length {K_DIAG_MAX_DIM}")
     return float(k_operator_diag_batch(x[None, :], t, p0, p1,
@@ -361,9 +384,9 @@ def k_operator_diag_batch(X: np.ndarray, T, p0: float, p1: float,
     """Batched form of k_operator_diag over rows of nonnegative sequences.
 
     ``T`` is a scalar or one t per row (an (m,) result), or an (m, k)/(1, k)
-    grid (an (m, k) result) answered by one kernel or descent call.  Pairs
-    that descend refuse rows longer than ``couples.ORACLE_MAX_DIM``
-    (``couples.descent_route``).
+    grid (an (m, k) result) answered by one kernel or descent call.  Rows
+    of no entries give zeros of that shape.  Pairs that descend refuse rows
+    longer than ``couples.ORACLE_MAX_DIM`` (``couples.descent_route``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     ones = np.ones(X.shape[1])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interpk import cli, verify
+from interpk import cli, snum, verify
 from interpk.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -920,21 +920,38 @@ class TestWitnessCsv:
 
     @staticmethod
     def expected(p, q, N, p_star, q_star, max_rows):
+        # the summand is n^a (1 + ln n)^b; the running sum at each block
+        # bound and at N // 2 adds one np.add.reduce per run between them,
+        # and a sampled row's partial sum is its block's running sum plus
+        # the reduceat sums of the runs since the block's last sampled row
+        block = snum._WITNESS_BLOCK
         n = np.arange(1, N + 1, dtype=float)
-        eps = n ** (-1.0 / p) * (1.0 + np.log(n)) ** (-1.0 / q)
-        summand = (n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
-        partial = np.cumsum(summand)
-        increment = float(partial[-1]) - float(partial[N // 2 - 1])
+        G = 1.0 + np.log(n)
+        eps = n ** (-1.0 / p) * G ** (-1.0 / q)
+        summand = (n ** (q_star * (1.0 / p_star - 1.0 / p) - 1.0)
+                   * G ** (-q_star / q))
+        cuts = sorted({*range(0, N, block), N // 2, N})
+        running = {0: 0.0}
+        for lo, hi in zip(cuts, cuts[1:]):
+            running[hi] = running[lo] + float(np.add.reduce(summand[lo:hi]))
+        increment = running[N] - running[N // 2]
         if increment >= 0.05:
             flag = "diverging"
-        elif increment <= 0.01 * float(partial[-1]):
+        elif increment <= 0.01 * running[N]:
             flag = "converging"
         else:
             flag = "indeterminate"
         stride = max(1, N // max_rows)
         idx = np.unique(np.concatenate([np.arange(0, N, stride), [N - 1]]))
-        rows = [(int(n[i]), float(eps[i]), float(summand[i]),
-                 float(partial[i])) for i in idx]
+        rows, prev, run = [], -1, 0.0
+        for i in idx.tolist():
+            start = i - i % block
+            if prev < start:        # the first sampled row of its block
+                prev, run = start - 1, 0.0
+            run += float(np.add.reduceat(summand[prev + 1:i + 1], [0])[0])
+            rows.append((i + 1, float(eps[i]), float(summand[i]),
+                         running[start] + run))
+            prev = i
         return _csv_text(
             (f"interpk {cli.__version__} witness p={p} q={q}",
              f"probe p={p_star} q={q_star} flag={flag}"),
@@ -1034,6 +1051,29 @@ class TestRowsFromArrays:
         xi = lift_sequence(spec, 300)
         rows = [(i + 1, float(spec.epsilon[i]), float(xi[i]))
                 for i in range(len(xi))]
+        assert out.read_bytes() == _csv_text(
+            (f"interpk {cli.__version__} lift",), ("n", "eps_n", "xi_n"),
+            rows).encode()
+
+    @pytest.mark.parametrize("shape", ["n+1", "2n"])
+    @pytest.mark.parametrize("N", [1, 2, 499, 500])
+    def test_lift_orbit_shapes(self, tmp_path, shape, N):
+        # the rows are built from one repr per eps_n, reused for xi_n where
+        # the two are equal; the bytes are still csv.writer's
+        rng = np.random.default_rng(74)
+        eps = np.sort(2.0 ** rng.uniform(-12.0, 0.0, 500))[::-1]
+        eps[100:110] = eps[100]            # a run of ties
+        idx = np.arange(1, 501)
+        h = idx + 1 if shape == "n+1" else 2 * idx
+        cfg = tmp_path / "l.json"
+        cfg.write_text(json.dumps({"epsilon": eps.tolist(), "h": h.tolist(),
+                                   "N": N}))
+        out = tmp_path / "xi.csv"
+        assert run_cli(["lift", "--config", str(cfg), "--out", str(out)]) == 0
+        from interpk.lethargy import DecaySpec, lift_sequence
+        xi = lift_sequence(DecaySpec(eps, h), N)
+        rows = [(n, float(e), float(x))
+                for n, e, x in zip(range(1, N + 1), eps, xi)]
         assert out.read_bytes() == _csv_text(
             (f"interpk {cli.__version__} lift",), ("n", "eps_n", "xi_n"),
             rows).encode()

@@ -724,6 +724,91 @@ class TestCallContract:
                 assert got.tobytes() == want.tobytes(), (case, len(row))
 
 
+class TestTRowCount:
+    """A T of neither 1 nor m rows is refused with InvariantError naming
+    both counts, by the kernels (``k_kernel``) and by ``k_batch``, where
+    numpy's broadcasting error used to escape."""
+
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_kernels(self, case):
+        kernel = contract_kernel(case)
+        for d in (0, 3):
+            X = np.ones((2, d))
+            for T in ([1.0, 2.0, 4.0], np.ones((3, 2))):
+                with pytest.raises(InvariantError,
+                                   match="3 rows of t for 2 rows of X"):
+                    kernel(X, T)
+            assert kernel(X, [2.0]).shape == (2,)
+            assert kernel(X, np.ones((1, 4))).shape == (2, 4)
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_TABLE) + ["descent"])
+    def test_k_batch(self, case):
+        (p0, p1), _, _, strategies, _ = ROUTE_TABLE.get(
+            case, ((1.0, 0.5), None, None, (), None))
+        c = Couple(WeightedNorm(p0, 0, np.ones(3)),
+                   WeightedNorm(p1, 0, np.ones(3)),
+                   (strategies or (ORACLE,))[0])
+        X = np.ones((2, 3))
+        with pytest.raises(InvariantError, match="3 rows of t for 2 rows"):
+            c.k_batch(X, [1.0, 2.0, 3.0])
+        with pytest.raises(InvariantError,
+                           match=r"t of shape \(2, 2\) for 2 rows"):
+            c.k_batch(X, np.ones((2, 2)))
+        assert c.k_batch(X, [2.0]).tobytes() == c.k_batch(X, 2.0).tobytes()
+
+    @pytest.mark.parametrize("family", ["l1_linf", "l1_geometric"])
+    def test_derived_k_batch(self, family):
+        from interpk.verify import couple_family
+        derived = derived_sum_int_couple(couple_family(family, 3))
+        X = np.ones((2, 3))
+        with pytest.raises(InvariantError, match="3 rows of t for 2 rows"):
+            derived.k_batch(X, [1.0, 2.0, 3.0])
+        with pytest.raises(InvariantError,
+                           match=r"t of shape \(2, 2\) for 2 rows"):
+            derived.k_batch(X, np.ones((2, 2)))
+
+    def test_sequence_couple_k(self):
+        for p0, p1 in [ROUTE_TABLE[case][0] for case in sorted(ROUTE_TABLE)]:
+            with pytest.raises(InvariantError, match="3 rows of t for 2"):
+                sequence_couple_k(np.ones((2, 3)), [1.0, 2.0, 3.0], p0,
+                                  np.ones(3), p1, np.ones(3))
+
+
+class TestEmptySequences:
+    """``sequence_couple_k`` and ``k_operator_diag_batch`` on rows of no
+    entries follow the kernels' d = 0 rule: zeros of the t shape, with a
+    bad t refused first (they raised "weights must be a nonempty 1-d
+    array" before)."""
+
+    PAIRS = [ROUTE_TABLE[case][0] for case in sorted(ROUTE_TABLE)
+             ] + DESCENT_PAIRS
+
+    @pytest.mark.parametrize("p0, p1", PAIRS)
+    def test_zeros_of_the_t_shape(self, p0, p1):
+        m, k = 2, len(DYADIC)
+        X = np.zeros((m, 0))
+        for T, shape in ((0.5, (m,)), (np.full(m, 0.5), (m,)),
+                         (DYADIC[None, :], (m, k)),
+                         (np.tile(DYADIC, (m, 1)), (m, k))):
+            for got in (k_operator_diag_batch(X, T, p0, p1),
+                        sequence_couple_k(X, T, p0, [], p1, [])):
+                assert got.shape == shape and np.all(got == 0.0)
+        assert k_operator_diag([], 0.5, p0, p1) == 0.0
+
+    @pytest.mark.parametrize("bad", BAD_T)
+    @pytest.mark.parametrize("p0, p1", PAIRS)
+    def test_bad_t_is_refused_first(self, p0, p1, bad):
+        X = np.zeros((2, 0))
+        for T in t_forms(bad):
+            refuses_t(lambda: k_operator_diag_batch(X, T, p0, p1))
+            refuses_t(lambda: sequence_couple_k(X, T, p0, [], p1, []))
+
+    def test_weights_still_span_the_rows(self):
+        from interpk.errors import WindowError
+        with pytest.raises(WindowError):
+            sequence_couple_k(np.zeros((2, 0)), 0.5, 1.0, [1.0], 2.0, [1.0])
+
+
 class TestDescentSizeGuard:
     """``descent_route`` refuses rows wider than ``ORACLE_MAX_DIM`` before
     the engine runs, whichever K entry point descends."""

@@ -220,13 +220,26 @@ class TestWitnessSequence:
 
 def whole_witness(p, q, N, probe_params):
     """The witness from whole N-length arrays: eps and, per probe, the
-    summands and their sequential cumsum."""
+    closed-form summands n^a (1 + ln n)^b, the partial sums (each block's
+    running sum at its start plus the block's cumsum) and the sums at
+    N // 2 and N (one np.add.reduce per run between block bounds and
+    N // 2, added in order)."""
     n = np.arange(1, N + 1, dtype=float)
-    eps = n ** (-1.0 / p) * (1.0 + np.log(n)) ** (-1.0 / q)
+    G = 1.0 + np.log(n)
+    eps = n ** (-1.0 / p) * G ** (-1.0 / q)
+    starts = range(0, N, _WITNESS_BLOCK)
+    cuts = sorted({*starts, N // 2, N})
     sums = []
     for p_star, q_star in probe_params:
-        summand = (n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
-        sums.append((summand, np.cumsum(summand)))
+        summand = (n ** (q_star * (1.0 / p_star - 1.0 / p) - 1.0)
+                   * G ** (-q_star / q))
+        running = {0: 0.0}
+        for lo, hi in zip(cuts, cuts[1:]):
+            running[hi] = running[lo] + float(np.add.reduce(summand[lo:hi]))
+        partial = np.concatenate([
+            running[start] + np.cumsum(summand[start:start + _WITNESS_BLOCK])
+            for start in starts])
+        sums.append((summand, partial, running[N // 2], running[N]))
     return eps, sums
 
 
@@ -253,9 +266,8 @@ class TestStreamedWitness:
         assert eps.dtype == want.dtype and eps.tobytes() == want.tobytes()
         assert (rep.p, rep.q, rep.length) == (4 / 3, 2.0, N)
         assert len(rep.probes) == len(probes)
-        for probe, (p_star, q_star), (_, csum) in zip(rep.probes, probes,
-                                                      sums):
-            half, total = float(csum[N // 2 - 1]), float(csum[-1])
+        for probe, (p_star, q_star), (_, _, half, total) in zip(
+                rep.probes, probes, sums):
             assert (probe.p, probe.q) == (p_star, q_star)
             assert (probe.half_sum, probe.total_sum) == (half, total)
             assert probe.flag == reference_flag(half, total)
@@ -271,7 +283,7 @@ class TestStreamedWitness:
     @pytest.mark.parametrize("N", STREAM_LENGTHS)
     def test_trace_equals_whole_arrays(self, N):
         n, eps, summand, partial = witness_trace(1.5, 0.7, N, 2.5, 1.3)
-        want_eps, [(want_summand, want_partial)] = whole_witness(
+        want_eps, [(want_summand, want_partial, _, _)] = whole_witness(
             1.5, 0.7, N, [(2.5, 1.3)])
         want_n = np.arange(1, N + 1, dtype=float).astype(int)
         for got, want in ((n, want_n), (eps, want_eps),
@@ -287,6 +299,55 @@ class TestStreamedWitness:
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
+
+
+def two_power_witness(p, q, N, probe_params):
+    """The witness by the earlier rule: eps, and per probe the summands
+    (n^{1/p* - 1/q*} eps_n)^{q*} with the flag of their sequential
+    cumsum."""
+    n = np.arange(1, N + 1, dtype=float)
+    eps = n ** (-1.0 / p) * (1.0 + np.log(n)) ** (-1.0 / q)
+    probes = []
+    for p_star, q_star in probe_params:
+        summand = (n ** (1.0 / p_star - 1.0 / q_star) * eps) ** q_star
+        csum = np.cumsum(summand)
+        probes.append((summand, reference_flag(float(csum[N // 2 - 1]),
+                                               float(csum[-1]))))
+    return eps, probes
+
+
+class TestClosedFormSummand:
+    """The closed-form summand n^a (1 + ln n)^b with block sums keeps every
+    flag and eps of the two-power summand with one sequential cumsum, and
+    its sums are within 1e-12 of the exactly rounded ones."""
+
+    @pytest.mark.parametrize("N", [4, 4097, 2 ** 16])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 4 / 3, 1.5, 2.0, 3.0])
+    def test_against_the_two_power_rule(self, p, q, N):
+        probes = [(p, q), (p, 2 * q), (2 * p, q), (p / 2, 2 * q),
+                  (1.5 * p, 3 * q)]
+        eps, rep = witness_sequence(p, q, N, probes)
+        old_eps, old = two_power_witness(p, q, N, probes)
+        assert eps.tobytes() == old_eps.tobytes()
+        assert witness_report(p, q, N, probes) == rep
+        for probe, (summand, flag) in zip(rep.probes, old):
+            assert probe.flag == flag
+            terms = summand.tolist()
+            for got, want in ((probe.half_sum, math.fsum(terms[:N // 2])),
+                              (probe.total_sum, math.fsum(terms))):
+                assert abs(got - want) <= 1e-12 * want
+        for stride in (1, 7, 256):
+            rows, sample_rep = witness_samples(p, q, N, p, 2 * q, stride)
+            idx = [n - 1 for n, _, _, _ in rows]
+            assert [e for _, e, _, _ in rows] == old_eps[idx].tolist()
+            assert sample_rep.probes[0] == rep.probes[1]
+
+    @pytest.mark.parametrize("N", STREAM_LENGTHS)
+    def test_samples_at_stride_one_are_the_trace(self, N):
+        rows, _ = witness_samples(1.5, 0.7, N, 2.5, 1.3, 1)
+        trace = witness_trace(1.5, 0.7, N, 2.5, 1.3)
+        assert rows == list(zip(*(col.tolist() for col in trace)))
 
 
 class TestKOperatorDiag:

@@ -183,6 +183,7 @@ def _clip_search(X, T, pay_clip, pay_rest, scale, iters):
 
 
 @k_kernel
+@np.errstate(over="ignore")    # an inf t * norm loses the min to a = x
 def decomposition_infimum(
     X: np.ndarray,
     T,

@@ -344,8 +344,7 @@ def _cmd_lattice_norm(args) -> int:
     with _parsing():
         couple = Couple.from_json(cfg["couple"])
         x = FiniteVector.from_json(cfg["vector"])
-        r = float("inf") if cfg["r"] == "inf" else float(cfg["r"])
-        E = LatticeParam(r, cfg["n_min"],
+        E = LatticeParam(float(cfg["r"]), cfg["n_min"],
                          np.asarray(cfg["lattice_weights"], dtype=float))
     value = lattice_norm(x, couple, E)
     _dump_json(_report_payload("lattice-norm", cfg, {"value": value}),

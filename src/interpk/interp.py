@@ -76,9 +76,7 @@ class InterpParams:
 
     @staticmethod
     def from_json(data: dict) -> "InterpParams":
-        q = data["q"]
-        return InterpParams(float(data["theta"]),
-                            math.inf if q == "inf" else float(q))
+        return InterpParams(float(data["theta"]), float(data["q"]))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -120,6 +121,23 @@ def cell_oracle_power(X, T, p, w0, w1):
         s = p / (p - 1.0)
         f = np.exp(-np.logaddexp(-s * np.log(u), -s * np.log(v)) / s)
     return stable_lp_sum(np.abs(X)[:, None, :] * f, p)
+
+
+def decimal_oracle_power(x, t, p, w0, w1):
+    """K_p(x, t) at 50 significant digits, with the weight factor in its
+    defining form f_i = (u^-s + v^-s)^(-1/s), u = w0_i, v = t w1_i and
+    s = p/(p-1), for p > 1.  Every float converts to decimal exactly; the
+    exponent range is unbounded, so u^-s neither overflows nor underflows."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        P = D(p)
+        s = P / (P - 1)
+        total = sum(((abs(D(xi)) * (D(a) ** -s + (D(t) * D(b)) ** -s)
+                      ** (-1 / s)) ** P for xi, a, b in zip(x, w0, w1)),
+                    D(0))
+        return total ** (1 / P)
 
 
 def prefix_oracle_l1_linf(x, t):
@@ -1166,6 +1184,25 @@ class TestPowerCoordinatewise:
         # cells of nonzero rows recomputed
         assert (sum(fallback) > 0) == (p >= 16.0)
 
+    @pytest.mark.parametrize("p", [1.0001, 1.2, 1.5, 2.0, 3.0, 7.0])
+    def test_matches_the_decimal_reference_across_wide_scales(self, p):
+        # weights and t across 2^+-1000, with each v = t w1_i a normal
+        # float too, so u/v spans 2^+-2000
+        rng = np.random.default_rng(46)
+        for _ in range(8):
+            d = int(rng.integers(1, 7))
+            n = rng.uniform(-1000, 1000)
+            t = 2.0 ** n
+            w0 = 2.0 ** rng.uniform(-1000, 1000, d)
+            w1 = 2.0 ** rng.uniform(max(-1000, -1000 - n),
+                                    min(1000, 1000 - n), d)
+            X = rng.uniform(-4, 4, (2, d))
+            got = _power_batch(X, t, p, w0, w1)
+            for x, k in zip(X, got):
+                want = decimal_oracle_power(x, t, p, w0, w1)
+                gap = abs(decimal.Decimal(float(k)) - want) / want
+                assert gap <= decimal.Decimal("1e-15"), (p, d, float(gap))
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 60.0])
     @pytest.mark.parametrize("weights", ["shared", "per_row"])
     def test_row_alone_is_bit_identical_to_its_batch_row(self, p, weights):
@@ -1419,6 +1456,38 @@ class TestEndpoints:
         c = weighted_sup_couple(np.ones(4), np.full(4, 3.0))
         x = random_vector(rng, 4)
         assert max(c.norm0(x), c.norm1(x)) == pytest.approx(c.norm1(x))
+
+
+class TestWindowEnds:
+    """At the ends of the admitted t window every route answers with a
+    trivial split, K = ||x||_A0 for n in [1000, 1023] and t ||x||_A1 for n
+    in [-1022, -1000], and no RuntimeWarning is raised where t times a
+    weight or a norm overflows to inf."""
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    @pytest.mark.parametrize("case", sorted(ROUTE_TABLE) + ["descent"])
+    def test_profiles_reach_the_trivial_splits(self, case, order):
+        if case == "descent":
+            (p0, p1), name, strategies = DESCENT_PAIRS[1], "descent", ()
+        else:
+            (p0, p1), name, _, strategies, _ = ROUTE_TABLE[case]
+        w1 = 1.0 if name == "l1_linf" else 4.0
+        c = Couple(WeightedNorm(p0, 0, np.ones(4)),
+                   WeightedNorm(p1, 0, np.full(4, w1)),
+                   (strategies + (ORACLE,))[0])
+        if order == "reversed":
+            c = c.reversed()
+        assert c.route.name == name
+        x = vec([3.0, -1.0, 2.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = k_profile(x, c, 1000, 1023).values
+            bottom = k_profile(x, c, -1022, -1000).values
+        t = 2.0 ** np.arange(-1022, -999).astype(float)
+        assert len(top) == 24 and len(bottom) == len(t)
+        np.testing.assert_allclose(top, c.norm0(x), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(bottom, t * c.norm1(x), rtol=1e-12,
+                                   atol=0)
 
 
 class TestSphereSup:

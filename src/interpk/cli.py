@@ -299,14 +299,22 @@ def _report_payload(command: str, config: dict, body: dict) -> dict:
 _PROFILE_HINTS = {"couple": dict, "vector": dict, "n_min": int, "n_max": int}
 
 
-def _cmd_kprofile(args) -> int:
-    cfg = _take(_load_json(args.config),
-                {"couple": None, "vector": None,
-                 "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
-                required=("couple", "vector"), hints=_PROFILE_HINTS)
+def _profile_config(path: str, extra: dict, required: tuple = ()):
+    """(cfg, couple, x) of a profile command's config file: ``_take`` over
+    "couple", "vector" and the command's ``extra`` keys (name -> default)
+    with the couple, the vector and then ``required`` required, and the
+    couple and vector read from it."""
+    cfg = _take(_load_json(path), {"couple": None, "vector": None, **extra},
+                required=("couple", "vector", *required),
+                hints=_PROFILE_HINTS)
     with _parsing():
-        couple = Couple.from_json(cfg["couple"])
-        x = FiniteVector.from_json(cfg["vector"])
+        return (cfg, Couple.from_json(cfg["couple"]),
+                FiniteVector.from_json(cfg["vector"]))
+
+
+def _cmd_kprofile(args) -> int:
+    cfg, couple, x = _profile_config(
+        args.config, {"n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX})
     prof = k_profile(x, couple, cfg["n_min"], cfg["n_max"])
     if args.format == "csv":
         rows = [(int(n), float(t), float(v))
@@ -319,14 +327,10 @@ def _cmd_kprofile(args) -> int:
 
 
 def _cmd_interp_norm(args) -> int:
-    cfg = _take(_load_json(args.config),
-                {"couple": None, "vector": None, "theta": None, "q": None,
-                 "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX},
-                required=("couple", "vector", "theta", "q"),
-                hints=_PROFILE_HINTS)
+    cfg, couple, x = _profile_config(
+        args.config, {"theta": None, "q": None, "n_min": DEFAULT_N_MIN,
+                      "n_max": DEFAULT_N_MAX}, required=("theta", "q"))
     with _parsing():
-        couple = Couple.from_json(cfg["couple"])
-        x = FiniteVector.from_json(cfg["vector"])
         params = InterpParams.from_json({"theta": cfg["theta"], "q": cfg["q"]})
     prof = k_profile(x, couple, cfg["n_min"], cfg["n_max"])
     value = interp_norm_from_profile(prof, params)
@@ -336,14 +340,11 @@ def _cmd_interp_norm(args) -> int:
 
 
 def _cmd_lattice_norm(args) -> int:
-    cfg = _take(_load_json(args.config),
-                {"couple": None, "vector": None, "r": None,
-                 "lattice_weights": None, "n_min": DEFAULT_N_MIN},
-                required=("couple", "vector", "r", "lattice_weights"),
-                hints=_PROFILE_HINTS)
+    cfg, couple, x = _profile_config(
+        args.config, {"r": None, "lattice_weights": None,
+                      "n_min": DEFAULT_N_MIN},
+        required=("r", "lattice_weights"))
     with _parsing():
-        couple = Couple.from_json(cfg["couple"])
-        x = FiniteVector.from_json(cfg["vector"])
         E = LatticeParam(float(cfg["r"]), cfg["n_min"],
                          np.asarray(cfg["lattice_weights"], dtype=float))
     value = lattice_norm(x, couple, E)

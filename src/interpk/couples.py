@@ -40,9 +40,12 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
   decompositions (``_descent.decomposition_infimum``).  It is an upper
   approximation, and it reports the band (1, 1) all the same.  It is the one
   place that builds a descent K: ``oracle`` couples, ``sequence_couple_k``
-  (so ``snum``'s diagonal K) and the derived couple call it with their own
-  budget and seed.  Its kernel refuses rows of more than ``ORACLE_MAX_DIM``
-  (16) coordinates with SizeError before the engine runs.
+  (so ``snum``'s diagonal K) and the derived couple call it with their two
+  norm callables and their own budget and seed, nothing else.  The engine
+  derives its clip scales from the norms themselves (norm(e_j) = w_j for
+  every weighted lp norm).  Its kernel refuses rows of more than
+  ``ORACLE_MAX_DIM`` (16) coordinates with SizeError before the engine
+  runs.
 
 A route carries its band: ``band[0] <= K_route / K_true <= band[1]``, (1, 1)
 for the exact routes.  The strategy names select what a couple may use:
@@ -125,6 +128,8 @@ def _parse_p(p, key: str = "exponent p") -> float:
         if p.lower() in ("inf", "infinity"):
             return math.inf
         raise DomainError(f"unrecognized exponent string {p!r}")
+    if isinstance(p, bool):
+        raise DomainError(f"{key} must be a number or \"inf\", got {p}")
     p = float(p)
     if not (p > 0):
         raise DomainError(f"{key} must be positive, got {p}")
@@ -146,6 +151,16 @@ def stable_lp_sum(terms: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     safe = np.where(peak > 0, peak, 1.0)
     return np.squeeze(peak, axis=axis) * np.add.reduce(
         (terms / safe) ** p, axis=axis) ** (1.0 / p)
+
+
+def _parse_offset(data: dict, default: int = 0) -> int:
+    """The "offset" of a JSON object, ``default`` when absent: a JSON
+    integer only, so neither a fraction, a string nor a bool is truncated
+    or converted to one."""
+    offset = data.get("offset", default)
+    if type(offset) is not int:
+        raise DomainError(f"offset must be an integer, got {offset!r}")
+    return offset
 
 
 def _p_to_json(p: float):
@@ -184,7 +199,7 @@ class FiniteVector:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteVector":
-        return FiniteVector(int(data.get("offset", 0)), data["entries"])
+        return FiniteVector(_parse_offset(data), data["entries"])
 
 
 def vec(entries, offset: int = 0) -> FiniteVector:
@@ -253,7 +268,7 @@ class WeightedNorm:
 
     @staticmethod
     def from_json(data: dict, offset: int = 0) -> "WeightedNorm":
-        return WeightedNorm(data["p"], int(data.get("offset", offset)),
+        return WeightedNorm(data["p"], _parse_offset(data, offset),
                             np.asarray(data["weights"], dtype=float))
 
 
@@ -302,20 +317,21 @@ def k_route(norm0: WeightedNorm, norm1: WeightedNorm) -> KRoute | None:
     return route and _mirrored(route)
 
 
-def descent_route(dense0, dense1, *, budget: int, seed: int,
-                  scale0=None, scale1=None) -> KRoute:
+def descent_route(dense0, dense1, *, budget: int, seed: int) -> KRoute:
     """The ``descent`` route: K of the norm callables (dense0, dense1) by
     ``_descent.decomposition_infimum`` with these knobs, an upper
-    approximation reported with band (1, 1).  Its kernel refuses rows wider
-    than ``ORACLE_MAX_DIM`` with SizeError before the engine runs; this is
-    the one size guard of every descent K.  The engine is looked up when
+    approximation reported with band (1, 1).  The engine probes each norm
+    on the basis vectors for its clip scales; for a weighted lp norm that
+    probe is the weights, bit for bit, whatever the exponent.  Its kernel
+    refuses rows wider than ``ORACLE_MAX_DIM`` with SizeError before the
+    engine runs; this is the one size guard of every descent K.  The engine is looked up when
     the kernel runs and gets the norms positionally, so a wrapper installed
     on it (the benchmark's tracer counts norm calls) sees every descent."""
     def kernel(X, T):
         if np.shape(X)[-1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
         return decomposition_infimum(X, T, dense0, dense1, budget=budget,
-                                     seed=seed, scale0=scale0, scale1=scale1)
+                                     seed=seed)
     return KRoute("descent", kernel, exact=False)
 
 
@@ -342,10 +358,8 @@ class Couple:
         route = k_route(self.norm0, self.norm1)
         if s == ORACLE:
             if not (route and route.exact):
-                route = descent_route(
-                    self.norm0.dense, self.norm1.dense, budget=8, seed=0,
-                    # norm(e_j) = w_j for every lp exponent
-                    scale0=self.norm0.weights, scale1=self.norm1.weights)
+                route = descent_route(self.norm0.dense, self.norm1.dense,
+                                      budget=8, seed=0)
         elif s not in _STRATEGY_ROUTES:
             raise InvariantError(f"unknown strategy {s!r}")
         elif route is None or route.name != _STRATEGY_ROUTES[s]:
@@ -432,7 +446,7 @@ class Couple:
     def from_json(data: dict) -> "Couple":
         """The inverse of ``to_json``; the band keys are read-only and
         ignored."""
-        offset = int(data.get("offset", 0))
+        offset = _parse_offset(data)
         return Couple(WeightedNorm.from_json(data["norm0"], offset),
                       WeightedNorm.from_json(data["norm1"], offset),
                       data["strategy"])

@@ -21,8 +21,9 @@ class SizeError(InterpKError):
     """The problem is too large for the requested (brute-force) evaluator."""
 
 
-class ParamError(InterpKError):
-    """An interpolation or lattice parameter fails its admissibility check."""
+class ParamError(DomainError):
+    """An interpolation or lattice parameter fails its admissibility check:
+    it lies outside the domain of the operation that takes it."""
 
 
 class ConstructionError(InterpKError):

@@ -488,7 +488,6 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
     if not V.shape[1] == n0.dim == n1.dim:
         raise WindowError(f"sequences of length {V.shape[1]} with weights "
                           f"of lengths {n0.dim} and {n1.dim}")
-    route = k_route(n0, n1) or descent_route(
-        n0.dense, n1.dense, budget=budget, seed=seed, scale0=n0.weights,
-        scale1=n1.weights)
+    route = k_route(n0, n1) or descent_route(n0.dense, n1.dense,
+                                             budget=budget, seed=seed)
     return route.kernel(V, t)

@@ -20,8 +20,11 @@ n^a (1 + ln n)^b with a = q*(1/p* - 1/p) - 1 and b = -q*/q, and eps_n only
 where a builder returns it.  Each probe's block sum is one ``np.add.reduce``
 added to the sum carried across blocks (split at N // 2), so the probe sums
 at N // 2 and N follow one rule in every builder; the returned partial sums
-are the carry plus a cumsum within the block.  A witness's memory is its
-output (eps for ``witness_sequence``, the sampled rows for
+are the carry plus a cumsum within the block.  ``witness_trace`` and
+``witness_samples`` share one core, ``_sampled_trace``, which fills eps_n,
+the summand and the partial sum at a set of sampled indices: the trace is
+the samples at stride 1.  A witness's memory is its output (eps for
+``witness_sequence``, the sampled columns for ``witness_trace`` and
 ``witness_samples``) plus a few blocks, not several N-length arrays.
 ``witness_report`` is the storage-free probe pass: it computes no eps and
 keeps no term, only each probe's sums at N // 2 and N, so the callers that
@@ -309,51 +312,54 @@ def witness_report(p: float, q: float, N: int,
     return witness.report()
 
 
-def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):
-    """Per-index trace (n, eps_n, summand, partial_sum) for CSV export.
+def _sampled_trace(p: float, q: float, N: int, p_star: float,
+                   q_star: float, stride: int):
+    """The trace columns (n, eps_n, summand, partial_sum) at n = 1,
+    1 + stride, 1 + 2 stride, ... and n = N, with the report of the probe
+    (p*, q*): the one core of ``witness_trace`` and ``witness_samples``.
 
-    A block's partial sums are the carry plus the block's ``np.cumsum``:
-    ``witness_samples`` at stride 1."""
+    One blocked pass fills arrays of the sample count, so the memory is
+    the output's, not that of N-length arrays; eps_n is computed at the
+    sampled indices only.  A sampled partial sum is the block's carry plus
+    the ``np.cumsum`` of the ``np.add.reduceat`` sums of the block's runs
+    that end at each sampled index (at stride 1 those runs are the
+    summands themselves).  The pass is built, and its arguments checked,
+    before any index array is allocated.
+    """
     witness = _WitnessPass(p, q, N, [(p_star, q_star)])
-    eps, summand, partial = (np.empty(N) for _ in range(3))
+    idx = np.arange(0, N, stride)
+    if (N - 1) % stride:
+        idx = np.append(idx, N - 1)
+    eps, summand, partial = (np.empty(len(idx)) for _ in range(3))
+    lo = 0
     for start, n, G, (s,), (carry,) in witness:
-        stop = start + len(n)
-        eps[start:stop], summand[start:stop] = witness.eps(n, G), s
-        partial[start:stop] = carry + np.cumsum(s)
-    return np.arange(1, N + 1), eps, summand, partial
+        hi = int(np.searchsorted(idx, start + len(n)))
+        if hi > lo:
+            local = idx[lo:hi] - start
+            runs = np.add.reduceat(s[:local[-1] + 1],
+                                   np.concatenate(([0], local[:-1] + 1)))
+            eps[lo:hi] = witness.eps(n[local], G[local])
+            summand[lo:hi] = s[local]
+            partial[lo:hi] = carry + np.cumsum(runs)
+        lo = hi
+    idx += 1    # n, in place: at stride 1 idx is N long
+    return (idx, eps, summand, partial), witness.report()
+
+
+def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):
+    """Per-index trace (n, eps_n, summand, partial_sum) for CSV export:
+    ``witness_samples`` at stride 1, as arrays."""
+    return _sampled_trace(p, q, N, p_star, q_star, 1)[0]
 
 
 def witness_samples(p: float, q: float, N: int, p_star: float, q_star: float,
                     stride: int):
     """The trace rows (n, eps_n, summand, partial_sum) at n = 1, 1 + stride,
     1 + 2 stride, ... and n = N, as Python numbers, with the report of the
-    probe (p*, q*).
-
-    One blocked pass computes them and keeps only the sampled rows, so the
-    memory is the output's, not that of N-length arrays; eps_n is computed
-    at the sampled rows only.  A sampled partial sum is the block's carry
-    plus the ``np.cumsum`` of the ``np.add.reduceat`` sums of the block's
-    runs that end at each sampled row.
-    """
-    witness = _WitnessPass(p, q, N, [(p_star, q_star)])
-    idx = np.arange(0, N, stride)
-    if (N - 1) % stride:
-        idx = np.append(idx, N - 1)
-    picks = []   # per block: G, summand and partial sum at its sampled rows
-    lo = 0
-    for start, n, G, (summand,), (carry,) in witness:
-        hi = int(np.searchsorted(idx, start + len(n)))
-        if hi > lo:
-            local = idx[lo:hi] - start
-            runs = np.add.reduceat(summand[:local[-1] + 1],
-                                   np.concatenate(([0], local[:-1] + 1)))
-            picks.append((G[local], summand[local],
-                          carry + np.cumsum(runs)))
-        lo = hi
-    G, summand, partial = map(np.concatenate, zip(*picks))
-    rows = list(zip((idx + 1).tolist(), witness.eps(idx + 1.0, G).tolist(),
-                    summand.tolist(), partial.tolist()))
-    return rows, witness.report()
+    probe (p*, q*).  The memory is the output's, not that of N-length
+    arrays (see ``_sampled_trace``)."""
+    columns, report = _sampled_trace(p, q, N, p_star, q_star, stride)
+    return list(zip(*(col.tolist() for col in columns))), report
 
 
 def k_operator_diag(sigma, t: float, p0: float, p1: float,

@@ -17,6 +17,11 @@ writes itself, since that descent is the reference the exact kernels are
 accepted against, and ``konig``'s right side writes the Lorentz sum over a
 batch of rows, which ``snum.lorentz_norm`` takes one row at a time.
 
+A report is a dataclass, and one ``to_json`` serializes every report class:
+each field but ``trace`` (the per-sample rows, which the CLI writes as a
+CSV of their own), with ``passed`` written under "pass".  ``EquivReport``
+adds only str keys for ``per_dimension``.
+
 Every pass/fail threshold is a default in its check's signature
 (overridable per call), never in the check logic.  ``dichotomy_sweep`` and
 ``distinctness_demo`` draw nothing and take no seed: their reports are
@@ -45,7 +50,7 @@ compiling every annotation string again.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -76,8 +81,18 @@ __all__ = [
 # reports
 # ---------------------------------------------------------------------------
 
+class _Report:
+    """The serialization every report shares."""
+
+    def to_json(self) -> dict:
+        """Every dataclass field but ``trace``, with ``passed`` under
+        "pass"."""
+        return {"pass" if f.name == "passed" else f.name: getattr(self, f.name)
+                for f in fields(self) if f.name != "trace"}
+
+
 @dataclass
-class EquivReport:
+class EquivReport(_Report):
     """Empirical two-sided equivalence constants for one check."""
 
     check: str
@@ -95,16 +110,12 @@ class EquivReport:
             raise InvariantError("need 0 < min_ratio <= max_ratio")
 
     def to_json(self) -> dict:
-        return {"check": self.check, "seed": self.seed,
-                "sample_count": self.sample_count,
-                "min_ratio": self.min_ratio, "max_ratio": self.max_ratio,
-                "per_dimension": {str(k): v
-                                  for k, v in self.per_dimension.items()},
-                "config": self.config, "pass": self.passed}
+        return {**super().to_json(), "per_dimension": {
+            str(k): v for k, v in self.per_dimension.items()}}
 
 
 @dataclass
-class DichotomyReport:
+class DichotomyReport(_Report):
     check: str
     family: str
     t: float
@@ -113,24 +124,14 @@ class DichotomyReport:
     config: dict
     passed: bool
 
-    def to_json(self) -> dict:
-        return {"check": self.check, "family": self.family, "t": self.t,
-                "sizes": list(self.sizes), "values": list(self.values),
-                "config": self.config, "pass": self.passed}
-
 
 @dataclass
-class DistinctnessReport:
+class DistinctnessReport(_Report):
     check: str
     length: int
     pairs: list
     config: dict
     passed: bool
-
-    def to_json(self) -> dict:
-        return {"check": self.check, "length": self.length,
-                "pairs": self.pairs, "config": self.config,
-                "pass": self.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +664,6 @@ def check_reiteration(theta0: float, theta1: float, alpha: float, r: float,
     and conversely up to dimension-free constants, so the profile-level K in
     the weighted sequence couple stands in for the vector-level one.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
     p = r if p is None else p
     q = r if q is None else q
     # r first: p and q default to it

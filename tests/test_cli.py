@@ -216,6 +216,34 @@ class TestConfigErrors:
         assert code == 2
         assert "norm0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0.5, 1.9, "1", True])
+    @pytest.mark.parametrize("where", ["vector", "couple", "norm0"])
+    def test_offset_must_be_an_integer(self, where, value, couple_config,
+                                       tmp_path, capsys):
+        # a fraction was truncated, a string or a bool read as a number
+        cfg = json.loads(couple_config.read_text())
+        {"vector": cfg["vector"], "couple": cfg["couple"],
+         "norm0": cfg["couple"]["norm0"]}[where]["offset"] = value
+        couple_config.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
+        code = run_cli(["kprofile", "--config", str(couple_config),
+                        "--out", str(out)])
+        assert code == 2
+        assert "offset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exponent_must_not_be_a_bool(self, couple_config, tmp_path,
+                                         capsys):
+        cfg = json.loads(couple_config.read_text())
+        cfg["couple"]["norm0"]["p"] = True
+        couple_config.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
+        code = run_cli(["kprofile", "--config", str(couple_config),
+                        "--out", str(out)])
+        assert code == 2
+        assert "exponent p" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparsable_window(self, couple_config, tmp_path):
         cfg = json.loads(couple_config.read_text())
         cfg["n_min"] = "abc"
@@ -364,6 +392,9 @@ class TestConfigErrors:
         pytest.param("reiteration", {"theta0": 1.5},
                      "theta0 must lie in (0, 1), got 1.5",
                      id="reiteration-theta0"),
+        pytest.param("reiteration", {"alpha": 1.5},
+                     "alpha must lie in (0, 1), got 1.5",
+                     id="reiteration-alpha"),
         pytest.param("konig", {"p0": 0},
                      "p0 must be positive, got 0.0", id="konig-p0-zero"),
         pytest.param("konig", {"p0": math.inf, "p1": math.inf},

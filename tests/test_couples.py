@@ -174,8 +174,7 @@ def random_vector(rng, dim, offset=0):
 def descend(x, t, c, budget=8, seed=0):
     """K(x, t) on the couple's norms by the descent route."""
     route = descent_route(c.norm0.dense, c.norm1.dense, budget=budget,
-                          seed=seed, scale0=c.norm0.weights,
-                          scale1=c.norm1.weights)
+                          seed=seed)
     return float(route.kernel(c.embed(x)[None, :], t)[0])
 
 

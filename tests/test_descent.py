@@ -8,7 +8,8 @@ from interpk import _descent
 from interpk._descent import (COORD_ITERS, LINE_ITERS, SWEEPS, _clip_search,
                               _golden_min, _t_matrix, decomposition_infimum,
                               probe_scales)
-from interpk.couples import WeightedNorm, _l1_linf_batch, _weighted_sup_batch
+from interpk.couples import (ORACLE, Couple, WeightedNorm, _l1_linf_batch,
+                             _weighted_sup_batch)
 from interpk.interp import sequence_couple_k
 from interpk.snum import k_operator_diag_batch
 
@@ -221,6 +222,38 @@ class TestGridCallers:
                                                seed=3)
                          for t in GRID], axis=1)
         assert np.array_equal(got, want)
+
+
+class TestProbedScales:
+    """The engine's probe of a weighted lp norm on e_j is its weights, so
+    ``couples.descent_route`` passes no clip scales of its own."""
+
+    @staticmethod
+    def wide_weights(rng, d):
+        return np.append(2.0 ** rng.uniform(-1000, 1000, d - 1), 5e-324)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0,
+                                   np.inf])
+    def test_probe_is_the_weights(self, p):
+        rng = np.random.default_rng(41)
+        for d in (1, 2, 7, 16, 21):
+            w = self.wide_weights(rng, d)
+            got = probe_scales(WeightedNorm(p, 0, w).dense, d)
+            assert got.tobytes() == w.tobytes(), (p, d)
+
+    @pytest.mark.parametrize("p0, p1", [(2.0, 3.0), (0.5, 2.0), (0.5, 0.5)])
+    def test_oracle_profile_equals_the_weighted_scales(self, p0, p1):
+        rng = np.random.default_rng(42)
+        w0, w1 = self.wide_weights(rng, 6), self.wide_weights(rng, 6)
+        couple = Couple(WeightedNorm(p0, 0, w0), WeightedNorm(p1, 0, w1),
+                        ORACLE)
+        assert couple.route.name == "descent"
+        X = rng.standard_normal((3, 6))
+        got = couple.profile_batch(X, GRID)
+        want = decomposition_infimum(X, GRID[None, :], couple.norm0.dense,
+                                     couple.norm1.dense, budget=8, seed=0,
+                                     scale0=w0, scale1=w1)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -99,6 +100,33 @@ class TestEquivalenceReport:
         r2 = equivalence_report(l1, linf, vector_sampler(5, seed=9), count=50)
         assert r2.min_ratio <= r1.min_ratio * (1 + 1e-15)
         assert r2.max_ratio >= r1.max_ratio * (1 - 1e-15)
+
+
+class TestReportJson:
+    """One ``to_json`` serves every report class."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: check_mainlema(dims=(2,), count=4, t_grid=(0.5,),
+                               keep_trace=True),
+        lambda: dichotomy_sweep("l1_geometric", 0.25, [5]),
+        lambda: distinctness_demo([2.0], [1.0, 2.0], N=2 ** 10),
+    ], ids=["equiv", "dichotomy", "distinctness"])
+    def test_keys_are_the_fields(self, build):
+        rep = build()
+        data = rep.to_json()
+        names = {f.name for f in dataclasses.fields(rep)}
+        assert set(data) == (names - {"passed", "trace"}) | {"pass"}
+        assert data["pass"] is rep.passed
+
+    def test_equiv_report_drops_its_trace(self):
+        rep = check_mainlema(dims=(2, 4), count=4, t_grid=(0.5,),
+                             keep_trace=True)
+        assert rep.trace
+        data = rep.to_json()
+        assert "trace" not in data
+        assert list(data["per_dimension"]) == ["2", "4"]
+        assert list(data["per_dimension"].values()) == list(
+            rep.per_dimension.values())
 
 
 class TestSamplers:

@@ -120,12 +120,6 @@ def _t_grid(T) -> tuple[np.ndarray, bool]:
     return T, False
 
 
-def _t_matrix(T, m: int) -> tuple[np.ndarray, bool]:
-    """``_t_grid`` broadcast to an (m, k) matrix."""
-    T, per_row = _t_grid(T)
-    return np.broadcast_to(T, (m, T.shape[1])), per_row
-
-
 def k_kernel(core):
     """The K call contract around ``core(X, T, *args, **kwargs)``.
 

@@ -45,6 +45,18 @@ them; ``lift`` hands its rows over already joined, calling ``repr`` once
 for xi_n and eps_n where the two are equal; any other CSV goes through
 ``csv.writer``.
 
+The CLI is the one module that reads config JSON.  ``_take`` checks each
+config object against its schema before anything is built: a command's
+config, the matrix file and the nested couple, norm0/norm1 and vector
+objects have theirs in ``CONFIG_SCHEMAS``, and a verify check's schema is
+its signature.  An unknown key, a missing required key or a value of
+another JSON type is refused with a message that names the key's path
+(``couple.norm0.p``); null counts as absent at every depth, and an exponent
+is read by ``couples._parse_p``.  The command then builds the library's
+objects from the checked values; a list becomes a float array, and an
+entry beyond the float range is refused naming its key.  A report's config
+echo is the config as given, with the top-level defaults filled in.
+
 A plain call, ``COMMAND [CHECK] --opt value ...`` with every option spelled
 in full and given once and every value valid, is read off ``_COMMANDS``
 into the namespace argparse would return, and builds no parser.  Any other
@@ -56,7 +68,6 @@ so argparse alone prints help, usage lines and errors.
 from __future__ import annotations
 
 import argparse
-import collections.abc
 import contextlib
 import csv
 import inspect
@@ -66,14 +77,13 @@ import math
 import os
 import stat
 import sys
-import types
 import typing
 
 import numpy as np
 
 from . import __version__, verify
-from .couples import Couple, FiniteVector, k_profile
-from .errors import InterpKError
+from .couples import Couple, FiniteVector, WeightedNorm, _parse_p, k_profile
+from .errors import DomainError, InterpKError
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams, LatticeParam,
                      interp_norm_from_profile, lattice_norm,
                      truncation_terms)
@@ -103,69 +113,70 @@ def _load_json(path: str) -> dict:
     return data
 
 
-# the types of the JSON values each annotated Python type accepts (json
-# gives exact types, and a bool is no number)
-_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, dict: {dict}}
+# kind -> whether a JSON value is of that kind.  ``json`` loads exact
+# types, and a bool is no number.  The one other kind, an exponent, is read
+# through ``couples._parse_p``.
+_NUMBERS = {int, float}
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a type annotation.
+def _list_of(types: set):
+    return lambda value: (type(value) is list
+                          and set(map(type, value)) <= types)
 
-    ``int`` takes a JSON integer, ``float`` any JSON number, ``str`` a
-    string and ``dict`` an object; ``Sequence[X]``, for one of these scalar
-    types X, takes a list of X, and ``X | None`` also null.  Any other
-    annotation, or list element type, takes any value.
+
+_is_list_of_lists = _list_of({list})
+_KINDS = {
+    "integer": lambda value: type(value) is int,
+    "number": lambda value: type(value) in _NUMBERS,
+    "string": lambda value: type(value) is str,
+    "object": lambda value: type(value) is dict,
+    "list of integers": _list_of({int}),
+    "list of numbers": _list_of(_NUMBERS),
+    "list of lists of numbers": lambda value: (
+        _is_list_of_lists(value)
+        and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBERS),
+    "any": lambda value: True,
+}
+_EXPONENT = 'number or "inf"'
+
+
+# the default of a required key in a schema (key -> (kind, default))
+_REQUIRED = inspect.Parameter.empty
+
+
+def _take(config: dict, schema: dict, path: str = "") -> dict:
+    """``config`` checked against ``schema`` (key -> (kind, default)), with
+    every default filled in.
+
+    An unknown key, a missing required key and a value not of its key's
+    kind are ConfigErrors that name the key by its path, ``path`` + key
+    (such as ``couple.norm0.p``).  A key given as null counts as absent: a
+    required one is missing and an optional one takes its default.  Values
+    are never converted: an exponent is only checked by ``_parse_p``, and a
+    nested object is returned as given, for its own ``_take``.
     """
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (types.UnionType, typing.Union):
-        return any(_fits(value, arg) for arg in args)
-    if origin is collections.abc.Sequence:    # its element types at once
-        expected = _JSON_TYPES.get(args[0])
-        return isinstance(value, list) and (
-            expected is None or set(map(type, value)) <= expected)
-    if hint is type(None):
-        return value is None
-    expected = _JSON_TYPES.get(hint)
-    return expected is None or type(value) in expected
-
-
-def _take(config: dict, allowed: dict, required: tuple = (),
-          hints: dict | None = None):
-    """Validate keys against ``allowed`` (name -> default); reject unknowns.
-
-    A key given as null counts as absent: a required one is missing and an
-    optional one takes its default.  A value whose key has a type in
-    ``hints`` must fit it; values are never converted.
-    """
-    unknown = sorted(set(config) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown config key: {unknown[0]}")
+    if not config.keys() <= schema.keys():
+        unknown = min(config.keys() - schema.keys())
+        raise ConfigError(f"unknown config key: {path}{unknown}")
     config = {k: v for k, v in config.items() if v is not None}
-    missing = [k for k in required if k not in config]
-    if missing:
-        raise ConfigError(f"missing config key: {missing[0]}")
+    out = {}
+    for key, (_, default) in schema.items():
+        if key not in config:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing config key: {path}{key}")
+            out[key] = default
     for key, value in config.items():
-        if hints and key in hints and not _fits(value, hints[key]):
-            raise ConfigError(f"wrongly typed config key {key}: "
+        kind = schema[key][0]
+        if kind == _EXPONENT:
+            try:
+                _parse_p(value, f"exponent {key}")
+            except DomainError as exc:
+                raise ConfigError(f"config key {path}{key}: {exc}") from exc
+        elif not _KINDS[kind](value):
+            raise ConfigError(f"wrongly typed config key {path}{key}: "
                               f"{json.dumps(value)}")
-    out = dict(allowed)
-    out.update(config)
+        out[key] = value
     return out
-
-
-@contextlib.contextmanager
-def _parsing(key: str | None = None):
-    """Turn the errors of converting config values into ConfigError; with
-    ``key`` given, the message names that config key.
-
-    Only the parse step runs under it, so the same exception types raised
-    while computing still surface as bugs.
-    """
-    try:
-        yield
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key}: {exc}" if key else str(exc)
-                          ) from exc
 
 
 # json's own escaper for str keys and values (``ensure_ascii`` is on)
@@ -295,26 +306,66 @@ def _report_payload(command: str, config: dict, body: dict) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# the keys of a couple, a vector and an n-window that must fit their types
-_PROFILE_HINTS = {"couple": dict, "vector": dict, "n_min": int, "n_max": int}
+# Every config object the CLI reads (commands and the matrix file at the
+# top level, the nested couple, norm0/norm1 and vector) and its keys; the
+# verify checks' schemas come from their signatures (``_check_schema``).
+_PROFILE_KEYS = {"couple": ("object", _REQUIRED),
+                 "vector": ("object", _REQUIRED)}
+_WINDOW_KEYS = {"n_min": ("integer", DEFAULT_N_MIN),
+                "n_max": ("integer", DEFAULT_N_MAX)}
+CONFIG_SCHEMAS = {
+    "kprofile": {**_PROFILE_KEYS, **_WINDOW_KEYS},
+    "interp-norm": {**_PROFILE_KEYS, "theta": ("number", _REQUIRED),
+                    "q": (_EXPONENT, _REQUIRED), **_WINDOW_KEYS},
+    "lattice-norm": {**_PROFILE_KEYS, "r": (_EXPONENT, _REQUIRED),
+                     "lattice_weights": ("list of numbers", _REQUIRED),
+                     "n_min": _WINDOW_KEYS["n_min"]},
+    "lift": {"epsilon": ("list of numbers", _REQUIRED),
+             "h": ("list of integers", _REQUIRED),
+             "N": ("integer", _REQUIRED)},
+    "matrix": {"entries": ("list of lists of numbers", _REQUIRED),
+               "rows": ("integer", None), "cols": ("integer", None)},
+    "couple": {"norm0": ("object", _REQUIRED), "norm1": ("object", _REQUIRED),
+               "strategy": ("string", _REQUIRED), "offset": ("integer", 0)},
+    # a norm's offset defaults to the couple's
+    "norm": {"p": (_EXPONENT, _REQUIRED),
+             "weights": ("list of numbers", _REQUIRED),
+             "offset": ("integer", None)},
+    "vector": {"entries": ("list of numbers", _REQUIRED),
+               "offset": ("integer", 0)},
+}
 
 
-def _profile_config(path: str, extra: dict, required: tuple = ()):
-    """(cfg, couple, x) of a profile command's config file: ``_take`` over
-    "couple", "vector" and the command's ``extra`` keys (name -> default)
-    with the couple, the vector and then ``required`` required, and the
-    couple and vector read from it."""
-    cfg = _take(_load_json(path), {"couple": None, "vector": None, **extra},
-                required=("couple", "vector", *required),
-                hints=_PROFILE_HINTS)
-    with _parsing():
-        return (cfg, Couple.from_json(cfg["couple"]),
-                FiniteVector.from_json(cfg["vector"]))
+def _array(values: list, path: str, dtype=float) -> np.ndarray:
+    """A checked list of numbers (or of lists of them) as an array; an
+    integer beyond the range of ``dtype``, or rows of unequal length, is a
+    ConfigError naming ``path``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"config key {path}: {exc}") from exc
+
+
+def _profile_config(path: str, command: str):
+    """(cfg, couple, x) of a profile command's config file: every level
+    checked against its schema, then the couple and the vector built."""
+    cfg = _take(_load_json(path), CONFIG_SCHEMAS[command])
+    couple = _take(cfg["couple"], CONFIG_SCHEMAS["couple"], "couple.")
+    norms = {k: _take(couple[k], CONFIG_SCHEMAS["norm"], f"couple.{k}.")
+             for k in ("norm0", "norm1")}
+    vector = _take(cfg["vector"], CONFIG_SCHEMAS["vector"], "vector.")
+    norm0, norm1 = (
+        WeightedNorm(n["p"],
+                     couple["offset"] if n["offset"] is None else n["offset"],
+                     _array(n["weights"], f"couple.{k}.weights"))
+        for k, n in norms.items())
+    return (cfg, Couple(norm0, norm1, couple["strategy"]),
+            FiniteVector(vector["offset"],
+                         _array(vector["entries"], "vector.entries")))
 
 
 def _cmd_kprofile(args) -> int:
-    cfg, couple, x = _profile_config(
-        args.config, {"n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX})
+    cfg, couple, x = _profile_config(args.config, "kprofile")
     prof = k_profile(x, couple, cfg["n_min"], cfg["n_max"])
     if args.format == "csv":
         rows = [(int(n), float(t), float(v))
@@ -327,11 +378,8 @@ def _cmd_kprofile(args) -> int:
 
 
 def _cmd_interp_norm(args) -> int:
-    cfg, couple, x = _profile_config(
-        args.config, {"theta": None, "q": None, "n_min": DEFAULT_N_MIN,
-                      "n_max": DEFAULT_N_MAX}, required=("theta", "q"))
-    with _parsing():
-        params = InterpParams.from_json({"theta": cfg["theta"], "q": cfg["q"]})
+    cfg, couple, x = _profile_config(args.config, "interp-norm")
+    params = InterpParams(cfg["theta"], _parse_p(cfg["q"]))
     prof = k_profile(x, couple, cfg["n_min"], cfg["n_max"])
     value = interp_norm_from_profile(prof, params)
     body = {"value": value, "truncation": truncation_terms(prof, params)}
@@ -340,23 +388,29 @@ def _cmd_interp_norm(args) -> int:
 
 
 def _cmd_lattice_norm(args) -> int:
-    cfg, couple, x = _profile_config(
-        args.config, {"r": None, "lattice_weights": None,
-                      "n_min": DEFAULT_N_MIN},
-        required=("r", "lattice_weights"))
-    with _parsing():
-        E = LatticeParam(float(cfg["r"]), cfg["n_min"],
-                         np.asarray(cfg["lattice_weights"], dtype=float))
+    cfg, couple, x = _profile_config(args.config, "lattice-norm")
+    E = LatticeParam(_parse_p(cfg["r"]), cfg["n_min"],
+                     _array(cfg["lattice_weights"], "lattice_weights"))
     value = lattice_norm(x, couple, E)
     _dump_json(_report_payload("lattice-norm", cfg, {"value": value}),
                args.out)
     return EXIT_OK
 
 
+def _matrix(path: str) -> MatrixOperator:
+    """The matrix of a matrix file; its optional rows and cols must match
+    the entries."""
+    cfg = _take(_load_json(path), CONFIG_SCHEMAS["matrix"])
+    T = MatrixOperator(_array(cfg["entries"], "entries"))
+    for key, size in (("rows", T.rows), ("cols", T.cols)):
+        if cfg[key] not in (None, size):
+            raise ConfigError(f"config key {key}: {cfg[key]}, but the "
+                              f"matrix has {size}")
+    return T
+
+
 def _cmd_snumbers(args) -> int:
-    with _parsing():
-        T = MatrixOperator.from_json(_load_json(args.matrix))
-    seq = approx_numbers(T)
+    seq = approx_numbers(_matrix(args.matrix))
     rows = zip(range(1, len(seq) + 1), seq.values.tolist())
     _dump_csv(("n", "a_n"), rows, args.out,
               comments=(f"interpk {__version__} snumbers",))
@@ -364,10 +418,7 @@ def _cmd_snumbers(args) -> int:
 
 
 def _cmd_ideal_norm(args) -> int:
-    with _parsing():
-        T = MatrixOperator.from_json(_load_json(args.matrix))
-        params = LorentzParams(args.p, args.q)
-    value = ideal_norm(T, params)
+    value = ideal_norm(_matrix(args.matrix), LorentzParams(args.p, args.q))
     cfg = {"matrix": args.matrix, "p": args.p, "q": args.q}
     _dump_json(_report_payload("ideal-norm", cfg, {"value": value}), args.out)
     return EXIT_OK
@@ -387,20 +438,10 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
-_LIFT_KEYS = {"epsilon": collections.abc.Sequence[float],
-              "h": collections.abc.Sequence[int], "N": int}
-
-
 def _cmd_lift(args) -> int:
-    cfg = _take(_load_json(args.config), dict.fromkeys(_LIFT_KEYS),
-                required=tuple(_LIFT_KEYS), hints=_LIFT_KEYS)
-    # the lists are typed, so only an entry beyond the float or int64
-    # range fails to convert
-    with _parsing("epsilon"):
-        epsilon = np.asarray(cfg["epsilon"], dtype=float)
-    with _parsing("h"):
-        h = np.asarray(cfg["h"], dtype=int)
-    spec = DecaySpec(epsilon, h)
+    cfg = _take(_load_json(args.config), CONFIG_SCHEMAS["lift"])
+    spec = DecaySpec(_array(cfg["epsilon"], "epsilon"),
+                     _array(cfg["h"], "h", int))
     xi = lift_sequence(spec, cfg["N"]).tolist()
     eps = spec.epsilon[:len(xi)].tolist()
     # eps_n and xi_n are positive and finite, so where they are equal they
@@ -416,9 +457,11 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_strictness(args) -> int:
-    with _parsing():
+    try:
         n_list = [int(s) for s in args.n_list.split(",") if s]
-        params = InterpParams(args.theta, args.q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    params = InterpParams(args.theta, args.q)
     if not n_list:
         raise ConfigError("empty --n-list")
     reports = strictness_sweep(n_list, params)
@@ -461,6 +504,14 @@ def _check_schema(check) -> tuple[dict, tuple, dict, set]:
     return defaults, required, hints, set(_RUN_KEYS) & set(params)
 
 
+# the kind of the values each verify parameter annotation takes; any other
+# annotation takes any value
+_ANNOTATION_KINDS = {int: "integer", float: "number", float | None: "number",
+                     str: "string", dict: "object",
+                     typing.Sequence[int]: "list of integers",
+                     typing.Sequence[float]: "list of numbers"}
+
+
 def verify_schema(check: str) -> tuple[dict, tuple]:
     """(config key -> default, required keys) of a verify check; a key
     without a default maps to None."""
@@ -472,10 +523,13 @@ def _cmd_verify(args) -> int:
     defaults, required, hints, run_keys = _check_schema(check)
     if "seed" in run_keys and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    # each value must fit its parameter's annotation; a None default (such
-    # as reiteration's p = r) is left to the check and not echoed
-    cfg = _take(_load_json(args.config) if args.config else {},
-                defaults, required, hints=hints)
+    # each value must be of its parameter annotation's kind; a None
+    # default (such as reiteration's p = r) is left to the check and not
+    # echoed
+    schema = {key: (_ANNOTATION_KINDS.get(hints.get(key), "any"),
+                    _REQUIRED if key in required else default)
+              for key, default in defaults.items()}
+    cfg = _take(_load_json(args.config) if args.config else {}, schema)
     cfg = {k: v for k, v in cfg.items() if v is not None}
     run = {"seed": args.seed} if "seed" in run_keys else {}
     if args.trace and "keep_trace" in run_keys:

@@ -5,7 +5,11 @@ decomposition functional
 
 Everything is finite: vectors carry an integer offset into Z and a finite
 entry array; norms carry positive weights over a window of Z.  A couple is
-two norms on a shared window plus an evaluation strategy for K.
+two norms on a shared window plus an evaluation strategy for K.  A norm's
+exponent is a positive number or "inf" (``_parse_p``, which the CLI's
+config check calls too).  The module reads and writes no config JSON:
+``interpk.cli`` checks a config and builds the vectors, norms and couples
+from it.
 
 ``k_route(norm0, norm1)`` is the one place that maps a norm pair to a K
 kernel.  Its route table, where (A1, A0) is answered through the identity
@@ -85,6 +89,7 @@ as for the grid given per row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -122,14 +127,13 @@ _SMALLEST = 5e-324
 
 
 def _parse_p(p, key: str = "exponent p") -> float:
-    """An exponent from JSON: a positive number or "inf"; ``key`` names it
-    in the refusal."""
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity"):
-            return math.inf
-        raise DomainError(f"unrecognized exponent string {p!r}")
-    if isinstance(p, bool):
-        raise DomainError(f"{key} must be a number or \"inf\", got {p}")
+    """An exponent: a positive number or "inf" (or "infinity", in any
+    case); ``key`` names it in the refusal.  A bool or any other string is
+    no exponent."""
+    if isinstance(p, str) and p.lower() in ("inf", "infinity"):
+        return math.inf
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise DomainError(f"{key} must be a number or \"inf\", got {p!r}")
     p = float(p)
     if not (p > 0):
         raise DomainError(f"{key} must be positive, got {p}")
@@ -151,20 +155,6 @@ def stable_lp_sum(terms: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     safe = np.where(peak > 0, peak, 1.0)
     return np.squeeze(peak, axis=axis) * np.add.reduce(
         (terms / safe) ** p, axis=axis) ** (1.0 / p)
-
-
-def _parse_offset(data: dict, default: int = 0) -> int:
-    """The "offset" of a JSON object, ``default`` when absent: a JSON
-    integer only, so neither a fraction, a string nor a bool is truncated
-    or converted to one."""
-    offset = data.get("offset", default)
-    if type(offset) is not int:
-        raise DomainError(f"offset must be an integer, got {offset!r}")
-    return offset
-
-
-def _p_to_json(p: float):
-    return "inf" if math.isinf(p) else p
 
 
 @dataclass(frozen=True)
@@ -193,13 +183,6 @@ class FiniteVector:
 
     def scaled(self, factor: float) -> "FiniteVector":
         return FiniteVector(self.offset, factor * self.entries)
-
-    def to_json(self) -> dict:
-        return {"offset": self.offset, "entries": self.entries.tolist()}
-
-    @staticmethod
-    def from_json(data: dict) -> "FiniteVector":
-        return FiniteVector(_parse_offset(data), data["entries"])
 
 
 def vec(entries, offset: int = 0) -> FiniteVector:
@@ -262,14 +245,6 @@ class WeightedNorm:
 
     def __call__(self, x: FiniteVector) -> float:
         return float(self.dense(self.embed(x)))
-
-    def to_json(self) -> dict:
-        return {"p": _p_to_json(self.p), "weights": self.weights.tolist()}
-
-    @staticmethod
-    def from_json(data: dict, offset: int = 0) -> "WeightedNorm":
-        return WeightedNorm(data["p"], _parse_offset(data, offset),
-                            np.asarray(data["weights"], dtype=float))
 
 
 class KRoute(NamedTuple):
@@ -436,20 +411,6 @@ class Couple:
 
     def k(self, x: FiniteVector, t: float) -> float:
         return float(self.k_batch(self.embed(x)[None, :], t)[0])
-
-    def to_json(self) -> dict:
-        return {"norm0": self.norm0.to_json(), "norm1": self.norm1.to_json(),
-                "strategy": self.strategy, "offset": self.offset,
-                "equiv_lo": self.equiv_lo, "equiv_hi": self.equiv_hi}
-
-    @staticmethod
-    def from_json(data: dict) -> "Couple":
-        """The inverse of ``to_json``; the band keys are read-only and
-        ignored."""
-        offset = _parse_offset(data)
-        return Couple(WeightedNorm.from_json(data["norm0"], offset),
-                      WeightedNorm.from_json(data["norm1"], offset),
-                      data["strategy"])
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,6 @@ class InterpParams:
     def __post_init__(self):
         object.__setattr__(self, "q", _check_theta_q(self.theta, self.q))
 
-    @staticmethod
-    def from_json(data: dict) -> "InterpParams":
-        return InterpParams(float(data["theta"]), float(data["q"]))
-
 
 @dataclass(frozen=True)
 class LatticeParam:

@@ -100,13 +100,6 @@ class MatrixOperator:
             return 0.0
         return float(np.linalg.svd(self.entries, compute_uv=False)[0])
 
-    @staticmethod
-    def from_json(data: dict) -> "MatrixOperator":
-        arr = np.asarray(data["entries"], dtype=float)
-        if "rows" in data and arr.shape != (data["rows"], data["cols"]):
-            raise InvariantError("matrix shape does not match rows/cols")
-        return MatrixOperator(arr)
-
 
 @dataclass(frozen=True)
 class SNumSeq:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from interpk import cli, snum, verify
 from interpk.cli import main
+from interpk.couples import k_profile, power_couple, vec
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -628,6 +629,154 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+# The power couple (l1(1, 2, 4, 8), l1(8, 4, 2, 1)) and a vector at offset 1
+POWER_CASE = {
+    "couple": {"norm0": {"p": 1, "weights": [1, 2, 4, 8]},
+               "norm1": {"p": 1, "weights": [8, 4, 2, 1]},
+               "strategy": "power_coordinatewise"},
+    "vector": {"entries": [1, 2, 3], "offset": 1},
+    "n_min": -1, "n_max": 1}
+LATTICE_CASE = {**{k: v for k, v in POWER_CASE.items() if k != "n_max"},
+                "r": 2, "lattice_weights": [1, 1, 1]}
+MATRIX = {"entries": [[1, 2], [3, 0]]}
+
+
+def _with(config: dict, path: str, value=...) -> dict:
+    """A deep copy of ``config`` with the key at the dotted ``path`` set to
+    ``value``, or removed when no value is given."""
+    config = json.loads(json.dumps(config))
+    *parents, key = path.split(".")
+    node = functools.reduce(dict.__getitem__, parents, config)
+    if value is ...:
+        node.pop(key, None)
+    else:
+        node[key] = value
+    return config
+
+
+# (command, config, the key path its refusal must name); each ran with
+# exit 0 or named no key before every nested object was checked too
+KEY_PATH_CASES = [
+    pytest.param("kprofile", _with(_with(POWER_CASE, "vector.offset"),
+                                   "vector.ofset", 1), "vector.ofset",
+                 id="vector-unknown"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.ofset", 1),
+                 "couple.ofset", id="couple-unknown"),
+    pytest.param("kprofile", _with(_with(POWER_CASE, "couple.norm0.weights"),
+                                   "couple.norm0.wieghts", [1, 2, 4, 8]),
+                 "couple.norm0.wieghts", id="norm-unknown"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.equiv_lo", 0.5),
+                 "couple.equiv_lo", id="couple-band-key"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.norm0.weights",
+                                  [True, 1, 1, 1]),
+                 "couple.norm0.weights", id="norm-weights-bool"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.norm1.weights",
+                                  [8, 4, "2", 1]),
+                 "couple.norm1.weights", id="norm-weights-string"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.norm0.p", None),
+                 "couple.norm0.p", id="norm-p-null"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.norm1.p", "2"),
+                 "couple.norm1.p", id="norm-p-string"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.strategy", 3),
+                 "couple.strategy", id="couple-strategy-number"),
+    pytest.param("kprofile", _with(POWER_CASE, "couple.norm0.weights",
+                                  [1, 2, 4, 10 ** 400]),
+                 "couple.norm0.weights", id="norm-weights-beyond-float"),
+    pytest.param("kprofile", _with(POWER_CASE, "vector.entries",
+                                  [1, 2, 10 ** 400]),
+                 "vector.entries", id="vector-entries-beyond-float"),
+    pytest.param("interp-norm", {**POWER_CASE, "theta": "0.5", "q": 2},
+                 "theta", id="theta-string"),
+    pytest.param("interp-norm", {**POWER_CASE, "theta": 0.5, "q": True},
+                 "q", id="q-bool"),
+    pytest.param("interp-norm", {**POWER_CASE, "theta": 0.5, "q": "2"},
+                 "q", id="q-string"),
+    pytest.param("lattice-norm", {**LATTICE_CASE, "r": "2"}, "r",
+                 id="r-string"),
+    pytest.param("lattice-norm", {**LATTICE_CASE,
+                                  "lattice_weights": [True, 1, "1"]},
+                 "lattice_weights", id="lattice-weights-bool-and-string"),
+    pytest.param("lattice-norm", _with(LATTICE_CASE, "vector.entries",
+                                      [True, 1, "2"]),
+                 "vector.entries", id="lattice-vector-entries"),
+    pytest.param("snumbers", {"entries": [[1, True], ["2", 0]], "colz": 2},
+                 "colz", id="matrix-unknown"),
+    pytest.param("snumbers", {"entries": [[1, True], ["2", 0]]}, "entries",
+                 id="matrix-entries-bool-and-string"),
+    pytest.param("snumbers", {"entries": [[1, 2], [3]]}, "entries",
+                 id="matrix-entries-ragged"),
+    pytest.param("ideal-norm", {"entries": [[1, 2], [3, 10 ** 400]]},
+                 "entries", id="matrix-entries-beyond-float"),
+    pytest.param("ideal-norm", {**MATRIX, "rows": 2, "cols": 3}, "cols",
+                 id="matrix-cols-mismatch"),
+]
+
+
+@pytest.mark.parametrize("command, config, path", KEY_PATH_CASES)
+def test_config_mistakes_name_their_key_path(command, config, path,
+                                             tmp_path, capsys):
+    # every level of a config is read by one schema: a vector's "ofset"
+    # profiled offset 0, and true or "2" read as numbers, all with exit 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    source = (["--matrix", str(cfg)] if command in ("snumbers", "ideal-norm")
+              else ["--config", str(cfg)])
+    extra = ["--p", "2", "--q", "1"] if command == "ideal-norm" else []
+    assert run_cli([command, *source, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"config key:? {re.escape(path)}\b", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("couple_offset, norm_offsets, vector_offset", [
+    (None, (None, None), 1),        # the intended profile of POWER_CASE
+    (-1, (None, None), -1),         # norms take the couple's offset
+    (-1, (None, -1), 0),
+    (0, (2, 2), 3),                 # the norms' own offset wins
+])
+def test_offsets_give_the_library_values(couple_offset, norm_offsets,
+                                         vector_offset, tmp_path):
+    # the rules the deleted JSON readers of couples.py kept; None leaves
+    # the key out
+    config = _with(POWER_CASE, "vector.offset", vector_offset)
+    for path, offset in (("couple.offset", couple_offset),
+                         ("couple.norm0.offset", norm_offsets[0]),
+                         ("couple.norm1.offset", norm_offsets[1])):
+        config = _with(config, path, *(() if offset is None else (offset,)))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "k.json"
+    assert run_cli(["kprofile", "--config", str(path), "--out",
+                    str(out)]) == 0
+    start = next(o for o in (norm_offsets[0], couple_offset, 0)
+                 if o is not None)
+    couple = power_couple(1.0, [1, 2, 4, 8], [8, 4, 2, 1], offset=start)
+    want = k_profile(vec([1, 2, 3], vector_offset), couple, -1, 1).values
+    report = json.loads(out.read_text())
+    assert report["report"]["values"] == want.tolist()
+    assert report["config"] == config
+    if couple_offset is None:
+        assert want.tolist() == [5.5, 9.0, 16.0]
+
+
+def test_null_is_absent_at_every_depth(tmp_path):
+    # a null offset of the couple, a norm or the vector was refused
+    outs = []
+    for name, value in (("absent", ...), ("null", None)):
+        config = POWER_CASE
+        for path in ("couple.offset", "couple.norm1.offset",
+                     "vector.offset"):
+            config = _with(config, path, value)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"{name}.out.json"
+        assert run_cli(["kprofile", "--config", str(path), "--out",
+                        str(out)]) == 0
+        outs.append(json.loads(out.read_text())["report"])
+    assert outs[0] == outs[1]
+
+
 def _readme_required_keys() -> dict:
     """check -> required keys, from the README's verify config table."""
     out = {}
@@ -680,6 +829,41 @@ class TestVerifyRegistry:
         assert _readme_defaults()[check] == {
             k: json.loads(json.dumps(v)) for k, v in defaults.items()
             if k not in required}
+
+
+def _readme_config_keys() -> dict:
+    """(object, key) -> (JSON type, required or default cell), from the
+    README's table of the config keys other than verify's."""
+    out = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            out[cells[0].strip("`"), cells[1].strip("`")] = tuple(cells[2:])
+    return out
+
+
+def test_readme_config_keys_are_the_cli_schemas():
+    # one row per key of every object the CLI reads, as TestVerifyRegistry
+    # checks the verify table against the check signatures
+    readme = _readme_config_keys()
+    schemas = {(name, key): spec
+               for name, schema in cli.CONFIG_SCHEMAS.items()
+               for key, spec in schema.items()}
+    assert readme.keys() == schemas.keys()
+    for row, (kind, default) in schemas.items():
+        readme_kind, cell = readme[row]
+        assert readme_kind == kind, row
+        if default is cli._REQUIRED:
+            assert cell == "required", row
+        else:
+            assert json.loads(re.match(r"`([^`]*)`", cell)[1]) == default, row
+
+
+@pytest.mark.parametrize("check", sorted(cli.VERIFY_CHECKS))
+def test_every_verify_annotation_has_a_kind(check):
+    # an annotation missing from the table would take any value
+    hints = cli._check_schema(getattr(verify, cli.VERIFY_CHECKS[check]))[2]
+    assert set(hints.values()) <= cli._ANNOTATION_KINDS.keys()
 
 
 # per check: a config whose one wrongly typed key is named last

@@ -6,7 +6,7 @@ import pytest
 
 from interpk import _descent
 from interpk._descent import (COORD_ITERS, LINE_ITERS, SWEEPS, _clip_search,
-                              _golden_min, _t_matrix, decomposition_infimum,
+                              _golden_min, _t_grid, decomposition_infimum,
                               probe_scales)
 from interpk.couples import (ORACLE, Couple, WeightedNorm, _l1_linf_batch,
                              _weighted_sup_batch)
@@ -305,7 +305,8 @@ def reference_descent(X, T, norm0, norm1, *, budget=8, seed=0, scale0=None,
     """``decomposition_infimum`` as it was with C-ordered (rows, d) arrays."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
-    T, per_row = _t_matrix(T, m)
+    T, per_row = _t_grid(T)
+    T = np.broadcast_to(T, (m, T.shape[1]))
     k = T.shape[1]
     if d == 0:
         out = np.zeros((m, k))

@@ -10,14 +10,15 @@
     interpk strictness    --theta T --q Q --n-list 2,4,8 --out out.csv
     interpk verify CHECK  --config c.json --seed S --out out.json
 
-Exit codes: 0 success; 2 a config error: malformed JSON, an unknown, missing
-or wrongly typed key, a value the library rejects, or an artifact path that
-cannot be written (the message names it); 3 a verify band failed.  Any
-other exception is a bug and propagates.  Reports are deterministic:
-identical (argv, config, seed) produce byte-identical files.  Every
-successful run writes exactly one artifact, plus the trace CSV with
-``verify --trace``; the report is opened before the trace is written, and
-when either cannot be written, neither is left behind as a new file.
+Exit codes: 0 success; 2 a config error: a config or matrix path that
+cannot be read, malformed JSON, an unknown, missing or wrongly typed key, a
+value the library rejects, or an artifact path that cannot be written (the
+message names the path); 3 a verify band failed.  Any other exception is a
+bug and propagates.  Reports are deterministic: identical (argv, config,
+seed) produce byte-identical files.  Every successful run writes exactly
+one artifact, plus the trace CSV with ``verify --trace``; the report is
+opened before the trace is written, and when either cannot be written,
+neither is left behind as a new file.
 
 Every artifact (JSON report, CSV, ``verify --trace`` CSV) goes through
 ``_artifact``: the path is opened for writing and created if missing, but
@@ -104,8 +105,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}"
+                          ) from exc
     except ValueError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}")
     if not isinstance(data, dict):
@@ -135,7 +137,6 @@ _KINDS = {
     "list of lists of numbers": lambda value: (
         _is_list_of_lists(value)
         and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBERS),
-    "any": lambda value: True,
 }
 _EXPONENT = 'number or "inf"'
 
@@ -379,7 +380,7 @@ def _cmd_kprofile(args) -> int:
 
 def _cmd_interp_norm(args) -> int:
     cfg, couple, x = _profile_config(args.config, "interp-norm")
-    params = InterpParams(cfg["theta"], _parse_p(cfg["q"]))
+    params = InterpParams(cfg["theta"], cfg["q"])
     prof = k_profile(x, couple, cfg["n_min"], cfg["n_max"])
     value = interp_norm_from_profile(prof, params)
     body = {"value": value, "truncation": truncation_terms(prof, params)}
@@ -389,7 +390,7 @@ def _cmd_interp_norm(args) -> int:
 
 def _cmd_lattice_norm(args) -> int:
     cfg, couple, x = _profile_config(args.config, "lattice-norm")
-    E = LatticeParam(_parse_p(cfg["r"]), cfg["n_min"],
+    E = LatticeParam(cfg["r"], cfg["n_min"],
                      _array(cfg["lattice_weights"], "lattice_weights"))
     value = lattice_norm(x, couple, E)
     _dump_json(_report_payload("lattice-norm", cfg, {"value": value}),
@@ -460,7 +461,7 @@ def _cmd_strictness(args) -> int:
     try:
         n_list = [int(s) for s in args.n_list.split(",") if s]
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--n-list: {exc}") from exc
     params = InterpParams(args.theta, args.q)
     if not n_list:
         raise ConfigError("empty --n-list")
@@ -499,13 +500,12 @@ def _check_schema(check) -> tuple[dict, tuple, dict, set]:
     defaults = {p.name: None if p.default is p.empty else p.default
                 for p in keys}
     required = tuple(p.name for p in keys if p.default is p.empty)
-    hints = {p.name: p.annotation for p in keys
-             if p.annotation is not p.empty}
+    hints = {p.name: p.annotation for p in keys}
     return defaults, required, hints, set(_RUN_KEYS) & set(params)
 
 
-# the kind of the values each verify parameter annotation takes; any other
-# annotation takes any value
+# the kind of the values each verify parameter annotation takes; every
+# verify parameter has one of these annotations
 _ANNOTATION_KINDS = {int: "integer", float: "number", float | None: "number",
                      str: "string", dict: "object",
                      typing.Sequence[int]: "list of integers",
@@ -526,7 +526,7 @@ def _cmd_verify(args) -> int:
     # each value must be of its parameter annotation's kind; a None
     # default (such as reiteration's p = r) is left to the check and not
     # echoed
-    schema = {key: (_ANNOTATION_KINDS.get(hints.get(key), "any"),
+    schema = {key: (_ANNOTATION_KINDS[hints[key]],
                     _REQUIRED if key in required else default)
               for key, default in defaults.items()}
     cfg = _take(_load_json(args.config) if args.config else {}, schema)

@@ -5,9 +5,13 @@ decomposition functional
 
 Everything is finite: vectors carry an integer offset into Z and a finite
 entry array; norms carry positive weights over a window of Z.  A couple is
-two norms on a shared window plus an evaluation strategy for K.  A norm's
-exponent is a positive number or "inf" (``_parse_p``, which the CLI's
-config check calls too).  The module reads and writes no config JSON:
+two norms on a shared window plus an evaluation strategy for K.  Each
+argument rule has one function here, which the other modules call too: a
+norm's exponent is a positive number or "inf" (``_parse_p``, also the
+CLI's config check and interp's q and r), an exponent that must be finite
+lies in (0, inf) (``_finite_exponent``: the Lorentz and parameter-space
+exponents and the witness probes), and an offset or window start is an
+integer (``_integer``).  The module reads and writes no config JSON:
 ``interpk.cli`` checks a config and builds the vectors, norms and couples
 from it.
 
@@ -140,6 +144,23 @@ def _parse_p(p, key: str = "exponent p") -> float:
     return p
 
 
+def _finite_exponent(p, key: str) -> float:
+    """A finite exponent: a number in (0, inf), not a bool; ``key`` names
+    it in the refusal."""
+    if (isinstance(p, bool) or not isinstance(p, numbers.Real)
+            or not 0.0 < p < math.inf):
+        raise DomainError(f"{key} must lie in (0, inf), got {p}")
+    return float(p)
+
+
+def _integer(n, key: str) -> int:
+    """An offset or window start: an int or numpy integer, not a bool or a
+    float, however whole; ``key`` names it in the refusal."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"{key} must be an integer, got {n!r}")
+    return int(n)
+
+
 def stable_lp_sum(terms: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     """(sum terms^p)^(1/p) of nonnegative terms along ``axis``; max for p = inf.
 
@@ -159,7 +180,8 @@ def stable_lp_sum(terms: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiniteVector:
-    """A finitely supported vector over Z: entries start at index ``offset``."""
+    """A finitely supported vector over Z: entries start at the integer
+    index ``offset`` (DomainError for anything else, a bool included)."""
 
     offset: int
     entries: np.ndarray
@@ -171,7 +193,7 @@ class FiniteVector:
         if not np.all(np.isfinite(arr)):
             raise InvariantError("entries must be finite")
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", _integer(self.offset, "offset"))
 
     def __len__(self):
         return len(self.entries)
@@ -197,7 +219,8 @@ class WeightedNorm:
     ``norm(x) = (sum_i (w_i |x_i|)^p)^(1/p)`` for finite p and
     ``sup_i w_i |x_i|`` for p = inf.  The norm is r-normed with
     r = min(p, 1), and its quasi-norm constant is 2^(1/p - 1) for p < 1,
-    1 otherwise.
+    1 otherwise.  The window starts at the integer ``offset`` (DomainError
+    for anything else, a bool included).
     """
 
     p: float
@@ -212,7 +235,7 @@ class WeightedNorm:
         if not np.all(w > 0) or not np.all(np.isfinite(w)):
             raise InvariantError("weights must be positive and finite")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", _integer(self.offset, "offset"))
 
     @property
     def dim(self) -> int:
@@ -354,10 +377,6 @@ class Couple:
     @property
     def dim(self) -> int:
         return self.norm0.dim
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.norm0.window
 
     @property
     def quasi_constant(self) -> float:

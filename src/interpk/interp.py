@@ -22,23 +22,25 @@ The module also provides:
 * the derived couple (A0+A1, A0 cap A1) whose K at t <= 1 is evaluated both
   by the surrogate K(x,t) + t K(x,1/t) and on the explicit sum and
   intersection norms (by ``k_route`` for an (l1, linf) base, by descent
-  otherwise); ``DerivedSumIntCouple.surrogate`` is the one implementation
-  of the surrogate, a gather from a base profile;
+  otherwise).  The surrogate has two implementations:
+  ``DerivedSumIntCouple.surrogate`` gathers it from a base profile (for
+  ``profile_batch`` and ``verify``), and ``DerivedSumIntCouple.k_batch``
+  evaluates it at one t per row with two base ``k_batch`` calls;
 * endpoint norm handles materializing (A0, A1)_{theta,q} for reiteration
   experiments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._descent import _t_grid, k_kernel
 from .couples import (Couple, FiniteVector, KProfile, WeightedNorm,
-                      _n_window, descent_route, k_profile, k_route,
-                      l1_linf_couple, stable_lp_sum)
+                      _finite_exponent, _integer, _n_window, _parse_p,
+                      descent_route, k_profile, k_route, l1_linf_couple,
+                      stable_lp_sum)
 from .errors import DomainError, InvariantError, ParamError, WindowError
 
 __all__ = [
@@ -54,14 +56,11 @@ DEFAULT_N_MAX = 20
 
 
 def _check_theta_q(theta, q, keys=("theta", "q")) -> float:
-    """Refuse theta outside (0, 1) and q <= 0, naming them by ``keys``;
-    return q as a float."""
+    """Refuse theta outside (0, 1) and a q that ``couples._parse_p``
+    refuses, naming them by ``keys``; return q as a float."""
     if not (0.0 < theta < 1.0):
         raise ParamError(f"{keys[0]} must lie in (0, 1), got {theta}")
-    q = float(q)
-    if not (q > 0):
-        raise DomainError(f"{keys[1]} must be positive, got {q}")
-    return q
+    return _parse_p(q, keys[1])
 
 
 @dataclass(frozen=True)
@@ -77,24 +76,25 @@ class InterpParams:
 
 @dataclass(frozen=True)
 class LatticeParam:
-    """A weighted lr lattice over the n-window: ||a||_E = ||(w_n a_n)||_lr."""
+    """A weighted lr lattice over the n-window: ||a||_E = ||(w_n a_n)||_lr.
+
+    The window starts at the integer ``n_min`` (DomainError for anything
+    else, a bool included); r is read by ``couples._parse_p``.
+    """
 
     r: float
     n_min: int
     lattice_weights: np.ndarray
 
     def __post_init__(self):
-        r = float(self.r)
-        if not (r > 0):
-            raise DomainError(f"r must be positive, got {r}")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _parse_p(self.r, "r"))
         w = np.asarray(self.lattice_weights, dtype=float)
         if w.ndim != 1 or len(w) == 0 or not np.all(w > 0):
             raise InvariantError("lattice weights must be positive")
         if not np.all(np.isfinite(w)):
             raise InvariantError("lattice weights must be finite")
         object.__setattr__(self, "lattice_weights", w)
-        object.__setattr__(self, "n_min", int(self.n_min))
+        object.__setattr__(self, "n_min", _integer(self.n_min, "n_min"))
 
     @property
     def n_max(self) -> int:
@@ -128,14 +128,9 @@ class ParamSpace:
     p: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise ParamError(f"theta must lie in (0, 1), got {self.theta}")
-        if not (0.0 < float(self.p) < math.inf):
-            raise DomainError(f"p must lie in (0, inf), got {self.p}")
-        object.__setattr__(self, "p", float(self.p))
-
-    def norm(self, grid: np.ndarray, values: np.ndarray) -> float:
-        return float(dyadic_norm(np.abs(values), grid, self.theta, self.p))
+        p = _finite_exponent(self.p, "p")
+        _check_theta_q(self.theta, p)
+        object.__setattr__(self, "p", p)
 
 
 def dyadic_weights(theta: float, grid) -> np.ndarray:
@@ -336,14 +331,6 @@ class DerivedSumIntCouple:
         self.route = (l1_linf_couple(base.dim).reversed().route
                       if base.route.name == "l1_linf" else None)
 
-    @property
-    def offset(self) -> int:
-        return self.base.offset
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
     def embed(self, x: FiniteVector) -> np.ndarray:
         return self.base.embed(x)
 
@@ -431,14 +418,6 @@ class EndpointNorm:
         self.n_min = n_min
         self.n_max = n_max
         self._grid, self._t = _n_window(n_min, n_max)
-
-    @property
-    def offset(self) -> int:
-        return self.couple.offset
-
-    @property
-    def dim(self) -> int:
-        return self.couple.dim
 
     def dense(self, X: np.ndarray) -> np.ndarray:
         prof = self.couple.profile_batch(X, self._t)

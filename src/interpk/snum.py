@@ -34,13 +34,12 @@ read only the membership flags (``verify``'s ``konig`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .couples import stable_lp_sum
+from .couples import _finite_exponent, stable_lp_sum
 from .errors import DomainError, InvariantError, SizeError
 from .interp import sequence_couple_k
 
@@ -125,15 +124,15 @@ class SNumSeq:
 
 @dataclass(frozen=True)
 class LorentzParams:
+    """Lorentz exponents p, q in (0, inf) (``couples._finite_exponent``)."""
+
     p: float
     q: float
 
     def __post_init__(self):
         for name in ("p", "q"):
-            val = float(getattr(self, name))
-            if not (0.0 < val < math.inf):
-                raise DomainError(f"{name} must lie in (0, inf)")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name,
+                               _finite_exponent(getattr(self, name), name))
 
 
 def approx_numbers(T: MatrixOperator) -> SNumSeq:
@@ -260,7 +259,8 @@ class _WitnessPass:
 def _check_witness(p: float, q: float, N: int,
                    probe_params: Sequence[tuple[float, float]]) -> None:
     """Refuse p, q <= 0, N < 4, N above ``WITNESS_MAX_N`` and a probe
-    exponent outside (0, inf), the rule of ``LorentzParams``."""
+    exponent that ``couples._finite_exponent`` refuses, the rule of
+    ``LorentzParams``."""
     if not (p > 0 and q > 0):
         raise DomainError("p and q must be positive")
     if N < 4:
@@ -269,10 +269,8 @@ def _check_witness(p: float, q: float, N: int,
         raise SizeError(f"witness length N = {N} exceeds the cap "
                         f"{WITNESS_MAX_N}")
     for p_star, q_star in probe_params:
-        for key, val in (("p_star", p_star), ("q_star", q_star)):
-            if not (0.0 < val < math.inf):
-                raise DomainError(f"probe exponent {key} must lie in "
-                                  f"(0, inf), got {val}")
+        _finite_exponent(p_star, "probe exponent p_star")
+        _finite_exponent(q_star, "probe exponent q_star")
 
 
 def witness_sequence(p: float, q: float, N: int,

@@ -62,9 +62,9 @@ from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
                       l1_linf_couple, power_couple, stable_lp_sum)
 from .errors import (DomainError, EmptyReportError, InvariantError,
                      SizeError)
-from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, InterpParams,
-                     _check_theta_q, derived_sum_int_couple, dyadic_norm,
-                     dyadic_weights, sequence_couple_k)
+from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, _check_theta_q,
+                     derived_sum_int_couple, dyadic_norm, dyadic_weights,
+                     sequence_couple_k)
 from .snum import (LorentzParams, k_operator_diag_batch, lorentz_norm,
                    witness_report, witness_sequence)
 
@@ -707,7 +707,7 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
     records its membership flags at (p, q) and (p, 2q); the flags are part
     of the pass condition.
     """
-    InterpParams(theta, q)
+    _check_theta_q(theta, q)
     inv_p = (1.0 - theta) / _parse_p(p0, "p0") + theta / _parse_p(p1, "p1")
     params = LorentzParams(1.0 / inv_p if inv_p else math.inf, q)
     p = params.p

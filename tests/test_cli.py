@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from interpk import cli, snum, verify
 from interpk.cli import main
 from interpk.couples import k_profile, power_couple, vec
+from interpk.interp import (InterpParams, LatticeParam, interp_norm,
+                            lattice_norm)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -584,6 +586,60 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_list, message", [
+        ("2,x", "--n-list: invalid literal for int() with base 10: 'x'"),
+        ("2.5", "--n-list: invalid literal for int() with base 10: '2.5'"),
+        (",", "empty --n-list"), (",,", "empty --n-list")])
+    def test_strictness_refuses_a_malformed_n_list(self, n_list, message,
+                                                   tmp_path, capsys):
+        out = tmp_path / "st.csv"
+        assert run_cli(["strictness", "--theta", "0.5", "--q", "1",
+                        "--n-list", n_list, "--out", str(out)]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    def test_write_error_after_open_is_refused(self, capsys):
+        # /dev/full opens, and the write fails when the file is flushed
+        assert run_cli(["strictness", "--theta", "0.5", "--q", "1",
+                        "--n-list", "2", "--out", "/dev/full"]) == 2
+        assert ("error: cannot write /dev/full: No space left on device\n"
+                == capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["kprofile", "--config", "PATH"],
+        ["interp-norm", "--config", "PATH"],
+        ["lattice-norm", "--config", "PATH"],
+        ["lift", "--config", "PATH"],
+        ["verify", "mainlema", "--seed", "0", "--config", "PATH"],
+        ["snumbers", "--matrix", "PATH"],
+        ["ideal-norm", "--matrix", "PATH", "--p", "2", "--q", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where, reason", [
+        ("directory", "Is a directory"),
+        ("missing", "No such file or directory")])
+    def test_unreadable_config_path(self, argv, where, reason, tmp_path,
+                                    capsys):
+        # a directory raised IsADirectoryError out of cli.main (exit 1)
+        path = tmp_path if where == "directory" else tmp_path / "no.json"
+        out = tmp_path / "out"
+        argv = [str(path) if a == "PATH" else a for a in argv]
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert (f"error: cannot read {path}: {reason}\n"
+                == capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_matrix_of_one_empty_row(self, tmp_path):
+        # a 1 x 0 matrix has min(1, 0) = 0 approximation numbers
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps({"entries": [[]]}))
+        out = tmp_path / "a.csv"
+        assert run_cli(["snumbers", "--matrix", str(matrix), "--out",
+                        str(out)]) == 0
+        assert out.read_bytes() == (
+            f"# interpk {cli.__version__} snumbers\nn,a_n\r\n".encode())
+
     @pytest.mark.parametrize("command, extra", [
         ("kprofile", {}),
         ("interp-norm", {"theta": 0.5, "q": 2}),
@@ -760,6 +816,27 @@ def test_offsets_give_the_library_values(couple_offset, norm_offsets,
         assert want.tolist() == [5.5, 9.0, 16.0]
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("interp-norm", {**POWER_CASE, "theta": 0.3}, "q"),
+    ("lattice-norm", {**LATTICE_CASE, "lattice_weights": [4, 2, 1]}, "r")])
+@pytest.mark.parametrize("inf", ["inf", "Infinity", "INF"])
+def test_inf_exponent_reaches_the_library(command, config, key, inf,
+                                          tmp_path):
+    # the CLI hands q and r over as given; InterpParams and LatticeParam
+    # read them by couples._parse_p
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**config, key: inf}))
+    out = tmp_path / "o.json"
+    assert run_cli([command, "--config", str(path), "--out", str(out)]) == 0
+    couple = power_couple(1.0, [1, 2, 4, 8], [8, 4, 2, 1], offset=0)
+    x = vec([1, 2, 3], 1)
+    if command == "interp-norm":
+        want = interp_norm(x, couple, InterpParams(0.3, math.inf), -1, 1)
+    else:
+        want = lattice_norm(x, couple, LatticeParam(math.inf, -1, [4, 2, 1]))
+    assert json.loads(out.read_text())["report"]["value"] == want
+
+
 def test_null_is_absent_at_every_depth(tmp_path):
     # a null offset of the couple, a norm or the vector was refused
     outs = []
@@ -861,7 +938,8 @@ def test_readme_config_keys_are_the_cli_schemas():
 
 @pytest.mark.parametrize("check", sorted(cli.VERIFY_CHECKS))
 def test_every_verify_annotation_has_a_kind(check):
-    # an annotation missing from the table would take any value
+    # a parameter whose annotation is missing from the table, or which
+    # has none, would raise KeyError on every call of its check
     hints = cli._check_schema(getattr(verify, cli.VERIFY_CHECKS[check]))[2]
     assert set(hints.values()) <= cli._ANNOTATION_KINDS.keys()
 

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -1613,3 +1614,62 @@ class TestCoupleValidation:
         x = vec([3, 1, 2])
         # K(x, t; linf, l1) = t K(x, 1/t; l1, linf)
         assert c.k(x, 0.5) == pytest.approx(0.5 * l1_linf_couple(3).k(x, 2.0))
+
+
+class TestConstructorRefusals:
+    @pytest.mark.parametrize("shape, axis, want", [
+        ((3, 0), -1, (3,)), ((0, 4), 0, (4,)), ((0,), 0, ())])
+    def test_lp_sum_over_an_empty_axis_is_zero(self, shape, axis, want):
+        for p in (0.5, 1.0, 2.0, math.inf):
+            out = stable_lp_sum(np.ones(shape), p, axis=axis)
+            assert out.shape == want and np.all(out == 0.0)
+
+    def test_vector_entries_must_be_one_dimensional(self):
+        with pytest.raises(InvariantError,
+                           match="entries must be one-dimensional"):
+            FiniteVector(0, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_vector_entries_must_be_finite(self, bad):
+        with pytest.raises(InvariantError, match="entries must be finite"):
+            FiniteVector(0, [1.0, bad])
+
+    @pytest.mark.parametrize("weights", [[], [[1.0, 2.0]]])
+    def test_weights_must_be_a_nonempty_row(self, weights):
+        with pytest.raises(InvariantError,
+                           match="weights must be a nonempty 1-d array"):
+            WeightedNorm(1.0, 0, weights)
+
+    def test_profile_length_must_match_its_window(self):
+        with pytest.raises(InvariantError,
+                           match="profile length must match the n-window"):
+            KProfile(0, 2, [1.0, 2.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda offset: FiniteVector(offset, [1.0]),
+        lambda offset: vec([1.0], offset),
+        lambda offset: WeightedNorm(1, offset, [1.0]),
+        lambda offset: power_couple(1.0, [1.0], [1.0], offset=offset),
+    ], ids=["vector", "vec", "norm", "couple"])
+    @pytest.mark.parametrize("offset", [0.5, 1.9, -20.5, 2.0, "3", True,
+                                        None, np.float64(1.0)])
+    def test_offset_must_be_an_integer(self, build, offset):
+        # int() read 0.5 as 0, 1.9 as 1, "3" as 3 and True as 1
+        with pytest.raises(DomainError,
+                           match=f"offset must be an integer, got "
+                                 f"{re.escape(repr(offset))}"):
+            build(offset)
+
+    @pytest.mark.parametrize("offset", [3, -2, np.int64(3), np.int32(-2),
+                                        np.uint8(7)])
+    def test_integer_offsets_are_ints(self, offset):
+        for built in (FiniteVector(offset, [1.0]),
+                      WeightedNorm(1, offset, [1.0])):
+            assert built.offset == int(offset)
+            assert type(built.offset) is int
+
+    def test_sphere_sup_is_zero_where_every_spike_vanishes(self):
+        # K(e_k, 1) = min(w0_k, w1_k) = 1e-310, below the 1e-300 floor
+        c = power_couple(1.0, [1e-310, 1e-310], [1e-310, 1e-310])
+        for t in (0.25, 1.0, 4.0):
+            assert k_sphere_sup(c, t) == 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from interpk import (DomainError, InterpParams, InvariantError, LatticeParam,
                      split_norm, weighted_sup_couple)
 from interpk.couples import (Couple, FiniteVector, k_profile, stable_lp_sum,
                              vec)
-from interpk.interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, dyadic_norm,
-                            dyadic_weights, interp_norm_from_profile,
-                            sequence_couple_k, truncation_terms)
+from interpk.interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, ConditionEstimate,
+                            dyadic_norm, dyadic_weights,
+                            interp_norm_from_profile, sequence_couple_k,
+                            truncation_terms)
 from interpk.verify import couple_family
 
 
@@ -441,3 +443,90 @@ class TestSequenceCoupleK:
         got = sequence_couple_k(vals, 0.5, 1.0, ones, 2.0, ones)[0]
         triv = min(np.sum(vals), 0.5 * np.sqrt(np.sum(vals ** 2)))
         assert got <= triv * (1 + 1e-12)
+
+
+class TestArgumentRules:
+    """Each parameter class reads its exponents and window start through
+    the one rule in ``couples`` that holds it."""
+
+    @pytest.mark.parametrize("r, message", [
+        (0.0, "r must be positive, got 0.0"),
+        (-1, "r must be positive, got -1.0"),
+        (True, 'r must be a number or "inf", got True'),
+        ("2", "r must be a number or \"inf\", got '2'")])
+    def test_lattice_exponent(self, r, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            LatticeParam(r, 0, [1.0])
+
+    @pytest.mark.parametrize("r, want", [(2, 2.0), ("inf", math.inf),
+                                         (np.float64(0.5), 0.5)])
+    def test_lattice_exponent_accepted(self, r, want):
+        E = LatticeParam(r, 0, [1.0])
+        assert E.r == want and type(E.r) is float
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0, 1.0], [1.0, -1.0], [],
+                                         [[1.0]]])
+    def test_lattice_weights_must_be_positive(self, weights):
+        with pytest.raises(InvariantError,
+                           match="lattice weights must be positive"):
+            LatticeParam(2.0, 0, weights)
+
+    @pytest.mark.parametrize("n_min", [-20.5, 1.0, "3", True, None])
+    def test_lattice_start_must_be_an_integer(self, n_min):
+        # int() read -20.5 as -20
+        with pytest.raises(DomainError,
+                           match=f"n_min must be an integer, got "
+                                 f"{re.escape(repr(n_min))}"):
+            LatticeParam(1.0, n_min, [1.0])
+
+    def test_lattice_start_takes_numpy_integers(self):
+        E = LatticeParam(1.0, np.int64(-2), [1.0, 1.0])
+        assert (E.n_min, E.n_max) == (-2, -1) and type(E.n_min) is int
+
+    @pytest.mark.parametrize("n_min", [-3, 0, 5])
+    def test_one_weight_is_k_nontrivial(self, n_min):
+        # no edge to grow toward
+        assert LatticeParam(1.0, n_min, [1e6]).k_nontrivial()
+
+    @pytest.mark.parametrize("q, message", [
+        (0, "q must be positive, got 0.0"),
+        (-2.0, "q must be positive, got -2.0"),
+        (math.nan, "q must be positive, got nan"),
+        (True, 'q must be a number or "inf", got True'),
+        ("2", "q must be a number or \"inf\", got '2'")])
+    def test_interp_exponent(self, q, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            InterpParams(0.5, q)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_parameter_space_theta(self, theta):
+        with pytest.raises(ParamError,
+                           match=re.escape(f"theta must lie in (0, 1), got "
+                                           f"{theta}")):
+            ParamSpace(theta, 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan, True,
+                                   "inf", "2"])
+    def test_parameter_space_exponent(self, p):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"p must lie in (0, inf), got {p}")):
+            ParamSpace(0.5, p)
+
+    def test_parameter_space_exponent_is_a_float(self):
+        space = ParamSpace(0.5, 2)
+        assert space.p == 2.0 and type(space.p) is float
+
+    @pytest.mark.parametrize("probes", [0, -3])
+    def test_conditions_need_a_probe(self, probes):
+        with pytest.raises(DomainError, match="probes must be >= 1"):
+            parameter_conditions(ParamSpace(0.3, 1.0), ParamSpace(0.7, 1.0),
+                                 probes=probes, seed=0)
+
+    def test_conditions_on_a_window_without_negative_n(self):
+        # no t < 1 sample: the t < 1 sides are empty sums, which give no
+        # ratio, and the condition reads 1.0
+        rep = parameter_conditions(ParamSpace(0.3, 1.0), ParamSpace(0.7, 1.0),
+                                   probes=4, seed=0, n_min=1, n_max=8)
+        for name in ("cond1", "cond3", "cond4"):
+            assert getattr(rep, name) == ConditionEstimate(1.0, False)
+        assert rep.to_json()["cond1"] == 1.0

@@ -315,3 +315,24 @@ class TestLiftReadsOnlyItsPrefix:
             other = DecaySpec(spec.epsilon,
                               np.concatenate([spec.h[:N], tail]))
             assert np.array_equal(lift_sequence(other, N), xi)
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("eps", [[], [[1.0, 0.5]]])
+    def test_epsilon_must_be_a_nonempty_row(self, eps):
+        with pytest.raises(InvariantError,
+                           match="epsilon must be a nonempty 1-d array"):
+            DecaySpec(eps, [2])
+
+    @pytest.mark.parametrize("h", [[2], [2, 3, 4], [[2, 3]]])
+    def test_h_must_match_epsilon(self, h):
+        with pytest.raises(InvariantError,
+                           match="h must have the same length as epsilon"):
+            DecaySpec([1.0, 0.5], h)
+
+    @pytest.mark.parametrize("eps", [[0.5, 1.0, 0.25], [1.0, 0.5, -0.25]])
+    def test_slow_k_epsilon_must_decrease_to_nonnegative(self, eps):
+        with pytest.raises(InvariantError,
+                           match="epsilon must be nonincreasing and "
+                                 "nonnegative"):
+            slow_k_witness(eps, 2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -201,7 +202,8 @@ class TestWitnessSequence:
 
     @pytest.mark.parametrize("p_star, q_star, key", [
         (0.0, 1.0, "p_star"), (1.0, 0.0, "q_star"), (2.0, -1.0, "q_star"),
-        (math.inf, 1.0, "p_star"), (1.0, math.nan, "q_star")])
+        (math.inf, 1.0, "p_star"), (1.0, math.nan, "q_star"),
+        (True, 1.0, "p_star"), (2.0, "1", "q_star")])
     @pytest.mark.parametrize("build", [
         lambda ps, qs: witness_sequence(2.0, 1.0, 100, [(2.0, 1.0), (ps, qs)]),
         lambda ps, qs: witness_trace(2.0, 1.0, 100, ps, qs),
@@ -481,3 +483,57 @@ class TestKOperatorDiag:
                                                  budget=0, seed=0,
                                                  scale0=ones, scale1=ones)
                 np.testing.assert_allclose(got, clip, rtol=1e-12, atol=0)
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("entries", [[1.0, 2.0], 3.0, np.ones((2, 2, 2))])
+    def test_matrix_must_be_two_dimensional(self, entries):
+        with pytest.raises(InvariantError,
+                           match="matrix entries must be two-dimensional"):
+            MatrixOperator(entries)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrix_must_be_finite(self, bad):
+        with pytest.raises(InvariantError,
+                           match="matrix entries must be finite"):
+            MatrixOperator([[1.0, bad], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_matrix(self, shape):
+        T = MatrixOperator(np.zeros(shape))
+        assert T.operator_norm() == 0.0
+        a = approx_numbers(T)
+        assert len(a) == 0 and a.values.shape == (0,)
+
+    def test_one_by_zero_matrix_has_no_approximation_numbers(self):
+        T = MatrixOperator([[]])
+        assert (T.rows, T.cols) == (1, 0)
+        assert approx_numbers(T).values.tolist() == []
+        assert ideal_norm(T, LorentzParams(1.0, 1.0)) == 0.0
+
+    def test_s_numbers_must_be_one_dimensional(self):
+        with pytest.raises(InvariantError,
+                           match="s-number sequence must be one-dimensional"):
+            SNumSeq(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("values", [[1.0, -0.5], [-1.0]])
+    def test_s_numbers_must_be_nonnegative(self, values):
+        with pytest.raises(InvariantError,
+                           match="s-numbers must be nonnegative"):
+            SNumSeq(np.array(values))
+
+    @pytest.mark.parametrize("key", ["p", "q"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True,
+                                     "2", "inf"])
+    def test_lorentz_exponents_lie_in_zero_inf(self, key, bad):
+        # float() took True as 1.0 and "2" as 2.0
+        values = {"p": 2.0, "q": 1.0, key: bad}
+        with pytest.raises(DomainError,
+                           match=re.escape(f"{key} must lie in (0, inf), "
+                                           f"got {bad}")):
+            LorentzParams(**values)
+
+    def test_lorentz_exponents_are_floats(self):
+        params = LorentzParams(np.int64(2), 1)
+        assert (params.p, params.q) == (2.0, 1.0)
+        assert type(params.p) is float and type(params.q) is float

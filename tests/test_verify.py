@@ -5,19 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from interpk import (EmptyReportError, InterpParams, check_konig,
-                     check_mainlema, check_reiteration,
-                     check_sum_intersection, dichotomy_sweep,
-                     distinctness_demo, equivalence_report, l1_linf_couple,
-                     oracle_agreement)
+from interpk import (DomainError, EmptyReportError, InterpParams,
+                     InvariantError, check_konig, check_mainlema,
+                     check_reiteration, check_sum_intersection,
+                     dichotomy_sweep, distinctness_demo, equivalence_report,
+                     l1_linf_couple, oracle_agreement)
 from interpk.couples import WeightedNorm, vec
 from interpk.snum import (LorentzParams, diag_operator, ideal_norm,
                           lorentz_norm, witness_sequence)
 from interpk import verify
 from interpk._seeding import generator, pcg64_states
-from interpk.verify import (_floyd_supports, _nonincreasing_rows,
-                            _sample_rows, _sample_sweep, couple_family,
-                            sample_dense, sample_nonincreasing,
+from interpk.verify import (EquivReport, _floyd_supports,
+                            _nonincreasing_rows, _sample_rows, _sample_sweep,
+                            couple_family, sample_dense, sample_nonincreasing,
                             vector_sampler)
 
 
@@ -100,6 +100,37 @@ class TestEquivalenceReport:
         r2 = equivalence_report(l1, linf, vector_sampler(5, seed=9), count=50)
         assert r2.min_ratio <= r1.min_ratio * (1 + 1e-15)
         assert r2.max_ratio >= r1.max_ratio * (1 - 1e-15)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_needs_a_sample(self, count):
+        n = WeightedNorm(1.0, 0, np.ones(2))
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            equivalence_report(n, n, vector_sampler(2, seed=0), count=count)
+
+    def test_trace_rows(self):
+        # one row per counted ratio, in sample order; the zero sample is
+        # skipped
+        l1 = WeightedNorm(1.0, 0, np.ones(3))
+        linf = WeightedNorm(math.inf, 0, np.ones(3))
+        samples = [vec([1.0, 1.0, 1.0]), vec([0.0, 0.0, 0.0]),
+                   vec([2.0, 0.0, 0.0]), vec([1.0, -2.0])]
+        rep = equivalence_report(l1, linf, samples.__getitem__, count=4,
+                                 keep_trace=True)
+        assert rep.trace == [{"index": 0, "dim": 3, "ratio": 3.0},
+                             {"index": 2, "dim": 3, "ratio": 1.0},
+                             {"index": 3, "dim": 2, "ratio": 1.5}]
+        assert rep.sample_count == 3
+        assert rep.per_dimension == {2: {"min": 1.5, "max": 1.5, "count": 1},
+                                     3: {"min": 1.0, "max": 3.0, "count": 2}}
+        assert equivalence_report(l1, linf, samples.__getitem__,
+                                  count=4).trace is None
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (0.0, 1.0),
+                                        (-1.0, 1.0)])
+    def test_report_band_must_be_ordered_and_positive(self, lo, hi):
+        with pytest.raises(InvariantError,
+                           match="need 0 < min_ratio <= max_ratio"):
+            EquivReport("check", 0, 1, lo, hi, {}, {})
 
 
 class TestReportJson:

@@ -1,4 +1,5 @@
-"""The PCG64 states of ``default_rng(SeedSequence([seed, i]))`` for a run of i.
+"""The PCG64 states of ``default_rng(SeedSequence([seed, i]))`` for
+i = 0, 1, ..., count - 1.
 
 Building one numpy generator per (seed, index) key costs tens of
 microseconds, nearly all of it in ``SeedSequence``'s pool mix and in
@@ -9,6 +10,11 @@ PCG reference code.  ``pcg64_states`` runs the first in uint32 numpy
 arithmetic for a whole block of indices at once and the second in Python
 ints, and returns the state dicts numpy's constructor would leave, so a
 single generator restarted from each one draws the same streams.
+
+A seed of any size is one or more uint32 words of the key, and each index
+is exactly one: the indices run from 0 and stop below 2^32.  A sample set
+is always a sweep from index 0, and a sweep is capped far below that
+(``verify._SWEEP_MAX_CELLS``).
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import operator
 from typing import Iterator
 
 import numpy as np
+
+from .errors import SizeError
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -74,8 +82,8 @@ def _pool_mix_consts(words: int) -> list[np.ndarray]:
     return steps
 
 
-# keys of up to 4 words (a seed below 2^96 with an index below 2^32);
-# longer keys work theirs out per block
+# keys of up to 4 words (a seed below 2^96 and its index); longer keys
+# work theirs out per block
 _POOL_MIX = _pool_mix_consts(_POOL_SIZE)
 _STATE_HASH = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
@@ -125,24 +133,11 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _index_words(start: int, stop: int, width: int) -> np.ndarray:
-    """(width, stop - start) uint32 words of the indices start..stop-1."""
-    if width == 1:
-        return np.arange(start, stop, dtype=np.uint32)[None, :]
-    # indices from 2^32 on come only from single-index calls: a sweep's
-    # count is far below 2^32 (see verify._SWEEP_MAX_CELLS)
-    return np.array([_uint32_words(i) for i in range(start, stop)],
-                    dtype=np.uint32).T
-
-
-def _block_states(seed_words: list[int], start: int, stop: int) -> list:
-    """PCG64 state dicts of the keys [seed, i], start <= i < stop, all of
-    whose indices have the same number of uint32 words."""
-    width = len(_uint32_words(stop - 1))
-    n = stop - start
-    entropy = np.empty((len(seed_words) + width, n), dtype=np.uint32)
-    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[len(seed_words):] = _index_words(start, stop, width)
+def _block_states(seed_words: list[int], lo: int, hi: int) -> list:
+    """PCG64 state dicts of the keys [seed, i], lo <= i < hi <= 2^32."""
+    entropy = np.empty((len(seed_words) + 1, hi - lo), dtype=np.uint32)
+    entropy[:-1] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(lo, hi, dtype=np.uint32)
     pool = _mix_pool(entropy)
     # generate_state(4, uint64): eight uint32 words cycling over the pool,
     # paired low word first into four uint64 words
@@ -160,22 +155,21 @@ def _block_states(seed_words: list[int], start: int, stop: int) -> list:
     return states
 
 
-def pcg64_states(seed: int, start: int, stop: int) -> Iterator[dict]:
+def pcg64_states(seed: int, count: int) -> Iterator[dict]:
     """The ``bit_generator.state`` of
     ``np.random.default_rng(np.random.SeedSequence([seed, i]))`` for
-    i = start, ..., stop - 1, in order, computed in blocks of at most
-    ``_BLOCK`` indices."""
-    seed, start, stop = map(operator.index, (seed, start, stop))
-    if seed < 0 or start < 0:
+    i = 0, ..., count - 1, in order, computed in blocks of at most
+    ``_BLOCK`` indices.  Every index is one uint32 word, so a count above
+    2^32 raises SizeError before any state is computed."""
+    seed, count = operator.index(seed), operator.index(count)
+    if seed < 0:
         raise ValueError("expected non-negative integer")
+    if count > 2 ** 32:
+        raise SizeError(f"count {count} exceeds 2^32, the indices one "
+                        f"uint32 word holds")
     seed_words = _uint32_words(seed)
-    lo = start
-    while lo < stop:
-        # indices of one block share their word count (SeedSequence's
-        # entropy length), so a block also ends at each power of 2^32
-        hi = min(stop, lo + _BLOCK, 1 << (32 * len(_uint32_words(lo))))
-        yield from _block_states(seed_words, lo, hi)
-        lo = hi
+    for lo in range(0, count, _BLOCK):
+        yield from _block_states(seed_words, lo, min(count, lo + _BLOCK))
 
 
 def generator() -> np.random.Generator:

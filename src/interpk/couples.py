@@ -10,10 +10,10 @@ argument rule has one function here, which the other modules call too: a
 norm's exponent is a positive number or "inf" (``_parse_p``, also the
 CLI's config check and interp's q and r), an exponent that must be finite
 lies in (0, inf) (``_finite_exponent``: the Lorentz and parameter-space
-exponents and the witness probes), and an offset or window start is an
-integer (``_integer``).  The module reads and writes no config JSON:
-``interpk.cli`` checks a config and builds the vectors, norms and couples
-from it.
+exponents and the witness probes), and an offset, a window end or a
+witness length is an integer (``_integer``).  The module reads and writes
+no config JSON: ``interpk.cli`` checks a config and builds the vectors,
+norms and couples from it.
 
 ``k_route(norm0, norm1)`` is the one place that maps a norm pair to a K
 kernel.  Its route table, where (A1, A0) is answered through the identity
@@ -154,8 +154,8 @@ def _finite_exponent(p, key: str) -> float:
 
 
 def _integer(n, key: str) -> int:
-    """An offset or window start: an int or numpy integer, not a bool or a
-    float, however whole; ``key`` names it in the refusal."""
+    """An offset, window end or length: an int or numpy integer, not a
+    bool or a float, however whole; ``key`` names it in the refusal."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"{key} must be an integer, got {n!r}")
     return int(n)
@@ -244,10 +244,6 @@ class WeightedNorm:
     @property
     def window(self) -> tuple[int, int]:
         return self.offset, self.offset + self.dim
-
-    @property
-    def quasi_constant(self) -> float:
-        return max(1.0, 2.0 ** (1.0 / self.p - 1.0))
 
     def dense(self, X: np.ndarray) -> np.ndarray:
         """Norm of each row of X; rows must span the full window."""
@@ -379,10 +375,6 @@ class Couple:
         return self.norm0.dim
 
     @property
-    def quasi_constant(self) -> float:
-        return max(self.norm0.quasi_constant, self.norm1.quasi_constant)
-
-    @property
     def equiv_lo(self) -> float:
         return self.route.band[0]
 
@@ -434,7 +426,8 @@ class Couple:
 
 @dataclass(frozen=True)
 class KProfile:
-    """Samples K(x, 2^n) for n on an integer window.
+    """Samples K(x, 2^n) for n on an integer window (its ends are read by
+    ``_integer``).
 
     Invariants: values are nonnegative, nondecreasing in n, and values/2^n
     is nonincreasing in n.
@@ -445,6 +438,8 @@ class KProfile:
     values: np.ndarray
 
     def __post_init__(self):
+        for key in ("n_min", "n_max"):
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         v = np.asarray(self.values, dtype=float)
         if len(v) != self.n_max - self.n_min + 1:
             raise InvariantError("profile length must match the n-window")
@@ -726,7 +721,9 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
 def _n_window(n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The exponents n = n_min..n_max of a dyadic grid and its t = 2^n;
     DomainError when the window is empty or 2^n at an end is not a positive
-    normal float (n outside [-1022, 1023])."""
+    normal float (n outside [-1022, 1023]), or an end is not an integer
+    (``_integer``)."""
+    n_min, n_max = _integer(n_min, "n_min"), _integer(n_max, "n_max")
     lo, hi = np.finfo(float).minexp, np.finfo(float).maxexp - 1
     for key, n in (("n_min", n_min), ("n_max", n_max)):
         if not lo <= n <= hi:

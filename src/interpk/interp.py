@@ -32,6 +32,7 @@ The module also provides:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,10 @@ DEFAULT_N_MAX = 20
 
 
 def _check_theta_q(theta, q, keys=("theta", "q")) -> float:
-    """Refuse theta outside (0, 1) and a q that ``couples._parse_p``
-    refuses, naming them by ``keys``; return q as a float."""
-    if not (0.0 < theta < 1.0):
+    """Refuse a theta that is not a real number in (0, 1) and a q that
+    ``couples._parse_p`` refuses, naming them by ``keys``; return q as a
+    float."""
+    if not (isinstance(theta, numbers.Real) and 0.0 < theta < 1.0):
         raise ParamError(f"{keys[0]} must lie in (0, 1), got {theta}")
     return _parse_p(q, keys[1])
 

@@ -34,12 +34,13 @@ read only the membership flags (``verify``'s ``konig`` and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .couples import _finite_exponent, stable_lp_sum
+from .couples import _finite_exponent, _integer, stable_lp_sum
 from .errors import DomainError, InvariantError, SizeError
 from .interp import sequence_couple_k
 
@@ -258,12 +259,14 @@ class _WitnessPass:
 
 def _check_witness(p: float, q: float, N: int,
                    probe_params: Sequence[tuple[float, float]]) -> None:
-    """Refuse p, q <= 0, N < 4, N above ``WITNESS_MAX_N`` and a probe
-    exponent that ``couples._finite_exponent`` refuses, the rule of
-    ``LorentzParams``."""
-    if not (p > 0 and q > 0):
-        raise DomainError("p and q must be positive")
-    if N < 4:
+    """Refuse a p or q that is not a positive number (a bool is none), an
+    N that ``couples._integer`` refuses, N < 4, N above ``WITNESS_MAX_N``
+    and a probe exponent that ``couples._finite_exponent`` refuses, the
+    rule of ``LorentzParams``."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and v > 0 for v in (p, q)):
+        raise DomainError("p and q must be positive numbers")
+    if _integer(N, "N") < 4:
         raise DomainError("need N >= 4")
     if N > WITNESS_MAX_N:
         raise SizeError(f"witness length N = {N} exceeds the cap "

@@ -26,7 +26,8 @@ Every pass/fail threshold is a default in its check's signature
 (overridable per call), never in the check logic.  ``dichotomy_sweep`` and
 ``distinctness_demo`` draw nothing and take no seed: their reports are
 deterministic under the config alone.  Every other check is deterministic
-under (seed, config): sample i draws the stream of
+under (seed, config): its sample set is one sweep of indices
+i = 0, ..., count - 1, and sample i draws the stream of
 ``default_rng(SeedSequence([seed, i]))``, so doubling the sample count
 extends the sample set and can only widen the observed band.  That stream
 serves sample i at every dimension of a sweep, and each dimension still sees
@@ -34,10 +35,10 @@ the stream it would get from a generator of its own: Gaussian draws are
 prefix-stable, so dimension d takes the first d of one stream; draws whose
 count depends on d restart the stream.  No generator is built per sample:
 one vectorized pass (``_seeding.pcg64_states``) gives the PCG64 state numpy
-would seed for each index, and one generator restarted from each state
-draws the same streams.  The sparse kind's supports, numpy's
-``Generator.choice`` draws, come from one more vectorized pass
-(``_floyd_supports``): the raw words that choice would read from each
+would seed for each index, one uint32 word of the key, and one generator
+restarted from each state draws the same streams.  The sparse kind's
+supports, numpy's ``Generator.choice`` draws, come from one more vectorized
+pass (``_floyd_supports``): the raw words that choice would read from each
 sparse sample's stream run through numpy's Floyd-and-shuffle rule for all
 samples and dims at once.  Choice itself still draws at d = 1, where it
 reads no word, above d = 10000, where numpy shuffles instead, and for the
@@ -70,7 +71,7 @@ from .snum import (LorentzParams, k_operator_diag_batch, lorentz_norm,
 
 __all__ = [
     "EquivReport", "DichotomyReport", "DistinctnessReport",
-    "equivalence_report", "vector_sampler", "check_mainlema",
+    "equivalence_report", "check_mainlema",
     "check_sum_intersection", "check_reiteration", "check_konig",
     "dichotomy_sweep", "distinctness_demo", "oracle_agreement",
     "couple_family",
@@ -241,15 +242,15 @@ def _choice_draws(rng: "np.random.Generator", state: dict, d: int,
     return support, rng.standard_normal(k), 2.0 ** _uniform(rng, -5.0, 5.0)
 
 
-def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
+def _sample_rows(out: dict, states: Iterable[dict]) -> None:
     """Fill row i of each (count, d) zero matrix ``out[d]`` (keys
-    ascending) with sample start + i of the standard mix at dim d;
-    ``states`` are the samples' starting states, in order.
+    ascending) with sample i of the standard mix at dim d; ``states`` are
+    the starting states of samples 0, 1, ..., in order.
 
     The mix is flat, spike, Gaussian, sparse, witness.  Index 0 is always
     the flat vector (the strictness witness shape) and index 1 the first
     basis spike, so the extreme shapes are represented at every sample
-    count.  One pass over the samples only draws, one stream serving every
+    count from 2 on.  One pass over the samples only draws, one stream serving every
     dim: the Gaussian kind writes its draws into the largest dim's matrix
     and each smaller dim takes their first d (normal draws are
     prefix-stable), the sparse kind, whose draws depend on d, restarts at
@@ -272,20 +273,16 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
     big = out[dims[-1]]
     rng = generator()
     bits = rng.bit_generator
-    # rows of the sparse kind: index % 3 == 1, but index 1 is the spike
-    first = (1 - start) % 3
-    if start + first == 1:
-        first += 3
-    sparse = np.arange(first, len(big), 3)
+    # rows of the sparse kind: i % 3 == 1, but row 1 is the spike
+    sparse = np.arange(4, len(big), 3)
     # ascending, so the last words read in a sample are the largest dim's
     floyd_dims = [d for d in dims if 2 <= d <= _FLOYD_MAX_DIM]
     gauss, flat, halving = [], [], []     # gauss: rows; others: (row, scale)
     sparse_states, words, draws = [], [], {d: [] for d in floyd_dims}
     for i, state in enumerate(states):
-        index = start + i
-        if index < 2:
+        if i < 2:
             continue
-        if index % 3 == 1:
+        if i % 3 == 1:
             sparse_states.append(state)
             for d in floyd_dims:
                 k = max(1, d // 4)
@@ -297,7 +294,7 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
                 words.append(raw)
             continue
         bits.state = state
-        if index % 3 == 0:
+        if i % 3 == 0:
             gauss.append(i)
             big[i] = rng.standard_normal(dims[-1])
         else:
@@ -310,10 +307,8 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
                 if words else {})
     for d in dims:
         M = out[d]
-        if start == 0:
-            M[0] = 1.0 / d
-        if start <= 1 < start + len(M):
-            M[1 - start, 0] = 1.0
+        M[0] = 1.0 / d
+        M[1:2, 0] = 1.0
         if gauss and M is not big:
             M[gauss] = big[gauss, :d]
         if len(sparse):
@@ -339,25 +334,10 @@ def _sample_rows(out: dict, start: int, states: Iterable[dict]) -> None:
                                                / 2.0)
 
 
-def sample_dense(dim: int, index: int, seed: int) -> np.ndarray:
-    """Sample ``index`` of the standard mix at one dimension."""
-    return _sample_sweep(_sample_rows, 1, (dim,), seed, start=index)[dim][0]
-
-
-def vector_sampler(dim: int, seed: int, offset: int = 0) -> Callable[[int], FiniteVector]:
-    """Seeded generator index -> FiniteVector for equivalence_report."""
-
-    def sample(index: int) -> FiniteVector:
-        return FiniteVector(offset, sample_dense(dim, index, seed))
-
-    return sample
-
-
-def _nonincreasing_rows(out: dict, start: int,
-                        states: Iterable[dict]) -> None:
+def _nonincreasing_rows(out: dict, states: Iterable[dict]) -> None:
     """Fill row i of each (count, length) matrix ``out[length]`` with
-    sample start + i of the nonincreasing mix at that length; ``states``
-    are the samples' starting states, in order.
+    sample i of the nonincreasing mix at that length; ``states`` are the
+    starting states of samples 0, 1, ..., in order.
 
     The sorted Gaussian kind, whose draws depend on the length, restarts
     its stream at each length; the geometric and power kinds draw the same
@@ -369,7 +349,7 @@ def _nonincreasing_rows(out: dict, start: int,
     geometric, power = [], []     # (row, exponent draw, scale) of each kind
     gauss, gauss_draws = [], {n: [] for n in lengths}
     for i, state in enumerate(states):
-        kind = (start + i) % 3
+        kind = i % 3
         if kind == 0:
             gauss.append(i)
             for length in lengths:
@@ -402,20 +382,15 @@ def _nonincreasing_rows(out: dict, start: int,
             M[rows] = n ** (-exponent[:, None]) * scale[:, None]
 
 
-def sample_nonincreasing(length: int, index: int, seed: int) -> np.ndarray:
-    """Seeded nonincreasing nonnegative sequences of mixed decay shapes."""
-    return _sample_sweep(_nonincreasing_rows, 1, (length,), seed,
-                         start=index)[length][0]
+def _sample_sweep(rows, count: int, sizes: Sequence[int],
+                  seed: int) -> dict[int, np.ndarray]:
+    """{size: (count, size) matrix} whose row i is sample i at that size,
+    filled by one ``rows(out, states)`` call for the whole sweep.  Every
+    sample set a check draws is such a sweep, of indices 0, ..., count - 1.
 
-
-def _sample_sweep(rows, count: int, sizes: Sequence[int], seed: int,
-                  start: int = 0) -> dict[int, np.ndarray]:
-    """{size: (count, size) matrix} whose row i is sample start + i at
-    that size, filled by one ``rows(out, start, states)`` call for the
-    whole sweep.
-
-    Sample i's stream is that of ``default_rng(SeedSequence([seed, i]))``.
-    ``_seeding.pcg64_states`` computes those generators' starting states
+    Sample i's stream is that of ``default_rng(SeedSequence([seed, i]))``;
+    the cell cap keeps every i far below 2^32, so it is one uint32 word of
+    the key.  ``_seeding.pcg64_states`` computes those generators' starting states
     in one vectorized pass per block of indices, and one generator,
     restarted from each state, draws every sample, so the streams are
     numpy's own at a fraction of the cost of a generator per sample.
@@ -434,7 +409,7 @@ def _sample_sweep(rows, count: int, sizes: Sequence[int], seed: int,
                         f"{sum(sizes)} exceeds the sweep limit of "
                         f"{_SWEEP_MAX_CELLS} sample cells; lower count")
     out = {size: np.zeros((count, size)) for size in sizes}
-    rows(out, start, pcg64_states(seed, start, start + count))
+    rows(out, pcg64_states(seed, count))
     return out
 
 
@@ -857,7 +832,7 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
                           f"the two kinds), got {count}")
     specs = {"l1_linf": [], "weighted_sup": []}
     rng = generator()
-    for i, state in enumerate(pcg64_states(seed, 0, count)):
+    for i, state in enumerate(pcg64_states(seed, count)):
         rng.bit_generator.state = state
         dim = int(rng.integers(1, max_dim + 1))
         t = float(2.0 ** _uniform(rng, -6.0, 6.0))

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import re
 import tracemalloc
@@ -1361,7 +1362,8 @@ class TestKProfile:
             c = power_couple(0.5, np.ones(d), 2.0 ** rng.uniform(-1, 1, d))
             x, y = random_vector(rng, d), random_vector(rng, d)
             t = float(2.0 ** rng.uniform(-3, 3))
-            m = c.quasi_constant
+            # the quasi-triangle constant of l_p, p = 0.5
+            m = max(1.0, 2.0 ** (1.0 / 0.5 - 1.0))
             xy = FiniteVector(0, x.entries + y.entries)
             assert c.k(xy, t) <= m * (c.k(x, t) + c.k(y, t)) * (1 + 1e-12)
 
@@ -1644,6 +1646,23 @@ class TestConstructorRefusals:
         with pytest.raises(InvariantError,
                            match="profile length must match the n-window"):
             KProfile(0, 2, [1.0, 2.0])
+
+    @pytest.mark.parametrize("n_min, n_max, key", [
+        (0.0, 2, "n_min"), (0, 2.0, "n_max"), (-1.5, 1.5, "n_min"),
+        (True, 2, "n_min"), (0, "2", "n_max"), (None, 2, "n_min")])
+    def test_window_ends_must_be_integers(self, n_min, n_max, key):
+        # k_profile echoed "n_min": 0.0, and -1.5..1.5 ran at t = 2^-1.5, ...
+        with pytest.raises(DomainError, match=f"{key} must be an integer"):
+            k_profile(vec([3.0, 1.0, 2.0]), l1_linf_couple(3), n_min, n_max)
+        with pytest.raises(DomainError, match=f"{key} must be an integer"):
+            KProfile(n_min, n_max, [1.0, 2.0, 3.0])
+
+    def test_window_ends_take_numpy_integers(self):
+        x, c = vec([3.0, 1.0, 2.0]), l1_linf_couple(3)
+        prof = k_profile(x, c, np.int64(-2), np.int64(2))
+        assert type(prof.n_min) is int and type(prof.n_max) is int
+        assert (json.dumps(prof.to_json())
+                == json.dumps(k_profile(x, c, -2, 2).to_json()))
 
     @pytest.mark.parametrize("build", [
         lambda offset: FiniteVector(offset, [1.0]),

@@ -1,0 +1,27 @@
+"""Every name that ``interpk`` or one of its modules lists in ``__all__``
+resolves on it."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import interpk
+
+MODULES = ["interpk"] + [f"interpk.{info.name}"
+                         for info in pkgutil.iter_modules(interpk.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+    assert len(set(exported)) == len(exported)
+
+
+def test_the_library_modules_declare_their_exports():
+    declared = {name for name in MODULES
+                if hasattr(importlib.import_module(name), "__all__")}
+    assert {"interpk.couples", "interpk.interp", "interpk.lethargy",
+            "interpk.snum", "interpk.verify"} <= declared

@@ -479,6 +479,17 @@ class TestArgumentRules:
                                  f"{re.escape(repr(n_min))}"):
             LatticeParam(1.0, n_min, [1.0])
 
+    @pytest.mark.parametrize("theta", ["0.5", None, [0.5], 0.5j])
+    @pytest.mark.parametrize("build", [
+        lambda theta: InterpParams(theta, 2),
+        lambda theta: ParamSpace(theta, 2.0),
+    ], ids=["interp", "space"])
+    def test_theta_must_be_a_real_number(self, build, theta):
+        # "0.5" raised TypeError from the comparison
+        with pytest.raises(ParamError, match=re.escape(
+                f"theta must lie in (0, 1), got {theta}")):
+            build(theta)
+
     def test_lattice_start_takes_numpy_integers(self):
         E = LatticeParam(1.0, np.int64(-2), [1.0, 1.0])
         assert (E.n_min, E.n_max) == (-2, -1) and type(E.n_min) is int

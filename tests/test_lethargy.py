@@ -330,6 +330,12 @@ class TestInputRefusals:
                            match="h must have the same length as epsilon"):
             DecaySpec([1.0, 0.5], h)
 
+    def test_strictness_window_ends_must_be_integers(self):
+        # it ran at t = 2^-1.5, 2^-0.5, ...
+        with pytest.raises(DomainError, match="n_min must be an integer"):
+            strictness_sweep([2], InterpParams(0.5, 1), n_min=-1.5,
+                             n_max=1.5)
+
     @pytest.mark.parametrize("eps", [[0.5, 1.0, 0.25], [1.0, 0.5, -0.25]])
     def test_slow_k_epsilon_must_decrease_to_nonnegative(self, eps):
         with pytest.raises(InvariantError,

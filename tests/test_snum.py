@@ -213,6 +213,25 @@ class TestWitnessSequence:
         with pytest.raises(DomainError, match=f"{key} must lie in"):
             build(p_star, q_star)
 
+    @pytest.mark.parametrize("p, q, N, message", [
+        (True, 1.0, 16, "p and q must be positive"),
+        (2.0, True, 16, "p and q must be positive"),
+        ("2", 1.0, 16, "p and q must be positive"),
+        (2.0, None, 16, "p and q must be positive"),
+        (2.0, 1.0, 16.0, "N must be an integer, got 16.0"),
+        (2.0, 1.0, True, "N must be an integer, got True"),
+        (2.0, 1.0, "16", "N must be an integer, got '16'")])
+    @pytest.mark.parametrize("build", [
+        lambda p, q, N: witness_sequence(p, q, N),
+        lambda p, q, N: witness_report(p, q, N),
+        lambda p, q, N: witness_trace(p, q, N, 2.0, 1.0),
+        lambda p, q, N: witness_samples(p, q, N, 2.0, 1.0, 7),
+    ], ids=["sequence", "report", "trace", "samples"])
+    def test_witness_arguments_refused(self, build, p, q, N, message):
+        # p = True ran as p = 1.0; "2" and None raised TypeError
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build(p, q, N)
+
     def test_trace_matches_report(self):
         n, eps, summand, partial = witness_trace(2.0, 1.0, 256, 2.0, 1.0)
         _, rep = witness_sequence(2.0, 1.0, 256, probe_params=[(2.0, 1.0)])

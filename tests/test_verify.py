@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from interpk import (DomainError, EmptyReportError, InterpParams,
-                     InvariantError, check_konig, check_mainlema,
+from interpk import (DomainError, EmptyReportError, FiniteVector,
+                     InterpParams, InvariantError, check_konig, check_mainlema,
                      check_reiteration, check_sum_intersection,
                      dichotomy_sweep, distinctness_demo, equivalence_report,
                      l1_linf_couple, oracle_agreement)
@@ -17,8 +17,7 @@ from interpk import verify
 from interpk._seeding import generator, pcg64_states
 from interpk.verify import (EquivReport, _floyd_supports,
                             _nonincreasing_rows, _sample_rows, _sample_sweep,
-                            couple_family, sample_dense, sample_nonincreasing,
-                            vector_sampler)
+                            couple_family)
 
 
 def frozen_sample_dense(dim, index, seed):
@@ -65,24 +64,31 @@ def frozen_sample_nonincreasing(length, index, seed):
 SWEEP_SIZES = [(5,), (8, 1, 8, 3), (64, 4, 16, 4, 1, 32)]
 
 
+def sweep_sampler(dim, seed, count=50):
+    """index -> FiniteVector: sample ``index`` of one standard-mix sweep of
+    ``count`` samples at ``dim`` (a row of a longer sweep is the same)."""
+    X = _sample_sweep(_sample_rows, count, (dim,), seed)[dim]
+    return lambda index: FiniteVector(0, X[index])
+
+
 class TestEquivalenceReport:
     def test_identical_norms(self):
         n = WeightedNorm(2.0, 0, np.ones(4))
-        rep = equivalence_report(n, n, vector_sampler(4, seed=1), count=20)
+        rep = equivalence_report(n, n, sweep_sampler(4, seed=1), count=20)
         assert rep.min_ratio == pytest.approx(1.0)
         assert rep.max_ratio == pytest.approx(1.0)
 
     def test_scaled_norm(self):
         n = WeightedNorm(2.0, 0, np.ones(4))
         two_n = lambda x: 2.0 * n(x)
-        rep = equivalence_report(two_n, n, vector_sampler(4, seed=1), count=20)
+        rep = equivalence_report(two_n, n, sweep_sampler(4, seed=1), count=20)
         assert rep.min_ratio == pytest.approx(2.0)
         assert rep.max_ratio == pytest.approx(2.0)
 
     def test_l1_vs_linf_classical_bound(self):
         l1 = WeightedNorm(1.0, 0, np.ones(4))
         linf = WeightedNorm(math.inf, 0, np.ones(4))
-        rep = equivalence_report(l1, linf, vector_sampler(4, seed=3), count=50)
+        rep = equivalence_report(l1, linf, sweep_sampler(4, seed=3), count=50)
         assert rep.max_ratio <= 4.0 + 1e-12
         assert rep.min_ratio >= 1.0 - 1e-12
 
@@ -96,8 +102,8 @@ class TestEquivalenceReport:
         # doubling the sample count can only widen [min, max]
         l1 = WeightedNorm(1.0, 0, np.ones(5))
         linf = WeightedNorm(math.inf, 0, np.ones(5))
-        r1 = equivalence_report(l1, linf, vector_sampler(5, seed=9), count=25)
-        r2 = equivalence_report(l1, linf, vector_sampler(5, seed=9), count=50)
+        r1 = equivalence_report(l1, linf, sweep_sampler(5, seed=9), count=25)
+        r2 = equivalence_report(l1, linf, sweep_sampler(5, seed=9), count=50)
         assert r2.min_ratio <= r1.min_ratio * (1 + 1e-15)
         assert r2.max_ratio >= r1.max_ratio * (1 - 1e-15)
 
@@ -105,7 +111,7 @@ class TestEquivalenceReport:
     def test_needs_a_sample(self, count):
         n = WeightedNorm(1.0, 0, np.ones(2))
         with pytest.raises(DomainError, match="count must be >= 1"):
-            equivalence_report(n, n, vector_sampler(2, seed=0), count=count)
+            equivalence_report(n, n, sweep_sampler(2, seed=0), count=count)
 
     def test_trace_rows(self):
         # one row per counted ratio, in sample order; the zero sample is
@@ -162,13 +168,13 @@ class TestReportJson:
 
 class TestSamplers:
     def test_deterministic_per_index(self):
-        a = sample_dense(6, 17, seed=4)
-        b = sample_dense(6, 17, seed=4)
+        a = _sample_sweep(_sample_rows, 18, (6,), seed=4)[6][17]
+        b = _sample_sweep(_sample_rows, 18, (6,), seed=4)[6][17]
         np.testing.assert_array_equal(a, b)
 
     def test_flat_and_spike_always_present(self):
-        assert np.allclose(sample_dense(4, 0, seed=1), 0.25)
-        spike = sample_dense(4, 1, seed=1)
+        flat, spike = _sample_sweep(_sample_rows, 2, (4,), seed=1)[4]
+        assert np.allclose(flat, 0.25)
         assert spike[0] == 1.0 and np.all(spike[1:] == 0.0)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 160])
@@ -177,11 +183,9 @@ class TestSamplers:
         got = _sample_sweep(_sample_rows, count, dims, seed=7)
         assert sorted(got) == sorted(set(dims))
         for d in dims:
-            per_index = np.stack([sample_dense(d, i, 7) for i in range(count)])
             frozen = np.stack([frozen_sample_dense(d, i, 7)
                                for i in range(count)])
             assert got[d].shape == (count, d)
-            assert got[d].tobytes() == per_index.tobytes()
             assert got[d].tobytes() == frozen.tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 3, 48])
@@ -190,21 +194,9 @@ class TestSamplers:
         got = _sample_sweep(_nonincreasing_rows, count, lengths, seed=7)
         assert sorted(got) == sorted(set(lengths))
         for n in lengths:
-            per_index = np.stack([sample_nonincreasing(n, i, 7)
-                                  for i in range(count)])
             frozen = np.stack([frozen_sample_nonincreasing(n, i, 7)
                                for i in range(count)])
-            assert got[n].tobytes() == per_index.tobytes()
             assert got[n].tobytes() == frozen.tobytes()
-
-
-    def test_single_index_far_out(self):
-        # indices of two uint32 words, as the single-index samplers allow
-        for index in (2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1):
-            assert (sample_dense(12, index, 5).tobytes()
-                    == frozen_sample_dense(12, index, 5).tobytes())
-            assert (sample_nonincreasing(12, index, 5).tobytes()
-                    == frozen_sample_nonincreasing(12, index, 5).tobytes())
 
     def test_huge_sweep_refused_before_allocating(self):
         import tracemalloc
@@ -236,7 +228,7 @@ def choice_support(rng, state, dim):
 
 
 # the states of indices 0..299 at seed 7, taken 100 at a time
-SUPPORT_STATES = list(pcg64_states(7, 0, 300))
+SUPPORT_STATES = list(pcg64_states(7, 300))
 # each group is one padded pass, its dims descending
 SUPPORT_DIM_GROUPS = ([tuple(range(hi, hi - 20, -1))
                        for hi in range(200, 20, -20)]
@@ -295,32 +287,36 @@ class TestFloydSupports:
                                                choice_calls, floyd_max):
         # sample 232 at seed 7 rejects a draw at d = 10000; d = 10001 is
         # numpy's tail shuffle and d = 1 draws nothing, so those rows stay
-        # with choice, which draws them after the pass, dim by dim
+        # with choice, which draws them after the pass, dim by dim.  The
+        # sweep runs from index 0 to 237, past the default cell cap.
         monkeypatch.setattr(verify, "_FLOYD_MAX_DIM", floyd_max)
+        monkeypatch.setattr(verify, "_SWEEP_MAX_CELLS", 2 ** 23)
         dims = (1, 4, 64, 10000, 10001)
-        got = _sample_sweep(_sample_rows, 6, dims, seed=7, start=232)
+        got = _sample_sweep(_sample_rows, 238, dims, seed=7)
         for d in dims:
             frozen = np.stack([frozen_sample_dense(d, i, 7)
                                for i in range(232, 238)])
-            assert got[d].tobytes() == frozen.tobytes()
-        # the sparse samples are 232 and 235
+            assert got[d][232:].tobytes() == frozen.tobytes()
+        # the sparse samples are 4, 7, ..., 235: 78 of them
         if floyd_max == 1:
-            assert choice_calls == [d for d in dims for _ in range(2)]
+            assert choice_calls == [d for d in dims for _ in range(78)]
         else:
-            assert choice_calls == [1, 1, 10000, 10001, 10001]
+            assert choice_calls == [1] * 78 + [10000] + [10001] * 78
 
     def test_rejected_row_is_drawn_by_choice(self, choice_calls):
-        got = _sample_sweep(_sample_rows, 1, (10000,), seed=7, start=232)
+        got = _sample_sweep(_sample_rows, 233, (10000,), seed=7)
         assert choice_calls == [10000]
-        assert (got[10000][0].tobytes()
+        assert (got[10000][232].tobytes()
                 == frozen_sample_dense(10000, 232, 7).tobytes())
 
     def test_pass_draws_every_dim_it_can(self, choice_calls):
         # the acceptance sum-intersection sweep (53 sparse samples at
-        # d <= 64) and a single sample both take the pass only
+        # d <= 64) and a sweep whose one sparse sample is index 4 both
+        # take the pass only
         _sample_sweep(_sample_rows, 160, (4, 8, 16, 32, 64), seed=505)
         assert choice_calls == []
-        assert (sample_dense(64, 4, seed=7).tobytes()
+        got = _sample_sweep(_sample_rows, 5, (64,), seed=7)
+        assert (got[64][4].tobytes()
                 == frozen_sample_dense(64, 4, 7).tobytes())
         assert choice_calls == []
 

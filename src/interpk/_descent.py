@@ -9,17 +9,19 @@ It combines three ingredients, all deterministic under a seed:
 * two one-parameter "clip" families, one per orientation: the part assigned
   to one side is the coordinatewise clip sign(x) * min(|x|, lam / scale),
   the remainder goes to the other side.  The clip level lam is optimized by
-  golden-section search.  For the couples (l1, linf), (linf(w0), linf(w1))
-  and the unweighted (l1, lp) with p > 1 the optimal decomposition lies on
-  one of these families, so the search is exact there up to the line-search
-  tolerance.  For (l1(w0), lp(w1)) with weights it is not: the optimal lp
-  side is min(|x_i|, lam * g_i) with g_i = (w0_i / w1_i^p)^{1/(p-1)}, not
-  lam / w1_i, and the descent overshot the exact K
-  (``couples._l1_lp_batch``) by up to 3e-3 relative on the 41-point
-  profiles of mixed reiteration (weights 2^{-n/4}, 2^{-3n/4});
+  one golden-section search over both families at once.  For the couples
+  (l1, linf), (linf(w0), linf(w1)) and the unweighted (l1, lp) with p > 1
+  the optimal decomposition lies on one of these families, so the search is
+  exact there up to the line-search tolerance.  For (l1(w0), lp(w1)) with
+  weights it is not: the optimal lp side is min(|x_i|, lam * g_i) with
+  g_i = (w0_i / w1_i^p)^{1/(p-1)}, not lam / w1_i, and the descent
+  overshot the exact K (``couples._l1_lp_batch``) by up to 3e-3 relative
+  on the 41-point profiles of mixed reiteration (weights 2^{-n/4},
+  2^{-3n/4});
 * coordinate descent with per-coordinate golden-section over
   a_i in [-2|x_i|, 2|x_i|], run from the canonical starts a = 0, a = x,
-  a = best clip, plus ``budget`` seeded random starts;
+  a = best clip, plus ``budget`` seeded random starts; each step keeps the
+  best of the golden minimum and the segment ends a_i = 0 and a_i = x_i;
 * the trivial decompositions a = x and a = 0.
 
 The returned value is the best candidate seen, hence always an upper bound
@@ -27,12 +29,16 @@ on the true infimum.
 
 All work is done in one stacked array.  ``X`` holds m vectors and ``T`` one
 t per row, or k values of t per row (a grid); every (row, t) pair becomes a
-row of an (m*k, d) array, on which both clip line searches run once.  The
-3 + ``budget`` starts then stack into S blocks of those m*k rows, and each
-coordinate's golden-section search runs once over all S*m*k rows, so the
-number of norm calls does not grow with m, k or the budget.  The norm
-callables map an (n, d) array to n values for any n and must treat rows
-independently: row r of what they see belongs to X row ``(r % (m*k)) // k``.
+row of an (m*k, d) array.  The clip line search runs once over two blocks
+of those rows, one per family.  The 3 + ``budget`` starts then stack into S
+blocks of m*k rows, and each coordinate's golden-section search runs once
+over all S*m*k rows, so the number of norm calls does not grow with m, k
+or the budget: with the scales given it is
+4 + 2 (LINE_ITERS + 3) + 2 SWEEPS d (COORD_ITERS + 5), where a coordinate
+step evaluates only its two segment ends besides its golden search, whose
+value at its minimum ``_golden_min`` returns.  The norm callables map an
+(n, d) array to n values for any n and must treat rows independently: row
+r of what they see belongs to X row ``(r % (m*k)) // k``.
 
 Layout contract: every array a norm callable receives is column-major
 (Fortran order).  d is a window or a profile length, a few to a few dozen,
@@ -73,8 +79,11 @@ def _golden_min(objective: Callable[[np.ndarray], np.ndarray],
                 lo: np.ndarray, hi: np.ndarray, iters: int):
     """Rowwise golden-section minimization of ``objective`` on [lo, hi].
 
-    Assumes rowwise unimodality; returns (argmin, min).  One objective
-    evaluation per iteration after the two initial probes.
+    Assumes rowwise unimodality; returns (argmin, min, value at argmin).
+    The min is taken over the last three probes and is NaN where one of
+    them is; the value at argmin is that of the probe returned, so a caller
+    that compares it with other candidates needs no call to re-evaluate it.
+    One objective evaluation per iteration after the two initial probes.
     """
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
@@ -95,9 +104,11 @@ def _golden_min(objective: Callable[[np.ndarray], np.ndarray],
         f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
     mid = 0.5 * (lo + hi)
     fm = objective(mid)
-    best = np.minimum(np.minimum(f1, f2), fm)
-    arg = np.where(fm <= np.minimum(f1, f2), mid, np.where(f1 < f2, c1, c2))
-    return arg, best
+    f12 = np.minimum(f1, f2)
+    at_mid, left = fm <= f12, f1 < f2
+    arg = np.where(at_mid, mid, np.where(left, c1, c2))
+    f_arg = np.where(at_mid, fm, np.where(left, f1, f2))
+    return arg, np.minimum(f12, fm), f_arg
 
 
 def _t_grid(T) -> tuple[np.ndarray, bool]:
@@ -157,23 +168,36 @@ def _repeat_rows(V: np.ndarray, m: int, k: int) -> np.ndarray:
     return np.repeat(V.T, k, axis=1).T
 
 
-def _clip_search(X, T, pay_clip, pay_rest, scale, iters):
-    """Best decomposition with the clipped part paying ``pay_clip``.
+def _clip_search(X, T, norm0, norm1, scale0, scale1):
+    """The better start of the two clip families, and its value, per row.
 
-    Splits x = clip + rest with clip = sign(x) * min(|x|, lam / scale) and
-    minimizes pay_rest(rest) + pay_clip(clip) over lam >= 0 rowwise.
+    One golden search runs over two stacked blocks of X's rows: rows
+    [0, n) clip the A1 side, sign(x) * min(|x|, lam / scale1), and rows
+    [n, 2n) clip the A0 side at ``scale0``; the remainder goes to the other
+    side.  Returns the A0 part of the better split, the A1 clip's on a tie,
+    and the min of the two values.
     """
-    absx = np.abs(X)
-    hi = np.max(scale * absx, axis=1)
-    lo = np.zeros_like(hi)
+    n = len(X)
+    XX, TT = np.concatenate([X, X]), np.concatenate([T, T])
+    scale = np.concatenate([scale1, scale0])
+    absx, sgn = np.abs(XX), np.sign(XX)
+    clips_a1 = (np.arange(2 * n) < n)[:, None]
+
+    def clip(lam):
+        return sgn * np.minimum(absx, lam[:, None] / scale)
 
     def objective(lam):
-        clip = np.sign(X) * np.minimum(absx, lam[:, None] / scale)
-        return pay_rest(X - clip) + pay_clip(clip)
+        c = clip(lam)
+        rest = XX - c
+        return (norm0(np.where(clips_a1, rest, c))
+                + TT * norm1(np.where(clips_a1, c, rest)))
 
-    lam, val = _golden_min(objective, lo, hi, iters)
-    clip = np.sign(X) * np.minimum(absx, lam[:, None] / scale)
-    return clip, val
+    hi = np.max(scale * absx, axis=1)
+    lam, val, _ = _golden_min(objective, np.zeros_like(hi), hi, LINE_ITERS)
+    c = clip(lam)
+    val1, val0 = val[:n], val[n:]
+    start = np.where((val0 < val1)[:, None], c[n:], X - c[:n])
+    return start, np.minimum(val0, val1)
 
 
 @k_kernel
@@ -203,13 +227,18 @@ def decomposition_infimum(
     ``couples.ORACLE_MAX_DIM``; ``verify.oracle_agreement`` calls the engine
     directly with its own ``max_dim``.
 
+    One golden search over two stacked blocks of the (row, t) rows finds
+    the best split on both clip families; each coordinate step then
+    compares its golden minimum with the two segment ends a_i = 0 and
+    a_i = x_i, two objective calls (the module docstring counts them).
+
     The norms see stacked rows: row r belongs to X row ``(r % (m*k)) // k``
-    and to its t number ``r % k``, and each block of m*k rows is one start.
-    They must treat rows independently and accept any row count, and they
-    receive column-major arrays (the module docstring says why).  The seeded
-    random starts are drawn at X's (m, d) shape and repeated over a row's k
-    values of t, so one (m, k) call equals k per-t calls with the same seed
-    bit for bit.
+    and to its t number ``r % k``; each block of m*k rows is one start, or
+    in the clip search one family.  They must treat rows independently and
+    accept any row count, and they receive column-major arrays (the module
+    docstring says why).  The seeded random starts are drawn at X's (m, d)
+    shape and repeated over a row's k values of t, so one (m, k) call
+    equals k per-t calls with the same seed bit for bit.
     """
     m, d = X.shape
     k = T.shape[1]
@@ -228,12 +257,8 @@ def decomposition_infimum(
     best = np.minimum(norm0(X), T * norm1(X))
 
     # Clip families in both orientations; keep the better split as a start.
-    clip1, val1 = _clip_search(
-        X, T, lambda b: T * norm1(b), lambda a: norm0(a), scale1, LINE_ITERS)
-    clip0, val0 = _clip_search(
-        X, T, lambda a: norm0(a), lambda b: T * norm1(b), scale0, LINE_ITERS)
-    best = np.minimum(best, np.minimum(val0, val1))
-    clip_start = np.where((val0 < val1)[:, None], clip0, X - clip1)
+    clip_start, clip_val = _clip_search(X, T, norm0, norm1, scale0, scale1)
+    best = np.minimum(best, clip_val)
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros_like(X), X, clip_start]
@@ -257,18 +282,19 @@ def decomposition_infimum(
             span = absx[:, j]
             if not np.any(span > 0):
                 continue
+            col = A[:, j]
 
-            def coord_obj(c, j=j):
-                A[:, j] = c
+            def coord_obj(c, col=col):
+                col[...] = c
                 return objective(A)
 
-            cj, _ = _golden_min(coord_obj, -2.0 * span, 2.0 * span,
-                                COORD_ITERS)
+            cj, _, fj = _golden_min(coord_obj, -2.0 * span, 2.0 * span,
+                                    COORD_ITERS)
             # endpoints of the natural segment; exact for concave costs
             cand = np.stack([cj, np.zeros_like(cj), XS[:, j]])
-            vals = np.stack([coord_obj(c) for c in cand])
+            vals = np.stack([fj, coord_obj(cand[1]), coord_obj(cand[2])])
             pick = np.argmin(vals, axis=0)
-            A[:, j] = cand[pick, rows]
+            col[...] = cand[pick, rows]
     # the min over starts, in start order
     for val in objective(A).reshape(len(starts), -1):
         best = np.minimum(best, val)

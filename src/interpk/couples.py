@@ -107,7 +107,7 @@ __all__ = [
     "descent_route", "EXACT_L1_LINF", "WEIGHTED_SUP_LP",
     "POWER_COORDINATEWISE", "ORACLE", "k_profile", "k_sphere_sup",
     "l1_linf_couple", "weighted_sup_couple", "power_couple",
-    "validate_profiles",
+    "validate_profiles", "vec",
 ]
 
 EXACT_L1_LINF = "exact_l1_linf"

@@ -40,8 +40,7 @@ import numpy as np
 from ._descent import _t_grid, k_kernel
 from .couples import (Couple, FiniteVector, KProfile, WeightedNorm,
                       _finite_exponent, _integer, _n_window, _parse_p,
-                      descent_route, k_profile, k_route, l1_linf_couple,
-                      stable_lp_sum)
+                      descent_route, k_profile, k_route, stable_lp_sum)
 from .errors import DomainError, InvariantError, ParamError, WindowError
 
 __all__ = [
@@ -311,6 +310,11 @@ def parameter_conditions(phi0: ParamSpace, phi1: ParamSpace, probes: int,
 # derived couple (A0 + A1, A0 cap A1)
 # ---------------------------------------------------------------------------
 
+# the route of (linf, l1): its kernel reads no weights and no dimension, so
+# one serves the derived couple of every base on the ``l1_linf`` route
+_LINF_L1_ROUTE = k_route(WeightedNorm(np.inf, 0, np.ones(1)),
+                         WeightedNorm(1.0, 0, np.ones(1)))
+
 class DerivedSumIntCouple:
     """The ordered couple (A0+A1, A0 cap A1) derived from a base couple.
 
@@ -330,8 +334,7 @@ class DerivedSumIntCouple:
         self.base = base
         # the sum and intersection of (l1, linf), either order, are linf
         # and l1; other bases have no weighted-norm form, so no route
-        self.route = (l1_linf_couple(base.dim).reversed().route
-                      if base.route.name == "l1_linf" else None)
+        self.route = _LINF_L1_ROUTE if base.route.name == "l1_linf" else None
 
     def embed(self, x: FiniteVector) -> np.ndarray:
         return self.base.embed(x)

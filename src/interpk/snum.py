@@ -60,8 +60,6 @@ INDETERMINATE = "indeterminate"
 DIVERGENCE_INCREMENT = 0.05
 CONVERGENCE_TAIL_RATIO = 0.01
 
-K_DIAG_MAX_DIM = 128
-
 # indices per block of a witness pass
 _WITNESS_BLOCK = 4096
 # The longest witness any builder takes.  ``witness_sequence`` returns its
@@ -368,13 +366,12 @@ def k_operator_diag(sigma, t: float, p0: float, p1: float,
     1 < p < inf and p0 = p1 = 1, the coordinatewise power surrogate for
     other equal exponents, and the seeded descent upper bound for every
     other pair (including (1, p) with p < 1, where the clip family is not
-    optimal).  Sequences longer than ``K_DIAG_MAX_DIM`` are refused here on
-    every route; the descent's own limit of ``couples.ORACLE_MAX_DIM`` (16)
-    lives in ``couples.descent_route``.  Both raise SizeError.
+    optimal).  It is the one-row case of ``k_operator_diag_batch``, so the
+    exact routes take any length, and pairs that descend refuse sequences
+    longer than ``couples.ORACLE_MAX_DIM`` (16) with SizeError
+    (``couples.descent_route``).
     """
     x = SNumSeq(np.asarray(sigma, dtype=float)).values
-    if len(x) > K_DIAG_MAX_DIM:
-        raise SizeError(f"diagonal K limited to length {K_DIAG_MAX_DIM}")
     return float(k_operator_diag_batch(x[None, :], t, p0, p1,
                                        budget=budget, seed=seed)[0])
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from interpk import _descent
-from interpk._descent import (COORD_ITERS, LINE_ITERS, SWEEPS, _clip_search,
-                              _golden_min, _t_grid, decomposition_infimum,
-                              probe_scales)
+from interpk._descent import (COORD_ITERS, LINE_ITERS, SWEEPS, _golden_min,
+                              _t_grid, decomposition_infimum, probe_scales)
 from interpk.couples import (ORACLE, Couple, WeightedNorm, _l1_linf_batch,
                              _weighted_sup_batch)
 from interpk.interp import sequence_couple_k
@@ -48,9 +47,9 @@ def loop_oracle_descent(X, T, norm0, norm1, *, budget=8, seed=0,
         return norm0(A) + T * norm1(X - A)
 
     best = np.minimum(norm0(X), T * norm1(X))
-    clip1, val1 = _clip_search(
+    clip1, val1 = _reference_clip_search(
         X, T, lambda b: T * norm1(b), lambda a: norm0(a), scale1, LINE_ITERS)
-    clip0, val0 = _clip_search(
+    clip0, val0 = _reference_clip_search(
         X, T, lambda a: norm0(a), lambda b: T * norm1(b), scale0, LINE_ITERS)
     best = np.minimum(best, np.minimum(val0, val1))
     clip_start = np.where((val0 < val1)[:, None], clip0, X - clip1)
@@ -74,8 +73,8 @@ def loop_oracle_descent(X, T, norm0, norm1, *, budget=8, seed=0,
                     A[:, j] = c
                     return objective(A)
 
-                cj, _ = _golden_min(coord_obj, -2.0 * span, 2.0 * span,
-                                    COORD_ITERS)
+                cj, _ = _reference_golden_min(
+                    coord_obj, -2.0 * span, 2.0 * span, COORD_ITERS)
                 cand = np.stack([cj, np.zeros_like(cj), X[:, j]])
                 vals = np.stack([coord_obj(c) for c in cand])
                 pick = np.argmin(vals, axis=0)
@@ -256,6 +255,38 @@ class TestProbedScales:
         assert got.tobytes() == want.tobytes()
 
 
+class TestNormCalls:
+    """The norm calls of one descent with its scales given: both norms at
+    a = x, one golden search over both clip families, two endpoint
+    candidates per coordinate step besides the coordinate's golden search,
+    and the final objective."""
+
+    @pytest.mark.parametrize("d", [1, 4, 7])
+    @pytest.mark.parametrize("T", ["per_row", "grid"])
+    def test_calls_per_descent(self, d, T):
+        rng = np.random.default_rng([17, d])
+        n0, n1 = _norms(1.5, np.inf, d, rng)
+        X = rng.standard_normal((5, d))
+        k = 1 if T == "per_row" else len(GRID)
+        T = 2.0 ** rng.uniform(-3, 3, 5) if k == 1 else GRID[None, :]
+        seen = []
+
+        def counted(norm):
+            def call(A):
+                seen.append(len(A))
+                return norm(A)
+            return call
+
+        decomposition_infimum(X, T, counted(n0.dense), counted(n1.dense),
+                              budget=3, seed=0, scale0=n0.weights,
+                              scale1=n1.weights)
+        calls = 4 + 2 * (LINE_ITERS + 3) + 2 * SWEEPS * d * (COORD_ITERS + 5)
+        assert len(seen) == calls
+        assert d != 4 or calls == 842       # oracle_agreement's max_dim
+        # the clip search sees both families' rows in one call
+        assert seen.count(2 * 5 * k) == 2 * (LINE_ITERS + 3)
+
+
 # ---------------------------------------------------------------------------
 # the C-ordered engine, kept verbatim as an oracle for the column-major one
 # ---------------------------------------------------------------------------
@@ -391,9 +422,34 @@ class TestAgainstCOrderedEngine:
         objective = lambda c: np.abs(c - centre) ** 1.5 + 0.1 * c
         lo, hi = -3.0 * np.ones(50), 3.0 * np.ones(50)
         for iters in (0, 1, 7, COORD_ITERS):
-            got = _golden_min(objective, lo, hi, iters)
-            want = _reference_golden_min(objective, lo, hi, iters)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            arg, low, at_arg = _golden_min(objective, lo, hi, iters)
+            want_arg, want_low = _reference_golden_min(objective, lo, hi,
+                                                       iters)
+            assert np.array_equal(arg, want_arg)
+            assert np.array_equal(low, want_low)
+            assert np.array_equal(at_arg, objective(arg))
+
+    def test_golden_min_value_at_nan_probes(self):
+        """The value at the argmin is the objective there, bit for bit,
+        also on rows where a probe is NaN and so is the min."""
+        rng = np.random.default_rng(37)
+        centre = rng.standard_normal(50)
+        poisoned = (np.arange(50) % 3 == 0)
+
+        def objective(c):
+            f = np.abs(c - centre) ** 1.5 + 0.1 * c
+            # NaN near the minimum, where the search ends up
+            return np.where(poisoned & (np.abs(c - centre) < 0.2), np.nan, f)
+
+        lo, hi = -3.0 * np.ones(50), 3.0 * np.ones(50)
+        for iters in (0, 1, 7, COORD_ITERS):
+            arg, low, at_arg = _golden_min(objective, lo, hi, iters)
+            want_arg, want_low = _reference_golden_min(objective, lo, hi,
+                                                       iters)
+            assert np.array_equal(arg, want_arg)
+            assert np.array_equal(low, want_low, equal_nan=True)
+            assert np.array_equal(at_arg, objective(arg), equal_nan=True)
+            assert np.any(np.isnan(low) & ~np.isnan(at_arg)), iters
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("p0", EXPONENTS)
@@ -418,12 +474,16 @@ class TestAgainstCOrderedEngine:
             assert got.shape == want.shape
             assert np.array_equal(got, want), (p1, budget, d)
 
+    @np.errstate(over="ignore")
     def test_bitwise_with_per_row_scales(self):
         rng = np.random.default_rng(32)
-        X = rng.standard_normal((5, 7))
-        W0 = 2.0 ** rng.uniform(-3, 3, (5, 7))
-        W1 = 2.0 ** rng.uniform(-3, 3, (5, 7))
-        for T in (2.0 ** rng.uniform(-3, 3, 5), GRID[None, :3]):
+        X = rng.standard_normal((7, 7))
+        # the l1.5 norm of the last two rows overflows to inf at a = x
+        X[5:] *= [[1e250], [1e307]]
+        W0 = 2.0 ** rng.uniform(-3, 3, (7, 7))
+        W1 = 2.0 ** rng.uniform(-3, 3, (7, 7))
+        assert np.all(np.isinf(_row_weight_norm(W0, 1.5)(X)[5:]))
+        for T in (2.0 ** rng.uniform(-3, 3, 7), GRID[None, :3]):
             k = np.shape(T)[-1] if np.ndim(T) == 2 else 1
             n0 = _row_weight_norm(W0, 1.5, k)
             n1 = _row_weight_norm(W1, 1.0, k)

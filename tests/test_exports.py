@@ -3,6 +3,7 @@ resolves on it."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -23,5 +24,17 @@ def test_every_exported_name_resolves(name):
 def test_the_library_modules_declare_their_exports():
     declared = {name for name in MODULES
                 if hasattr(importlib.import_module(name), "__all__")}
-    assert {"interpk.couples", "interpk.interp", "interpk.lethargy",
-            "interpk.snum", "interpk.verify"} <= declared
+    assert {"interpk", "interpk.couples", "interpk.interp",
+            "interpk.lethargy", "interpk.snum", "interpk.verify"} <= declared
+
+
+def test_the_package_lists_what_it_reexports():
+    """Every public name the package imports from its modules is in its
+    ``__all__``, and each one is in that module's ``__all__`` too."""
+    reexported = [name for name, value in vars(interpk).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)]
+    assert sorted(interpk.__all__) == sorted(reexported)
+    for name in reexported:
+        module = importlib.import_module(getattr(interpk, name).__module__)
+        assert name in getattr(module, "__all__", [name]), name

@@ -454,8 +454,19 @@ class TestKOperatorDiag:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_length_guard(self):
-        with pytest.raises(SizeError):
-            k_operator_diag(np.ones(129), 1.0, 1.0, 2.0)
+        # the one guard is the descent's: pairs that descend refuse more
+        # than 16 entries, pairs with a route take any length
+        for p0, p1 in ((1.0, 0.5), (1.5, 3.0)):
+            k_operator_diag(np.ones(16), 1.0, p0, p1, budget=0)
+            with pytest.raises(SizeError, match="16"):
+                k_operator_diag(np.ones(17), 1.0, p0, p1)
+
+    def test_long_sequence_on_an_exact_route(self):
+        sigma = np.sort(np.random.default_rng(37).random(200))[::-1]
+        for t in (0.25, 1.0, 4.0):
+            got = k_operator_diag(sigma, t, 1.0, 2.0)
+            assert got == k_operator_diag_batch(sigma[None, :], t, 1.0,
+                                                2.0)[0]
 
     def test_batch_matches_scalar(self, monkeypatch):
         rng = np.random.default_rng(36)

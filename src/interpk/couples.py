@@ -128,6 +128,9 @@ _POWER_CHUNK_CELLS = 2 ** 14
 # the least positive float: a floor for a divisor that leaves every
 # positive value as it is
 _SMALLEST = 5e-324
+# the largest float: a ceiling for a divisor that leaves every finite value
+# as it is
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _parse_p(p, key: str = "exponent p") -> float:
@@ -165,7 +168,8 @@ def stable_lp_sum(terms: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     """(sum terms^p)^(1/p) of nonnegative terms along ``axis``; max for p = inf.
 
     Factors out the largest term so intermediate powers never overflow even
-    for large exponents or extreme magnitudes.
+    for large exponents or extreme magnitudes.  A row with an infinite term
+    sums to inf.
     """
     terms = np.asarray(terms, dtype=float)
     if terms.shape[axis] == 0:
@@ -173,7 +177,9 @@ def stable_lp_sum(terms: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     if math.isinf(p):
         return np.maximum.reduce(terms, axis=axis)
     peak = np.maximum.reduce(terms, axis=axis, keepdims=True)
-    safe = np.where(peak > 0, peak, 1.0)
+    # a row whose peak is inf is divided by the largest float instead, so
+    # its sum is inf, not inf / inf = NaN; finite rows keep their bits
+    safe = np.where(peak > 0, np.minimum(peak, _FLOAT_MAX), 1.0)
     return np.squeeze(peak, axis=axis) * np.add.reduce(
         (terms / safe) ** p, axis=axis) ** (1.0 / p)
 

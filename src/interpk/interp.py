@@ -32,6 +32,7 @@ The module also provides:
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -310,10 +311,14 @@ def parameter_conditions(phi0: ParamSpace, phi1: ParamSpace, probes: int,
 # derived couple (A0 + A1, A0 cap A1)
 # ---------------------------------------------------------------------------
 
-# the route of (linf, l1): its kernel reads no weights and no dimension, so
-# one serves the derived couple of every base on the ``l1_linf`` route
-_LINF_L1_ROUTE = k_route(WeightedNorm(np.inf, 0, np.ones(1)),
-                         WeightedNorm(1.0, 0, np.ones(1)))
+@functools.cache
+def _linf_l1_route():
+    """The route of (linf, l1): its kernel reads no weights and no
+    dimension, so one serves the derived couple of every base on the
+    ``l1_linf`` route.  Built on first use, not at import."""
+    return k_route(WeightedNorm(np.inf, 0, np.ones(1)),
+                   WeightedNorm(1.0, 0, np.ones(1)))
+
 
 class DerivedSumIntCouple:
     """The ordered couple (A0+A1, A0 cap A1) derived from a base couple.
@@ -334,7 +339,8 @@ class DerivedSumIntCouple:
         self.base = base
         # the sum and intersection of (l1, linf), either order, are linf
         # and l1; other bases have no weighted-norm form, so no route
-        self.route = _LINF_L1_ROUTE if base.route.name == "l1_linf" else None
+        self.route = (_linf_l1_route() if base.route.name == "l1_linf"
+                      else None)
 
     def embed(self, x: FiniteVector) -> np.ndarray:
         return self.base.embed(x)

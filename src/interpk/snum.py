@@ -14,26 +14,25 @@ ideals: their membership probes carry partial sums together with trend flags
 fixed thresholds, not proofs).
 
 Every witness builder (``witness_sequence``, ``witness_report``,
-``witness_trace``, ``witness_samples``) reads one pass over blocks of
-``_WITNESS_BLOCK`` indices.  A probe's summand is taken in closed form,
-n^a (1 + ln n)^b with a = q*(1/p* - 1/p) - 1 and b = -q*/q, and eps_n only
-where a builder returns it.  Each probe's block sum is one ``np.add.reduce``
-added to the sum carried across blocks (split at N // 2), so the probe sums
-at N // 2 and N follow one rule in every builder; the returned partial sums
-are the carry plus a cumsum within the block.  ``witness_trace`` and
-``witness_samples`` share one core, ``_sampled_trace``, which fills eps_n,
-the summand and the partial sum at a set of sampled indices: the trace is
-the samples at stride 1.  A witness's memory is its output (eps for
-``witness_sequence``, the sampled columns for ``witness_trace`` and
-``witness_samples``) plus a few blocks, not several N-length arrays.
-``witness_report`` is the storage-free probe pass: it computes no eps and
-keeps no term, only each probe's sums at N // 2 and N, so the callers that
-read only the membership flags (``verify``'s ``konig`` and
-``distinctness``) hold a few blocks whatever N.
+``witness_trace``, ``witness_samples``) reads a probe's partial sums from
+one function, ``_power_log_sums``, without a pass over the N terms.  A
+probe's summand is taken in closed form, n^a (1 + ln n)^b with
+a = q*(1/p* - 1/p) - 1 and b = -q*/q, and its partial sum S(K) is an exact
+head of at most ``_SUM_HEAD`` terms plus an Euler-Maclaurin tail.  So a
+report reads S at N // 2 and at N at a cost that does not grow with N, and
+the reports of all builders agree bit for bit.  ``witness_sequence`` is
+the one builder that returns all N terms; it computes eps over blocks of
+``_WITNESS_BLOCK`` indices, so it holds eps plus about one block.
+``witness_trace`` and ``witness_samples`` share one core,
+``_sampled_trace``, which computes eps_n, the summand and S at the sampled
+indices only (the trace is the samples at stride 1).  ``witness_report``
+computes no eps at all, so the callers that read only the membership flags
+(``verify``'s ``konig`` and ``distinctness``) hold no N-length array.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,14 +59,28 @@ INDETERMINATE = "indeterminate"
 DIVERGENCE_INCREMENT = 0.05
 CONVERGENCE_TAIL_RATIO = 0.01
 
-# indices per block of a witness pass
+# indices per block of ``witness_sequence``'s eps, and counts per block of
+# ``_power_log_sums``
 _WITNESS_BLOCK = 4096
+# terms of a witness sum added one by one before Euler-Maclaurin takes over
+_SUM_HEAD = 1024
+# The 4-point Gauss-Legendre rule on [0, 1], for the pieces of the
+# Euler-Maclaurin integral.  On [-1, 1] its nodes are
+# +-sqrt(3/7 -+ (2/7) sqrt(6/5)) with weights (18 -+ sqrt(30)) / 36; the
+# closed form needs no eigensolver (a first LAPACK call adds about 0.7 MB
+# of peak RSS to a process).
+_GL_OUTER = math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5))
+_GL_INNER = math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5))
+_GL_NODES = np.array([(1 - _GL_OUTER) / 2, (1 - _GL_INNER) / 2,
+                      (1 + _GL_INNER) / 2, (1 + _GL_OUTER) / 2])
+_GL_WEIGHTS = np.array([(18 - math.sqrt(30)) / 72, (18 + math.sqrt(30)) / 72,
+                        (18 + math.sqrt(30)) / 72, (18 - math.sqrt(30)) / 72])
 # The longest witness any builder takes.  ``witness_sequence`` returns its
-# N terms (128 MiB at 2^24; ``witness_report`` stores none), and a pass is
-# N / 4096 blocks of numpy calls.  At 2^24 the sampled rows of ``interpk
-# witness`` take about 0.14 s, ``witness_report`` with one probe 0.13 s and
-# ``witness_sequence`` with two probes 0.41 s (2 vCPUs, numpy 2.4).  A
-# larger N is refused with SizeError before anything is allocated.
+# N terms (128 MiB at 2^24; no other builder stores them).  At 2^24 the
+# sampled rows of ``interpk witness`` take about 0.3 ms, ``witness_report``
+# with one probe 0.12 ms and ``witness_sequence`` with two probes 0.17 s,
+# nearly all of it eps (2 vCPUs, numpy 2.4).  A larger N is refused with
+# SizeError before anything is allocated.
 WITNESS_MAX_N = 2 ** 24
 
 
@@ -197,21 +210,111 @@ def _membership(p_star: float, q_star: float, half: float,
     return MembershipProbe(float(p_star), float(q_star), half, total, flag)
 
 
-class _WitnessPass:
-    """One pass over n = 1..N in blocks of ``_WITNESS_BLOCK`` indices.
+def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
+    """The running sums of ``terms``, each within about one rounding of the
+    exact sum: ``np.cumsum`` plus the running sum of each step's rounding
+    error, which TwoSum gives exactly."""
+    sums = np.cumsum(terms)
+    before = np.concatenate(([0.0], sums[:-1]))
+    step = sums - before
+    return sums + np.cumsum((before - (sums - step)) + (terms - step))
 
-    Iterating yields ``(start, n, G, summands, carries)`` per block, for
-    n = start + 1, ..., start + len(n): G = 1 + ln n, each probe's summands
-    and each probe's sum over 1..start.  The summand of a probe (p*, q*),
-    (n^{1/p* - 1/q*} eps_n)^{q*}, is taken in closed form as n^a G^b with
-    a = q*(1/p* - 1/p) - 1 and b = -q*/q, so the default probe p* = p has
-    a = -1 exactly.  ``eps(n, G)`` is eps_n at any of the block's indices,
-    for the builders that return it.  Each probe's block sum is one
-    ``np.add.reduce`` added to the carry (the block holding n = N // 2 is
-    reduced in two parts, split there), so ``report()`` reads the sums at
-    n = N // 2 and n = N by the same rule whichever builder iterates.
+
+def _piece_integrals(lam: float, b: float, G: np.ndarray,
+                     ell: np.ndarray) -> np.ndarray:
+    """int_0^ell e^{lam h} (1 + h / G)^b dh for each pair (G, ell), by the
+    4-point Gauss-Legendre rule on [0, ell].  The node values are added in
+    node order, element by element, so each integral depends on its own
+    pair only."""
+    h = np.multiply.outer(_GL_NODES, ell)
+    terms = _GL_WEIGHTS[:, None] * np.exp(lam * h + b * np.log1p(h / G))
+    return ell * sum(terms)
+
+
+def _end_terms(a: float, b: float, n, G):
+    """Euler-Maclaurin's end terms f/2 + f'/12 - f'''/720 at n, over f(n),
+    for f(x) = x^a (1 + ln x)^b with G = 1 + ln n: with c = a + b/G,
+    f' = f c / n and f''' = f P / n^3, where
+    P = c (c - 1) (c - 2) - 3 (b / G^2) (c - 1) + 2 b / G^3."""
+    u = 1.0 / G
+    bu = b * u
+    c = a + bu
+    P = c * (c * (c - 3.0) + 2.0) + bu * u * (2.0 * u - 3.0 * (c - 1.0))
+    v = 1.0 / n
+    return 0.5 + v * (c / 12.0 - v * v * P / 720.0)
+
+
+def _power_log_sums(a: float, b: float, K: np.ndarray) -> np.ndarray:
+    """S(K) = sum_{n <= K} n^a (1 + ln n)^b at each count of the sorted
+    integer array K (entries >= 1).
+
+    The first H = min(``_SUM_HEAD``, max K) terms are added exactly, by a
+    compensated cumsum.  Past them S(K) = S(H) + int_H^K f + E(K) - E(H):
+    Euler-Maclaurin with the end terms E = f/2 + f'/12 - f'''/720
+    (``_end_terms``).  Its remainder is at most about 3.3e-5 times the
+    integral of |f^(6)|, and past n = H = 1024 that lies far below the
+    rounding of the sum while |a| and |b| stay below about 10.  The integral is taken in s = ln x, where past a grid point
+    x it is x f(x) int e^{(a + 1) h} (1 + h / G)^b dh.  The grid is fixed,
+    x_j = rint(H 2^{j / k}), with k pieces per octave so that a piece spans
+    at most min(1/16, 1 / (8 rate)) in ln x, where
+    rate = max(a + 1, 0) + |b| / (1 + ln H), and k is at most 512.  Each
+    piece takes 4 Gauss-Legendre nodes (``_piece_integrals``),
+    and so does the partial piece from the grid point below each K.  So
+    S(K) is a function of K alone, not of the other counts or of max K.
+    The counts past the head are taken ``_WITNESS_BLOCK`` at a time.  The
+    sums are within about 1e-15 relative of ``math.fsum`` of the terms.
+    Every term is positive, so a sum past the float range is inf, as the
+    plain sum of the terms is.
+    """
+    K = np.asarray(K)
+    H = min(_SUM_HEAD, int(K[-1]))
+    n = np.arange(1, H + 1, dtype=float)
+    G = 1.0 + np.log(n)
+    terms = n ** a * G ** b
+    out = np.empty(len(K))
+    # past the float range inf - inf gives NaN, which is set to inf below
+    with np.errstate(invalid="ignore"):
+        head = _compensated_cumsum(terms)
+        cut = int(np.searchsorted(K, H, "right"))
+        out[:cut] = head[K[:cut] - 1]
+        if cut < len(K):
+            lam = a + 1.0
+            rate = max(lam, 0.0) + abs(b) / G[-1]
+            per_octave = min(512, math.ceil(math.log(2.0)
+                                            * max(16.0, 8.0 * rate)))
+            steps = np.arange(math.ceil(per_octave * math.log2(K[-1] / H))
+                              + 1)
+            x = np.rint(H * np.exp2(steps / per_octave))
+            Gx = 1.0 + np.log(x)
+            xf = x * (x ** a * Gx ** b)
+            pieces = xf[:-1] * _piece_integrals(lam, b, Gx[:-1],
+                                                np.log(x[1:] / x[:-1]))
+            below = np.concatenate(([0.0], _compensated_cumsum(pieces)))
+            base = head[-1] - terms[-1] * _end_terms(a, b, x[0], Gx[0])
+            for lo in range(cut, len(K), _WITNESS_BLOCK):
+                k = K[lo:lo + _WITNESS_BLOCK].astype(float)
+                j = np.searchsorted(x, k, "right") - 1
+                Gk = 1.0 + np.log(k)
+                out[lo:lo + len(k)] = (
+                    base + below[j]
+                    + xf[j] * _piece_integrals(lam, b, Gx[j], np.log(k / x[j]))
+                    + k ** a * Gk ** b * _end_terms(a, b, k, Gk))
+    out[np.isnan(out)] = np.inf
+    return out
+
+
+class _WitnessPass:
+    """The checked arguments of one witness and its probes.
+
     Every witness builder constructs one, so the refusals of
-    ``_check_witness`` hold for all of them.
+    ``_check_witness`` hold for all of them.  The summand of a probe
+    (p*, q*), (n^{1/p* - 1/q*} eps_n)^{q*}, is taken in closed form as
+    n^a G^b with G = 1 + ln n, a = q*(1/p* - 1/p) - 1 and b = -q*/q, so the
+    default probe p* = p has a = -1 exactly; ``powers`` holds each probe's
+    (a, b).  ``eps(n, G)`` is eps_n at any indices n.  ``report()`` reads
+    each probe's sums at n = N // 2 and n = N from ``_power_log_sums``,
+    which adds no term past its head, so the report of every builder is
+    the same whatever else the builder computes.
     """
 
     def __init__(self, p: float, q: float, N: int,
@@ -219,39 +322,20 @@ class _WitnessPass:
         _check_witness(p, q, N, probe_params)
         self.p, self.q, self.N = p, q, N
         self.probe_params = list(probe_params)
-        self.half: list[float] = []
-        self.total: list[float] = []
+        self.powers = [(q_star * (1.0 / p_star - 1.0 / p) - 1.0, -q_star / q)
+                       for p_star, q_star in self.probe_params]
 
     def eps(self, n: np.ndarray, G: np.ndarray) -> np.ndarray:
         """eps_n = n^{-1/p} G^{-1/q} at the indices n, with G = 1 + ln n."""
         return n ** (-1.0 / self.p) * G ** (-1.0 / self.q)
 
-    def __iter__(self):
-        mid = self.N // 2
-        powers = [(q_star * (1.0 / p_star - 1.0 / self.p) - 1.0,
-                   -q_star / self.q) for p_star, q_star in self.probe_params]
-        carries = [0.0] * len(powers)
-        for start in range(0, self.N, _WITNESS_BLOCK):
-            n = np.arange(start + 1, min(start + _WITNESS_BLOCK, self.N) + 1,
-                          dtype=float)
-            G = 1.0 + np.log(n)
-            summands = [n ** a * G ** b for a, b in powers]
-            yield start, n, G, summands, carries
-            cut = mid - start
-            if 0 < cut <= len(n):
-                self.half = [c + float(np.add.reduce(s[:cut]))
-                             for c, s in zip(carries, summands)]
-                carries = [h + float(np.add.reduce(s[cut:]))
-                           for h, s in zip(self.half, summands)]
-            else:
-                carries = [c + float(np.add.reduce(s))
-                           for c, s in zip(carries, summands)]
-        self.total = carries
-
     def report(self) -> WitnessReport:
-        probes = tuple(_membership(p_star, q_star, half, total)
-                       for (p_star, q_star), half, total
-                       in zip(self.probe_params, self.half, self.total))
+        counts = np.array([self.N // 2, self.N])
+        probes = tuple(
+            _membership(p_star, q_star,
+                        *_power_log_sums(a, b, counts).tolist())
+            for (p_star, q_star), (a, b)
+            in zip(self.probe_params, self.powers))
         return WitnessReport(float(self.p), float(self.q), int(self.N), probes)
 
 
@@ -279,16 +363,19 @@ def witness_sequence(p: float, q: float, N: int,
     """The separating sequence eps_n = n^{-1/p} (1 + ln n)^{-1/q}, n = 1..N.
 
     For each probe (p*, q*) the summand (n^{1/p* - 1/q*} eps_n)^{q*} is
-    accumulated; a probe is flagged ``diverging`` when the second half of the
+    summed; a probe is flagged ``diverging`` when the second half of the
     range still adds at least 0.05 to the partial sum, ``converging`` when
     that tail is at most 1% of the total, and ``indeterminate`` in between.
-    One blocked pass builds it: besides ``eps`` it holds a few arrays of
-    ``_WITNESS_BLOCK`` terms, whatever N and the number of probes.
+    eps is computed over blocks of ``_WITNESS_BLOCK`` indices, so besides
+    ``eps`` the call holds about one block, whatever N and the number of
+    probes; the sums come from ``_power_log_sums``.
     """
     witness = _WitnessPass(p, q, N, probe_params)
     eps = np.empty(N)
-    for start, n, G, _, _ in witness:
-        eps[start:start + len(n)] = witness.eps(n, G)
+    for start in range(0, N, _WITNESS_BLOCK):
+        n = np.arange(start + 1, min(start + _WITNESS_BLOCK, N) + 1,
+                      dtype=float)
+        eps[start:start + len(n)] = witness.eps(n, 1.0 + np.log(n))
     return eps, witness.report()
 
 
@@ -296,12 +383,9 @@ def witness_report(p: float, q: float, N: int,
                    probe_params: Sequence[tuple[float, float]] = ()
                    ) -> WitnessReport:
     """The report of ``witness_sequence(p, q, N, probe_params)`` without
-    its eps: the same pass, computing no eps_n and keeping no term, only
-    each probe's two sums."""
-    witness = _WitnessPass(p, q, N, probe_params)
-    for _ in witness:
-        pass
-    return witness.report()
+    its eps: no eps_n is computed, and each probe's two sums cost the same
+    whatever N."""
+    return _WitnessPass(p, q, N, probe_params).report()
 
 
 def _sampled_trace(p: float, q: float, N: int, p_star: float,
@@ -310,32 +394,21 @@ def _sampled_trace(p: float, q: float, N: int, p_star: float,
     1 + stride, 1 + 2 stride, ... and n = N, with the report of the probe
     (p*, q*): the one core of ``witness_trace`` and ``witness_samples``.
 
-    One blocked pass fills arrays of the sample count, so the memory is
-    the output's, not that of N-length arrays; eps_n is computed at the
-    sampled indices only.  A sampled partial sum is the block's carry plus
-    the ``np.cumsum`` of the ``np.add.reduceat`` sums of the block's runs
-    that end at each sampled index (at stride 1 those runs are the
-    summands themselves).  The pass is built, and its arguments checked,
-    before any index array is allocated.
+    eps_n, the summand and the partial sum (``_power_log_sums``) are
+    computed at the sampled indices only, so the memory is a small multiple
+    of the output's.  The arguments are checked before any index array is
+    allocated.
     """
     witness = _WitnessPass(p, q, N, [(p_star, q_star)])
-    idx = np.arange(0, N, stride)
+    idx = np.arange(1, N + 1, stride)
     if (N - 1) % stride:
-        idx = np.append(idx, N - 1)
-    eps, summand, partial = (np.empty(len(idx)) for _ in range(3))
-    lo = 0
-    for start, n, G, (s,), (carry,) in witness:
-        hi = int(np.searchsorted(idx, start + len(n)))
-        if hi > lo:
-            local = idx[lo:hi] - start
-            runs = np.add.reduceat(s[:local[-1] + 1],
-                                   np.concatenate(([0], local[:-1] + 1)))
-            eps[lo:hi] = witness.eps(n[local], G[local])
-            summand[lo:hi] = s[local]
-            partial[lo:hi] = carry + np.cumsum(runs)
-        lo = hi
-    idx += 1    # n, in place: at stride 1 idx is N long
-    return (idx, eps, summand, partial), witness.report()
+        idx = np.append(idx, N)
+    n = idx.astype(float)
+    G = 1.0 + np.log(n)
+    (a, b), = witness.powers
+    columns = (idx, witness.eps(n, G), n ** a * G ** b,
+               _power_log_sums(a, b, idx))
+    return columns, witness.report()
 
 
 def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):
@@ -348,8 +421,8 @@ def witness_samples(p: float, q: float, N: int, p_star: float, q_star: float,
                     stride: int):
     """The trace rows (n, eps_n, summand, partial_sum) at n = 1, 1 + stride,
     1 + 2 stride, ... and n = N, as Python numbers, with the report of the
-    probe (p*, q*).  The memory is the output's, not that of N-length
-    arrays (see ``_sampled_trace``)."""
+    probe (p*, q*).  The memory is a small multiple of the output's, not
+    that of N-length arrays (see ``_sampled_trace``)."""
     columns, report = _sampled_trace(p, q, N, p_star, q_star, stride)
     return list(zip(*(col.tolist() for col in columns))), report
 

@@ -1213,10 +1213,11 @@ class TestWitnessCsv:
 
     @staticmethod
     def expected(p, q, N, p_star, q_star, max_rows):
-        # the summand is n^a (1 + ln n)^b; the running sum at each block
-        # bound and at N // 2 adds one np.add.reduce per run between them,
-        # and a sampled row's partial sum is its block's running sum plus
-        # the reduceat sums of the runs since the block's last sampled row
+        # the summand is n^a (1 + ln n)^b, and the flag reads the earlier
+        # blocked sums: the running sum at each block bound and at N // 2
+        # adds one np.add.reduce per run between them.  A row's partial
+        # sum is math.fsum of the summands up to it; it comes back as a
+        # number, the rest as the expected text
         block = snum._WITNESS_BLOCK
         n = np.arange(1, N + 1, dtype=float)
         G = 1.0 + np.log(n)
@@ -1235,20 +1236,16 @@ class TestWitnessCsv:
         else:
             flag = "indeterminate"
         stride = max(1, N // max_rows)
-        idx = np.unique(np.concatenate([np.arange(0, N, stride), [N - 1]]))
-        rows, prev, run = [], -1, 0.0
-        for i in idx.tolist():
-            start = i - i % block
-            if prev < start:        # the first sampled row of its block
-                prev, run = start - 1, 0.0
-            run += float(np.add.reduceat(summand[prev + 1:i + 1], [0])[0])
-            rows.append((i + 1, float(eps[i]), float(summand[i]),
-                         running[start] + run))
-            prev = i
-        return _csv_text(
+        idx = np.unique(np.concatenate([np.arange(0, N, stride),
+                                        [N - 1]])).tolist()
+        terms = summand.tolist()
+        rows = [(i + 1, float(eps[i]), float(summand[i])) for i in idx]
+        partial = [math.fsum(terms[:i + 1]) for i in idx]
+        text = _csv_text(
             (f"interpk {cli.__version__} witness p={p} q={q}",
              f"probe p={p_star} q={q_star} flag={flag}"),
             ("n", "s_n", "summand", "partial_sum"), rows)
+        return text, partial
 
     @pytest.mark.parametrize("p, q, N, star, max_rows", [
         (2.0, 1.0, 65536, None, 256),           # README's call, default probe
@@ -1262,15 +1259,23 @@ class TestWitnessCsv:
             "max-rows-n", "odd-stride", "n-4"])
     def test_rows_equal_whole_array_rendering(self, tmp_path, p, q, N, star,
                                               max_rows):
+        # the comment lines and the n, s_n and summand fields keep their
+        # bytes; each partial_sum lies within 1e-13 of math.fsum
         args = ["witness", "--p", str(p), "--q", str(q), "--n", str(N),
                 "--max-rows", str(max_rows), "--out", str(tmp_path / "w.csv")]
         if star is not None:
             args += ["--p-star", str(star[0]), "--q-star", str(star[1])]
         assert run_cli(args) == 0
         p_star, q_star = star or (p, q)
-        want = self.expected(p, q, N, p_star, q_star, max_rows)
-        got = (tmp_path / "w.csv").read_bytes()
-        assert got.splitlines(True) == want.encode().splitlines(True)
+        text, partial = self.expected(p, q, N, p_star, q_star, max_rows)
+        want = text.encode().splitlines(True)
+        got = (tmp_path / "w.csv").read_bytes().splitlines(True)
+        assert len(got) == len(want) == 3 + len(partial)
+        assert got[:3] == want[:3]
+        for line, want_line, exact in zip(got[3:], want[3:], partial):
+            *fields, last = line.split(b",")
+            assert b",".join(fields) + b"\r\n" == want_line
+            assert abs(float(last) - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize("extra, message", [
         (["--n", "64", "--max-rows", "0"], "--max-rows must be >= 1, got 0"),

@@ -1692,3 +1692,25 @@ class TestConstructorRefusals:
         c = power_couple(1.0, [1e-310, 1e-310], [1e-310, 1e-310])
         for t in (0.25, 1.0, 4.0):
             assert k_sphere_sup(c, t) == 0.0
+
+
+class TestStableLpSum:
+    def test_row_with_an_infinite_term_sums_to_inf(self):
+        # 4 * 1e308 overflows to inf; the row was divided by its inf peak,
+        # and inf / inf gave NaN
+        with np.errstate(over="ignore"):
+            got = WeightedNorm(2.0, 0, [4.0, 1.0]).dense([[1e308, 1.0],
+                                                          [3.0, 4.0]])
+        assert got.tolist() == [math.inf, stable_lp_sum([12.0, 4.0], 2.0)]
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 7.5])
+    def test_finite_rows_keep_their_bits(self, p):
+        rng = np.random.default_rng(3)
+        T = (np.abs(rng.standard_normal((50, 6)))
+             * 2.0 ** rng.integers(-1000, 1000, (50, 1)))
+        T[::7] = 0.0
+        peak = np.max(T, axis=1, keepdims=True)
+        want = peak[:, 0] * np.sum((T / np.where(peak > 0, peak, 1.0)) ** p,
+                                   axis=1) ** (1.0 / p)
+        got = stable_lp_sum(np.vstack([T, [[math.inf, 1.0, 0, 0, 0, 0]]]), p)
+        assert got[:-1].tobytes() == want.tobytes() and got[-1] == math.inf

@@ -12,8 +12,9 @@ from interpk import (DomainError, InvariantError, LorentzParams,
                      witness_sequence)
 from interpk.errors import SizeError
 from interpk import snum
-from interpk.snum import (_WITNESS_BLOCK, CONVERGENCE_TAIL_RATIO, CONVERGING,
-                          DIVERGENCE_INCREMENT, DIVERGING, INDETERMINATE,
+from interpk.snum import (_SUM_HEAD, _WITNESS_BLOCK, CONVERGENCE_TAIL_RATIO,
+                          CONVERGING, DIVERGENCE_INCREMENT, DIVERGING,
+                          INDETERMINATE,
                           WITNESS_MAX_N, k_operator_diag_batch,
                           witness_report, witness_samples, witness_trace)
 
@@ -240,16 +241,15 @@ class TestWitnessSequence:
 
 
 def whole_witness(p, q, N, probe_params):
-    """The witness from whole N-length arrays: eps and, per probe, the
-    closed-form summands n^a (1 + ln n)^b, the partial sums (each block's
-    running sum at its start plus the block's cumsum) and the sums at
+    """The witness from whole N-length arrays, by the earlier blocked rule
+    that stays the reference for eps, the summands and the flags: eps and,
+    per probe, the closed-form summands n^a (1 + ln n)^b with their sums at
     N // 2 and N (one np.add.reduce per run between block bounds and
     N // 2, added in order)."""
     n = np.arange(1, N + 1, dtype=float)
     G = 1.0 + np.log(n)
     eps = n ** (-1.0 / p) * G ** (-1.0 / q)
-    starts = range(0, N, _WITNESS_BLOCK)
-    cuts = sorted({*starts, N // 2, N})
+    cuts = sorted({*range(0, N, _WITNESS_BLOCK), N // 2, N})
     sums = []
     for p_star, q_star in probe_params:
         summand = (n ** (q_star * (1.0 / p_star - 1.0 / p) - 1.0)
@@ -257,11 +257,28 @@ def whole_witness(p, q, N, probe_params):
         running = {0: 0.0}
         for lo, hi in zip(cuts, cuts[1:]):
             running[hi] = running[lo] + float(np.add.reduce(summand[lo:hi]))
-        partial = np.concatenate([
-            running[start] + np.cumsum(summand[start:start + _WITNESS_BLOCK])
-            for start in starts])
-        sums.append((summand, partial, running[N // 2], running[N]))
+        sums.append((summand, running[N // 2], running[N]))
     return eps, sums
+
+
+def fsum_prefixes(terms, idx):
+    """math.fsum(terms[:i + 1]) at each index i of the sorted idx, in one
+    pass: each finite term is an integer multiple of 2^-1074, the multiples
+    are added exactly, and Python's int division rounds each prefix
+    correctly, as math.fsum does."""
+    mantissa, exponent = np.frexp(terms)
+    # term = ints * 2^shift * 2^-1074, with ints below 2^53
+    shift = exponent + 1021
+    ints = np.ldexp(mantissa, 53 + np.minimum(shift, 0)).astype(np.int64)
+    sums = list(itertools.accumulate(
+        m << s for m, s in zip(ints.tolist(), np.maximum(shift, 0).tolist())))
+    return np.array([sums[i] / (1 << 1074) for i in idx])
+
+
+def assert_close(got, want, rtol):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rtol * want), np.max(
+        np.abs(got - want) / want)
 
 
 def reference_flag(half, total):
@@ -273,7 +290,15 @@ def reference_flag(half, total):
 
 
 B = _WITNESS_BLOCK
-STREAM_LENGTHS = [4, 5, B - 1, B, B + 1, 3 * B + 7, 2 ** 16]
+H = _SUM_HEAD
+STREAM_LENGTHS = [4, 5, H - 1, H, H + 1, B - 1, B, B + 1, 3 * B + 7, 2 ** 16]
+
+
+def test_fsum_prefixes_is_fsum():
+    terms = np.array([1e16, 1.0, -1e16, 3.0, 1e-300, 0.1, 2.0 ** -1074,
+                      0.0, 2.0 ** -1022 * 1.5, 1e308, -1e308, 7e-310])
+    assert fsum_prefixes(terms, range(12)).tolist() == [
+        math.fsum(terms[:i + 1].tolist()) for i in range(12)]
 
 
 class TestStreamedWitness:
@@ -282,15 +307,19 @@ class TestStreamedWitness:
         (), ((2.0, 1.0),), ((4 / 3, 2.0), (4 / 3, 4.0))],
         ids=["no-probe", "one-probe", "two-probes"])
     def test_sequence_equals_whole_arrays(self, N, probes):
+        # eps keeps the bits of the whole arrays and each flag that of the
+        # blocked sums; the sums lie within 1e-14 of math.fsum
         eps, rep = witness_sequence(4 / 3, 2.0, N, probes)
         want, sums = whole_witness(4 / 3, 2.0, N, probes)
         assert eps.dtype == want.dtype and eps.tobytes() == want.tobytes()
         assert (rep.p, rep.q, rep.length) == (4 / 3, 2.0, N)
         assert len(rep.probes) == len(probes)
-        for probe, (p_star, q_star), (_, _, half, total) in zip(
+        for probe, (p_star, q_star), (summand, half, total) in zip(
                 rep.probes, probes, sums):
             assert (probe.p, probe.q) == (p_star, q_star)
-            assert (probe.half_sum, probe.total_sum) == (half, total)
+            assert_close([probe.half_sum, probe.total_sum],
+                         [math.fsum(summand[:N // 2].tolist()),
+                          math.fsum(summand.tolist())], 1e-14)
             assert probe.flag == reference_flag(half, total)
 
     @pytest.mark.parametrize("N", STREAM_LENGTHS)
@@ -304,12 +333,13 @@ class TestStreamedWitness:
     @pytest.mark.parametrize("N", STREAM_LENGTHS)
     def test_trace_equals_whole_arrays(self, N):
         n, eps, summand, partial = witness_trace(1.5, 0.7, N, 2.5, 1.3)
-        want_eps, [(want_summand, want_partial, _, _)] = whole_witness(
+        want_eps, [(want_summand, _, _)] = whole_witness(
             1.5, 0.7, N, [(2.5, 1.3)])
         want_n = np.arange(1, N + 1, dtype=float).astype(int)
         for got, want in ((n, want_n), (eps, want_eps),
-                          (summand, want_summand), (partial, want_partial)):
+                          (summand, want_summand)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_close(partial, fsum_prefixes(want_summand, range(N)), 1e-13)
 
     def test_memory_is_the_output(self):
         # eps alone is 0.5 MiB; whole-array temporaries took 3.0 MiB
@@ -337,17 +367,40 @@ def two_power_witness(p, q, N, probe_params):
     return eps, probes
 
 
-class TestClosedFormSummand:
-    """The closed-form summand n^a (1 + ln n)^b with block sums keeps every
-    flag and eps of the two-power summand with one sequential cumsum, and
-    its sums are within 1e-12 of the exactly rounded ones."""
+def probes_of(p, q):
+    """The probe (p, q), its converging partner (p, 2q) and three probes
+    with p* != p, so with a != -1 (from -5 to 7 over the tested p, q)."""
+    return [(p, q), (p, 2 * q), (2 * p, q), (p / 2, 2 * q), (1.5 * p, 3 * q)]
 
-    @pytest.mark.parametrize("N", [4, 4097, 2 ** 16])
+
+def chunked_fsum(p, q, N, p_star, q_star, counts):
+    """The sums of the closed-form summands up to each of the sorted
+    counts: math.fsum of each run between counts, then of the runs so far,
+    so each is within a rounding per count of the exact sum.  2^20
+    summands are computed at a time."""
+    a, b = q_star * (1.0 / p_star - 1.0 / p) - 1.0, -q_star / q
+
+    def terms(lo, hi):
+        n = np.arange(lo + 1, hi + 1, dtype=float)
+        return (n ** a * (1.0 + np.log(n)) ** b).tolist()
+
+    cuts = [0, *counts]
+    runs = [math.fsum(itertools.chain.from_iterable(
+                terms(c, min(c + 2 ** 20, hi)) for c in range(lo, hi, 2 ** 20)))
+            for lo, hi in zip(cuts, cuts[1:])]
+    return [math.fsum(runs[:i + 1]) for i in range(len(runs))]
+
+
+class TestClosedFormSummand:
+    """The closed-form summand n^a (1 + ln n)^b keeps every flag and eps of
+    the two-power summand with one sequential cumsum, and its sums are
+    within 1e-14 of math.fsum (the sampled partial sums within 1e-13)."""
+
+    @pytest.mark.parametrize("N", [4, H - 1, H, H + 1, 4097, 2 ** 16])
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("p", [0.5, 1.0, 4 / 3, 1.5, 2.0, 3.0])
     def test_against_the_two_power_rule(self, p, q, N):
-        probes = [(p, q), (p, 2 * q), (2 * p, q), (p / 2, 2 * q),
-                  (1.5 * p, 3 * q)]
+        probes = probes_of(p, q)
         eps, rep = witness_sequence(p, q, N, probes)
         old_eps, old = two_power_witness(p, q, N, probes)
         assert eps.tobytes() == old_eps.tobytes()
@@ -355,20 +408,73 @@ class TestClosedFormSummand:
         for probe, (summand, flag) in zip(rep.probes, old):
             assert probe.flag == flag
             terms = summand.tolist()
-            for got, want in ((probe.half_sum, math.fsum(terms[:N // 2])),
-                              (probe.total_sum, math.fsum(terms))):
-                assert abs(got - want) <= 1e-12 * want
-        for stride in (1, 7, 256):
-            rows, sample_rep = witness_samples(p, q, N, p, 2 * q, stride)
-            idx = [n - 1 for n, _, _, _ in rows]
-            assert [e for _, e, _, _ in rows] == old_eps[idx].tolist()
-            assert sample_rep.probes[0] == rep.probes[1]
+            assert_close([probe.half_sum, probe.total_sum],
+                         [math.fsum(terms[:N // 2]), math.fsum(terms)],
+                         1e-14)
+        # the sampled rows of (p, 2q), where a = -1, and of (p / 2, 2q),
+        # where a = 2q / p - 1 is the largest
+        _, sums = whole_witness(p, q, N, probes)
+        for i in (1, 3):
+            summand = sums[i][0]
+            prefixes = fsum_prefixes(summand, range(N))
+            for stride in (1, 7, 256):
+                rows, sample_rep = witness_samples(p, q, N, *probes[i], stride)
+                idx = [n - 1 for n, _, _, _ in rows]
+                assert [e for _, e, _, _ in rows] == old_eps[idx].tolist()
+                assert [s for _, _, s, _ in rows] == summand[idx].tolist()
+                assert_close([s for _, _, _, s in rows], prefixes[idx], 1e-13)
+                assert sample_rep.probes[0] == rep.probes[i]
+
+    @pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 1.0), (3.0, 0.5)])
+    def test_long_sums_against_fsum(self, p, q):
+        # N = 2^20 with the default probe (a = -1) and the probes with the
+        # largest and the smallest a at these p, q
+        N = 2 ** 20
+        probes = [(p, q), (p / 2, 2 * q), (1.5 * p, 3 * q)]
+        rep = witness_report(p, q, N, probes)
+        for probe, (p_star, q_star) in zip(rep.probes, probes):
+            want = chunked_fsum(p, q, N, p_star, q_star, [N // 2, N])
+            assert_close([probe.half_sum, probe.total_sum], want, 1e-14)
+
+    def test_sums_at_the_cap_against_fsum(self):
+        # N = 2^24: the report of the default probe and of a = 7, and the
+        # sampled partial sums of a = 7 at stride 2^18
+        N = 2 ** 24
+        probes = [(0.5, 2.0), (0.25, 4.0)]
+        rep = witness_report(0.5, 2.0, N, probes)
+        rows, sample_rep = witness_samples(0.5, 2.0, N, 0.25, 4.0, 2 ** 18)
+        counts = [n for n, _, _, _ in rows]
+        assert counts == [*range(1, N, 2 ** 18), N]
+        at = sorted({*counts, N // 2})
+        want = dict(zip(at, chunked_fsum(0.5, 2.0, N, 0.25, 4.0, at)))
+        assert_close([s for _, _, _, s in rows], [want[n] for n in counts],
+                     1e-13)
+        assert_close([rep.probes[1].half_sum, rep.probes[1].total_sum],
+                     [want[N // 2], want[N]], 1e-14)
+        assert sample_rep.probes[0] == rep.probes[1]
+        assert_close([rep.probes[0].half_sum, rep.probes[0].total_sum],
+                     chunked_fsum(0.5, 2.0, N, 0.5, 2.0, [N // 2, N]), 1e-14)
 
     @pytest.mark.parametrize("N", STREAM_LENGTHS)
     def test_samples_at_stride_one_are_the_trace(self, N):
         rows, _ = witness_samples(1.5, 0.7, N, 2.5, 1.3, 1)
         trace = witness_trace(1.5, 0.7, N, 2.5, 1.3)
         assert rows == list(zip(*(col.tolist() for col in trace)))
+
+    @pytest.mark.parametrize("N, flag", [
+        (2 ** 16, INDETERMINATE), (2000, DIVERGING), (1025, DIVERGING)])
+    def test_overflowing_probe_keeps_the_flag(self, N, flag):
+        # a = 98.5: the summand overflows to inf past n = 1349, so a sum
+        # past it is inf, and inf - inf reads as neither trend
+        probes = [(2.0, 1.0), (0.01, 1.0)]
+        with np.errstate(over="ignore"):
+            _, sums = whole_witness(2.0, 1.0, N, probes)
+            rep = witness_report(2.0, 1.0, N, probes)
+            _, sample_rep = witness_samples(2.0, 1.0, N, 0.01, 1.0, 7)
+        _, half, total = sums[1]
+        assert rep.probes[1].flag == reference_flag(half, total) == flag
+        assert sample_rep.probes[0] == rep.probes[1]
+        assert math.isinf(rep.probes[1].total_sum) is (N > 1349)
 
 
 class TestKOperatorDiag:

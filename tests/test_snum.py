@@ -367,12 +367,6 @@ def two_power_witness(p, q, N, probe_params):
     return eps, probes
 
 
-def probes_of(p, q):
-    """The probe (p, q), its converging partner (p, 2q) and three probes
-    with p* != p, so with a != -1 (from -5 to 7 over the tested p, q)."""
-    return [(p, q), (p, 2 * q), (2 * p, q), (p / 2, 2 * q), (1.5 * p, 3 * q)]
-
-
 def chunked_fsum(p, q, N, p_star, q_star, counts):
     """The sums of the closed-form summands up to each of the sorted
     counts: math.fsum of each run between counts, then of the runs so far,
@@ -400,7 +394,10 @@ class TestClosedFormSummand:
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("p", [0.5, 1.0, 4 / 3, 1.5, 2.0, 3.0])
     def test_against_the_two_power_rule(self, p, q, N):
-        probes = probes_of(p, q)
+        # (p, q), (p, 2q) and three probes with p* != p, so a != -1 (from
+        # -5 to 7 over these p, q)
+        probes = [(p, q), (p, 2 * q), (2 * p, q), (p / 2, 2 * q),
+                  (1.5 * p, 3 * q)]
         eps, rep = witness_sequence(p, q, N, probes)
         old_eps, old = two_power_witness(p, q, N, probes)
         assert eps.tobytes() == old_eps.tobytes()

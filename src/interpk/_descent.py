@@ -24,8 +24,15 @@ It combines three ingredients, all deterministic under a seed:
   best of the golden minimum and the segment ends a_i = 0 and a_i = x_i;
 * the trivial decompositions a = x and a = 0.
 
-The returned value is the best candidate seen, hence always an upper bound
-on the true infimum.
+Every candidate is a split a, and a split bounds K at every s, not only at
+the t it was found for: K(x, s) <= norm0(a) + s * norm1(x - a).  So each
+(row, t) keeps the line (U, V) = (norm0(a), norm1(x - a)) of its best
+candidate, and the value at each t of a row is the lowest of that row's
+lines there.  With one t per row that is the best candidate's value, bit
+for bit; on a grid a value is at most that of a per-t call, and the
+profile is the lower envelope of lines with U, V >= 0: nondecreasing in t
+with K/t nonincreasing, by construction.  Every value is realised by a
+split, hence an upper bound on the true infimum.
 
 All work is done in one stacked array.  ``X`` holds m vectors and ``T`` one
 t per row, or k values of t per row (a grid); every (row, t) pair becomes a
@@ -34,7 +41,9 @@ of those rows, one per family.  The 3 + ``budget`` starts then stack into S
 blocks of m*k rows, and each coordinate's golden-section search runs once
 over all S*m*k rows, so the number of norm calls does not grow with m, k
 or the budget: with the scales given it is
-4 + 2 (LINE_ITERS + 3) + 2 SWEEPS d (COORD_ITERS + 5), where a coordinate
+6 + 2 (LINE_ITERS + 3) + 2 SWEEPS d (COORD_ITERS + 5): both norms at a = x,
+the clip search and one call per clip piece at the level it found, the
+coordinate steps, and both norms of the starts' final splits.  A coordinate
 step evaluates only its two segment ends besides its golden search, whose
 value at its minimum ``_golden_min`` returns.  The norm callables map an
 (n, d) array to n values for any n and must treat rows independently: row
@@ -113,7 +122,10 @@ def _golden_min(objective: Callable[[np.ndarray], np.ndarray],
 
 def _t_grid(T) -> tuple[np.ndarray, bool]:
     """T as a 2-d array, unbroadcast, and whether it was given as one t per
-    row; DomainError unless every t is positive, so NaN is refused too.
+    row; DomainError unless every t lies in [2^-1023, 2^1023], so t <= 0,
+    NaN and inf are refused too.  That range holds every ``_n_window`` grid
+    and is closed under t -> 1/t, so a mirrored route never reads an
+    infinite 1/t, and a line's t * 0 is never NaN.
 
     A scalar is a (1, 1) grid shared by every row and a 1-d array an
     (m, 1) column; a 2-d array is one (1, k) grid shared by every row or k
@@ -124,8 +136,8 @@ def _t_grid(T) -> tuple[np.ndarray, bool]:
     so this is the one place that checks it.
     """
     T = np.asarray(T, dtype=float)
-    if not np.all(T > 0):
-        raise DomainError("t must be positive")
+    if not np.all((2.0 ** -1023 <= T) & (T <= 2.0 ** 1023)):
+        raise DomainError("t must be positive, in [2^-1023, 2^1023]")
     if T.ndim < 2:
         return T.reshape(-1, 1), True
     return T, False
@@ -169,13 +181,14 @@ def _repeat_rows(V: np.ndarray, m: int, k: int) -> np.ndarray:
 
 
 def _clip_search(X, T, norm0, norm1, scale0, scale1):
-    """The better start of the two clip families, and its value, per row.
+    """The better start of the two clip families, and its line, per row.
 
     One golden search runs over two stacked blocks of X's rows: rows
     [0, n) clip the A1 side, sign(x) * min(|x|, lam / scale1), and rows
     [n, 2n) clip the A0 side at ``scale0``; the remainder goes to the other
     side.  Returns the A0 part of the better split, the A1 clip's on a tie,
-    and the min of the two values.
+    and that split's line (norm0 of its A0 piece, norm1 of its A1 piece),
+    read from the two pieces at the level found: two norm calls.
     """
     n = len(X)
     XX, TT = np.concatenate([X, X]), np.concatenate([T, T])
@@ -183,21 +196,22 @@ def _clip_search(X, T, norm0, norm1, scale0, scale1):
     absx, sgn = np.abs(XX), np.sign(XX)
     clips_a1 = (np.arange(2 * n) < n)[:, None]
 
-    def clip(lam):
-        return sgn * np.minimum(absx, lam[:, None] / scale)
+    def pieces(lam):
+        c = sgn * np.minimum(absx, lam[:, None] / scale)
+        rest = XX - c
+        return np.where(clips_a1, rest, c), np.where(clips_a1, c, rest)
 
     def objective(lam):
-        c = clip(lam)
-        rest = XX - c
-        return (norm0(np.where(clips_a1, rest, c))
-                + TT * norm1(np.where(clips_a1, c, rest)))
+        a, b = pieces(lam)
+        return norm0(a) + TT * norm1(b)
 
     hi = np.max(scale * absx, axis=1)
-    lam, val, _ = _golden_min(objective, np.zeros_like(hi), hi, LINE_ITERS)
-    c = clip(lam)
-    val1, val0 = val[:n], val[n:]
-    start = np.where((val0 < val1)[:, None], c[n:], X - c[:n])
-    return start, np.minimum(val0, val1)
+    lam, _, _ = _golden_min(objective, np.zeros_like(hi), hi, LINE_ITERS)
+    a, b = pieces(lam)
+    U, V = norm0(a), norm1(b)
+    a0_wins = U[n:] + T * V[n:] < U[:n] + T * V[:n]
+    return (np.where(a0_wins[:, None], a[n:], a[:n]),
+            np.where(a0_wins, U[n:], U[:n]), np.where(a0_wins, V[n:], V[:n]))
 
 
 @k_kernel
@@ -231,14 +245,18 @@ def decomposition_infimum(
     the best split on both clip families; each coordinate step then
     compares its golden minimum with the two segment ends a_i = 0 and
     a_i = x_i, two objective calls (the module docstring counts them).
+    Each (row, t) keeps the line (norm0(a), norm1(x - a)) of its best split
+    a, the first candidate on a tie, and each t of a row reads the lowest
+    of the row's lines, one line at a time, so memory stays O(m*k).
 
     The norms see stacked rows: row r belongs to X row ``(r % (m*k)) // k``
     and to its t number ``r % k``; each block of m*k rows is one start, or
     in the clip search one family.  They must treat rows independently and
     accept any row count, and they receive column-major arrays (the module
     docstring says why).  The seeded random starts are drawn at X's (m, d)
-    shape and repeated over a row's k values of t, so one (m, k) call
-    equals k per-t calls with the same seed bit for bit.
+    shape and repeated over a row's k values of t, so in one (m, k) call
+    each t's best split is that of its per-t call with the same seed: a
+    per-t call is unchanged, and a grid value is at most the per-t value.
     """
     m, d = X.shape
     k = T.shape[1]
@@ -252,13 +270,14 @@ def decomposition_infimum(
     scale0, scale1 = (_repeat_rows(np.where(s > 0, s, 1.0), m, k)
                       for s in (scale0, scale1))
     X = _repeat_rows(X, m, k)
-    T = np.broadcast_to(T, (m, k)).reshape(-1)
+    grid, T = T, np.broadcast_to(T, (m, k)).reshape(-1)
 
-    best = np.minimum(norm0(X), T * norm1(X))
-
+    # the lines (U, V) = (norm0(a), norm1(x - a)) of the splits a = x and
+    # a = 0, of the better clip and of each start's descent
+    lines = [(norm0(X), 0.0), (0.0, norm1(X))]
     # Clip families in both orientations; keep the better split as a start.
-    clip_start, clip_val = _clip_search(X, T, norm0, norm1, scale0, scale1)
-    best = np.minimum(best, clip_val)
+    clip_start, *clip_line = _clip_search(X, T, norm0, norm1, scale0, scale1)
+    lines.append(clip_line)
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros_like(X), X, clip_start]
@@ -268,9 +287,10 @@ def decomposition_infimum(
 
     # every start's descent at once: one block of m*k rows per start; the
     # blocks are column-major, and so is their concatenation
+    S = len(starts)
     A = np.concatenate(starts)
-    XS = np.concatenate([X] * len(starts))
-    TS = np.tile(T, len(starts))
+    XS = np.concatenate([X] * S)
+    TS = np.tile(T, S)
     absx = np.abs(XS)
     rows = np.arange(len(A))
 
@@ -295,8 +315,15 @@ def decomposition_infimum(
             vals = np.stack([fj, coord_obj(cand[1]), coord_obj(cand[2])])
             pick = np.argmin(vals, axis=0)
             col[...] = cand[pick, rows]
-    # the min over starts, in start order
-    for val in objective(A).reshape(len(starts), -1):
-        best = np.minimum(best, val)
+    lines += zip(norm0(A).reshape(S, -1), norm1(XS - A).reshape(S, -1))
 
-    return best.reshape(m, k)
+    # each (row, t) keeps the line of its best split, the first on a tie
+    U, V = lines[0]
+    for u, v in lines[1:]:
+        better = u + T * v < U + T * V
+        U, V = np.where(better, u, U), np.where(better, v, V)
+    # each t of a row: the lowest of the row's k lines there, one line at a
+    # time, so memory stays O(m*k); U[j::k] is column j of the (m, k) rows
+    return functools.reduce(np.minimum, (U[j::k, None] + grid * V[j::k, None]
+                                         for j in range(k)),
+                            np.full((m, k), np.inf))

@@ -45,8 +45,11 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
   joined by one length-d dot product per (row, t);
 * ``descent``       any other pair (``k_route`` returns None):
   ``descent_route`` builds its K, a seeded multi-start descent over
-  decompositions (``_descent.decomposition_infimum``).  It is an upper
-  approximation, and it reports the band (1, 1) all the same.  It is the one
+  decompositions (``_descent.decomposition_infimum``).  Each value is
+  realised by a split a, the line norm0(a) + t * norm1(x - a), so it is an
+  upper approximation, and it reports the band (1, 1) all the same; a grid
+  answers each t by the lowest of its row's lines, at most the per-t value,
+  so a descent profile is monotone by construction.  It is the one
   place that builds a descent K: ``oracle`` couples, ``sequence_couple_k``
   (so ``snum``'s diagonal K) and the derived couple call it with their two
   norm callables and their own budget and seed, nothing else.  The engine
@@ -72,8 +75,10 @@ into a 2-d float array, refuses a T with neither 1 nor m rows
 (InvariantError), answers d = 0 with zeros and unwraps the result for one
 t per row, so a kernel is only its 2-d core.  K is defined for
 t > 0 only, and the adapter reads T through ``_descent._t_grid``, the one
-rule for t: it refuses t <= 0 and NaN with DomainError, so no entry point
-(``Couple``, ``k_sphere_sup``, ``interp``'s derived couple and
+rule for t: it refuses every t outside [2^-1023, 2^1023], NaN included,
+with DomainError (the range holds every dyadic window and is closed under
+t -> 1/t, so the mirror identity never reads an infinite 1/t), so no
+entry point (``Couple``, ``k_sphere_sup``, ``interp``'s derived couple and
 ``sequence_couple_k``, ``snum``'s diagonal K) keeps a copy of the check.
 K refuses rows that do not span the window with WindowError
 (``Couple.window_rows``; ``sequence_couple_k`` checks its weights).
@@ -320,13 +325,16 @@ def k_route(norm0: WeightedNorm, norm1: WeightedNorm) -> KRoute | None:
 def descent_route(dense0, dense1, *, budget: int, seed: int) -> KRoute:
     """The ``descent`` route: K of the norm callables (dense0, dense1) by
     ``_descent.decomposition_infimum`` with these knobs, an upper
-    approximation reported with band (1, 1).  The engine probes each norm
+    approximation reported with band (1, 1).  A per-t call is the best
+    split's value at that t; a grid value is the lowest of its row's split
+    lines there, at most the per-t value.  The engine probes each norm
     on the basis vectors for its clip scales; for a weighted lp norm that
     probe is the weights, bit for bit, whatever the exponent.  Its kernel
     refuses rows wider than ``ORACLE_MAX_DIM`` with SizeError before the
-    engine runs; this is the one size guard of every descent K.  The engine is looked up when
-    the kernel runs and gets the norms positionally, so a wrapper installed
-    on it (the benchmark's tracer counts norm calls) sees every descent."""
+    engine runs; this is the one size guard of every descent K.  The
+    engine is looked up when the kernel runs and gets the norms
+    positionally, so a wrapper installed on it (a tracer that counts norm
+    calls) sees every descent."""
     def kernel(X, T):
         if np.shape(X)[-1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
@@ -742,31 +750,17 @@ def _n_window(n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return n, 2.0 ** n.astype(float)
 
 
-def _monotone_envelope(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The largest profile at or below ``values`` that is nondecreasing in t
-    with K/t nonincreasing: a running minimum from the right, then t times
-    the running minimum of K/t from the left.
-
-    The true K has both properties, so the envelope of an upper bound is
-    still an upper bound.  Values already monotone come back bit for bit.
-    """
-    upper = np.minimum.accumulate(values[::-1])[::-1]
-    ratio = upper / t
-    low = np.minimum.accumulate(ratio)
-    return np.where(low < ratio, t * low, upper)
-
-
 def k_profile(x: FiniteVector, couple: Couple, n_min: int, n_max: int) -> KProfile:
-    """Evaluate the couple's strategy at t = 2^n for n in [n_min, n_max].
+    """Evaluate the couple's strategy at t = 2^n for n in [n_min, n_max],
+    and validate the profile.
 
-    A descent profile is replaced by its ``_monotone_envelope``; every
-    profile is then validated.
+    A descent profile is the lower envelope of the lines of the splits the
+    descent found (``_descent.decomposition_infimum``), so it is
+    nondecreasing with K/t nonincreasing by construction, and each value is
+    at most that of a per-t call.
     """
     _, t = _n_window(n_min, n_max)
-    values = couple.profile_batch(couple.embed(x), t)[0]
-    if couple.route.name == "descent":
-        values = _monotone_envelope(values, t)
-    prof = KProfile(n_min, n_max, values)
+    prof = KProfile(n_min, n_max, couple.profile_batch(couple.embed(x), t)[0])
     prof.validate(rel_tol=1e-9)
     return prof
 

@@ -354,9 +354,10 @@ class DerivedSumIntCouple:
 
     # --- route (i): surrogate from the base couple ------------------------
     def k_batch(self, X: np.ndarray, T) -> np.ndarray:
+        # a scalar t stays a scalar: the base kernels get one shared t; t is
+        # read through the one t rule before it is clamped to 1
         T = np.asarray(T, dtype=float)
-        # a scalar t stays a scalar: the base kernels get one shared t; the
-        # left base call refuses a t <= 0 or NaN before 1/t is taken
+        _t_grid(T)
         tc = np.minimum(T, 1.0)
         return self.base.k_batch(X, tc) + tc * self.base.k_batch(X, 1.0 / tc)
 
@@ -397,7 +398,9 @@ class DerivedSumIntCouple:
         one size guard: more than ``couples.ORACLE_MAX_DIM`` (16)
         coordinates raise SizeError.  Rows must span the base window
         (WindowError).  ``T`` is one t per row, or an (m, k)/(1, k) grid
-        answered by one call with an (m, k) result, equal to k per-t calls.
+        answered by one call with an (m, k) result: on the exact route equal
+        to k per-t calls, on the descent each value at most the per-t value
+        (the lowest of the row's split lines, ``descent_route``).
         """
         route = self.route or descent_route(self.sum_dense, self.int_dense,
                                             budget=budget, seed=seed)
@@ -459,10 +462,12 @@ def sequence_couple_k(values: np.ndarray, t, p0, w0, p1, w1,
     ``couples.descent_route``, an upper bound whose kernel refuses sequences
     longer than ``couples.ORACLE_MAX_DIM`` (16) with SizeError.  ``t`` is a
     scalar or one t per row (an (m,) result), or an (m, k)/(1, k) grid (an
-    (m, k) result); a grid is one kernel call and equals k per-t calls with
-    the same seed.  WindowError unless the rows are as long as both weight
-    vectors.  Rows of no entries with no weights have K = 0: zeros of the
-    kernels' d = 0 shape, after t is checked.
+    (m, k) result); a grid is one kernel call, equal to k per-t calls on a
+    route, and on the descent at most the per-t values with the same seed
+    (each t reads the lowest of its row's split lines).  WindowError
+    unless the rows are as long as both weight vectors.  Rows of no entries
+    with no weights have K = 0: zeros of the kernels' d = 0 shape, after t
+    is checked.
     """
     V = np.atleast_2d(np.asarray(values, dtype=float))
     if V.shape[1] == 0 and np.size(w0) == np.size(w1) == 0:

@@ -454,9 +454,11 @@ def k_operator_diag_batch(X: np.ndarray, T, p0: float, p1: float,
     """Batched form of k_operator_diag over rows of nonnegative sequences.
 
     ``T`` is a scalar or one t per row (an (m,) result), or an (m, k)/(1, k)
-    grid (an (m, k) result) answered by one kernel or descent call.  Rows
-    of no entries give zeros of that shape.  Pairs that descend refuse rows
-    longer than ``couples.ORACLE_MAX_DIM`` (``couples.descent_route``).
+    grid (an (m, k) result) answered by one kernel or descent call: a route
+    gives the bits of per-t calls, the descent at most the per-t values
+    (``couples.descent_route``).  Rows of no entries give zeros of that
+    shape.  Pairs that descend refuse rows longer than
+    ``couples.ORACLE_MAX_DIM`` (``couples.descent_route``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     ones = np.ones(X.shape[1])

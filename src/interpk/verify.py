@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._descent import decomposition_infimum
+from ._descent import _t_grid, decomposition_infimum
 from ._seeding import generator, pcg64_states
 from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
                       _parse_p, _weighted_sup_batch, k_sphere_sup,
@@ -547,7 +547,9 @@ def check_mainlema(family: str = "l1_linf",
     """K of (A0+A1, A0 cap A1) on its explicit norms against the surrogate
     K(x,t) + t K(x,1/t), over the t <= 1 of ``t_grid`` and a dimension
     sweep.  The explicit K is exact for ``l1_linf`` and seeded descent with
-    ``budget`` random starts otherwise."""
+    ``budget`` random starts otherwise.  Every t of ``t_grid``, the dropped
+    t > 1 too, must pass the one t rule (``_descent._t_grid``)."""
+    _t_grid(t_grid)
     ts = [t for t in t_grid if t <= 1.0]
     if not ts:
         raise DomainError("t_grid needs at least one value t <= 1")

@@ -322,6 +322,31 @@ class TestConfigErrors:
         assert code == 2
         assert "got 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["l1_geometric", "l1_linf"])
+    def test_dichotomy_refuses_infinite_t(self, family, tmp_path, capsys):
+        # JSON 1e400 reads as t = inf, outside [2^-1023, 2^1023]; on
+        # l1_geometric it wrote "t": Infinity, which is not JSON
+        cfg = tmp_path / "d.json"
+        cfg.write_text('{"family": "%s", "t": 1e400, "sizes": [5]}' % family)
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", "dichotomy", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert "t must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mainlema_refuses_infinite_t_it_would_drop(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "m.json"
+        cfg.write_text('{"dims": [2], "count": 4, "t_grid": [0.5, 1e400]}')
+        out = tmp_path / "x.json"
+        code = run_cli(["verify", "mainlema", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert "t must be positive, in [2^-1023, 2^1023]" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("t", [2, 4, 1.0000001])
     def test_dichotomy_refuses_ordered_t_above_one(self, t, tmp_path, capsys,
                                                    monkeypatch):

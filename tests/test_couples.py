@@ -15,7 +15,7 @@ from interpk import (Couple, DomainError, InvariantError, SizeError,
 from interpk import couples
 from interpk._descent import decomposition_infimum
 from interpk.couples import (ORACLE, FiniteVector, KProfile, _l1_linf_batch,
-                             _l1_lp_batch, _monotone_envelope, _power_batch,
+                             _l1_lp_batch, _power_batch,
                              _weighted_sup_batch, descent_route, k_route,
                              stable_lp_sum, validate_profiles, vec)
 from interpk.interp import derived_sum_int_couple, sequence_couple_k
@@ -624,7 +624,12 @@ class TestKRoute:
                 assert c.k(x, t) <= descent * (1 + 1e-12)
 
 
-BAD_T = [0.0, -1.0, math.nan]
+# t <= 0 and NaN, then t outside [2^-1023, 2^1023]: inf, a subnormal whose
+# 1/t is inf, and the first float past each end
+BAD_T = [0.0, -1.0, math.nan, math.inf, 1e-310,
+         float(np.nextafter(2.0 ** -1023, 0.0)),
+         float(np.nextafter(2.0 ** 1023, math.inf))]
+T_ENDS = [2.0 ** -1023, 2.0 ** 1023]
 
 # pairs that no route answers: sequence_couple_k descends on them
 DESCENT_PAIRS = [(1.0, 0.5), (2.0, 3.0), (math.inf, 2.0)]
@@ -645,8 +650,31 @@ def t_forms(bad):
 
 
 class TestTRule:
-    """Every K entry point refuses t <= 0 and NaN with DomainError, whatever
-    the route, as a scalar or anywhere in a vector or grid of t."""
+    """Every K entry point refuses a t outside [2^-1023, 2^1023], NaN
+    included, with DomainError, whatever the route, as a scalar or anywhere
+    in a vector or grid of t."""
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_TABLE) + ["descent"])
+    def test_both_orders_refuse_outside_and_answer_at_the_ends(self, case):
+        (p0, p1), name, _, strategies, _ = ROUTE_TABLE.get(
+            case, ((1.0, 0.5), None, None, (), None))
+        rng = np.random.default_rng(65)
+        w0, w1 = ((np.ones(3), np.ones(3)) if name == "l1_linf" else
+                  (2.0 ** rng.uniform(-3, 3, 3), 2.0 ** rng.uniform(-3, 3, 3)))
+        c = Couple(WeightedNorm(p0, 0, w0), WeightedNorm(p1, 0, w1),
+                   (strategies or (ORACLE,))[0])
+        X = rng.standard_normal((2, 3))
+        for couple in (c, c.reversed()):
+            for bad in BAD_T[3:]:
+                refuses_t(lambda: couple.k_batch(X, bad))
+                refuses_t(lambda: couple.profile_batch(X, [1.0, bad]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ends = np.stack([couple.k_batch(X, t) for t in T_ENDS],
+                                axis=1)
+                grid = couple.profile_batch(X, T_ENDS)
+            assert np.all(np.isfinite(ends)) and np.all(ends > 0), case
+            assert np.all(grid <= ends), case
 
     @pytest.mark.parametrize("bad", BAD_T)
     @pytest.mark.parametrize("case", sorted(ROUTE_TABLE) + ["descent"])
@@ -725,6 +753,13 @@ class TestCallContract:
                          (np.tile(DYADIC, (m, 1)), (m, k))):
             got = kernel(X, T)
             assert got.shape == shape and np.all(got == 0.0), (case, shape)
+
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_empty_grid_gives_no_columns(self, case):
+        kernel = contract_kernel(case)
+        X = np.array([[1.5, -0.25, 3.0], [0.0, 2.0, -1.0]])
+        for T in (np.zeros((1, 0)), np.zeros((2, 0))):
+            assert kernel(X, T).shape == (2, 0), case
 
     @pytest.mark.parametrize("bad", [0.0, math.nan])
     @pytest.mark.parametrize("case", CONTRACT_CASES)
@@ -1412,32 +1447,51 @@ class TestValidateProfiles:
             KProfile(-2, 2, np.array(bad)).validate()
 
 
-class TestMonotoneEnvelope:
-    # seed 2 has a raw K that decreases in t, seed 22 a raw K/t that grows
+def _subset_k(x, t, norm0, norm1):
+    """Exact K of (lp0(w0), lp1(w1)) with p0, p1 <= 1 at each t of ``t``:
+    both norms are concave on each segment a_i in [0, x_i], and leaving it
+    raises both, so an optimal split gives each coordinate wholly to one
+    side; min over the 2^d subsets."""
+    d = len(x)
+    A = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1) * x
+    return np.min(norm0.dense(A)[:, None] + t * norm1.dense(x - A)[:, None],
+                  axis=0)
+
+
+class TestDescentLines:
+    """A descent answers each t with the line U + tV, U = norm0(a) and
+    V = norm1(x - a), of its best split a there; a grid value is the lowest
+    of its row's lines, so a profile is monotone with no repair pass."""
+
+    # the per-t values at seed 2 decrease in t, and at seed 22 their K/t
+    # grows: both fail ``validate``
     @pytest.mark.parametrize("seed", [2, 22])
-    def test_descent_profile_is_enveloped(self, seed):
+    def test_grid_profile_validates_without_repair(self, seed):
         c, x, raw = _half_half_oracle(seed)
         assert c.route.name == "descent"
+        t = 2.0 ** np.arange(-8, 9).astype(float)
+        per_t = np.array([c.k(x, s) for s in t])
         with pytest.raises(InvariantError):
-            KProfile(-8, 8, raw).validate(rel_tol=1e-9)
-        prof = k_profile(x, c, -8, 8)
-        prof.validate(rel_tol=0.0)
-        assert np.all(prof.values <= raw)
-        assert np.any(prof.values < raw)
-
-    def test_monotone_descent_profile_unchanged(self):
-        c, x, raw = _half_half_oracle(0)
+            KProfile(-8, 8, per_t).validate(rel_tol=1e-9)
         KProfile(-8, 8, raw).validate(rel_tol=0.0)
         assert k_profile(x, c, -8, 8).values.tobytes() == raw.tobytes()
+        assert np.all(raw <= per_t)
 
-    def test_envelope_by_hand(self):
-        t = 2.0 ** np.arange(-1, 3).astype(float)       # 0.5, 1, 2, 4
-        values = np.array([1.0, 0.75, 3.0, 6.0])
-        # running minimum from the right: 0.75, 0.75, 3, 6; its K/t is
-        # 1.5, 0.75, 1.5, 1.5, with running minimum 1.5, 0.75, 0.75, 0.75
-        got = _monotone_envelope(values, t)
-        assert got.tolist() == [0.75, 0.75, 1.5, 3.0]
-        assert _monotone_envelope(got, t).tobytes() == got.tobytes()
+    @pytest.mark.parametrize("p0, p1", [(0.5, 0.5), (0.3, 0.9), (1.0, 0.5)])
+    def test_grid_between_exact_k_and_per_t_values(self, p0, p1):
+        rng = np.random.default_rng(66)
+        d = 8
+        c = Couple(WeightedNorm(p0, 0, 2.0 ** rng.uniform(-3, 3, d)),
+                   WeightedNorm(p1, 0, 2.0 ** rng.uniform(-3, 3, d)), ORACLE)
+        assert c.route.name == "descent"
+        X = rng.standard_normal((6, d))
+        t = 2.0 ** np.arange(-6, 7).astype(float)
+        grid = c.profile_batch(X, t)
+        per_t = np.stack([c.k_batch(X, s) for s in t], axis=1)
+        exact = np.stack([_subset_k(x, t, c.norm0, c.norm1) for x in X])
+        assert np.all(grid >= exact * (1.0 - 1e-12))
+        assert np.all(grid <= per_t)
+        validate_profiles(grid, t, rel_tol=0.0)
 
 
 class TestEndpoints:

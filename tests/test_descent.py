@@ -8,7 +8,7 @@ from interpk import _descent
 from interpk._descent import (COORD_ITERS, LINE_ITERS, SWEEPS, _golden_min,
                               _t_grid, decomposition_infimum, probe_scales)
 from interpk.couples import (ORACLE, Couple, WeightedNorm, _l1_linf_batch,
-                             _weighted_sup_batch)
+                             _weighted_sup_batch, validate_profiles)
 from interpk.interp import sequence_couple_k
 from interpk.snum import k_operator_diag_batch
 
@@ -17,25 +17,49 @@ from interpk.snum import k_operator_diag_batch
 # the previous engine, kept as an oracle: one t per row, one start at a time
 # ---------------------------------------------------------------------------
 
+def lower_envelope(U, V, T):
+    """Each t of a row: the lowest of that row's lines (U, V) there; U and V
+    hold one line per column, T is (m, k) or (1, k)."""
+    with np.errstate(over="ignore"):
+        return np.min(U[:, None, :] + T[:, :, None] * V[:, None, :], axis=2)
+
+
+def keep_line(best, U, V, val, u, v):
+    """The running min of the candidate values and the line (U, V) of the
+    first candidate that attains it."""
+    better = val < best
+    return (np.minimum(best, val), np.where(better, u, U),
+            np.where(better, v, V))
+
+
 def loop_oracle_descent(X, T, norm0, norm1, *, budget=8, seed=0,
                         scale0=None, scale1=None, sweeps=2):
     """The descent as it ran before stacking: starts run one after another.
 
     ``T`` is a scalar or one t per row; an (m, k) or (1, k) grid is run as k
-    separate calls with the same seed, as the callers did.
+    separate calls with the same seed, as the callers did, and each t of a
+    row then reads the lowest of the row's k winning lines.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    m, d = X.shape
     T = np.asarray(T, dtype=float)
+    kw = dict(budget=budget, seed=seed, scale0=scale0, scale1=scale1,
+              sweeps=sweeps)
     if T.ndim == 2:
-        T = np.broadcast_to(T, (m, T.shape[1]))
-        return np.stack([loop_oracle_descent(
-            X, T[:, j], norm0, norm1, budget=budget, seed=seed,
-            scale0=scale0, scale1=scale1, sweeps=sweeps)
-            for j in range(T.shape[1])], axis=1)
+        T = np.broadcast_to(T, (len(X), T.shape[1]))
+        lines = [_loop_lines(X, T[:, j], norm0, norm1, **kw)[1:]
+                 for j in range(T.shape[1])]
+        return lower_envelope(*(np.stack(side, axis=1)
+                                for side in zip(*lines)), T)
+    return _loop_lines(X, T, norm0, norm1, **kw)[0]
+
+
+def _loop_lines(X, T, norm0, norm1, *, budget, seed, scale0, scale1,
+                sweeps):
+    """One t per row: the best value, and the line (U, V) of its split."""
+    m, d = X.shape
     T = np.broadcast_to(T, (m,)).copy()
     if d == 0:
-        return np.zeros(m)
+        return np.zeros(m), np.zeros(m), np.zeros(m)
     if scale0 is None:
         scale0 = probe_scales(norm0, d)
     if scale1 is None:
@@ -46,13 +70,19 @@ def loop_oracle_descent(X, T, norm0, norm1, *, budget=8, seed=0,
     def objective(A):
         return norm0(A) + T * norm1(X - A)
 
-    best = np.minimum(norm0(X), T * norm1(X))
+    zero = np.zeros(m)
+    best = U = norm0(X)
+    V = zero
+    best, U, V = keep_line(best, U, V, T * norm1(X), zero, norm1(X))
     clip1, val1 = _reference_clip_search(
         X, T, lambda b: T * norm1(b), lambda a: norm0(a), scale1, LINE_ITERS)
     clip0, val0 = _reference_clip_search(
         X, T, lambda a: norm0(a), lambda b: T * norm1(b), scale0, LINE_ITERS)
-    best = np.minimum(best, np.minimum(val0, val1))
-    clip_start = np.where((val0 < val1)[:, None], clip0, X - clip1)
+    a0_wins = (val0 < val1)[:, None]
+    clip_start = np.where(a0_wins, clip0, X - clip1)
+    best, U, V = keep_line(best, U, V, np.minimum(val0, val1),
+                           norm0(clip_start),
+                           norm1(np.where(a0_wins, X - clip0, clip1)))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros_like(X), X.copy(), clip_start]
@@ -79,8 +109,9 @@ def loop_oracle_descent(X, T, norm0, norm1, *, budget=8, seed=0,
                 vals = np.stack([coord_obj(c) for c in cand])
                 pick = np.argmin(vals, axis=0)
                 A[:, j] = cand[pick, np.arange(m)]
-        best = np.minimum(best, objective(A))
-    return best
+        best, U, V = keep_line(best, U, V, objective(A), norm0(A),
+                               norm1(X - A))
+    return best, U, V
 
 
 def _norms(p0, p1, d, rng):
@@ -137,7 +168,10 @@ class TestAgainstLoopOracle:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    def test_grid_equals_per_t_calls(self):
+    def test_grid_at_most_per_t_calls(self):
+        # each grid value is the lowest of its row's lines, its own t's
+        # winner among them, so it is at most that t's per-t value, and
+        # the profile is monotone on the dyadic grid
         rng = np.random.default_rng(13)
         n0, n1 = _norms(0.5, 2.0, 3, rng)
         X = rng.standard_normal((4, 3))
@@ -146,7 +180,8 @@ class TestAgainstLoopOracle:
         want = np.stack([decomposition_infimum(X, t, n0.dense, n1.dense,
                                                budget=3, seed=9)
                          for t in GRID], axis=1)
-        assert np.array_equal(got, want)
+        assert np.all(got <= want)
+        validate_profiles(got, GRID, rel_tol=0.0)
 
     @pytest.mark.parametrize("T", ["per_row", "grid"])
     def test_per_row_scales(self, T):
@@ -199,7 +234,8 @@ class TestAgainstLoopOracle:
 
 
 class TestGridCallers:
-    """One grid call equals the stacked per-t calls the callers made."""
+    """One grid call against the stacked per-t calls the callers made: the
+    same bits on an exact route, at most the per-t values on a descent."""
 
     def test_sequence_couple_k_mixed_exponents(self):
         rng = np.random.default_rng(21)
@@ -220,7 +256,10 @@ class TestGridCallers:
         want = np.stack([k_operator_diag_batch(S, t, p0, p1, budget=2,
                                                seed=3)
                          for t in GRID], axis=1)
-        assert np.array_equal(got, want)
+        if 1.0 in (p0, p1):
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(got <= want)
 
 
 class TestProbedScales:
@@ -257,9 +296,10 @@ class TestProbedScales:
 
 class TestNormCalls:
     """The norm calls of one descent with its scales given: both norms at
-    a = x, one golden search over both clip families, two endpoint
-    candidates per coordinate step besides the coordinate's golden search,
-    and the final objective."""
+    a = x, one golden search over both clip families and one call per clip
+    piece at the level found, two endpoint candidates per coordinate step
+    besides the coordinate's golden search, and both norms of each final
+    split."""
 
     @pytest.mark.parametrize("d", [1, 4, 7])
     @pytest.mark.parametrize("T", ["per_row", "grid"])
@@ -280,11 +320,12 @@ class TestNormCalls:
         decomposition_infimum(X, T, counted(n0.dense), counted(n1.dense),
                               budget=3, seed=0, scale0=n0.weights,
                               scale1=n1.weights)
-        calls = 4 + 2 * (LINE_ITERS + 3) + 2 * SWEEPS * d * (COORD_ITERS + 5)
+        calls = 6 + 2 * (LINE_ITERS + 3) + 2 * SWEEPS * d * (COORD_ITERS + 5)
         assert len(seen) == calls
-        assert d != 4 or calls == 842       # oracle_agreement's max_dim
-        # the clip search sees both families' rows in one call
-        assert seen.count(2 * 5 * k) == 2 * (LINE_ITERS + 3)
+        assert d != 4 or calls == 844       # oracle_agreement's max_dim
+        # the clip search sees both families' rows in one call, and reads
+        # the line of the level it found from one call per piece
+        assert seen.count(2 * 5 * k) == 2 * (LINE_ITERS + 3) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +394,21 @@ def reference_descent(X, T, norm0, norm1, *, budget=8, seed=0, scale0=None,
 
     scale0, scale1 = stacked(scale0), stacked(scale1)
     X = np.repeat(X, k, axis=0)
-    T = T.reshape(-1)
+    grid, T = T, T.reshape(-1)
 
-    best = np.minimum(norm0(X), T * norm1(X))
+    zero = np.zeros(len(X))
+    best = U = norm0(X)
+    V = zero
+    best, U, V = keep_line(best, U, V, T * norm1(X), zero, norm1(X))
     clip1, val1 = _reference_clip_search(
         X, T, lambda b: T * norm1(b), lambda a: norm0(a), scale1, LINE_ITERS)
     clip0, val0 = _reference_clip_search(
         X, T, lambda a: norm0(a), lambda b: T * norm1(b), scale0, LINE_ITERS)
-    best = np.minimum(best, np.minimum(val0, val1))
-    clip_start = np.where((val0 < val1)[:, None], clip0, X - clip1)
+    a0_wins = (val0 < val1)[:, None]
+    clip_start = np.where(a0_wins, clip0, X - clip1)
+    best, U, V = keep_line(best, U, V, np.minimum(val0, val1),
+                           norm0(clip_start),
+                           norm1(np.where(a0_wins, X - clip0, clip1)))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros_like(X), X, clip_start]
@@ -394,10 +441,13 @@ def reference_descent(X, T, norm0, norm1, *, budget=8, seed=0, scale0=None,
             vals = np.stack([coord_obj(c) for c in cand])
             pick = np.argmin(vals, axis=0)
             A[:, j] = cand[pick, rows]
-    for val in objective(A).reshape(len(starts), -1):
-        best = np.minimum(best, val)
+    for val, u, v in zip(*(W.reshape(len(starts), -1) for W in (
+            objective(A), norm0(A), norm1(XS - A)))):
+        best, U, V = keep_line(best, U, V, val, u, v)
 
-    return best if per_row else best.reshape(m, k)
+    if per_row:
+        return best
+    return lower_envelope(U.reshape(m, k), V.reshape(m, k), grid)
 
 
 EXPONENTS = (0.5, 1.0, 1.5, 2.0, np.inf)

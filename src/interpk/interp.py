@@ -378,11 +378,7 @@ class DerivedSumIntCouple:
         return self.surrogate(self.base.profile_batch(X, grid), grid, s)
 
     def profile(self, x: FiniteVector, n_min: int, n_max: int) -> KProfile:
-        _, t = _n_window(n_min, n_max)
-        values = self.profile_batch(self.embed(x), t)
-        prof = KProfile(n_min, n_max, values[0])
-        prof.validate(rel_tol=1e-9)
-        return prof
+        return k_profile(x, self, n_min, n_max)
 
     # --- route (ii): K on the explicit norms -------------------------------
     def k_oracle_batch(self, X: np.ndarray, T, budget: int = 8,

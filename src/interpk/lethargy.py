@@ -23,21 +23,20 @@ Three concrete constructions with exactly checkable certificates:
 * ``strictness_sweep`` evaluates the flat vectors y_N = (1/N, ..., 1/N)
   in (l1, linf), whose intersection norm stays 1 while the sum norm is 1/N;
   across a doubling sweep the (theta, q) norm decays like
-  N^{-min(theta, 1-theta)}, strictly between the endpoints.  The y_N are
-  the zero-padded rows of one matrix per block, each block one pass of
-  the (l1, linf) kernel.
+  N^{-min(theta, 1-theta)}, strictly between the endpoints.  Every value
+  comes from the closed form K(y_N, t) = min(t, N)/N (Calderon's
+  K(x, t) = int_0^t x*(s) ds on (l1, linf)), so nothing N-sized is built.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .couples import (FiniteVector, KProfile, _n_window, l1_linf_couple,
-                      validate_profiles, weighted_sup_couple)
+from .couples import (FiniteVector, KProfile, _integer, _n_window,
+                      weighted_sup_couple)
 from .errors import ConstructionError, DomainError, InvariantError, SizeError
 from .interp import InterpParams, dyadic_norm
 from .snum import MatrixOperator, diag_operator
@@ -96,7 +95,9 @@ def lift_sequence(spec: DecaySpec, N: int) -> np.ndarray:
     c(n) = min{c < n : h(c) >= n}, and as xi is nonincreasing their maximum
     is xi_{c(n)}.  One ``np.searchsorted`` over h(1..N) finds every c(n),
     O(N log N); the recurrence is then one O(N) loop.  Only h(1..N) is read.
+    N must be an integer (``couples._integer``).
     """
+    N = _integer(N, "N")
     if N < 1 or N > len(spec.epsilon):
         raise DomainError("need 1 <= N <= len(epsilon)")
     xi = spec.epsilon[:N].tolist()
@@ -120,9 +121,10 @@ def slow_k_witness(epsilon: Sequence[float], N: int):
     Returns (x, profile) with x_k = eps_k on the window k = 0..N and the
     LP-certified bound K(x, 2^{-n}) >= eps_n for every n = 0..N.  The
     profile stores K(x, 2^n) for n = -N..0.  N is at most 1023, so that the
-    weight 2^N is a finite float; a larger N raises DomainError.
+    weight 2^N is a finite float; a larger N, or one that is not an integer
+    (``couples._integer``), raises DomainError.
     """
-    if N > SLOW_K_MAX_N:
+    if _integer(N, "N") > SLOW_K_MAX_N:
         raise DomainError(f"N = {N} exceeds {SLOW_K_MAX_N}, where the "
                           f"weight 2^N overflows a float")
     eps = np.asarray(epsilon, dtype=float)
@@ -159,14 +161,9 @@ class StrictnessReport:
 
 STRICTNESS_N_MIN = -40
 STRICTNESS_N_MAX = 40
-# The largest N a sweep takes.  A block of one row of length N holds a few
-# N-length float arrays at once (the row, its absolute values, the sorted
-# copy and its prefix sums): about 640 MiB of tracemalloc peak at 2^24.
+# The largest N a sweep takes.  The sweep allocates nothing N-sized, so the
+# cap is the command's range, not a memory bound.
 STRICTNESS_MAX_N = 2 ** 24
-# cells (rows x padded length) per block of a sweep; a block holds one row
-# at least, so a sweep needs the memory of this many cells or of its
-# longest y_N alone, whichever is more
-_SWEEP_BLOCK_CELLS = 2 ** 16
 
 
 def strictness_witness(N: int, params: InterpParams,
@@ -176,9 +173,9 @@ def strictness_witness(N: int, params: InterpParams,
 
     The intersection norm is exactly 1 and the sum norm exactly 1/N, so the
     ratio of the two endpoint norms collapses while the interpolation norm
-    sits strictly between them.  K(y_N, t) saturates at 1 for t >= N and the
-    weighted tail 2^{-theta n} dies slowly, so the default window here is
-    wider than elsewhere.  It is ``strictness_sweep`` of [N].
+    sits strictly between them.  K(y_N, t) = min(t, N)/N saturates at 1 for
+    t >= N and the weighted tail 2^{-theta n} dies slowly, so the default
+    window here is wider than elsewhere.  It is ``strictness_sweep`` of [N].
     """
     return strictness_sweep([N], params, n_min, n_max)[0]
 
@@ -188,18 +185,15 @@ def strictness_sweep(N_list: Sequence[int], params: InterpParams,
                      n_max: int = STRICTNESS_N_MAX) -> list[StrictnessReport]:
     """``strictness_witness`` of every N of ``N_list``, in its order.
 
-    The distinct N are sorted and grouped into blocks of at most
-    ``_SWEEP_BLOCK_CELLS`` cells (one N at least).  A block's y_N are the
-    rows of one matrix, zero-padded to its largest N, and one call each of
-    the endpoint norms, K(., 1), the profile over t = 2^n_min .. 2^n_max,
-    its validation and the (theta, q) norm answers the block.  The padding
-    leaves every bit as it is for y_N alone: ||y||_1 is 1/N times a sum of
-    exact ones, the kernel's prefix sums are sequential so trailing zeros
-    add exact zeros, and ||y||_inf and every K(y, 2^n) read the same
-    entries.  Any N < 1 is refused with DomainError and any N above
-    ``STRICTNESS_MAX_N`` with SizeError, before anything is allocated.
+    Every report is built from the closed form: the intersection norm
+    max(||y_N||_1, ||y_N||_inf) is 1.0, the sum norm K(y_N, 1) is 1.0 / N,
+    and the profile K(y_N, t) = min(t, N)/N over t = 2^n_min .. 2^n_max is
+    one array over the distinct N, whose (theta, q) norm
+    ``interp.dyadic_norm`` takes.  Each N must be an integer
+    (``couples._integer``); any N < 1 is refused with DomainError and any N
+    above ``STRICTNESS_MAX_N`` with SizeError.
     """
-    Ns = sorted({operator.index(N) for N in N_list})
+    Ns = sorted({_integer(N, "N") for N in N_list})
     if not Ns:
         return []
     if Ns[0] < 1:
@@ -208,24 +202,8 @@ def strictness_sweep(N_list: Sequence[int], params: InterpParams,
         raise SizeError(f"N = {Ns[-1]} exceeds the strictness sweep's cap "
                         f"{STRICTNESS_MAX_N}")
     grid, t = _n_window(n_min, n_max)
-    reports = {}
-    start = 0
-    while start < len(Ns):
-        stop = start + 1
-        while (stop < len(Ns)
-               and (stop + 1 - start) * Ns[stop] <= _SWEEP_BLOCK_CELLS):
-            stop += 1
-        block = Ns[start:stop]
-        col = np.array(block)[:, None]
-        couple = l1_linf_couple(block[-1])
-        Y = np.where(np.arange(block[-1]) < col, 1.0 / col, 0.0)
-        int_norm = np.maximum(couple.norm0.dense(Y), couple.norm1.dense(Y))
-        sum_norm = couple.k_batch(Y, 1.0)
-        P = couple.profile_batch(Y, t)
-        validate_profiles(P, t)
-        val = dyadic_norm(P, grid, params.theta, params.q)
-        reports.update(zip(block, map(StrictnessReport, block,
-                                      int_norm.tolist(), sum_norm.tolist(),
-                                      val.tolist())))
-        start = stop
+    col = np.array(Ns, dtype=float)[:, None]
+    val = dyadic_norm(np.minimum(t, col) / col, grid, params.theta, params.q)
+    reports = {N: StrictnessReport(N, 1.0, 1.0 / N, v)
+               for N, v in zip(Ns, val.tolist())}
     return [reports[N] for N in N_list]

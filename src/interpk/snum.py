@@ -158,9 +158,15 @@ def lorentz_norm(s: SNumSeq | Sequence[float], params: LorentzParams) -> float:
     """Lorentz quasi-norm of a nonincreasing sequence over its finite length."""
     if not isinstance(s, SNumSeq):
         s = SNumSeq(np.asarray(s, dtype=float))
-    n = np.arange(1, len(s) + 1, dtype=float)
-    terms = n ** (1.0 / params.p - 1.0 / params.q) * s.values
-    return float(stable_lp_sum(terms, params.q))
+    return float(_lorentz_rows(s.values, params.p, params.q))
+
+
+def _lorentz_rows(S: np.ndarray, p: float, q: float) -> np.ndarray:
+    """(sum_n (n^{1/p - 1/q} s_n)^q)^{1/q} along the last axis of S, the max
+    for q = inf: the Lorentz sum of ``lorentz_norm`` and of ``verify``'s
+    konig check, one row or many."""
+    n = np.arange(1, S.shape[-1] + 1, dtype=float)
+    return stable_lp_sum(n ** (1.0 / p - 1.0 / q) * S, q)
 
 
 def ideal_norm(T: MatrixOperator, params: LorentzParams) -> float:
@@ -329,13 +335,16 @@ class _WitnessPass:
         """eps_n = n^{-1/p} G^{-1/q} at the indices n, with G = 1 + ln n."""
         return n ** (-1.0 / self.p) * G ** (-1.0 / self.q)
 
-    def report(self) -> WitnessReport:
-        counts = np.array([self.N // 2, self.N])
-        probes = tuple(
-            _membership(p_star, q_star,
-                        *_power_log_sums(a, b, counts).tolist())
-            for (p_star, q_star), (a, b)
-            in zip(self.probe_params, self.powers))
+    def report(self, sums=None) -> WitnessReport:
+        """The report from each probe's (S(N // 2), S(N)): ``sums`` when
+        the caller has them, else read from ``_power_log_sums``."""
+        if sums is None:
+            counts = np.array([self.N // 2, self.N])
+            sums = [_power_log_sums(a, b, counts).tolist()
+                    for a, b in self.powers]
+        probes = tuple(_membership(p_star, q_star, *pair)
+                       for (p_star, q_star), pair
+                       in zip(self.probe_params, sums))
         return WitnessReport(float(self.p), float(self.q), int(self.N), probes)
 
 
@@ -394,9 +403,11 @@ def _sampled_trace(p: float, q: float, N: int, p_star: float,
     1 + stride, 1 + 2 stride, ... and n = N, with the report of the probe
     (p*, q*): the one core of ``witness_trace`` and ``witness_samples``.
 
-    eps_n, the summand and the partial sum (``_power_log_sums``) are
-    computed at the sampled indices only, so the memory is a small multiple
-    of the output's.  The arguments are checked before any index array is
+    eps_n, the summand and the partial sum are computed at the sampled
+    indices only, so the memory is a small multiple of the output's.  One
+    ``_power_log_sums`` call takes the sampled counts with N // 2 among
+    them, and the report reads S(N // 2) and S(N) from it: S(K) depends on
+    K alone.  The arguments are checked before any index array is
     allocated.
     """
     witness = _WitnessPass(p, q, N, [(p_star, q_star)])
@@ -406,9 +417,10 @@ def _sampled_trace(p: float, q: float, N: int, p_star: float,
     n = idx.astype(float)
     G = 1.0 + np.log(n)
     (a, b), = witness.powers
-    columns = (idx, witness.eps(n, G), n ** a * G ** b,
-               _power_log_sums(a, b, idx))
-    return columns, witness.report()
+    half = int(np.searchsorted(idx, N // 2))
+    sums = _power_log_sums(a, b, np.insert(idx, half, N // 2))
+    columns = (idx, witness.eps(n, G), n ** a * G ** b, np.delete(sums, half))
+    return columns, witness.report([sums[[half, -1]].tolist()])
 
 
 def witness_trace(p: float, q: float, N: int, p_star: float, q_star: float):

@@ -11,11 +11,11 @@ pairs.
 
 A check computes both sides of its ratio from library functions (the
 couples' profiles and K routes, ``interp.dyadic_norm``,
-``DerivedSumIntCouple.surrogate``) and holds no formula of its own.  There
-are two exceptions: ``oracle_agreement`` runs the descent on norms it
+``DerivedSumIntCouple.surrogate``, the Lorentz sum of
+``snum.lorentz_norm``) and holds no formula of its own, but for
+``oracle_agreement``'s reference norms: it runs the descent on norms it
 writes itself, since that descent is the reference the exact kernels are
-accepted against, and ``konig``'s right side writes the Lorentz sum over a
-batch of rows, which ``snum.lorentz_norm`` takes one row at a time.
+accepted against.
 
 A report is a dataclass, and one ``to_json`` serializes every report class:
 each field but ``trace`` (the per-sample rows, which the CLI writes as a
@@ -60,14 +60,14 @@ from ._descent import _t_grid, decomposition_infimum
 from ._seeding import generator, pcg64_states
 from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
                       _parse_p, _weighted_sup_batch, k_sphere_sup,
-                      l1_linf_couple, power_couple, stable_lp_sum)
+                      l1_linf_couple, power_couple)
 from .errors import (DomainError, EmptyReportError, InvariantError,
                      SizeError)
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, _check_theta_q,
                      derived_sum_int_couple, dyadic_norm, dyadic_weights,
                      sequence_couple_k)
-from .snum import (LorentzParams, k_operator_diag_batch, lorentz_norm,
-                   witness_report, witness_sequence)
+from .snum import (LorentzParams, _lorentz_rows, k_operator_diag_batch,
+                   lorentz_norm, witness_report, witness_sequence)
 
 __all__ = [
     "EquivReport", "DichotomyReport", "DistinctnessReport",
@@ -693,10 +693,7 @@ def check_konig(p0: float, p1: float, theta: float, q: float,
 
     def pair(length, S):
         KK = k_operator_diag_batch(S, t_grid, p0, p1, seed=seed)
-        n_idx = np.arange(1, length + 1, dtype=float)
-        rhs = stable_lp_sum(
-            np.broadcast_to(n_idx ** (1.0 / p - 1.0 / q), S.shape) * S, q)
-        return dyadic_norm(KK, grid, theta, q), rhs
+        return dyadic_norm(KK, grid, theta, q), _lorentz_rows(S, p, q)
 
     # the witness first: a witness_length above snum.WITNESS_MAX_N is
     # refused before the sweep draws anything

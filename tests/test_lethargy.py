@@ -217,8 +217,9 @@ class TestStrictnessWitness:
 
 
 def frozen_strictness_witness(N, params, n_min=-40, n_max=40):
-    """The per-N strictness witness as it was before the batched sweep:
-    one couple, two norms, one K(y, 1) and one validated profile per N."""
+    """The per-N strictness witness on the (l1, linf) kernel route: one
+    couple, two norms, one K(y, 1) and one validated profile per N, whose
+    sums add 1/N one term at a time."""
     if N < 1:
         raise DomainError("N must be >= 1")
     couple = l1_linf_couple(N)
@@ -230,39 +231,91 @@ def frozen_strictness_witness(N, params, n_min=-40, n_max=40):
                                      float(val))
 
 
+def exact_interp_norm(N, theta, q, n_min=-40, n_max=40):
+    """The (theta, q) norm of the exact profile min(2^n, N)/N, summed by
+    ``math.fsum``."""
+    terms = [2.0 ** (-theta * n) * min(2.0 ** n, N) / N
+             for n in range(n_min, n_max + 1)]
+    if q == math.inf:
+        return max(terms)
+    return math.fsum(v ** q for v in terms) ** (1.0 / q)
+
+
 SWEEP_LISTS = [
     [2 ** k for k in range(1, 11)],
     [1],
     [7, 3, 7, 1, 1000, 49, 3, 2, 513],      # unsorted, with duplicates
     list(range(1, 40)),
-    [4096, 1, 65536, 65537, 3, 100000],      # rows longer than a block
+    [4096, 1, 65536, 65537, 3, 100000],
 ]
+# the closed form costs nothing N-sized, so the cap is pinned too
+EXACT_LISTS = SWEEP_LISTS + [[2 ** 24 - 1, 2 ** 24]]
+
+
+def assert_exact(reps, params, n_min=-40, n_max=40):
+    for rep in reps:
+        assert rep.int_norm == 1.0
+        assert rep.sum_norm == 1.0 / rep.N
+        want = exact_interp_norm(rep.N, params.theta, params.q, n_min, n_max)
+        assert rep.interp_norm == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestStrictnessSweepBatched:
-    @pytest.mark.parametrize("cells", [None, 64, 1])
+    # n_max None is the default window -40..40; at n_max = 1 no t reaches
+    # most N, at 64 every t past 2^24 is in the window
+    @pytest.mark.parametrize("n_max", [None, 64, 1])
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
-    def test_equals_per_n_reference_bit_for_bit(self, cells, theta, q,
-                                                monkeypatch):
-        if cells is not None:
-            monkeypatch.setattr(lethargy, "_SWEEP_BLOCK_CELLS", cells)
+    def test_equals_per_n_reference_bit_for_bit(self, n_max, theta, q):
+        # the sweep gives each N the bits of the sweep of N alone, with the
+        # exact endpoint norms and the fsum norm of the exact profile
+        params = InterpParams(theta, q)
+        window = {} if n_max is None else {"n_max": n_max}
+        for N_list in EXACT_LISTS:
+            reps = strictness_sweep(N_list, params, **window)
+            assert reps == [strictness_witness(N, params, **window)
+                            for N in N_list]
+            assert_exact(reps, params, **window)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
+    def test_kernel_route_agrees_within_its_drift(self, theta, q):
+        # the kernel route sums 1/N one term at a time, so away from powers
+        # of two it drifts from the closed form: its int_norm is
+        # 0.9999999999999999 at N = 49, its interp_norm up to 1.9e-12 off
+        # at N = 10^5; the powers of two keep every bit
         params = InterpParams(theta, q)
         for N_list in SWEEP_LISTS:
-            want = [frozen_strictness_witness(N, params) for N in N_list]
-            assert strictness_sweep(N_list, params) == want
+            for rep in strictness_sweep(N_list, params):
+                old = frozen_strictness_witness(rep.N, params)
+                if rep.N & (rep.N - 1) == 0:
+                    assert rep == old
+                assert rep.int_norm == pytest.approx(old.int_norm, rel=1e-11)
+                assert rep.sum_norm == old.sum_norm
+                assert rep.interp_norm == pytest.approx(old.interp_norm,
+                                                        rel=1e-11)
 
     def test_other_window_bit_for_bit(self):
         params = InterpParams(0.4, 3.0)
-        want = [frozen_strictness_witness(N, params, -6, 9) for N in (5, 2)]
-        assert strictness_sweep([5, 2], params, -6, 9) == want
+        reps = strictness_sweep([5, 2], params, -6, 9)
+        assert reps == [strictness_witness(N, params, -6, 9) for N in (5, 2)]
+        assert_exact(reps, params, -6, 9)
 
-    def test_report_order_follows_n_list(self, monkeypatch):
-        monkeypatch.setattr(lethargy, "_SWEEP_BLOCK_CELLS", 64)
+    def test_report_order_follows_n_list(self):
         N_list = [9, 2, 100, 2, 1, 33, 9]
         reps = strictness_sweep(N_list, InterpParams(0.5, 1.0))
         assert [r.N for r in reps] == N_list
         assert all(type(r.N) is int for r in reps)
+
+    def test_sweep_at_the_cap_allocates_nothing_n_sized(self):
+        tracemalloc.start()
+        try:
+            rep, = strictness_sweep([2 ** 24], InterpParams(0.5, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert rep.sum_norm == 2.0 ** -24
 
     def test_witness_is_the_sweep_of_one(self):
         params = InterpParams(0.3, 2.0)
@@ -293,8 +346,14 @@ class TestStrictnessSweepBatched:
         assert peak < 2 ** 20
 
     def test_non_integer_n_refused(self):
-        with pytest.raises(TypeError):
+        # it raised a bare TypeError
+        with pytest.raises(DomainError, match="N must be an integer"):
             strictness_sweep([2.5], InterpParams(0.5, 1.0))
+
+    def test_boolean_n_refused(self):
+        # True read as N = 1
+        with pytest.raises(DomainError, match="N must be an integer"):
+            strictness_sweep([True, 2], InterpParams(0.5, 1.0))
 
 
 class TestLiftReadsOnlyItsPrefix:
@@ -335,6 +394,19 @@ class TestInputRefusals:
         with pytest.raises(DomainError, match="n_min must be an integer"):
             strictness_sweep([2], InterpParams(0.5, 1), n_min=-1.5,
                              n_max=1.5)
+
+    @pytest.mark.parametrize("N", [True, 1.5])
+    def test_lift_n_must_be_an_integer(self, N):
+        # True ran with N = 1, and 1.5 raised a bare TypeError from slicing
+        spec = DecaySpec([1.0, 0.5], [2, 2])
+        with pytest.raises(DomainError, match="N must be an integer"):
+            lift_sequence(spec, N)
+
+    @pytest.mark.parametrize("N", [True, 1.5])
+    def test_slow_k_n_must_be_an_integer(self, N):
+        # True ran with N = 1, and 1.5 raised a bare TypeError from slicing
+        with pytest.raises(DomainError, match="N must be an integer"):
+            slow_k_witness([1.0, 0.5, 0.25], N)
 
     @pytest.mark.parametrize("eps", [[0.5, 1.0, 0.25], [1.0, 0.5, -0.25]])
     def test_slow_k_epsilon_must_decrease_to_nonnegative(self, eps):

@@ -8,7 +8,8 @@ It combines three ingredients, all deterministic under a seed:
 
 * two one-parameter "clip" families, one per orientation: the part assigned
   to one side is the coordinatewise clip sign(x) * min(|x|, lam / scale),
-  the remainder goes to the other side.  The clip level lam is optimized by
+  with scale that side's norm of e_j, and the remainder goes to the other
+  side.  The clip level lam is optimized by
   one golden-section search over both families at once.  For the couples
   (l1, linf), (linf(w0), linf(w1)) and the unweighted (l1, lp) with p > 1
   the optimal decomposition lies on one of these families, so the search is
@@ -40,10 +41,10 @@ row of an (m*k, d) array.  The clip line search runs once over two blocks
 of those rows, one per family.  The 3 + ``budget`` starts then stack into S
 blocks of m*k rows, and each coordinate's golden-section search runs once
 over all S*m*k rows, so the number of norm calls does not grow with m, k
-or the budget: with the scales given it is
-6 + 2 (LINE_ITERS + 3) + 2 SWEEPS d (COORD_ITERS + 5): both norms at a = x,
-the clip search and one call per clip piece at the level it found, the
-coordinate steps, and both norms of the starts' final splits.  A coordinate
+or the budget: it is 8 + 2 (LINE_ITERS + 3) + 2 SWEEPS d (COORD_ITERS + 5),
+846 at d = 4: both norms at a = x, the probe of each norm for its clip
+scales, the clip search and one call per clip piece at the level it found,
+the coordinate steps, and both norms of the starts' final splits.  A coordinate
 step evaluates only its two segment ends besides its golden search, whose
 value at its minimum ``_golden_min`` returns.  The norm callables map an
 (n, d) array to n values for any n and must treat rows independently: row
@@ -168,9 +169,16 @@ def k_kernel(core):
     return kernel
 
 
-def probe_scales(norm: BatchNorm, dim: int) -> np.ndarray:
-    """Per-coordinate amplitude scales norm(e_j), j = 0..dim-1."""
-    return np.asarray(norm(np.eye(dim, order="F")), dtype=float)
+def probe_scales(norm: BatchNorm, n: int, d: int) -> np.ndarray:
+    """The amplitude scales norm(e_j) of n stacked rows, an (n, d) array.
+
+    The norm sees d blocks of the n rows, block j holding e_j in every row,
+    so row r of each block is laid out as stacked row r and a norm with a
+    weight row per X row returns that row's weights (a weighted lp norm
+    returns its weights, bit for bit); one norm call.
+    """
+    probe = _repeat_rows(np.eye(d), d, n)
+    return np.asarray(norm(probe), dtype=float).reshape(d, n).T
 
 
 def _repeat_rows(V: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -180,19 +188,23 @@ def _repeat_rows(V: np.ndarray, m: int, k: int) -> np.ndarray:
     return np.repeat(V.T, k, axis=1).T
 
 
-def _clip_search(X, T, norm0, norm1, scale0, scale1):
+def _clip_search(X, T, norm0, norm1):
     """The better start of the two clip families, and its line, per row.
 
-    One golden search runs over two stacked blocks of X's rows: rows
-    [0, n) clip the A1 side, sign(x) * min(|x|, lam / scale1), and rows
-    [n, 2n) clip the A0 side at ``scale0``; the remainder goes to the other
-    side.  Returns the A0 part of the better split, the A1 clip's on a tie,
-    and that split's line (norm0 of its A0 piece, norm1 of its A1 piece),
-    read from the two pieces at the level found: two norm calls.
+    Each norm's clip scales are its probe on e_j (``probe_scales``), 1
+    where that is 0.  One golden search runs over two stacked blocks of
+    X's rows: rows [0, n) clip the A1 side, sign(x) * min(|x|, lam /
+    scale1), and rows [n, 2n) clip the A0 side at scale0; the remainder
+    goes to the other side.  Returns the A0 part of the better split, the
+    A1 clip's on a tie, and that split's line (norm0 of its A0 piece,
+    norm1 of its A1 piece), read from the two pieces at the level found:
+    two norm calls.
     """
-    n = len(X)
-    XX, TT = np.concatenate([X, X]), np.concatenate([T, T])
+    n, d = X.shape
+    scale0, scale1 = (probe_scales(norm, n, d) for norm in (norm0, norm1))
     scale = np.concatenate([scale1, scale0])
+    scale = np.where(scale > 0, scale, 1.0)
+    XX, TT = np.concatenate([X, X]), np.concatenate([T, T])
     absx, sgn = np.abs(XX), np.sign(XX)
     clips_a1 = (np.arange(2 * n) < n)[:, None]
 
@@ -224,22 +236,20 @@ def decomposition_infimum(
     *,
     budget: int = 8,
     seed: int = 0,
-    scale0: np.ndarray | None = None,
-    scale1: np.ndarray | None = None,
 ):
     """Upper approximation of inf{norm0(a) + t*norm1(x-a)} for each row of X.
 
     ``X`` and ``T`` follow ``k_kernel``: a scalar or a 1-d T gives one t per
     row and an (m,) result; an (m, k) array, or a (1, k) grid shared by every
-    row, gives an (m, k) result.  ``scale0``/``scale1`` are the
-    per-coordinate amplitude scales of the two norms used by the clip
-    families, shared (d,) or per row (m, d); they default to probing the
-    norms on basis vectors.
+    row, gives an (m, k) result.  The clip families' amplitude scales are
+    the norms' own values on e_j, probed once per norm on every stacked row
+    (``probe_scales``), so a norm with a weight row per X row gets clip
+    scales per row.
 
-    The engine has no size guard of its own: every K entry point descends
-    through ``couples.descent_route``, which refuses rows wider than
-    ``couples.ORACLE_MAX_DIM``; ``verify.oracle_agreement`` calls the engine
-    directly with its own ``max_dim``.
+    The engine has no size guard of its own: its one caller in the library
+    is ``couples.descent_route``, whose kernel refuses rows wider than
+    ``couples.ORACLE_MAX_DIM`` and stacked problems larger than
+    ``couples.DESCENT_MAX_CELLS``.
 
     One golden search over two stacked blocks of the (row, t) rows finds
     the best split on both clip families; each coordinate step then
@@ -260,15 +270,7 @@ def decomposition_infimum(
     """
     m, d = X.shape
     k = T.shape[1]
-    if scale0 is None:
-        scale0 = probe_scales(norm0, d)
-    if scale1 is None:
-        scale1 = probe_scales(norm1, d)
-
-    # one row per (X row, t); per-row scales follow their row to each of
-    # its k values of t
-    scale0, scale1 = (_repeat_rows(np.where(s > 0, s, 1.0), m, k)
-                      for s in (scale0, scale1))
+    # one row per (X row, t)
     X = _repeat_rows(X, m, k)
     grid, T = T, np.broadcast_to(T, (m, k)).reshape(-1)
 
@@ -276,7 +278,7 @@ def decomposition_infimum(
     # a = 0, of the better clip and of each start's descent
     lines = [(norm0(X), 0.0), (0.0, norm1(X))]
     # Clip families in both orientations; keep the better split as a start.
-    clip_start, *clip_line = _clip_search(X, T, norm0, norm1, scale0, scale1)
+    clip_start, *clip_line = _clip_search(X, T, norm0, norm1)
     lines.append(clip_line)
 
     rng = np.random.default_rng(seed)

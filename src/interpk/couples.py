@@ -50,13 +50,14 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
   upper approximation, and it reports the band (1, 1) all the same; a grid
   answers each t by the lowest of its row's lines, at most the per-t value,
   so a descent profile is monotone by construction.  It is the one
-  place that builds a descent K: ``oracle`` couples, ``sequence_couple_k``
-  (so ``snum``'s diagonal K) and the derived couple call it with their two
-  norm callables and their own budget and seed, nothing else.  The engine
+  place that builds a descent K and the engine's one caller: ``oracle``
+  couples, ``sequence_couple_k`` (so ``snum``'s diagonal K), the derived
+  couple and ``verify.oracle_agreement`` call it with their two norm
+  callables and their own budget and seed, nothing else.  The engine
   derives its clip scales from the norms themselves (norm(e_j) = w_j for
   every weighted lp norm).  Its kernel refuses rows of more than
-  ``ORACLE_MAX_DIM`` (16) coordinates with SizeError before the engine
-  runs.
+  ``ORACLE_MAX_DIM`` (16) coordinates, and more than ``DESCENT_MAX_CELLS``
+  (2^19) stacked cells, with SizeError before the engine runs.
 
 A route carries its band: ``band[0] <= K_route / K_true <= band[1]``, (1, 1)
 for the exact routes.  The strategy names select what a couple may use:
@@ -125,6 +126,15 @@ _STRATEGY_ROUTES = {EXACT_L1_LINF: "l1_linf", WEIGHTED_SUP_LP: "weighted_sup",
                     POWER_COORDINATEWISE: "power"}
 
 ORACLE_MAX_DIM = 16
+# The most cells S*m*k*d one descent stacks: S = 3 + budget starts of m rows
+# at k values of t, d coordinates each.  A descent's peak RSS above its
+# inputs read 95 bytes per cell at d = 8 and up to 280 at d = 1, where the
+# line searches' per-row vectors outweigh the rows (a child process per
+# run, about 2^20 cells); so at the cap a descent holds about 150 MB at
+# most, and it runs 5 to 30 s (2 vCPUs, numpy 2.4).  The cap does not bound
+# the lower envelope's m*k^2 pass over a grid: one row at d = 1 on 2^16
+# values of t took 10.6 s.
+DESCENT_MAX_CELLS = 2 ** 19
 
 # cells (table rows x t values x coordinates) per block of the power
 # kernel's factor table
@@ -133,6 +143,8 @@ _POWER_CHUNK_CELLS = 2 ** 14
 # the least positive float: a floor for a divisor that leaves every
 # positive value as it is
 _SMALLEST = 5e-324
+# the least positive normal float
+_NORMAL = 2.0 ** -1022
 # the largest float: a ceiling for a divisor that leaves every finite value
 # as it is
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -330,14 +342,25 @@ def descent_route(dense0, dense1, *, budget: int, seed: int) -> KRoute:
     lines there, at most the per-t value.  The engine probes each norm
     on the basis vectors for its clip scales; for a weighted lp norm that
     probe is the weights, bit for bit, whatever the exponent.  Its kernel
-    refuses rows wider than ``ORACLE_MAX_DIM`` with SizeError before the
-    engine runs; this is the one size guard of every descent K.  The
-    engine is looked up when the kernel runs and gets the norms
-    positionally, so a wrapper installed on it (a tracer that counts norm
-    calls) sees every descent."""
+    refuses, with SizeError before the engine runs, rows wider than
+    ``ORACLE_MAX_DIM`` and a stacked problem of more than
+    ``DESCENT_MAX_CELLS`` cells (3 + budget starts, m rows, k values of t
+    per row, d coordinates).  It is the one caller of the engine, so this
+    is the one size guard of every descent K, ``verify.oracle_agreement``'s
+    reference included.  The engine is looked up when the kernel runs and
+    gets the norms positionally, so a wrapper installed on it (a tracer
+    that counts norm calls) sees every descent."""
     def kernel(X, T):
-        if np.shape(X)[-1] > ORACLE_MAX_DIM:
+        shape = np.shape(X)
+        if shape[-1] > ORACLE_MAX_DIM:
             raise SizeError(f"oracle limited to dimension {ORACLE_MAX_DIM}")
+        m = shape[0] if len(shape) == 2 else 1
+        k = np.shape(T)[1] if np.ndim(T) == 2 else 1
+        cells = (3 + max(0, int(budget))) * m * k * shape[-1]
+        if cells > DESCENT_MAX_CELLS:
+            raise SizeError(f"descent of {cells} cells (starts x rows x t "
+                            f"values x coordinates) exceeds the cap "
+                            f"{DESCENT_MAX_CELLS}")
         return decomposition_infimum(X, T, dense0, dense1, budget=budget,
                                      seed=seed)
     return KRoute("descent", kernel, exact=False)
@@ -667,7 +690,13 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     f_i = u.  The outer 1/s power damps the error of the ratio's s-th
     power, so f_i is within one unit in the last place for normal u and v
     (2.2e-16 relative at most against 60-digit decimal on 4,000 pairs per
-    p, p from 1.0001 to 7, u and v across 2^+-1000).  Since
+    p, p from 1.0001 to 7, u and v across 2^+-1000).  Where some t w1_i of
+    a (row, t) cell is subnormal, v keeps fewer bits than the weights give
+    (7.6e-5 relative error at p = 0.5 for t w1_i near 2^-1062), so there u
+    and t are first scaled by a power of two c that brings the least t w1_i
+    to the normal range, as far as no u or v overflows, and K_p by 1/c
+    (``_subnormal_scale``); every other cell has c = 1 and keeps its
+    bits.  Since
     c_i^p = |x_i|^p f_i^p, no power is taken per (row, t, coordinate) cell:
 
     * the row table (|x_i| / a)^p, one row per vector, with a its largest
@@ -707,25 +736,46 @@ def _power_batch(X, T, p, w0, w1) -> np.ndarray:
     W1 = w1[..., None, :]
     step = max(1, _POWER_CHUNK_CELLS // max(n * d, 1))
     for j in range(0, k, step):
+        t, uc, c = T[:, j:j + step, None], u, None
         with np.errstate(over="ignore"):
-            v = T[:, j:j + step, None] * W1    # an inf v loses the min
-        f = np.minimum(u, v)
+            v = t * W1                          # an inf v loses the min
+            if v.min() < _NORMAL:               # some t w1_i is subnormal
+                c = _subnormal_scale(t, u, v, W1)
+                uc, v = u * c, (t * c) * W1
+        f = np.minimum(uc, v)
         if p == 1.0:
-            out[:, j:j + step] = np.matmul(rows, f[..., None])[..., 0, 0]
-            continue
-        if p > 1.0:
-            s = p / (p - 1.0)
-            f *= (1.0 + (f / np.maximum(u, v)) ** s) ** (-1.0 / s)
-        b = np.maximum.reduce(f, axis=2, keepdims=True)
-        F = (f / np.maximum(b, _SMALLEST)) ** p
-        S = np.matmul(rows, F[..., None])[..., 0, 0]
-        K = a * b[..., 0] * S ** (1.0 / p)
-        low = S < floor
-        if low.any():
-            r, c = np.nonzero(low)
-            K[r, c] = stable_lp_sum(absx[r] * f[r if len(f) > 1 else 0, c], p)
-        out[:, j:j + step] = K
+            K = np.matmul(rows, f[..., None])[..., 0, 0]
+        else:
+            if p > 1.0:
+                s = p / (p - 1.0)
+                f *= (1.0 + (f / np.maximum(uc, v)) ** s) ** (-1.0 / s)
+            b = np.maximum.reduce(f, axis=2, keepdims=True)
+            F = (f / np.maximum(b, _SMALLEST)) ** p
+            S = np.matmul(rows, F[..., None])[..., 0, 0]
+            K = a * b[..., 0] * S ** (1.0 / p)
+            low = S < floor
+            if low.any():
+                r, i = np.nonzero(low)
+                K[r, i] = stable_lp_sum(
+                    absx[r] * f[r if len(f) > 1 else 0, i], p)
+        out[:, j:j + step] = K if c is None else K / c[..., 0]
     return out
+
+
+def _subnormal_scale(t, u, v, W1):
+    """The power of two c per (row, t) cell of ``_power_batch``'s factor
+    table, v = t w1, with a trailing axis: 1 where no t w1_i is subnormal,
+    else the one that lifts the least t w1_i to at least 2^-1021, lowered
+    as far as needed to keep every c u_i and c t w1_i at most 2^1022 (but
+    not below 1).  The exponents are read from log2 of t and of w1, not of
+    v, which is the value that lost its bits."""
+    log_v = np.log2(t) + np.log2(W1)
+    lo = np.min(log_v, axis=2, keepdims=True)
+    hi = np.max(np.maximum(np.log2(u), log_v), axis=2, keepdims=True)
+    e = np.maximum(0.0, np.minimum(-1021.0 - np.floor(lo),
+                                   1022.0 - np.ceil(hi)))
+    subnormal = np.any(v < _NORMAL, axis=2, keepdims=True)
+    return np.exp2(np.where(subnormal, e, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,14 @@ DIVERGING = "diverging"
 CONVERGING = "converging"
 INDETERMINATE = "indeterminate"
 
-# trend thresholds: absolute increment for "diverging", tail share for
-# "converging"; indicators only, stated as such in reports
+# trend thresholds: absolute increment for "diverging" (at most: past N of
+# about 2^19 it follows the slowest divergent summand, see
+# ``_membership``), tail share for "converging"; indicators only, stated as
+# such in reports
 DIVERGENCE_INCREMENT = 0.05
 CONVERGENCE_TAIL_RATIO = 0.01
+# the share of ln(G(N) / G(N // 2)) a diverging probe must add
+_DIVERGENCE_SHARE = 1.0 - 2.0 ** -16
 
 # indices per block of ``witness_sequence``'s eps, and counts per block of
 # ``_power_log_sums``
@@ -203,11 +207,38 @@ class WitnessReport:
     probes: tuple[MembershipProbe, ...]
 
 
-def _membership(p_star: float, q_star: float, half: float,
-                total: float) -> MembershipProbe:
-    """The probe with its trend flag, by the rule in ``witness_sequence``."""
+def _membership(p_star: float, q_star: float, half: float, total: float,
+                N: int) -> MembershipProbe:
+    """The probe with its trend flag, by the rule in ``witness_sequence``.
+
+    A probe reads ``diverging`` when its increment I = S(N) - S(N // 2)
+    is at least min(DIVERGENCE_INCREMENT, kappa * l(N)), with
+    l(N) = ln(G(N) / G(M)), G(n) = 1 + ln n and M = N // 2.  l(N) is the
+    integral from M to N of f(x) = 1 / (x G(x)), the slowest divergent
+    summand n^-1 G^b (b = -1, the default probe's; b > -1 adds more).
+    Its sum grows like ln G(N), and l(N) falls below 0.05 past
+    N = 2^19 (0.0478 at 2^20, 0.0401 at 2^24), so a fixed 0.05 read it
+    ``indeterminate`` there.  kappa comes from the Euler-Maclaurin gap
+    between f's sum and its integral: f is decreasing and convex, so the
+    trapezoid rule overestimates each unit step's integral, and
+    l(N) <= I + (f(M) - f(N)) / 2.  With l(N) >= ln 2 / (G(M) + ln 2),
+    the relative gap f(M) / (2 l(N)) is below (1 + ln 2 / G(M)) /
+    (2 M ln 2) < 1 / M for M >= 4.  kappa * l(N) < 0.05 only where
+    N > 2^19, so M >= 2^18 and the gap is below 2^-18; kappa = 1 - 2^-16
+    leaves three quarters of its margin to the rounding of the sums (about
+    1e-15 of S(N)).  For N <= 2^19, kappa * l(N) >= 0.05015, so the
+    threshold there is DIVERGENCE_INCREMENT alone.
+
+    What it cannot separate, at N = 2^24 and a = -1 (bisected on the
+    computed sums): a convergent b in [-1.0000053, -1) still reads
+    ``diverging``, its increment within 1 - kappa of l(N); b in
+    (-1.0771, -1.0000053) reads ``indeterminate``; ``converging`` needs
+    b <= -1.0771.
+    """
     increment = total - half
-    if increment >= DIVERGENCE_INCREMENT:
+    G = 1.0 + math.log(N)
+    if increment >= min(DIVERGENCE_INCREMENT, _DIVERGENCE_SHARE
+                        * math.log(G / (1.0 + math.log(N // 2)))):
         flag = DIVERGING
     elif increment <= CONVERGENCE_TAIL_RATIO * total:
         flag = CONVERGING
@@ -342,7 +373,7 @@ class _WitnessPass:
             counts = np.array([self.N // 2, self.N])
             sums = [_power_log_sums(a, b, counts).tolist()
                     for a, b in self.powers]
-        probes = tuple(_membership(p_star, q_star, *pair)
+        probes = tuple(_membership(p_star, q_star, *pair, self.N)
                        for (p_star, q_star), pair
                        in zip(self.probe_params, sums))
         return WitnessReport(float(self.p), float(self.q), int(self.N), probes)
@@ -373,8 +404,11 @@ def witness_sequence(p: float, q: float, N: int,
 
     For each probe (p*, q*) the summand (n^{1/p* - 1/q*} eps_n)^{q*} is
     summed; a probe is flagged ``diverging`` when the second half of the
-    range still adds at least 0.05 to the partial sum, ``converging`` when
-    that tail is at most 1% of the total, and ``indeterminate`` in between.
+    range still adds at least min(0.05, kappa ln(G(N) / G(N // 2))) to the
+    partial sum, G(n) = 1 + ln n and kappa = 1 - 2^-16 (``_membership``:
+    the second term is the slowest divergent summand's share, and sets the
+    threshold only past N of about 2^19), ``converging`` when that tail is
+    at most 1% of the total, and ``indeterminate`` in between.
     eps is computed over blocks of ``_WITNESS_BLOCK`` indices, so besides
     ``eps`` the call holds about one block, whatever N and the number of
     probes; the sums come from ``_power_log_sums``.

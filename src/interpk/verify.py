@@ -15,7 +15,8 @@ couples' profiles and K routes, ``interp.dyadic_norm``,
 ``snum.lorentz_norm``) and holds no formula of its own, but for
 ``oracle_agreement``'s reference norms: it runs the descent on norms it
 writes itself, since that descent is the reference the exact kernels are
-accepted against.
+accepted against.  That descent, like every other, is the kernel of
+``couples.descent_route``, under its size guard.
 
 A report is a dataclass, and one ``to_json`` serializes every report class:
 each field but ``trace`` (the per-sample rows, which the CLI writes as a
@@ -56,11 +57,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._descent import _t_grid, decomposition_infimum
+from ._descent import _t_grid
 from ._seeding import generator, pcg64_states
 from .couples import (Couple, FiniteVector, _l1_linf_batch, _n_window,
-                      _parse_p, _weighted_sup_batch, k_sphere_sup,
-                      l1_linf_couple, power_couple)
+                      _parse_p, _weighted_sup_batch, descent_route,
+                      k_sphere_sup, l1_linf_couple, power_couple)
 from .errors import (DomainError, EmptyReportError, InvariantError,
                      SizeError)
 from .interp import (DEFAULT_N_MAX, DEFAULT_N_MIN, _check_theta_q,
@@ -825,6 +826,10 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
     Per sample: a random dimension <= max_dim, a random t in [2^-6, 2^6],
     and either the unweighted (l1, linf) couple or (linf(w0), linf(w1)) with
     seeded log-uniform weights.  Returns the worst relative errors per kind.
+    The reference is one ``couples.descent_route`` kernel call per kind on
+    the kind's norms, whose probe on e_j gives the clip scales (the
+    weights, 1 on the padding); so a kind whose largest sampled dimension
+    exceeds ``couples.ORACLE_MAX_DIM`` raises SizeError.
     """
     if count < 2:
         raise DomainError(f"count must be >= 2 (samples alternate between "
@@ -856,15 +861,14 @@ def oracle_agreement(count: int = 200, max_dim: int = 8, seed: int = 0,
             exact = _l1_linf_batch(X, T)
             n0 = lambda A: np.add.reduce(np.abs(A), axis=1)
             n1 = lambda A: np.maximum.reduce(np.abs(A), axis=1)
-            W0 = W1 = np.ones(n)
         else:
             exact = _weighted_sup_batch(X, T, W0, W1)
-            # the descent stacks its starts as blocks of len(X) rows: the
-            # weights broadcast over the blocks
+            # the descent stacks its starts, and its probe of e_j, as blocks
+            # of len(X) rows: the weights broadcast over the blocks, and the
+            # probe reads them back as the clip scales
             n0 = lambda A: _block_weighted_sup(A, W0)
             n1 = lambda A: _block_weighted_sup(A, W1)
-        oracle = decomposition_infimum(X, T, n0, n1, budget=budget,
-                                       seed=seed, scale0=W0, scale1=W1)
+        oracle = descent_route(n0, n1, budget=budget, seed=seed).kernel(X, T)
         keep = exact > 1e-300
         worst[kind] = float(np.max(
             np.abs(oracle[keep] - exact[keep]) / exact[keep]))

@@ -74,7 +74,7 @@ def test_criterion_02_surrogate_band():
                     return np.sum((W * np.abs(A)) ** p, axis=1) ** (1.0 / p)
 
                 oracle = decomposition_infimum(X, T, n0, n1, budget=4,
-                                               seed=d, scale0=W0, scale1=W1)
+                                               seed=d)
                 ratio = kp / oracle
                 assert np.all(ratio >= 1.0 / band - 1e-12), (p, ratio.min())
                 # for p >= 1, K_p <= K <= descent: the surrogate never

@@ -2,6 +2,8 @@ import decimal
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -596,12 +598,12 @@ class TestKRoute:
         grid = DYADIC[None, 15:26]
         got = c.route.kernel(V, grid)
         want = decomposition_infimum(V, grid, n0.dense, n1.dense, budget=8,
-                                     seed=0, scale0=w0, scale1=w1)
+                                     seed=0)
         assert np.array_equal(got, want)
         assert np.array_equal(c.profile_batch(V, grid[0]), want)
         got = sequence_couple_k(V, 0.5, p0, w0, p1, w1, budget=2, seed=4)
         want = decomposition_infimum(V, 0.5, n0.dense, n1.dense, budget=2,
-                                     seed=4, scale0=w0, scale1=w1)
+                                     seed=4)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("p", [1.25, 2.0, 3.0])
@@ -910,6 +912,69 @@ class TestDescentSizeGuard:
             assert np.all(np.isfinite(call()))
         assert widths == [couples.ORACLE_MAX_DIM] * 6
 
+    def test_cells_above_the_cap_refused(self, monkeypatch):
+        # S * m * k * d cells: 3 + budget starts, m rows, k values of t per
+        # row and d coordinates; the cap is checked before the engine runs
+        cap = couples.DESCENT_MAX_CELLS
+        n = WeightedNorm(0.5, 0, np.ones(4))
+        route = descent_route(n.dense, n.dense, budget=5, seed=0)
+        sizes = []
+        monkeypatch.setattr(couples, "decomposition_infimum",
+                            lambda X, T, *args, **kw: sizes.append(
+                                (np.shape(X), np.shape(T))))
+        pairs = cap // (8 * 4)                  # (row, t) pairs that fit
+        for X, T in ((np.ones((pairs, 4)), 0.5),
+                     (np.ones((1, 4)), np.ones((1, pairs))),
+                     (np.ones(4), np.ones((1, pairs))),
+                     (np.ones((2, 4)), np.ones((2, pairs // 2)))):
+            route.kernel(X, T)
+        assert len(sizes) == 4
+        for X, T in ((np.ones((pairs + 1, 4)), 0.5),
+                     (np.ones((1, 4)), np.ones((1, pairs + 1))),
+                     (np.ones(4), np.ones((1, pairs + 1))),
+                     (np.ones((2, 4)), np.ones((2, pairs // 2 + 1)))):
+            with pytest.raises(SizeError, match=f"exceeds the cap {cap}"):
+                route.kernel(X, T)
+        # a negative budget runs the three canonical starts only
+        route = descent_route(n.dense, n.dense, budget=-2, seed=0)
+        route.kernel(np.ones((cap // 12, 4)), 0.5)
+        with pytest.raises(SizeError, match=f"{3 * (cap // 12 + 1) * 4} "):
+            route.kernel(np.ones((cap // 12 + 1, 4)), 0.5)
+        # an oracle couple descends at budget 8: 11 starts
+        c = Couple(WeightedNorm(0.5, 0, np.ones(16)),
+                   WeightedNorm(0.9, 0, np.ones(16)), ORACLE)
+        grid = 2.0 ** np.linspace(-8, 8, cap // (11 * 16) + 1)
+        with pytest.raises(SizeError, match="exceeds the cap"):
+            c.profile_batch(np.ones((1, 16)), grid)
+        assert len(sizes) == 5
+
+    def test_a_descent_just_under_the_cap_keeps_its_memory(self):
+        # d = 1 costs the most bytes per cell: the line searches' per-row
+        # vectors outweigh the rows.  A child process reports its peak RSS
+        # (kB) before and after one descent of just under the cap, which
+        # must stay within the 300 bytes per cell the cap was set from
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from interpk.couples import (DESCENT_MAX_CELLS, WeightedNorm,\n"
+            "                             descent_route)\n"
+            "n0 = WeightedNorm(1.0, 0, [1.0])\n"
+            "n1 = WeightedNorm('inf', 0, [2.0])\n"
+            "X = np.random.default_rng(0).standard_normal(\n"
+            "    (DESCENT_MAX_CELLS // 3, 1))\n"
+            "route = descent_route(n0.dense, n1.dense, budget=0, seed=0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "K = route.kernel(X, 0.5)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(before, after, K.shape[0])\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after, rows = map(int, proc.stdout.split())
+        cap, cells = couples.DESCENT_MAX_CELLS, 3 * rows
+        assert cap - 3 < cells <= cap
+        assert (after - before) * 1024 <= 300 * cells, (after - before) / 1024
+
 
 class TestRowWidth:
     """K refuses rows that do not span the window with WindowError, on
@@ -981,8 +1046,7 @@ class TestL1LpKernel:
             n0, n1 = WeightedNorm(1.0, 0, w0), WeightedNorm(p, 0, w1)
             got = _l1_lp_batch(X, grid, p, w0, w1)
             ref = decomposition_infimum(X, grid, n0.dense, n1.dense,
-                                        budget=16, seed=d, scale0=w0,
-                                        scale1=w1)
+                                        budget=16, seed=d)
             assert np.all(got <= ref * (1 + 1e-12)), (p, d)
             assert np.all(got >= 0.0)
 
@@ -1013,7 +1077,7 @@ class TestL1LpKernel:
             got, grid * sequence_couple_k(V, 1.0 / grid, 1.0, w1, 2.5, w0))
         n0, n1 = WeightedNorm(2.5, 0, w0), WeightedNorm(1.0, 0, w1)
         ref = decomposition_infimum(V, grid, n0.dense, n1.dense, budget=16,
-                                    seed=1, scale0=w0, scale1=w1)
+                                    seed=1)
         assert np.all(got <= ref * (1 + 1e-12))
         for i, v in enumerate(V):
             for j, t in enumerate(grid[0]):
@@ -1238,6 +1302,64 @@ class TestPowerCoordinatewise:
                 want = decimal_oracle_power(x, t, p, w0, w1)
                 gap = abs(decimal.Decimal(float(k)) - want) / want
                 assert gap <= decimal.Decimal("1e-15"), (p, d, float(gap))
+
+    @staticmethod
+    def decimal_k(x, t, p, w0, w1):
+        """K_p at 60 digits with the factor of each p: min(u, v) for
+        p <= 1, ``decimal_oracle_power``'s otherwise."""
+        if p > 1.0:
+            return decimal_oracle_power(x, t, p, w0, w1)
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+            return sum((abs(D(xi)) * min(D(a), D(t) * D(b))) ** D(p)
+                       for xi, a, b in zip(x, w0, w1)) ** (1 / D(p))
+
+    @classmethod
+    def assert_within_4_ulp(cls, got, x, t, p, w0, w1):
+        want = cls.decimal_k(x, t, p, w0, w1)
+        gap = abs(decimal.Decimal(float(got)) - want)
+        assert gap <= 4 * decimal.Decimal(math.ulp(float(want))), (
+            p, t, float(gap / want))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_subnormal_t_w1_keeps_its_digits(self, p):
+        # t w1_i near 2^-1062 is subnormal, with 12 of its 53 bits: the
+        # kernel read 7.6e-5 relative error here before it scaled t and
+        # the weights by a power of two
+        x = np.array([2.0 ** 100, 1.5 * 2.0 ** 100])
+        w0, w1 = np.ones(2), np.array([1.3 * 2.0 ** -40, 1.7 * 2.0 ** -41])
+        t = 2.0 ** -1022
+        got = _power_batch(x, t, p, w0, w1)[0]
+        self.assert_within_4_ulp(got, x, t, p, w0, w1)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("weights", ["shared", "per_row"])
+    def test_only_cells_with_a_subnormal_factor_move(self, p, weights):
+        # t w1_i spans 2^-1066..2^-1058 at t = 2^-1022 and is normal at
+        # t = 2^-900: a cell of the second kind keeps the bits it has in a
+        # call of its own, which takes no scaled path; one of the first
+        # kind lies within 4 ulp of decimal
+        rng = np.random.default_rng(48)
+        m, d = 6, 5
+        X = rng.standard_normal((m, d)) * 2.0 ** 100
+        shape = d if weights == "shared" else (m, d)
+        w0 = 2.0 ** rng.uniform(-4, 4, shape)
+        w1 = 2.0 ** rng.uniform(-44, -36, shape)
+        E = rng.choice([-1022.0, -900.0], (m, 4))
+        E[0] = [-1022.0, -900.0, -1022.0, -900.0]
+        T = 2.0 ** E
+        got = _power_batch(X, T, p, w0, w1)
+        for r in range(m):
+            rw0, rw1 = (w0, w1) if weights == "shared" else (w0[r], w1[r])
+            for j, t in enumerate(T[r]):
+                if t == 2.0 ** -900:
+                    alone = _power_batch(X[r], t, p, rw0, rw1)
+                    assert alone.tobytes() == got[r, j:j + 1].tobytes()
+                else:
+                    self.assert_within_4_ulp(got[r, j], X[r], t, p, rw0,
+                                             rw1)
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 60.0])
     @pytest.mark.parametrize("weights", ["shared", "per_row"])

@@ -61,9 +61,9 @@ def _loop_lines(X, T, norm0, norm1, *, budget, seed, scale0, scale1,
     if d == 0:
         return np.zeros(m), np.zeros(m), np.zeros(m)
     if scale0 is None:
-        scale0 = probe_scales(norm0, d)
+        scale0 = probe_scales(norm0, m, d)
     if scale1 is None:
-        scale1 = probe_scales(norm1, d)
+        scale1 = probe_scales(norm1, m, d)
     scale0 = np.where(scale0 > 0, scale0, 1.0)
     scale1 = np.where(scale1 > 0, scale1, 1.0)
 
@@ -162,9 +162,12 @@ class TestAgainstLoopOracle:
             T = GRID[None, :]
         elif T == "row_grid":
             T = 2.0 ** rng.uniform(-3, 3, (5, 4))
-        kw = dict(budget=2, seed=3, scale0=n0.weights, scale1=n1.weights)
-        got = decomposition_infimum(X, T, n0.dense, n1.dense, **kw)
-        want = loop_oracle_descent(X, T, n0.dense, n1.dense, **kw)
+        # the engine's probe gives the weights the loop form is handed
+        got = decomposition_infimum(X, T, n0.dense, n1.dense, budget=2,
+                                    seed=3)
+        want = loop_oracle_descent(X, T, n0.dense, n1.dense, budget=2,
+                                   seed=3, scale0=n0.weights,
+                                   scale1=n1.weights)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -191,9 +194,10 @@ class TestAgainstLoopOracle:
         W1 = 2.0 ** rng.uniform(-3, 3, (6, 3))
         T = 2.0 ** rng.uniform(-3, 3, 6) if T == "per_row" else GRID[None, :]
         k = np.shape(T)[-1] if np.ndim(T) == 2 else 1
+        # the engine probes the weight rows the loop form is handed
         got = decomposition_infimum(
             X, T, _row_weight_norm(W0, 2.0, k), _row_weight_norm(W1, 1.0, k),
-            budget=2, seed=4, scale0=W0, scale1=W1)
+            budget=2, seed=4)
         # the loop form sees m rows per call, one t at a time
         want = loop_oracle_descent(
             X, T, _row_weight_norm(W0, 2.0), _row_weight_norm(W1, 1.0),
@@ -263,8 +267,8 @@ class TestGridCallers:
 
 
 class TestProbedScales:
-    """The engine's probe of a weighted lp norm on e_j is its weights, so
-    ``couples.descent_route`` passes no clip scales of its own."""
+    """The engine's probe of a weighted lp norm on e_j is its weights, on
+    every stacked row, so no caller passes clip scales."""
 
     @staticmethod
     def wide_weights(rng, d):
@@ -276,8 +280,8 @@ class TestProbedScales:
         rng = np.random.default_rng(41)
         for d in (1, 2, 7, 16, 21):
             w = self.wide_weights(rng, d)
-            got = probe_scales(WeightedNorm(p, 0, w).dense, d)
-            assert got.tobytes() == w.tobytes(), (p, d)
+            got = probe_scales(WeightedNorm(p, 0, w).dense, 3, d)
+            assert got.tobytes() == np.tile(w, (3, 1)).tobytes(), (p, d)
 
     @pytest.mark.parametrize("p0, p1", [(2.0, 3.0), (0.5, 2.0), (0.5, 0.5)])
     def test_oracle_profile_equals_the_weighted_scales(self, p0, p1):
@@ -288,18 +292,21 @@ class TestProbedScales:
         assert couple.route.name == "descent"
         X = rng.standard_normal((3, 6))
         got = couple.profile_batch(X, GRID)
-        want = decomposition_infimum(X, GRID[None, :], couple.norm0.dense,
+        # the C-ordered engine, bit for bit below 8 coordinates, handed the
+        # weights as its scales
+        with np.errstate(over="ignore"):
+            want = reference_descent(X, GRID[None, :], couple.norm0.dense,
                                      couple.norm1.dense, budget=8, seed=0,
                                      scale0=w0, scale1=w1)
         assert got.tobytes() == want.tobytes()
 
 
 class TestNormCalls:
-    """The norm calls of one descent with its scales given: both norms at
-    a = x, one golden search over both clip families and one call per clip
-    piece at the level found, two endpoint candidates per coordinate step
-    besides the coordinate's golden search, and both norms of each final
-    split."""
+    """The norm calls of one descent: both norms at a = x, one probe of
+    each norm for its clip scales, one golden search over both clip
+    families and one call per clip piece at the level found, two endpoint
+    candidates per coordinate step besides the coordinate's golden search,
+    and both norms of each final split."""
 
     @pytest.mark.parametrize("d", [1, 4, 7])
     @pytest.mark.parametrize("T", ["per_row", "grid"])
@@ -318,11 +325,13 @@ class TestNormCalls:
             return call
 
         decomposition_infimum(X, T, counted(n0.dense), counted(n1.dense),
-                              budget=3, seed=0, scale0=n0.weights,
-                              scale1=n1.weights)
-        calls = 6 + 2 * (LINE_ITERS + 3) + 2 * SWEEPS * d * (COORD_ITERS + 5)
+                              budget=3, seed=0)
+        calls = 8 + 2 * (LINE_ITERS + 3) + 2 * SWEEPS * d * (COORD_ITERS + 5)
         assert len(seen) == calls
-        assert d != 4 or calls == 844       # oracle_agreement's max_dim
+        assert d != 4 or calls == 846       # oracle_agreement's max_dim
+        # after both norms at a = x, each probe hands its norm d blocks of
+        # the 5 * k stacked rows
+        assert seen[:4] == [5 * k, 5 * k, d * 5 * k, d * 5 * k]
         # the clip search sees both families' rows in one call, and reads
         # the line of the level it found from one call per piece
         assert seen.count(2 * 5 * k) == 2 * (LINE_ITERS + 3) + 2
@@ -515,11 +524,12 @@ class TestAgainstCOrderedEngine:
                               if weighted else np.ones(d))
             X = rng.standard_normal((4, d))
             T = _t_of_kind(("scalar", "per_row", "grid")[case % 3], 4, rng)
-            # probed scales on even cases, the weights on odd ones
+            # the engine probes its scales; the reference probes on even
+            # cases and is handed the weights on odd ones
             kw = dict(budget=budget, seed=case)
+            got = decomposition_infimum(X, T, n0.dense, n1.dense, **kw)
             if case % 2:
                 kw.update(scale0=n0.weights, scale1=n1.weights)
-            got = decomposition_infimum(X, T, n0.dense, n1.dense, **kw)
             want = reference_descent(X, T, n0.dense, n1.dense, **kw)
             assert got.shape == want.shape
             assert np.array_equal(got, want), (p1, budget, d)
@@ -537,10 +547,10 @@ class TestAgainstCOrderedEngine:
             k = np.shape(T)[-1] if np.ndim(T) == 2 else 1
             n0 = _row_weight_norm(W0, 1.5, k)
             n1 = _row_weight_norm(W1, 1.0, k)
-            kw = dict(budget=3, seed=6, scale0=W0, scale1=W1)
             assert np.array_equal(
-                decomposition_infimum(X, T, n0, n1, **kw),
-                reference_descent(X, T, n0, n1, **kw))
+                decomposition_infimum(X, T, n0, n1, budget=3, seed=6),
+                reference_descent(X, T, n0, n1, budget=3, seed=6, scale0=W0,
+                                  scale1=W1))
 
     @pytest.mark.parametrize("d", [8, 12, 20])
     def test_close_from_eight_coordinates(self, d):
@@ -550,9 +560,11 @@ class TestAgainstCOrderedEngine:
         for p0, p1 in ((1.5, 3.0), (0.5, 2.0), (2.0, 1.0), (1.0, np.inf)):
             n0 = WeightedNorm(p0, 0, 2.0 ** rng.uniform(-2, 2, d))
             n1 = WeightedNorm(p1, 0, 2.0 ** rng.uniform(-2, 2, d))
-            kw = dict(budget=2, seed=d, scale0=n0.weights, scale1=n1.weights)
-            got = decomposition_infimum(X, T, n0.dense, n1.dense, **kw)
-            want = reference_descent(X, T, n0.dense, n1.dense, **kw)
+            got = decomposition_infimum(X, T, n0.dense, n1.dense, budget=2,
+                                        seed=d)
+            want = reference_descent(X, T, n0.dense, n1.dense, budget=2,
+                                     seed=d, scale0=n0.weights,
+                                     scale1=n1.weights)
             assert np.max(np.abs(got - want) / want) <= 1e-8, (p0, p1)
 
     @pytest.mark.parametrize("d", [8, 12, 20])
@@ -590,8 +602,7 @@ class TestAgainstCOrderedEngine:
                 return norm(A)
             return call
 
-        # without scales the descent also probes the norms on e_j
-        for kw in ({}, dict(scale0=n0.weights, scale1=n1.weights)):
-            decomposition_infimum(X, T, recording(n0.dense),
-                                  recording(n1.dense), budget=2, seed=0, **kw)
+        # the probe of the norms on e_j included
+        decomposition_infimum(X, T, recording(n0.dense), recording(n1.dense),
+                              budget=2, seed=0)
         assert len(seen) > 100 and all(seen)

@@ -474,6 +474,51 @@ class TestClosedFormSummand:
         assert math.isinf(rep.probes[1].total_sum) is (N > 1349)
 
 
+class TestDivergenceThreshold:
+    """The diverging threshold min(0.05, kappa l(N)) follows the slowest
+    divergent summand n^-1 G^-1 past N of about 2^19, and is 0.05 below."""
+
+    @staticmethod
+    def ell(N):
+        N = np.asarray(N)
+        return np.log((1.0 + np.log(N)) / (1.0 + np.log(N // 2)))
+
+    def test_threshold_is_the_fixed_one_up_to_2_19(self):
+        N = np.arange(4, 2 ** 19 + 1)
+        assert np.all(snum._DIVERGENCE_SHARE * self.ell(N)
+                      >= DIVERGENCE_INCREMENT)
+        assert snum._DIVERGENCE_SHARE * self.ell(2 ** 20) < 0.048
+
+    @pytest.mark.parametrize("N", [4, 1025, 2 ** 16, 2 ** 19, 2 ** 19 + 1,
+                                   546996, 2 ** 20, 2 ** 22 + 3,
+                                   2 ** 24 - 1, 2 ** 24])
+    def test_default_probe_diverges_at_every_length(self, N):
+        # the probe (p, q) is the summand n^-1 G^-1 itself; its increment
+        # stays within the Euler-Maclaurin gap, below 1 - kappa, of l(N)
+        probe, = witness_report(2.0, 1.0, N, [(2.0, 1.0)]).probes
+        increment = probe.total_sum - probe.half_sum
+        assert probe.flag == DIVERGING
+        assert 0.0 < 1.0 - increment / self.ell(N) < 1.0 / (N // 2)
+
+    @pytest.mark.parametrize("N", [4, 5, 1000, 4097, 2 ** 16 + 1, 2 ** 19])
+    def test_flags_keep_the_fixed_rule_up_to_2_19(self, N):
+        probes = [(2.0, 1.0), (2.0, 1.04), (2.0, 1.2), (1.9, 1.0),
+                  (2.1, 1.0), (2.0, 0.9), (3.0, 2.0)]
+        for probe in witness_report(2.0, 1.0, N, probes).probes:
+            assert probe.flag == reference_flag(probe.half_sum,
+                                                probe.total_sum)
+
+    @pytest.mark.parametrize("b, flag", [
+        (-0.9, DIVERGING), (-1.0, DIVERGING), (-1.000005, DIVERGING),
+        (-1.00001, INDETERMINATE), (-1.076, INDETERMINATE),
+        (-1.078, CONVERGING), (-2.0, CONVERGING)])
+    def test_band_it_cannot_separate_at_the_cap(self, b, flag):
+        # a = -1 and q = 1, so the probe's q* is -b: the band of the
+        # ``_membership`` docstring
+        probe, = witness_report(2.0, 1.0, 2 ** 24, [(2.0, -b)]).probes
+        assert probe.flag == flag
+
+
 class TestKOperatorDiag:
     def test_single_entry(self):
         for t in (0.25, 1.0, 4.0):
@@ -604,8 +649,7 @@ class TestKOperatorDiag:
                 want = 0.8 * _l1_lp_batch(S, 1.0 / 0.8, p0, ones, ones)
             else:
                 want = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
-                                             budget=8, seed=0, scale0=ones,
-                                             scale1=ones)
+                                             budget=8, seed=0)
             got = k_operator_diag_batch(S, 0.8, p0, p1)
             assert np.array_equal(got, want), (p0, p1)
             if 1.0 in (p0, p1) and max(p0, p1) > 1.0:
@@ -613,8 +657,7 @@ class TestKOperatorDiag:
                 with monkeypatch.context() as mp:
                     mp.setattr(_descent, "SWEEPS", 0)
                     clip = decomposition_infimum(S, 0.8, n0.dense, n1.dense,
-                                                 budget=0, seed=0,
-                                                 scale0=ones, scale1=ones)
+                                                 budget=0, seed=0)
                 np.testing.assert_allclose(got, clip, rtol=1e-12, atol=0)
 
 

@@ -415,6 +415,15 @@ class TestCheckKonig:
         assert r.config["p"] == pytest.approx(4.0 / 3.0)
         assert r.config["witness_flags"] == ["diverging", "converging"]
 
+    @pytest.mark.parametrize("N", [2 ** 19, 2 ** 20, 2 ** 24])
+    def test_long_witness_still_diverges(self, N):
+        # the probe (p, q) adds 0.048 from N // 2 to N at 2^20 and 0.040
+        # at 2^24, below a fixed 0.05: the threshold follows it there
+        r = check_konig(1.0, 2.0, 0.5, 1.0, lengths=(4,), count=8, seed=0,
+                        witness_length=N)
+        assert r.passed
+        assert r.config["witness_flags"] == ["diverging", "converging"]
+
     def test_spike_sequence_is_window_constant(self):
         # sigma = (1, 0, ...): K(sigma, t) = min(1, t) exactly, so the
         # interpolation side is the fixed window constant and the Lorentz
@@ -528,17 +537,26 @@ class TestOracleAgreement:
         for kind, err in rep["worst_relative_error"].items():
             assert err <= 1e-6, f"{kind}: {err}"
 
+    def test_descent_size_guard_applies(self):
+        # the reference descent runs through descent_route's kernel, so
+        # rows wider than ORACLE_MAX_DIM are refused before it runs
+        from interpk.couples import ORACLE_MAX_DIM
+        from interpk.errors import SizeError
+        with pytest.raises(SizeError, match="oracle limited to dimension"):
+            oracle_agreement(count=40, max_dim=4 * ORACLE_MAX_DIM, seed=0)
+
     def test_one_descent_per_kind(self, monkeypatch):
-        # rows of every dim, zero-padded to the largest, share one descent
-        from interpk import verify
+        # rows of every dim, zero-padded to the largest, share one descent,
+        # which runs through descent_route's kernel
+        from interpk import couples
         shapes = []
-        descent = verify.decomposition_infimum
+        descent = couples.decomposition_infimum
 
         def counted(X, *args, **kwargs):
             shapes.append(X.shape)
             return descent(X, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "decomposition_infimum", counted)
+        monkeypatch.setattr(couples, "decomposition_infimum", counted)
         rep = oracle_agreement(200, 8, 101, 4)
         assert shapes == [(100, 8), (100, 8)]
         for kind, err in rep["worst_relative_error"].items():
@@ -557,16 +575,19 @@ class TestOracleAgreement:
 
     def test_specs_equal_a_generator_per_index(self, monkeypatch):
         # the rows, t's and weights handed to the descents are those a
-        # fresh numpy generator per index draws
-        from interpk import verify
+        # fresh numpy generator per index draws; the weights are read back
+        # as the engine reads its clip scales, by probing the norms on e_j
+        from interpk import couples
+        from interpk._descent import probe_scales
         calls = []
-        descent = verify.decomposition_infimum
+        descent = couples.decomposition_infimum
 
         def recorded(X, T, n0, n1, **kwargs):
-            calls.append((X, T, kwargs["scale0"], kwargs["scale1"]))
+            calls.append((X, T, probe_scales(n0, *X.shape),
+                          probe_scales(n1, *X.shape)))
             return descent(X, T, n0, n1, **kwargs)
 
-        monkeypatch.setattr(verify, "decomposition_infimum", recorded)
+        monkeypatch.setattr(couples, "decomposition_infimum", recorded)
         count, max_dim, seed = 200, 8, 101
         oracle_agreement(count, max_dim, seed, 4)
         specs = {0: [], 1: []}
@@ -588,10 +609,11 @@ class TestOracleAgreement:
                 want_w0[row, :dim], want_w1[row, :dim] = w0, w1
             assert X.tobytes() == want_x.tobytes()
             assert T.tobytes() == np.array([it[1] for it in items]).tobytes()
-            if W0.ndim == 2:                    # the weighted_sup kind
-                assert W0.tobytes() == want_w0.tobytes()
-                assert W1.tobytes() == want_w1.tobytes()
-        assert len(calls) == 2 and calls[1][2].ndim == 2
+            if items is specs[0]:               # (l1, linf): unit scales
+                want_w0 = want_w1 = np.ones((len(items), n))
+            assert W0.tobytes() == want_w0.tobytes()
+            assert W1.tobytes() == want_w1.tobytes()
+        assert len(calls) == 2
 
     def test_needs_both_kinds(self):
         from interpk.errors import DomainError

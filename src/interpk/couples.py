@@ -21,9 +21,16 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
 
 * ``l1_linf``       exponents {1, inf} with unit weights, either order: the
   closed form of ``_l1_linf_batch``;
-* ``weighted_sup``  (linf(w0), linf(w1)): the two-variable linear program
-  solved on the vertex chain of its feasible region, built once per vector
-  in O(d log d) time and O(d) memory (``_weighted_sup_batch``);
+* ``weighted_sup``  (linf(w0), linf(w1)): by duality
+
+      K(x, t) = max{sum_i lam_i w0_i |x_i| : sum_i lam_i <= 1,
+                    sum_i lam_i w0_i / w1_i <= t, lam >= 0},
+
+  the least concave nondecreasing majorant of (0, 0) and the points
+  (w0_i / w1_i, w0_i |x_i|), built once per vector by one monotone-chain
+  pass in O(d log d) time; each t is read on the piece that holds it, in
+  at most m (d + 1) k cells for m vectors and k values of t
+  (``_weighted_sup_batch``);
 * ``l1_lp``         (l1(w0), lp(w1)) with 1 < p < inf, either order:
   Holmstedt's closed form (``_l1_lp_batch``);
 * ``power``         one shared finite exponent p: the coordinatewise power
@@ -56,8 +63,10 @@ K(x, t; A0, A1) = t * K(x, 1/t; A1, A0):
   callables and their own budget and seed, nothing else.  The engine
   derives its clip scales from the norms themselves (norm(e_j) = w_j for
   every weighted lp norm).  Its kernel refuses rows of more than
-  ``ORACLE_MAX_DIM`` (16) coordinates, and more than ``DESCENT_MAX_CELLS``
-  (2^19) stacked cells, with SizeError before the engine runs.
+  ``ORACLE_MAX_DIM`` (16) coordinates, more than ``DESCENT_MAX_CELLS``
+  (2^19) stacked cells, and a lower envelope of more than
+  ``DESCENT_MAX_ENVELOPE`` (2^28) reads, m k^2 for m rows of k values of
+  t, with SizeError before the engine runs.
 
 A route carries its band: ``band[0] <= K_route / K_true <= band[1]``, (1, 1)
 for the exact routes.  The strategy names select what a couple may use:
@@ -89,7 +98,7 @@ object every interpolation norm downstream consumes.  ``_n_window`` checks
 a window and returns its exponents n and the grid's t = 2^n, the one place
 that builds a dyadic t-grid.  ``Couple.profile_batch``
 evaluates a whole grid of t per vector in one kernel call, so the exact
-kernels sort (or build their vertex chain) once per vector, not once per t.
+kernels sort (or build their majorant) once per vector, not once per t.
 A grid shared by every row, and a scalar t (``Couple.k_batch`` passes it as
 a (1, 1) grid), reaches the kernels unbroadcast, so their per-t arithmetic
 runs once per t, not once per (row, t); the result is the same bit for bit
@@ -132,9 +141,15 @@ ORACLE_MAX_DIM = 16
 # line searches' per-row vectors outweigh the rows (a child process per
 # run, about 2^20 cells); so at the cap a descent holds about 150 MB at
 # most, and it runs 5 to 30 s (2 vCPUs, numpy 2.4).  The cap does not bound
-# the lower envelope's m*k^2 pass over a grid: one row at d = 1 on 2^16
-# values of t took 10.6 s.
+# the lower envelope's m*k^2 pass over a grid (one row at d = 1 on 2^16
+# values of t took 10.6 s); DESCENT_MAX_ENVELOPE does.
 DESCENT_MAX_CELLS = 2 ** 19
+# The most m*k^2 (rows times values of t, squared) one descent's lower
+# envelope reads: it reads each t of a row from all k of the row's lines.
+# One row at d = 1 and budget 0 took 0.025 s at k = 2,046 (CI's widest
+# oracle profile) and 0.39 to 0.54 s at the cap, k = 2^14, the one-row grid
+# of the cell-cap test in tests/test_couples.py (2 vCPUs, numpy 2.4).
+DESCENT_MAX_ENVELOPE = 2 ** 28
 
 # cells (table rows x t values x coordinates) per block of the power
 # kernel's factor table
@@ -343,13 +358,15 @@ def descent_route(dense0, dense1, *, budget: int, seed: int) -> KRoute:
     on the basis vectors for its clip scales; for a weighted lp norm that
     probe is the weights, bit for bit, whatever the exponent.  Its kernel
     refuses, with SizeError before the engine runs, rows wider than
-    ``ORACLE_MAX_DIM`` and a stacked problem of more than
+    ``ORACLE_MAX_DIM``, a stacked problem of more than
     ``DESCENT_MAX_CELLS`` cells (3 + budget starts, m rows, k values of t
-    per row, d coordinates).  It is the one caller of the engine, so this
-    is the one size guard of every descent K, ``verify.oracle_agreement``'s
-    reference included.  The engine is looked up when the kernel runs and
-    gets the norms positionally, so a wrapper installed on it (a tracer
-    that counts norm calls) sees every descent."""
+    per row, d coordinates), and a lower envelope of more than
+    ``DESCENT_MAX_ENVELOPE`` reads (m k^2).  It is the one caller of the
+    engine, so this is the one size guard of every descent K,
+    ``verify.oracle_agreement``'s reference included.  The engine is
+    looked up when the kernel runs and gets the norms positionally, so a
+    wrapper installed on it (a tracer that counts norm calls) sees every
+    descent."""
     def kernel(X, T):
         shape = np.shape(X)
         if shape[-1] > ORACLE_MAX_DIM:
@@ -361,6 +378,9 @@ def descent_route(dense0, dense1, *, budget: int, seed: int) -> KRoute:
             raise SizeError(f"descent of {cells} cells (starts x rows x t "
                             f"values x coordinates) exceeds the cap "
                             f"{DESCENT_MAX_CELLS}")
+        if m * k * k > DESCENT_MAX_ENVELOPE:
+            raise SizeError(f"descent envelope of {m * k * k} reads (m k^2) "
+                            f"exceeds the cap {DESCENT_MAX_ENVELOPE}")
         return decomposition_infimum(X, T, dense0, dense1, budget=budget,
                                      seed=seed)
     return KRoute("descent", kernel, exact=False)
@@ -616,62 +636,73 @@ def _l1_lp_batch(X: np.ndarray, T, p: float, w0, w1) -> np.ndarray:
 
 
 @k_kernel
+@np.errstate(over="ignore")     # knots, heights or g t past the largest float
 def _weighted_sup_batch(X, T, w0, w1) -> np.ndarray:
-    """Exact K for (linf(w0), linf(w1)) on each row's vertex chain.
+    """Exact K for (linf(w0), linf(w1)), read off each row's least concave
+    majorant.
 
-    K(x, t) = min{l0 + t*l1 : l0/w0_i + l1/w1_i >= |x_i|, l0, l1 >= 0}.  For
-    fixed l0 the least feasible l1 is g(l0) = max(0, max_i w1_i (|x_i| -
-    l0/w0_i)), the upper envelope of the zero line and d falling lines, so
-    K(x, t) = min over the envelope's vertices v on l0 >= 0 of l0_v + t g(l0_v).
-    The vertices do not depend on t: they are built once per row by sorting
-    the lines by slope and one monotone-chain pass, O(d log d) time and O(d)
-    memory, and every t of the row reads them.  Weights may be shared (d,)
-    or per-row (m, d).
+    The dual of linf(w) is l1(1/w), so by the K-functional duality
+    (Bergh-Lofstrom ch. 2)
+
+        K(x, t) = max{sum_i lam_i w0_i |x_i| : sum_i lam_i <= 1,
+                      sum_i lam_i w0_i / w1_i <= t, lam >= 0},
+
+    the least concave nondecreasing majorant at t of the points (0, 0) and
+    (s_i, h_i) = (w0_i / w1_i, w0_i |x_i|).  Each row's points are sorted
+    by their knot s_i, the higher first on equal knots (and the steeper
+    chord from (0, 0) first on equal points, so a joint permutation of x,
+    w0 and w1 keeps every bit).  A point no higher than one before it lies
+    under the majorant and is dropped; one monotone-chain pass from (0, 0)
+    then pops every vertex on or under the chord to the next point.
+
+    Each t is read on the piece that holds it, h_a + v_a (t - s_a) with
+    s_a <= t < s_b: a sum of nonnegative terms, so every value is within a
+    few ulp of K.  (The least of all pieces' lines loses every digit at a
+    small t when a far piece's line starts just above 0: 50% error on four
+    points.)  The first piece's slope is h_i / s_i = w1_i |x_i|, taken as
+    that product, and the chord to a knot past the largest float is taken
+    through it, so knots that underflow or overflow still give K.
+    O(d log d) time per row; the lookup of the pieces holds at most
+    m (d + 1) k cells.  Weights may be shared (d,) or per-row (m, d).
     """
-    m, d = X.shape
-    r = np.abs(X)
-    W0 = np.broadcast_to(np.asarray(w0, dtype=float), (m, d))
-    W1 = np.broadcast_to(np.asarray(w1, dtype=float), (m, d))
-    height = W1 * r           # line i at l0 = 0
-    slope = W1 / W0           # line i falls at this rate ...
-    root = W0 * r             # ... and meets zero at l0 = root
-    # steepest line first, the higher one first among equal slopes
-    order = np.lexsort((-height, -slope), axis=-1)
-    lines = np.stack([height, slope, root], axis=2)
-    lines = np.take_along_axis(lines, order[:, :, None], 1).tolist()
-    l0s, l1s, counts = [], [], []     # vertices of all rows, row after row
-    for row in lines:
-        hull = []             # (height, slope, root, start l0) of each piece
-        for b, s, a in row:
-            if b <= 0.0 or (hull and hull[-1][1] == s):
-                continue      # below the zero line, or below an equal slope
-            start = 0.0
-            while hull:
-                hb, hs, _, h0 = hull[-1]
-                # the new, shallower line overtakes the top at l0 = cross
-                cross = (hb - b) / (hs - s)
-                if cross > h0:
-                    start = cross
+    absx = np.abs(X)
+    w0, w1 = np.asarray(w0, dtype=float), np.asarray(w1, dtype=float)
+    points = np.empty(X.shape + (3,))     # knot s, height h, slope g = h / s
+    points[..., 0] = w0 / w1
+    points[..., 1] = w0 * absx
+    points[..., 2] = w1 * absx
+    points = points[np.arange(len(X))[:, None], np.lexsort(
+        (-points[..., 2], -points[..., 1], points[..., 0]), axis=-1)]
+    height = points[..., 1]
+    keep = height > 0.0
+    keep[:, 1:] &= height[:, 1:] > np.maximum.accumulate(height, 1)[:, :-1]
+    flat = points[keep].tolist()
+    vertices, starts, end = [], [], 0     # (s, h, slope to the right)
+    for n in np.count_nonzero(keep, axis=1).tolist():
+        hull, slopes = [(0.0, 0.0)], [0.0]
+        for s, h, g in flat[end:end + n]:
+            while True:
+                # v: the chord's slope from the last vertex, g from (0, 0)
+                s0, h0 = hull[-1]
+                v = (g if not h0 else (h - h0) / (s - s0) if s < math.inf
+                     else g * (h - h0) / (h - g * s0))
+                if not h0 or slopes[-1] > v:
                     break
                 hull.pop()
-            hull.append((b, s, a, start))
-        while len(hull) > 1 and hull[-1][2] <= hull[-1][3]:
-            hull.pop()        # meets zero before it reaches the envelope
-        for hb, hs, _, h0 in hull:
-            l0s.append(h0)
-            l1s.append(max(hb - hs * h0, 0.0))
-        l0s.append(hull[-1][2] if hull else 0.0)
-        l1s.append(0.0)
-        counts.append(len(hull) + 1)
-    n_vert = max(counts, default=1)
-    filled = np.arange(n_vert) < np.asarray(counts, dtype=int)[:, None]
-    L0 = np.full((m, n_vert), np.inf)     # padding never wins the min
-    L1 = np.zeros((m, n_vert))
-    L0[filled] = l0s
-    L1[filled] = l1s
-    with np.errstate(over="ignore"):    # an inf t*l1 loses the min
-        return np.min(L0[:, :, None] + T[:, None, :] * L1[:, :, None],
-                      axis=1)
+                slopes.pop()
+            hull.append((s, h))
+            slopes.append(v)
+        end += n
+        starts.append(len(vertices))
+        vertices += [(s, h, v) for (s, h), v in zip(hull, slopes[1:] + [0.0])]
+    P = np.reshape(vertices, (-1, 3))
+    starts = np.array(starts, dtype=np.intp)
+    T_at = (T if len(T) == 1
+            else np.repeat(T, np.diff(starts, append=len(P)), axis=0))
+    # the piece of each t: the row's last vertex with s <= t
+    P = P[starts[:, None] - 1 + np.add.reduceat(
+        P[:, :1] <= T_at, starts, axis=0, dtype=np.intp)]
+    return P[..., 1] + P[..., 2] * (T - P[..., 0])
 
 
 @k_kernel

@@ -16,9 +16,11 @@ Three concrete constructions with exactly checkable certificates:
   O(N log N), then one O(N) loop.
 
 * ``slow_k_witness`` places eps on the diagonal of the couple
-  (linf(1), linf(2^k)) where the exact LP strategy certifies the lower
-  bound K(x, 2^{-n}) >= eps_n: the K-profile decays no faster than eps no
-  matter how fast t does.
+  (linf(1), linf(2^k)).  There K(x, .) is the least concave nondecreasing
+  majorant of (0, 0) and the points (2^{-k}, eps_k)
+  (``couples._weighted_sup_batch``), and the point (2^{-n}, eps_n) lies
+  under it, which certifies the lower bound K(x, 2^{-n}) >= eps_n: the
+  K-profile decays no faster than eps no matter how fast t does.
 
 * ``strictness_sweep`` evaluates the flat vectors y_N = (1/N, ..., 1/N)
   in (l1, linf), whose intersection norm stays 1 while the sum norm is 1/N;
@@ -119,8 +121,11 @@ def slow_k_witness(epsilon: Sequence[float], N: int):
     """Element of (linf(1), linf(2^k)) whose K-profile dominates eps.
 
     Returns (x, profile) with x_k = eps_k on the window k = 0..N and the
-    LP-certified bound K(x, 2^{-n}) >= eps_n for every n = 0..N.  The
-    profile stores K(x, 2^n) for n = -N..0.  N is at most 1023, so that the
+    bound K(x, 2^{-n}) >= eps_n for every n = 0..N.  The bound holds since
+    K(x, .) is the least concave nondecreasing majorant of (0, 0) and the
+    points (2^{-k}, eps_k), and (2^{-n}, eps_n) lies under it; the profile
+    is checked against eps all the same.  The profile stores K(x, 2^n) for
+    n = -N..0.  N is at most 1023, so that the
     weight 2^N is a finite float; a larger N, or one that is not an integer
     (``couples._integer``), raises DomainError.
     """

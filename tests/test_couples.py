@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -416,6 +417,106 @@ class TestWeightedSupEnvelope:
         bound = np.minimum(np.max(w0 * np.abs(x.entries)),
                            DYADIC * np.max(w1 * np.abs(x.entries)))
         assert np.all(prof.values <= bound * (1 + 1e-12))
+
+
+def majorant_oracle(x, t, w0, w1):
+    """Exact K for (linf(w0), linf(w1)) from its dual form, in rationals:
+    the least concave nondecreasing majorant at t of (0, 0) and the points
+    (w0_i / w1_i, w0_i |x_i|), the best of every point at or left of t and
+    of every chord across t.  Quadratic in d."""
+    points = [(Fraction(0), Fraction(0))] + [
+        (Fraction(a) / Fraction(b), Fraction(a) * abs(Fraction(v)))
+        for v, a, b in zip(x, w0, w1)]
+    t = Fraction(t)
+    best = Fraction(0)
+    for sa, ha in points:
+        if sa <= t:
+            best = max(best, ha)
+            for sb, hb in points:
+                if sb > t:
+                    best = max(best, ha + (hb - ha) * (t - sa) / (sb - sa))
+    return best
+
+
+def majorant_rows(rng, count):
+    """Seeded (X, w0, w1) for the weighted_sup kernel, d <= 12 and m <= 4:
+    repeated and zero entries, small integer weights whose knots w0/w1 tie,
+    and weights shared (d,) or per row (m, d)."""
+    cases = []
+    for i in range(count):
+        m, d = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        X = rng.choice([0.0, 1.0, -1.0, 2.5, 0.5], size=(m, d))
+        if i % 2:
+            X *= rng.standard_normal((m, d))
+        shape = (d,) if i % 3 else (m, d)
+        if i % 4 < 2:
+            w0 = rng.choice([1.0, 2.0, 3.0, 4.0], size=shape)
+            w1 = rng.choice([1.0, 2.0, 3.0, 4.0], size=shape)
+        else:
+            w0 = 2.0 ** rng.uniform(-3, 3, shape)
+            w1 = 2.0 ** rng.uniform(-3, 3, shape)
+        cases.append((X, w0, w1))
+    return cases
+
+
+class TestWeightedSupMajorant:
+    """K of (linf(w0), linf(w1)) is the least concave nondecreasing
+    majorant of (0, 0) and the points (w0_i / w1_i, w0_i |x_i|)."""
+
+    def test_joint_permutation_keeps_every_bit(self):
+        rng = np.random.default_rng(36)
+        for X, w0, w1 in majorant_rows(rng, 300):
+            m, d = X.shape
+            perm = rng.permuted(np.tile(np.arange(d), (m, 1)), axis=1)
+            if w0.ndim == 1:
+                perm[:] = perm[0]
+                pw0, pw1 = w0[perm[0]], w1[perm[0]]
+            else:
+                pw0 = np.take_along_axis(w0, perm, axis=1)
+                pw1 = np.take_along_axis(w1, perm, axis=1)
+            pX = np.take_along_axis(X, perm, axis=1)
+            T = 2.0 ** rng.uniform(-6, 6, m)
+            for t in (DYADIC[None, :], T):
+                assert np.array_equal(_weighted_sup_batch(pX, t, pw0, pw1),
+                                      _weighted_sup_batch(X, t, w0, w1))
+
+    def test_every_point_lies_under_k(self):
+        rng = np.random.default_rng(37)
+        for X, w0, w1 in majorant_rows(rng, 300):
+            W0 = np.broadcast_to(w0, X.shape)
+            knots = W0 / np.broadcast_to(w1, X.shape)
+            got = _weighted_sup_batch(X, knots, w0, w1)
+            assert np.all(got >= W0 * np.abs(X) * (1 - 1e-15))
+
+    def test_far_pieces_keep_their_digits(self):
+        # the majorant of these four points has a piece far to the right
+        # whose line starts just above 0; read as the least of every
+        # piece's line, K(x, 1) came out 0.5, half the true value
+        x = np.array([float.fromhex(v) for v in (
+            "0x1.0p+0", "0x1.c2beb2e77ea39p+28", "0x1.0p+53",
+            "0x1.8a2d16bd5f9e3p+54")])
+        w1 = np.array([float.fromhex(v) for v in (
+            "0x1.0p+0", "0x1.22ca2ccf3f2f2p-30", "0x1.0p-54",
+            "0x1.4c857acd4bc52p-56")])
+        T = np.array([2.0 ** -30, 0.25, 1.0, 4.0, 2.0 ** 60])
+        got = _weighted_sup_batch(x, T[None, :], np.ones(4), w1)[0]
+        for t, value in zip(T, got):
+            want = majorant_oracle(x, t, np.ones(4), w1)
+            assert abs(Fraction(value) - want) <= want * Fraction(1, 2 ** 51)
+
+    @pytest.mark.parametrize("x, w0, w1", [
+        ([1.0], [1e-200], [1e200]),           # the knot underflows to 0
+        ([1.0], [1e200], [1e-200]),           # the knot overflows
+        ([1.0, 1.0], [1e200, 1.0], [1e-200, 1.0]),
+        ([1e10, 1.0], [1e300, 1.0], [1e-10, 1.0]),
+    ])
+    def test_knots_outside_the_float_range(self, x, w0, w1):
+        T = np.array([2.0 ** -1023, 1e-100, 1.0, 1e100, 2.0 ** 1023])
+        got = _weighted_sup_batch(np.array(x), T[None, :], np.array(w0),
+                                  np.array(w1))[0]
+        for t, value in zip(T, got):
+            want = float(majorant_oracle(x, t, w0, w1))
+            assert value == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestProfileBatch:
@@ -947,6 +1048,43 @@ class TestDescentSizeGuard:
         with pytest.raises(SizeError, match="exceeds the cap"):
             c.profile_batch(np.ones((1, 16)), grid)
         assert len(sizes) == 5
+
+    def test_envelope_above_the_cap_refused(self, monkeypatch):
+        # a grid's lower envelope reads each t of a row from all k of the
+        # row's lines, m * k^2 reads, checked before the engine runs (one
+        # row at d = 1 on 2^14 values of t took 0.4 to 0.5 s)
+        cap = couples.DESCENT_MAX_ENVELOPE
+        k = math.isqrt(cap)
+        n0, n1 = WeightedNorm(1.0, 0, [1.0]), WeightedNorm("inf", 0, [2.0])
+        route = descent_route(n0.dense, n1.dense, budget=0, seed=0)
+
+        def grid(k):
+            return 2.0 ** np.linspace(-8, 8, k)[None, :]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the engine ran past the size guard")
+
+        monkeypatch.setattr(couples, "decomposition_infimum", refused)
+        for X, T in ((np.ones((1, 1)), grid(k + 1)),
+                     (np.ones(1), grid(k + 1)),
+                     (np.ones((4, 1)), grid(k // 2 + 1)),
+                     (np.ones((4, 1)), np.ones((4, k // 2 + 1)))):
+            m = len(np.atleast_2d(X))
+            with pytest.raises(SizeError, match=f"descent envelope of "
+                               f"{m * T.shape[1] ** 2} .* exceeds the cap "
+                               f"{cap}"):
+                route.kernel(X, T)
+        # the cap itself, and CI's widest oracle profile (2,046 values of t
+        # at d = 8, budget 8), reach the engine
+        shapes = []
+        monkeypatch.setattr(couples, "decomposition_infimum",
+                            lambda X, T, *args, **kw: shapes.append(T.shape))
+        route.kernel(np.ones((1, 1)), grid(k))
+        route.kernel(np.ones((4, 1)), grid(k // 2))
+        n = WeightedNorm(0.5, 0, np.ones(8))
+        descent_route(n.dense, n.dense, budget=8, seed=0).kernel(
+            np.ones((1, 8)), grid(2046))
+        assert shapes == [(1, k), (1, k // 2), (1, 2046)]
 
     def test_a_descent_just_under_the_cap_keeps_its_memory(self):
         # d = 1 costs the most bytes per cell: the line searches' per-row
